@@ -39,6 +39,7 @@ import (
 	"hybridmem/internal/api"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/store"
+	"hybridmem/internal/telemetry"
 )
 
 func main() {
@@ -293,29 +294,28 @@ func emitJSON(runSel, sweepSel string, scale, ratio int, instr, seed uint64, par
 	if err != nil {
 		return err
 	}
-	var doc any
+	var ser *telemetry.Series
 	if series.Enabled {
-		r.Telemetry = &exp.TelemetryOptions{WindowInstr: series.WindowInstr}
-		sr, ser, err := r.ResultSeriesErr(specs[0].Workload, specs[0].Design, specs[0].Ratio16)
-		if err != nil {
-			return err
+		r.Telemetry = &exp.TelemetryOptions{
+			WindowInstr: series.WindowInstr,
+			OnSeries:    func(_ int, s *telemetry.Series) { ser = s },
 		}
+	}
+	results, err := r.ResultsParallel(specs)
+	if err != nil {
+		return err
+	}
+	var doc any = api.NewSweep(results)
+	switch {
+	case series.Enabled:
 		if series.CSVPath != "" {
 			if err := os.WriteFile(series.CSVPath, api.SeriesCSV(api.FromSeries(ser)), 0o644); err != nil {
 				return err
 			}
 		}
-		doc = api.NewRunSeries(sr, ser)
-	} else {
-		results, err := r.ResultsParallel(specs)
-		if err != nil {
-			return err
-		}
-		if runSel != "" {
-			doc = api.NewRun(results[0])
-		} else {
-			doc = api.NewSweep(results)
-		}
+		doc = api.NewRunSeries(results[0], ser)
+	case runSel != "":
+		doc = api.NewRun(results[0])
 	}
 	data, err := api.Encode(doc)
 	if err != nil {

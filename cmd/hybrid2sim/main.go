@@ -82,7 +82,16 @@ func run() error {
 		return fmt.Errorf("-ratio must be 1, 2 or 4, got %d", *ratio)
 	}
 
-	sampled := *seriesJSON != "" || *seriesCSV != ""
+	// Telemetry is passive: the printed measurements are identical with
+	// or without the series exports.
+	r := &exp.Runner{Scale: *scale, InstrPerCore: *instr, Seed: *seed, TraceWindow: *window}
+	var ser *telemetry.Series
+	if *seriesJSON != "" || *seriesCSV != "" {
+		r.Telemetry = &exp.TelemetryOptions{
+			WindowInstr: *seriesWindow,
+			OnSeries:    func(_ int, s *telemetry.Series) { ser = s },
+		}
+	}
 
 	if *traceFile != "" {
 		if *mlp < 1 {
@@ -93,19 +102,11 @@ func run() error {
 			return err
 		}
 		defer f.Close()
-		r := &exp.Runner{Scale: *scale, InstrPerCore: *instr, Seed: *seed, TraceWindow: *window}
-		var res sim.Result
-		if sampled {
-			r.Telemetry = &exp.TelemetryOptions{WindowInstr: *seriesWindow}
-			var ser *telemetry.Series
-			res, ser, err = r.RunTraceSeries(*traceFile, f, *design, *ratio, *mlp)
-			if err == nil {
-				err = writeSeries(*seriesJSON, *seriesCSV, res, ser)
-			}
-		} else {
-			res, err = r.RunTrace(*traceFile, f, *design, *ratio, *mlp)
-		}
+		res, err := r.RunTrace(*traceFile, f, *design, *ratio, *mlp)
 		if err != nil {
+			return err
+		}
+		if err := writeSeries(*seriesJSON, *seriesCSV, res, ser); err != nil {
 			return err
 		}
 		fmt.Printf("trace           %s\n", res.Workload)
@@ -120,42 +121,21 @@ func run() error {
 	}
 
 	cfg := hybridmem.Config{Scale: *scale, NMRatio16: *ratio, InstrPerCore: *instr, Seed: *seed}
-	var res hybridmem.Result
-	if sampled {
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-		spec, ok := workload.ByName(*wl)
-		if !ok {
-			return fmt.Errorf("unknown workload %q", *wl)
-		}
-		r := &exp.Runner{Scale: *scale, InstrPerCore: *instr, Seed: *seed,
-			Telemetry: &exp.TelemetryOptions{WindowInstr: *seriesWindow}}
-		sr, ser, err := r.ResultSeriesErr(spec, *design, *ratio)
-		if err != nil {
-			return err
-		}
-		if err := writeSeries(*seriesJSON, *seriesCSV, sr, ser); err != nil {
-			return err
-		}
-		// The sampled run's measurements are what hybridmem.Run would
-		// report — telemetry is passive — so the printout below is
-		// identical with or without the exports.
-		a := api.FromSim(sr)
-		res = hybridmem.Result{
-			Workload: a.Workload, Design: a.Design,
-			Cycles: a.Cycles, Instructions: a.Instructions, IPC: a.IPC, MPKI: a.MPKI,
-			Requests: a.Requests, ServedNMFrac: a.ServedNMFrac,
-			NMTrafficBytes: a.NMTrafficBytes, FMTrafficBytes: a.FMTrafficBytes,
-			MetaNMBytes: a.MetaNMBytes, Migrations: a.Migrations, EnergyNanoJ: a.EnergyNanoJ,
-		}
-	} else {
-		var err error
-		res, err = hybridmem.Run(*design, *wl, cfg)
-		if err != nil {
-			return err
-		}
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
+	spec, ok := workload.ByName(*wl)
+	if !ok {
+		return fmt.Errorf("unknown workload %q", *wl)
+	}
+	sr, err := r.ResultErr(spec, *design, *ratio)
+	if err != nil {
+		return err
+	}
+	if err := writeSeries(*seriesJSON, *seriesCSV, sr, ser); err != nil {
+		return err
+	}
+	res := api.FromSim(sr)
 	speedup, err := hybridmem.Speedup(*design, *wl, cfg)
 	if err != nil {
 		return err

@@ -7,7 +7,8 @@
 //
 //	hybridmemd                            # listen on :8080, in-memory
 //	hybridmemd -addr 127.0.0.1:9090
-//	hybridmemd -state /var/lib/hybridmem  # persist jobs, results, checkpoints
+//	hybridmemd -state /var/lib/hybridmem  # persist jobs and checkpoints; results
+//	                                      # and series in the store under state/store
 //	hybridmemd -store-dir /var/cache/hybridmem -store-max-bytes 268435456
 //	                                      # tiered result store: repeats served
 //	                                      # from disk across restarts, GC at 256MB
@@ -50,10 +51,10 @@ import (
 
 func main() {
 	addr := flag.String("addr", "", "TCP listen address (default :8080 for servers, 127.0.0.1:0 for runners)")
-	state := flag.String("state", "", "state directory for job specs, results and exploration checkpoints (empty: in-memory only)")
+	state := flag.String("state", "", "state directory for job specs and exploration checkpoints; finished results and series live in the result store, at <state>/store unless -store-dir is set (empty: in-memory only)")
 	cacheEntries := flag.Int("cache-entries", 1024, "result-cache entry bound")
 	cacheMB := flag.Int64("cache-mb", 64, "result-cache byte bound, in MB")
-	storeDir := flag.String("store-dir", "", "persistent result-store directory: results are served across restarts without re-simulating (empty: memory cache only)")
+	storeDir := flag.String("store-dir", "", "persistent result-store directory: results are served across restarts without re-simulating (empty: <state>/store, or memory cache only without -state)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "on-disk result-store byte bound, garbage-collecting least-recently-used entries (0: unbounded)")
 	queue := flag.Int("queue", 64, "async job queue depth")
 	workers := flag.Int("workers", 2, "async job workers")

@@ -205,19 +205,8 @@ func ValidateDesign(name string) error {
 // measurements. Design names are listed in the package documentation;
 // workload names come from Workloads.
 func Run(design, workloadName string, cfg Config) (Result, error) {
-	spec, ok := workload.ByName(workloadName)
-	if !ok {
-		return Result{}, fmt.Errorf("hybridmem: unknown workload %q", workloadName)
-	}
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	r := &exp.Runner{Scale: cfg.Scale, InstrPerCore: cfg.InstrPerCore, Seed: cfg.Seed}
-	sr, err := r.ResultErr(spec, design, cfg.NMRatio16)
-	if err != nil {
-		return Result{}, fmt.Errorf("hybridmem: %w", err)
-	}
-	return fromSim(sr), nil
+	res, _, err := RunWithOptions(design, workloadName, cfg, RunOptions{})
+	return res, err
 }
 
 // SweepOptions configures a RunAll sweep beyond the per-run Config.

@@ -130,10 +130,6 @@ type CoordinatorOptions struct {
 	// it with the registry backing /metrics). nil keeps the coordinator
 	// fully passive.
 	Obs *obs.Obs
-	// SimCounter, when non-nil, counts engine executions performed by
-	// the coordinator's own executors (loopback runners and the local
-	// fallback) — remote nodes count on their own registries.
-	SimCounter *obs.Counter
 }
 
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {

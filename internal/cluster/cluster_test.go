@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -303,6 +304,57 @@ func TestWorkStealing(t *testing.T) {
 	}
 	if got := outcomeSweepBytes(t, outs); !bytes.Equal(got, want) {
 		t.Fatal("results mutated by the late duplicate")
+	}
+}
+
+// heldTransport holds every call until its context is canceled, then
+// lingers briefly — a losing steal still finishing its simulation — and
+// records that it returned.
+type heldTransport struct {
+	took     func()
+	returned *atomic.Bool
+}
+
+func (h heldTransport) runShard(ctx context.Context, _ ShardRequest) (ShardResponse, error) {
+	h.took()
+	<-ctx.Done()
+	time.Sleep(20 * time.Millisecond)
+	h.returned.Store(true)
+	return ShardResponse{}, ctx.Err()
+}
+
+// TestRunWaitsForLosingSteals: Run returns only after every execution
+// it started has returned. The losing execution of a stolen shard is
+// canceled when the batch settles and awaited, so nothing keeps
+// simulating (or writing to the store) behind the caller's back, and
+// it counts as a dropped duplicate rather than a failure.
+func TestRunWaitsForLosingSteals(t *testing.T) {
+	cfg, runs := testConfig(), testRuns()[:1]
+	holds := make(chan struct{})
+	var returned atomic.Bool
+	c := NewCoordinator(CoordinatorOptions{ShardSize: 1, MaxInFlight: 1, MaxSteals: 1})
+	c.join(&runnerHandle{
+		id:        "held",
+		addr:      "loopback",
+		transport: heldTransport{took: sync.OnceFunc(func() { close(holds) }), returned: &returned},
+		loopback:  true,
+	})
+	// Whichever runner takes the shard first, the other steals it, and
+	// only the fast one can finish.
+	c.join(&runnerHandle{
+		id:        "fast",
+		addr:      "loopback",
+		transport: afterTransport{inner: loopbackTransport{exec: Exec{Parallelism: 1}}, ready: holds},
+		loopback:  true,
+	})
+	if _, err := c.Run(context.Background(), cfg, runs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !returned.Load() {
+		t.Fatal("Run returned while the losing execution was still running")
+	}
+	if st := c.Stats(); st.DuplicatesDropped != 1 || st.ShardsRetried != 0 || st.ShardsCompleted != 1 {
+		t.Fatalf("stats %+v, want 1 completed shard and 1 dropped duplicate", st)
 	}
 }
 

@@ -49,6 +49,10 @@ type Coordinator struct {
 	active  []*dispatcher // batches currently dispatching
 
 	stats Stats
+	// sims counts engine executions by the coordinator's own executors
+	// (loopback runners and the local fallback); remote nodes count on
+	// their own registries.
+	sims obs.Counter
 }
 
 // Stats is a snapshot of the coordinator's dispatch counters, surfaced
@@ -147,8 +151,16 @@ func (c *Coordinator) RegisterMetrics(r *obs.Registry) {
 		[]string{"runner"}, runnerSamples(func(rs RunnerStat) float64 { return float64(rs.Dispatched) }))
 }
 
-// Options returns the coordinator's resolved options.
-func (c *Coordinator) Options() CoordinatorOptions { return c.opts }
+// Sims counts the simulations the coordinator's own executors (loopback
+// runners and the local fallback) actually ran, store hits excluded —
+// the serving layer folds it into hybridmem_sims_total.
+func (c *Coordinator) Sims() uint64 { return c.sims.Value() }
+
+// exec returns an in-process shard executor sharing the coordinator's
+// store, simulation counter and observability plane.
+func (c *Coordinator) exec(parallelism int) Exec {
+	return Exec{Parallelism: parallelism, Store: c.opts.Store, SimCounter: &c.sims, Obs: c.opts.Obs}
+}
 
 // Join registers (or refreshes) a runner reachable at the given URL
 // base and returns the heartbeat cadence it must keep.
@@ -202,7 +214,7 @@ func (c *Coordinator) AttachLoopback(n, parallelism int) {
 		c.join(&runnerHandle{
 			id:        fmt.Sprintf("loopback-%d", i+1),
 			addr:      "loopback",
-			transport: loopbackTransport{exec: Exec{Parallelism: parallelism, Store: c.opts.Store, SimCounter: c.opts.SimCounter, Obs: c.opts.Obs}},
+			transport: loopbackTransport{exec: c.exec(parallelism)},
 			loopback:  true,
 		})
 	}

@@ -55,6 +55,7 @@ type dispatcher struct {
 	runs     []Run
 	progress func(done, total int)
 	ctx      context.Context
+	workers  sync.WaitGroup // this batch's worker and monitor goroutines
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -111,8 +112,14 @@ func newDispatcher(c *Coordinator, cfg Config, runs []Run, progress func(done, t
 // local fallback, when enabled), a monitor for liveness and late
 // joiners, and a wait for the last shard. With an empty pool and no
 // fallback it blocks until a runner joins or ctx cancels — queued work
-// waits for capacity, it is not an error.
-func (d *dispatcher) run(ctx context.Context) ([]RunOutcome, error) {
+// waits for capacity, it is not an error. Once the batch settles its
+// context is canceled and run waits for its own goroutines, so no
+// losing steal is still simulating (or writing to the store) after run
+// returns.
+func (d *dispatcher) run(parent context.Context) ([]RunOutcome, error) {
+	ctx, cancel := context.WithCancel(parent)
+	defer d.workers.Wait()
+	defer cancel()
 	d.mu.Lock()
 	d.ctx = ctx
 	if d.progress != nil && d.doneRuns > 0 {
@@ -139,9 +146,11 @@ func (d *dispatcher) run(ctx context.Context) ([]RunOutcome, error) {
 
 	stop := context.AfterFunc(ctx, d.wake)
 	defer stop()
-	monCtx, monCancel := context.WithCancel(ctx)
-	defer monCancel()
-	go d.monitor(monCtx)
+	d.workers.Add(1)
+	go func() {
+		defer d.workers.Done()
+		d.monitor(ctx)
+	}()
 
 	for _, h := range c.liveRunners() {
 		d.addRunner(h)
@@ -150,7 +159,7 @@ func (d *dispatcher) run(ctx context.Context) ([]RunOutcome, error) {
 		d.addRunner(&runnerHandle{
 			id:        "local",
 			addr:      "local",
-			transport: loopbackTransport{exec: Exec{Parallelism: c.localParallelism(), Store: c.opts.Store, SimCounter: c.opts.SimCounter, Obs: c.opts.Obs}},
+			transport: loopbackTransport{exec: c.exec(c.localParallelism())},
 			loopback:  true,
 			local:     true,
 		})
@@ -196,9 +205,14 @@ func (d *dispatcher) addRunner(h *runnerHandle) {
 	}
 	d.started[h] = true
 	ctx := d.ctx
+	// Added under mu, before run can set finished and start waiting.
+	d.workers.Add(d.c.opts.MaxInFlight)
 	d.mu.Unlock()
 	for i := 0; i < d.c.opts.MaxInFlight; i++ {
-		go d.worker(ctx, h)
+		go func() {
+			defer d.workers.Done()
+			d.worker(ctx, h)
+		}()
 	}
 	d.wake()
 }
@@ -379,20 +393,27 @@ func (d *dispatcher) persist(sh *shardState) {
 
 // fail settles a failed execution: requeue the shard once no execution
 // of it remains (a surviving steal may still complete it), or give up
-// on the whole batch when the shard exhausts its attempt budget.
+// on the whole batch when the shard exhausts its attempt budget. An
+// execution of a shard another one already completed — typically a
+// losing steal canceled as its batch settles — is a dropped duplicate,
+// not a failure.
 func (d *dispatcher) fail(sh *shardState, h *runnerHandle, err error) {
 	d.mu.Lock()
 	delete(sh.execs, h)
+	if sh.done {
+		d.mu.Unlock()
+		d.c.noteSettled(h, true)
+		d.wake()
+		return
+	}
 	retried := false
-	if !sh.done {
-		sh.failed++
-		if len(sh.execs) == 0 {
-			if sh.failed >= d.c.opts.MaxAttempts {
-				d.fatal = fmt.Errorf("cluster: shard %d failed %d attempt(s), giving up: %w", sh.idx, sh.failed, err)
-			} else {
-				d.pending = append(d.pending, sh.idx)
-				retried = true
-			}
+	sh.failed++
+	if len(sh.execs) == 0 {
+		if sh.failed >= d.c.opts.MaxAttempts {
+			d.fatal = fmt.Errorf("cluster: shard %d failed %d attempt(s), giving up: %w", sh.idx, sh.failed, err)
+		} else {
+			d.pending = append(d.pending, sh.idx)
+			retried = true
 		}
 	}
 	d.mu.Unlock()

@@ -27,9 +27,12 @@ import (
 	"hybridmem/internal/config"
 	"hybridmem/internal/design"
 	_ "hybridmem/internal/design/all" // link every built-in organization into the registry
+	"hybridmem/internal/memsys"
+	"hybridmem/internal/memtypes"
 	"hybridmem/internal/obs"
 	"hybridmem/internal/sim"
 	"hybridmem/internal/store"
+	"hybridmem/internal/telemetry"
 	"hybridmem/internal/trace"
 	"hybridmem/internal/workload"
 )
@@ -76,11 +79,11 @@ type Runner struct {
 	// serving layers can assert and report how much engine work a
 	// request really cost.
 	SimCounter *obs.Counter
-	// Telemetry supplies the epoch-sampling knobs of the Series-
-	// returning run methods (ResultSeriesErr, ResultsParallelSeries,
-	// RunTraceSeries); nil means package defaults. It is ignored by the
-	// plain run methods: sampling only happens when a Series method is
-	// called, and is passive even then — see TelemetryOptions.
+	// Telemetry, when non-nil, samples every run this runner executes:
+	// ResultErr, ResultsParallel* and RunTrace attach an epoch sampler
+	// and deliver each run's series through Telemetry.OnSeries. Sampled
+	// runs bypass the memo and the store; their results are identical to
+	// unsampled ones — see TelemetryOptions.
 	Telemetry *TelemetryOptions
 
 	mu     sync.Mutex
@@ -206,8 +209,15 @@ func (r *Runner) runKey(wl workload.Spec, designName string, ratio16 int) string
 // simulation and share its result. With a Store attached, a run found
 // (and verified) in the store's disk tier is decoded instead of
 // simulated, and completed simulations are persisted for every future
-// runner sharing the store.
+// runner sharing the store. With Telemetry set the run is sampled
+// instead: it always executes and its series goes to OnSeries.
 func (r *Runner) ResultErr(wl workload.Spec, designName string, ratio16 int) (sim.Result, error) {
+	return r.result(wl, designName, ratio16, 0)
+}
+
+// result is ResultErr for the run'th spec of a call, the index that
+// tags its telemetry.
+func (r *Runner) result(wl workload.Spec, designName string, ratio16, run int) (sim.Result, error) {
 	spec, err := design.Parse(designName)
 	if err != nil {
 		return sim.Result{}, err
@@ -215,12 +225,15 @@ func (r *Runner) ResultErr(wl workload.Spec, designName string, ratio16 int) (si
 	if !spec.Info.NeedsNM {
 		ratio16 = 1 // no NM: one run serves all ratios
 	}
+	if r.Telemetry != nil {
+		return r.execute(wl.Name, designName, spec, ratio16, run, workloadRun(wl))
+	}
 	key := r.runKey(wl, designName, ratio16)
 	memo, flight := r.memoState()
 	if v, ok := memo.Get(key); ok {
 		return v.res, v.err
 	}
-	v, _, _ := flight.Do(key, func() (v memoVal, _ error) {
+	v, _, _ := flight.Do(key, func() (memoVal, error) {
 		// Losing a memo race is cheaper than re-simulating: re-check
 		// from inside the slot before touching disk or the engine.
 		if v, ok := memo.Peek(key); ok {
@@ -234,22 +247,10 @@ func (r *Runner) ResultErr(wl workload.Spec, designName string, ratio16 int) (si
 			// Undecodable (a record written before a layout change that
 			// forgot to bump the engine version): re-simulate.
 		}
-		// A panic here (e.g. from the simulation itself) must neither
-		// kill a worker goroutine nor poison the memo into replaying a
-		// zero result: settle it as this key's error. Construction-time
-		// panics are already converted to errors by Spec.Build.
-		defer func() {
-			if p := recover(); p != nil {
-				v = memoVal{err: fmt.Errorf("exp: run %s/%s: %v", wl.Name, designName, p)}
-			}
-		}()
-		sys := r.system(ratio16)
-		ms, nm, fm, err := spec.Build(sys)
+		res, err := r.execute(wl.Name, designName, spec, ratio16, run, workloadRun(wl))
 		if err != nil {
 			return memoVal{err: err}, nil
 		}
-		r.SimCounter.Inc()
-		res := sim.Run(wl, ms, nm, fm, sys)
 		if r.Store != nil {
 			if data, err := json.Marshal(res); err == nil {
 				r.Store.PutDisk(key, data)
@@ -259,6 +260,52 @@ func (r *Runner) ResultErr(wl workload.Spec, designName string, ratio16 int) (si
 	})
 	memo.Put(key, v)
 	return v.res, v.err
+}
+
+// machine is one run's freshly built system, handed to the engine call;
+// smp is nil when telemetry is off.
+type machine struct {
+	ms     memtypes.MemorySystem
+	nm, fm *memsys.Device
+	sys    config.System
+	smp    *telemetry.Sampler
+}
+
+// workloadRun simulates a synthetic workload on a built machine.
+func workloadRun(wl workload.Spec) func(machine) (sim.Result, error) {
+	return func(m machine) (sim.Result, error) {
+		return sim.RunSampled(wl, m.ms, m.nm, m.fm, m.sys, m.smp), nil
+	}
+}
+
+// execute builds spec's memory system at ratio16 and runs simulate on
+// it: the one build-and-simulate path behind every run method. With
+// Telemetry set a sampler rides along and the settled series goes to
+// OnSeries, tagged with run. A panic from the simulation settles as
+// this run's error instead of killing a worker goroutine or poisoning
+// the memo with a zero result; construction-time panics are already
+// errors from Spec.Build.
+func (r *Runner) execute(name, designName string, spec design.Spec, ratio16, run int, simulate func(machine) (sim.Result, error)) (res sim.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = sim.Result{}, fmt.Errorf("exp: run %s/%s: %v", name, designName, p)
+		}
+	}()
+	m := machine{sys: r.system(ratio16)}
+	if m.ms, m.nm, m.fm, err = spec.Build(m.sys); err != nil {
+		return sim.Result{}, err
+	}
+	if r.Telemetry != nil {
+		m.smp = r.Telemetry.sampler(run)
+	}
+	r.SimCounter.Inc()
+	if res, err = simulate(m); err != nil {
+		return sim.Result{}, err
+	}
+	if m.smp != nil && r.Telemetry.OnSeries != nil {
+		r.Telemetry.OnSeries(run, m.smp.Series())
+	}
+	return res, nil
 }
 
 // ResultErrCtx is ResultErr with cancellation: a canceled context fails
@@ -385,7 +432,7 @@ func (r *Runner) ResultsParallelProgress(ctx context.Context, specs []RunSpec, p
 	finished := 0
 	err := r.parallelForCtx(ctx, len(specs), func(i int) error {
 		var err error
-		out[i], err = r.ResultErr(specs[i].Workload, specs[i].Design, specs[i].Ratio16)
+		out[i], err = r.result(specs[i].Workload, specs[i].Design, specs[i].Ratio16, i)
 		if progress != nil {
 			mu.Lock()
 			finished++
@@ -408,7 +455,7 @@ func (r *Runner) ResultsParallelEach(ctx context.Context, specs []RunSpec) ([]si
 	out := make([]sim.Result, len(specs))
 	errs := r.parallelForEach(ctx, len(specs), func(i int) error {
 		var err error
-		out[i], err = r.ResultErr(specs[i].Workload, specs[i].Design, specs[i].Ratio16)
+		out[i], err = r.result(specs[i].Workload, specs[i].Design, specs[i].Ratio16, i)
 		return err
 	})
 	return out, errs
@@ -484,8 +531,9 @@ func withBaseline(designs []string) []string {
 // per-core overlapped misses and must be >= 1. A trace with no records
 // (empty or whitespace/comments only) is an error, not a zero-cycle
 // result, as is a decode error or a core interleaving more skewed than
-// the lookahead window. Trace runs are not memoized.
-func (r *Runner) RunTrace(name string, rd io.Reader, designName string, ratio16, mlp int) (res sim.Result, err error) {
+// the lookahead window. Trace runs are not memoized; with Telemetry set
+// they are sampled like ResultErr's runs.
+func (r *Runner) RunTrace(name string, rd io.Reader, designName string, ratio16, mlp int) (sim.Result, error) {
 	spec, err := design.Parse(designName)
 	if err != nil {
 		return sim.Result{}, err
@@ -509,24 +557,12 @@ func (r *Runner) RunTrace(name string, rd io.Reader, designName string, ratio16,
 	for i := range srcs {
 		srcs[i] = sr.Source(i)
 	}
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("exp: trace run %s/%s: %v", name, designName, p)
-		}
-	}()
-	sys := r.system(ratio16)
-	ms, nm, fm, err := spec.Build(sys)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	r.SimCounter.Inc()
-	res = sim.RunSources(name, srcs, mlp, ms, nm, fm, sys)
-	// Per-core sources signal stream problems only as an early end of
-	// records; surface the real cause now that replay has drained.
-	if serr := sr.Err(); serr != nil {
-		return sim.Result{}, serr
-	}
-	return res, nil
+	return r.execute(name, designName, spec, ratio16, 0, func(m machine) (sim.Result, error) {
+		res := sim.RunSourcesSampled(name, srcs, mlp, m.ms, m.nm, m.fm, m.sys, m.smp)
+		// Per-core sources signal stream problems only as an early end of
+		// records; surface the real cause now that replay has drained.
+		return res, sr.Err()
+	})
 }
 
 // Speedup returns design cycles relative to the no-NM baseline, or 0 if

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hybridmem/internal/api"
+	"hybridmem/internal/sim"
 	"hybridmem/internal/telemetry"
 	"hybridmem/internal/workload"
 )
@@ -16,6 +17,23 @@ func telemetryRunner() *Runner {
 	r.Scale = 16
 	r.InstrPerCore = 20_000
 	return r
+}
+
+// sampledResult runs one ResultErr with telemetry switched on for the
+// call (keeping any window knobs already set) and returns the series
+// delivered through OnSeries.
+func sampledResult(r *Runner, wl workload.Spec, designName string) (sim.Result, *telemetry.Series, error) {
+	saved := r.Telemetry
+	defer func() { r.Telemetry = saved }()
+	var opts TelemetryOptions
+	if saved != nil {
+		opts = *saved
+	}
+	var ser *telemetry.Series
+	opts.OnSeries = func(_ int, s *telemetry.Series) { ser = s }
+	r.Telemetry = &opts
+	res, err := r.ResultErr(wl, designName, 1)
+	return res, ser, err
 }
 
 // TestResultSeriesMatchesMemoPath pins passivity at the runner layer:
@@ -28,7 +46,7 @@ func TestResultSeriesMatchesMemoPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ser, err := r.ResultSeriesErr(wl, "HYBRID2", 1)
+	got, ser, err := sampledResult(r, wl, "HYBRID2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +60,11 @@ func TestResultSeriesMatchesMemoPath(t *testing.T) {
 	}
 	// And again with the memo already warm — the sampled path must not
 	// read (or be confused by) the memoized entry.
-	got2, ser2, err := r.ResultSeriesErr(wl, "HYBRID2", 1)
+	got2, ser2, err := sampledResult(r, wl, "HYBRID2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got2 != got || len(ser2.Epochs) != len(ser.Epochs) {
+	if got2 != got || ser2 == nil || len(ser2.Epochs) != len(ser.Epochs) {
 		t.Error("repeated sampled run diverged")
 	}
 }
@@ -58,7 +76,7 @@ func TestResultSeriesDeterministicDocument(t *testing.T) {
 	r.Telemetry = &TelemetryOptions{WindowInstr: 8192, MaxEpochs: 64}
 	wl, _ := workload.ByName("mcf")
 	run := func() []byte {
-		res, ser, err := r.ResultSeriesErr(wl, "HYBRID2", 1)
+		res, ser, err := sampledResult(r, wl, "HYBRID2")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +95,7 @@ func TestResultSeriesDeterministicDocument(t *testing.T) {
 	}
 }
 
-// TestResultsParallelSeries: a parallel sampled sweep returns one
+// TestResultsParallelSeries: a parallel sampled sweep delivers one
 // series per spec, streams epochs tagged with the right run index, and
 // its results match the plain parallel path.
 func TestResultsParallelSeries(t *testing.T) {
@@ -93,6 +111,7 @@ func TestResultsParallelSeries(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := map[int]int{}
+	series := make([]*telemetry.Series, len(specs))
 	r2 := telemetryRunner()
 	r2.Telemetry = &TelemetryOptions{
 		WindowInstr: 8192,
@@ -101,8 +120,13 @@ func TestResultsParallelSeries(t *testing.T) {
 			seen[run]++
 			mu.Unlock()
 		},
+		OnSeries: func(run int, ser *telemetry.Series) {
+			mu.Lock()
+			series[run] = ser
+			mu.Unlock()
+		},
 	}
-	got, series, err := r2.ResultsParallelSeries(context.Background(), specs, nil)
+	got, err := r2.ResultsParallelProgress(context.Background(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +151,30 @@ func TestResultsParallelSeries(t *testing.T) {
 func TestResultSeriesBadDesign(t *testing.T) {
 	r := telemetryRunner()
 	wl, _ := workload.ByName("lbm")
-	if _, ser, err := r.ResultSeriesErr(wl, "NOSUCH", 1); err == nil || ser != nil {
+	if _, ser, err := sampledResult(r, wl, "NOSUCH"); err == nil || ser != nil {
 		t.Fatalf("bad design: err=%v series=%v", err, ser)
+	}
+}
+
+// TestRunTraceSampled: trace replay with Telemetry set reports the
+// unsampled result and delivers the run's series.
+func TestRunTraceSampled(t *testing.T) {
+	const traceText = "0 10 1000 R\n0 5 1040 W\n1 3 2000 R\n"
+	want, err := tiny().RunTrace("t", strings.NewReader(traceText), "HYBRID2", 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ser *telemetry.Series
+	r := tiny()
+	r.Telemetry = &TelemetryOptions{OnSeries: func(_ int, s *telemetry.Series) { ser = s }}
+	got, err := r.RunTrace("t", strings.NewReader(traceText), "HYBRID2", 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("sampled replay diverges:\n got %+v\nwant %+v", got, want)
+	}
+	if ser == nil || ser.EpochsTotal != 1 {
+		t.Fatalf("sampled replay series = %+v, want one closing epoch", ser)
 	}
 }

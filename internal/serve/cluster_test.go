@@ -144,6 +144,23 @@ func TestClusterMetricsAndHealth(t *testing.T) {
 	}
 }
 
+// TestCoordinatorCountsLocalSims: a coordinator with no runners executes
+// a sweep through its local fallback, and every one of those cold runs
+// shows up in hybridmem_sims_total.
+func TestCoordinatorCountsLocalSims(t *testing.T) {
+	s, _ := clusterTestServer(t, 0)
+	req := sweepRequest{
+		Designs:   []string{"Baseline", "HYBRID2"},
+		Workloads: []string{"lbm", "mcf"},
+		Config:    api.Config{Scale: 16, NMRatio16: 1, InstrPerCore: 20_000, Seed: 1},
+	}
+	runJob(t, s, "/v1/sweep", req)
+	const want = "\nhybridmem_sims_total 4\n"
+	if body := get(s.Handler(), "/metrics").Body.String(); !strings.Contains(body, want) {
+		t.Fatalf("/metrics after 4 cold runs lacks %q:\n%s", strings.TrimSpace(want), body)
+	}
+}
+
 // TestPlainServerHasNoClusterSurface pins the inverse: without a
 // coordinator, no cluster metrics, no cluster routes, plain health.
 func TestPlainServerHasNoClusterSurface(t *testing.T) {

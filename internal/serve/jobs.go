@@ -55,7 +55,7 @@ type job struct {
 	// Telemetry state, present only on sweeps submitted with series
 	// options. Entries fill in as runs settle, so a mid-sweep series
 	// fetch sees a partial document; seriesRaw is the settled document,
-	// rendered once when the sweep completes (or recovered from disk).
+	// rendered once when the sweep completes (or loaded from the store).
 	seriesMu      sync.Mutex
 	seriesEntries []api.SweepSeriesEntry
 	seriesRaw     []byte
@@ -196,15 +196,21 @@ func (j *job) setSeries(i int, s api.Series) {
 	}
 }
 
+// renderSeriesLocked encodes the series slots; j.seriesMu must be held.
+func (j *job) renderSeriesLocked(partial bool) ([]byte, error) {
+	return api.Encode(api.SweepSeries{
+		Schema:       api.SchemaVersion,
+		SeriesSchema: api.SeriesSchemaVersion,
+		Partial:      partial,
+		Entries:      j.seriesEntries,
+	})
+}
+
 // settleSeries renders and retains the settled series document.
 func (j *job) settleSeries() ([]byte, error) {
 	j.seriesMu.Lock()
 	defer j.seriesMu.Unlock()
-	data, err := api.Encode(api.SweepSeries{
-		Schema:       api.SchemaVersion,
-		SeriesSchema: api.SeriesSchemaVersion,
-		Entries:      j.seriesEntries,
-	})
+	data, err := j.renderSeriesLocked(false)
 	if err != nil {
 		return nil, err
 	}
@@ -224,16 +230,8 @@ func (j *job) seriesDoc() (data []byte, partial bool, ok bool) {
 	if j.seriesEntries == nil {
 		return nil, false, false
 	}
-	data, err := api.Encode(api.SweepSeries{
-		Schema:       api.SchemaVersion,
-		SeriesSchema: api.SeriesSchemaVersion,
-		Partial:      true,
-		Entries:      j.seriesEntries,
-	})
-	if err != nil {
-		return nil, false, false
-	}
-	return data, true, true
+	data, err := j.renderSeriesLocked(true)
+	return data, true, err == nil
 }
 
 // start transitions the job to running.
@@ -484,15 +482,33 @@ func (s *Server) statePath(prefix, id string) string {
 	return filepath.Join(s.opts.StateDir, prefix+"-"+id+".json")
 }
 
-// removeJobState deletes a retired job's persisted spec, result and
-// checkpoint, so the state directory stays bounded alongside the index.
+// removeJobState deletes a retired job's persisted spec and checkpoint,
+// so the state directory stays bounded alongside the index. Its result
+// stays in the store, under the store's own bounds.
 func (s *Server) removeJobState(id string) {
 	if s.opts.StateDir == "" {
 		return
 	}
-	for _, prefix := range []string{"job", "result", "ckpt", "series"} {
+	for _, prefix := range []string{"job", "ckpt"} {
 		os.Remove(s.statePath(prefix, id))
 	}
+}
+
+// loadSeries attaches a sampled sweep's settled series document from
+// the store, reporting false when the job needs one the store lacks.
+// Jobs without telemetry need none.
+func (s *Server) loadSeries(j *job) bool {
+	if j.sweep == nil || j.sweep.Series == nil {
+		return true
+	}
+	doc, ok := s.store.Peek(seriesKey(j.ID))
+	if !ok || !json.Valid(doc) {
+		return false
+	}
+	j.seriesMu.Lock()
+	j.seriesRaw = doc
+	j.seriesMu.Unlock()
+	return true
 }
 
 // persistJobSpec records a submitted job's request in the state
@@ -512,9 +528,9 @@ func (s *Server) persistJobSpec(j *job) {
 	}
 }
 
-// recoverJobs replays the state directory on startup: jobs with a
-// persisted result are adopted as settled (and re-seed the result
-// cache); incomplete jobs are resubmitted — an exploration that left a
+// recoverJobs replays the state directory on startup: jobs whose result
+// (and series, for a sampled sweep) the store holds are adopted as
+// settled; the rest are resubmitted — an exploration that left a
 // checkpoint resumes from it rather than starting over.
 func (s *Server) recoverJobs() error {
 	dir := s.opts.StateDir
@@ -555,19 +571,13 @@ func (s *Server) recoverJobs() error {
 		}
 		j := newJob(id, spec.Kind)
 		j.sweep, j.explore = spec.Sweep, spec.Explore
-		// Adopt a persisted result only if it parses; a corrupt file
-		// (results are written atomically, but trust nothing that feeds
-		// the cache) falls through to a re-run.
-		if result, err := os.ReadFile(s.statePath("result", id)); err == nil && json.Valid(result) {
+		// Adopt a stored result only if it parses (entries are
+		// checksummed, but trust nothing that settles a job); anything
+		// else falls through to a re-run.
+		if result, ok := s.store.Peek(id); ok && json.Valid(result) && s.loadSeries(j) {
 			j.state = jobDone
 			j.result = result
 			j.finished = time.Now()
-			// A telemetry sweep's series document is adopted alongside its
-			// result, so /v1/jobs/{id}/series survives a restart too.
-			if ser, serr := os.ReadFile(s.statePath("series", id)); serr == nil && json.Valid(ser) {
-				j.seriesRaw = ser
-			}
-			s.store.Put(id, result)
 			s.jobs.adopt(j)
 			continue
 		}

@@ -108,8 +108,15 @@ func newMetrics(s *Server) *metrics {
 			func() float64 { return float64(s.opts.StoreMaxBytes) })
 	}
 
-	r.RegisterCounter("hybridmem_sims_total",
-		"Engine simulations actually executed (memo, store and singleflight hits excluded).", &s.sims)
+	r.CounterFunc("hybridmem_sims_total",
+		"Engine simulations actually executed (memo, store and singleflight hits excluded).",
+		func() float64 {
+			n := s.sims.Value()
+			if c := s.opts.Cluster; c != nil {
+				n += c.Sims() // the coordinator's loopback and local-fallback executors
+			}
+			return float64(n)
+		})
 	m.flightShared = r.Counter("hybridmem_singleflight_shared_total",
 		"Requests that shared another in-flight identical simulation's result.")
 	m.inflightSims = r.Gauge("hybridmem_inflight_sims",

@@ -58,11 +58,14 @@
 //
 // # Persistence and drain
 //
-// With Options.StateDir set, submitted job requests and finished result
-// documents persist to disk, and explorations checkpoint through the
-// existing internal/dse checkpoint path after every batch. A restarted
-// server adopts finished jobs (re-seeding the result cache) and
-// resubmits unfinished ones; an interrupted exploration resumes from its
+// The result store is the only copy of every result: run documents,
+// job result documents (keyed by job ID) and sampled sweeps' settled
+// series documents all live there. With Options.StateDir set, submitted
+// job requests persist to that directory, explorations checkpoint there
+// through the internal/dse checkpoint path after every batch, and the
+// store gets a disk tier under it unless one is configured explicitly.
+// A restarted server adopts finished jobs from the store and resubmits
+// unfinished ones; an interrupted exploration resumes from its
 // checkpoint instead of starting over. Shutdown drains gracefully:
 // health flips to 503, new work is rejected, queued and running jobs
 // finish (until the drain deadline, which cancels them — explorations
@@ -78,6 +81,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -85,7 +89,6 @@ import (
 	"time"
 
 	"hybridmem/internal/api"
-	"hybridmem/internal/atomicfile"
 	"hybridmem/internal/cluster"
 	"hybridmem/internal/config"
 	"hybridmem/internal/design"
@@ -116,7 +119,8 @@ type Options struct {
 	// and per-run records persist there, content-addressed and
 	// checksummed, and repeats are served across restarts — and across
 	// any processes sharing the directory — without re-simulating.
-	// Empty keeps the store memory-only. Ignored when Store is set.
+	// Empty means <StateDir>/store when StateDir is set and a
+	// memory-only store otherwise. Ignored when Store is set.
 	StoreDir string
 	// StoreMaxBytes bounds the disk tier; beyond it the least-recently
 	// used entries are garbage-collected. <= 0 means unbounded. Ignored
@@ -138,8 +142,10 @@ type Options struct {
 	// <= 0 means 4096 jobs and 256 MB.
 	JobHistory      int
 	JobHistoryBytes int64
-	// StateDir enables persistence (job specs, results, exploration
-	// checkpoints); empty keeps everything in memory.
+	// StateDir enables persistence: job specs and exploration
+	// checkpoints are written there, while finished results and series
+	// live in the result store, whose disk tier defaults to
+	// <StateDir>/store. Empty keeps job state in memory.
 	StateDir string
 	// MaxRequestBytes bounds request bodies on the JSON endpoints
 	// (<= 0 means 1 MB). The trace-replay body is exempt: traces stream
@@ -227,17 +233,17 @@ type Server struct {
 	syncSem  chan struct{} // bounds inline simulations (/v1/run, /v1/replay)
 	// sims counts engine simulations actually executed on behalf of
 	// this server — memo and store hits don't count — wired as the
-	// SimCounter of every runner the server creates and attached to the
-	// registry as hybridmem_sims_total.
+	// SimCounter of every runner the server creates. With the
+	// coordinator's own count it forms hybridmem_sims_total.
 	sims obs.Counter
 
 	// Execution seams. Tests substitute counting or blocking stand-ins
 	// to pin the concurrency contracts (one simulation per fingerprint,
-	// drain semantics) without timing-dependent real runs.
-	runOne       func(designName, workloadName string, cfg api.Config) (sim.Result, error)
-	runOneSeries func(designName, workloadName string, cfg api.Config, topts exp.TelemetryOptions) (sim.Result, *telemetry.Series, error)
-	runSweep     func(ctx context.Context, designs, workloads []string, cfg api.Config, progress func(done, total int)) ([]sim.Result, error)
-	runExplore   func(ctx context.Context, req exploreRequest, checkpoint string, resume bool, progress func(dse.Event)) (dse.Result, error)
+	// drain semantics) without timing-dependent real runs. A non-nil
+	// tel samples the runs (see exp.Runner.Telemetry).
+	runOne     func(designName, workloadName string, cfg api.Config, tel *exp.TelemetryOptions) (sim.Result, error)
+	runSweep   func(ctx context.Context, specs []exp.RunSpec, cfg api.Config, tel *exp.TelemetryOptions, progress func(done, total int)) ([]sim.Result, error)
+	runExplore func(ctx context.Context, req exploreRequest, checkpoint string, resume bool, progress func(dse.Event)) (dse.Result, error)
 }
 
 // New builds a Server, starts its worker pool, and — when a state
@@ -246,11 +252,17 @@ func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	st := opts.Store
 	if st == nil {
+		dir := opts.StoreDir
+		if dir == "" && opts.StateDir != "" {
+			// Finished jobs are adopted from the store after a restart,
+			// so persistence needs a disk tier.
+			dir = filepath.Join(opts.StateDir, "store")
+		}
 		var err error
 		st, err = store.Open(store.Options{
 			MemEntries: opts.CacheEntries,
 			MemBytes:   opts.CacheBytes,
-			Dir:        opts.StoreDir,
+			Dir:        dir,
 			MaxBytes:   opts.StoreMaxBytes,
 		})
 		if err != nil {
@@ -268,7 +280,6 @@ func New(opts Options) (*Server, error) {
 		opts.Cluster.RegisterMetrics(s.metrics.reg)
 	}
 	s.runOne = s.defaultRunOne
-	s.runOneSeries = s.defaultRunOneSeries
 	s.runSweep = s.defaultRunSweep
 	s.runExplore = s.defaultRunExplore
 	s.jobs = newJobManager(s, opts.QueueDepth, opts.Workers, opts.JobHistory, opts.JobHistoryBytes)
@@ -462,41 +473,38 @@ func cfgParts(c api.Config) []string {
 	}
 }
 
-func runKey(req runRequest) string {
+// runKey is the cache key of a sync run; series (from ?series=1) makes
+// it the key of the run-series document instead.
+func runKey(req runRequest, series *seriesOptions) string {
 	parts := append(versionParts("run"), req.Design, req.Workload)
-	return fingerprint(append(parts, cfgParts(req.Config)...)...)
+	parts = append(parts, cfgParts(req.Config)...)
+	return fingerprint(append(parts, seriesParts(series)...)...)
 }
 
 func sweepKey(req sweepRequest) string {
 	parts := append(versionParts("sweep"), "designs="+join(req.Designs), "workloads="+join(req.Workloads))
 	parts = append(parts, cfgParts(req.Config)...)
-	// Appended only when telemetry is requested, so plain sweep
-	// fingerprints — and every result cached under them — stay stable.
-	if req.Series != nil {
-		parts = append(parts,
-			"series",
-			"swin="+strconv.FormatUint(req.Series.WindowInstr, 10),
-			"sepochs="+strconv.Itoa(req.Series.MaxEpochs),
-			"sschema="+strconv.Itoa(api.SeriesSchemaVersion),
-		)
-	}
-	return fingerprint(parts...)
+	return fingerprint(append(parts, seriesParts(req.Series)...)...)
 }
 
-// seriesRunKey is the cache key of a sync run with telemetry: distinct
-// from the plain run key (the cached document embeds the series) and
-// covering the series schema and window knobs.
-func seriesRunKey(req runRequest, opts seriesOptions) string {
-	parts := append(versionParts("run"), req.Design, req.Workload)
-	parts = append(parts, cfgParts(req.Config)...)
-	parts = append(parts,
+// seriesParts folds telemetry options into a fingerprint: the series
+// schema and window knobs. It is empty when telemetry is off, so plain
+// fingerprints — and every result cached under them — stay stable.
+func seriesParts(o *seriesOptions) []string {
+	if o == nil {
+		return nil
+	}
+	return []string{
 		"series",
-		"swin="+strconv.FormatUint(opts.WindowInstr, 10),
-		"sepochs="+strconv.Itoa(opts.MaxEpochs),
-		"sschema="+strconv.Itoa(api.SeriesSchemaVersion),
-	)
-	return fingerprint(parts...)
+		"swin=" + strconv.FormatUint(o.WindowInstr, 10),
+		"sepochs=" + strconv.Itoa(o.MaxEpochs),
+		"sschema=" + strconv.Itoa(api.SeriesSchemaVersion),
+	}
 }
+
+// seriesKey is the store key of a sampled sweep job's settled series
+// document, derived from the job ID that keys its result document.
+func seriesKey(jobID string) string { return fingerprint(jobID, "series") }
 
 func exploreKey(req exploreRequest) string {
 	parts := append(versionParts("explore"),
@@ -523,50 +531,30 @@ func join(ss []string) string { return strings.Join(ss, ",") }
 
 // --- engine execution (the default seams) ---
 
-func (s *Server) defaultRunOne(designName, workloadName string, cfg api.Config) (sim.Result, error) {
-	wl, ok := workload.ByName(workloadName)
-	if !ok {
-		return sim.Result{}, fmt.Errorf("unknown workload %q", workloadName)
-	}
-	r := &exp.Runner{
-		Scale:        cfg.Scale,
-		InstrPerCore: cfg.InstrPerCore,
-		Seed:         cfg.Seed,
-		Store:        s.store,
-		SimCounter:   &s.sims,
-	}
-	return r.ResultErr(wl, designName, cfg.NMRatio16)
-}
-
-func (s *Server) defaultRunOneSeries(designName, workloadName string, cfg api.Config, topts exp.TelemetryOptions) (sim.Result, *telemetry.Series, error) {
-	wl, ok := workload.ByName(workloadName)
-	if !ok {
-		return sim.Result{}, nil, fmt.Errorf("unknown workload %q", workloadName)
-	}
-	r := &exp.Runner{
-		Scale:        cfg.Scale,
-		InstrPerCore: cfg.InstrPerCore,
-		Seed:         cfg.Seed,
-		SimCounter:   &s.sims,
-		Telemetry:    &topts,
-	}
-	return r.ResultSeriesErr(wl, designName, cfg.NMRatio16)
-}
-
-func (s *Server) defaultRunSweep(ctx context.Context, designs, workloads []string, cfg api.Config, progress func(done, total int)) ([]sim.Result, error) {
-	r := &exp.Runner{
+// runner returns an engine runner for cfg sharing the server's store
+// and simulation counter.
+func (s *Server) runner(cfg api.Config, tel *exp.TelemetryOptions) *exp.Runner {
+	return &exp.Runner{
 		Scale:        cfg.Scale,
 		InstrPerCore: cfg.InstrPerCore,
 		Seed:         cfg.Seed,
 		Parallelism:  s.opts.Parallelism,
 		Store:        s.store,
 		SimCounter:   &s.sims,
+		Telemetry:    tel,
 	}
-	specs, err := exp.SweepSpecsByName(designs, workloads, cfg.NMRatio16)
-	if err != nil {
-		return nil, err
+}
+
+func (s *Server) defaultRunOne(designName, workloadName string, cfg api.Config, tel *exp.TelemetryOptions) (sim.Result, error) {
+	wl, ok := workload.ByName(workloadName)
+	if !ok {
+		return sim.Result{}, fmt.Errorf("unknown workload %q", workloadName)
 	}
-	return r.ResultsParallelProgress(ctx, specs, progress)
+	return s.runner(cfg, tel).ResultErr(wl, designName, cfg.NMRatio16)
+}
+
+func (s *Server) defaultRunSweep(ctx context.Context, specs []exp.RunSpec, cfg api.Config, tel *exp.TelemetryOptions, progress func(done, total int)) ([]sim.Result, error) {
+	return s.runner(cfg, tel).ResultsParallelProgress(ctx, specs, progress)
 }
 
 func (s *Server) defaultRunExplore(ctx context.Context, req exploreRequest, checkpoint string, resume bool, progress func(dse.Event)) (dse.Result, error) {
@@ -608,9 +596,10 @@ func (s *Server) defaultRunExplore(ctx context.Context, req exploreRequest, chec
 
 // --- job execution ---
 
-// runJob executes one dequeued job: a cached result document settles it
-// without touching the engines; otherwise the engine runs, the document
-// is cached and (when persistence is on) written next to the job spec.
+// runJob executes one dequeued job: a result document in the store
+// (with its series document, for a sampled sweep) settles it without
+// touching the engines; otherwise the engine runs and the document is
+// stored under the job ID — the only persisted copy of the result.
 func (s *Server) runJob(ctx context.Context, j *job) {
 	j.start()
 	// The job span is the root of a sweep's or exploration's timeline:
@@ -624,6 +613,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	var err error
 	lookupStart := time.Now()
 	cached, _, ok := s.store.Get(j.ID)
+	ok = ok && s.loadSeries(j)
 	s.metrics.phaseLookup.ObserveDuration(time.Since(lookupStart))
 	if ok {
 		sp.Event("result_cached")
@@ -643,13 +633,8 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 			s.store.Put(j.ID, data)
 		}
 	}
-	if err == nil && s.opts.StateDir != "" {
-		if werr := atomicfile.Write(s.statePath("result", j.ID), data); werr != nil {
-			s.opts.Log.Warn("serve: persist result failed", "job", j.ID, "err", werr)
-		}
-		if j.Kind == "explore" {
-			os.Remove(s.statePath("ckpt", j.ID)) // resumed no more; the result is final
-		}
+	if err == nil && j.Kind == "explore" && s.opts.StateDir != "" {
+		os.Remove(s.statePath("ckpt", j.ID)) // resumed no more; the result is final
 	}
 	j.finish(data, err)
 	if err != nil {
@@ -671,25 +656,39 @@ func (s *Server) execSweep(ctx context.Context, j *job) ([]byte, error) {
 	if req == nil {
 		return nil, fmt.Errorf("sweep job %s has no request payload", j.ID)
 	}
+	specs, err := exp.SweepSpecsByName(req.Designs, req.Workloads, req.Config.NMRatio16)
+	if err != nil {
+		return nil, err
+	}
 	progress := func(done, total int) {
 		if data, merr := json.Marshal(sweepProgress{Done: done, Total: total}); merr == nil {
 			j.publishProgress(data)
 		}
 	}
-	if req.Series != nil {
-		// Telemetry rides on local execution even under a coordinator:
-		// runners return results, not series, and passivity guarantees
-		// the headline document matches the clustered path byte for byte.
-		return s.execSweepSeries(ctx, j, *req, progress)
+	if s.opts.Cluster != nil && req.Series == nil {
+		return s.execClusterSweep(ctx, specs, req.Config, progress)
 	}
-	if s.opts.Cluster != nil {
-		return s.execClusterSweep(ctx, *req, progress)
+	// Telemetry rides on local execution even under a coordinator:
+	// runners return results, not series, and passivity guarantees the
+	// headline document matches the clustered path byte for byte.
+	var tel *exp.TelemetryOptions
+	if o := req.Series; o != nil {
+		tel = s.sweepTelemetry(j, specs, *o)
 	}
 	simStart := time.Now()
-	res, err := s.runSweep(ctx, req.Designs, req.Workloads, req.Config, progress)
+	res, err := s.runSweep(ctx, specs, req.Config, tel, progress)
 	s.metrics.phaseSim.ObserveDuration(time.Since(simStart))
 	if err != nil {
 		return nil, err
+	}
+	if tel != nil {
+		// Stored before the result document, so a stored result implies
+		// a stored series for recovery and cache hits.
+		seriesDoc, err := j.settleSeries()
+		if err != nil {
+			return nil, err
+		}
+		s.store.Put(seriesKey(j.ID), seriesDoc)
 	}
 	return api.Encode(api.NewSweep(res))
 }
@@ -703,76 +702,43 @@ type epochEvent struct {
 	Epoch    api.Epoch `json:"epoch"`
 }
 
-// execSweepSeries runs a telemetry-enabled sweep locally: every run is
-// sampled, each closed epoch streams as an "epoch" SSE frame (and
-// refreshes the hybridmem_sim_epoch_* gauges), per-run series land on
-// the job as they settle — so /v1/jobs/{id}/series shows a partial
-// document mid-sweep — and the settled series document is rendered
-// once when the sweep completes. The returned headline document is the
-// ordinary sweep document, byte-identical to an unsampled sweep.
-func (s *Server) execSweepSeries(ctx context.Context, j *job, req sweepRequest, progress func(done, total int)) ([]byte, error) {
-	specs, err := exp.SweepSpecsByName(req.Designs, req.Workloads, req.Config.NMRatio16)
-	if err != nil {
-		return nil, err
-	}
+// sweepTelemetry samples a sweep's runs into the job: each closed epoch
+// streams as an "epoch" SSE frame (and refreshes the
+// hybridmem_sim_epoch_* gauges), and per-run series land on the job as
+// they settle — so /v1/jobs/{id}/series shows a partial document
+// mid-sweep until execSweep settles it.
+func (s *Server) sweepTelemetry(j *job, specs []exp.RunSpec, o seriesOptions) *exp.TelemetryOptions {
 	entries := make([]api.SweepSeriesEntry, len(specs))
 	for i, sp := range specs {
 		entries[i] = api.SweepSeriesEntry{Design: sp.Design, Workload: sp.Workload.Name, Series: api.FromSeries(nil)}
 	}
 	j.initSeries(entries)
-	r := &exp.Runner{
-		Scale:        req.Config.Scale,
-		InstrPerCore: req.Config.InstrPerCore,
-		Seed:         req.Config.Seed,
-		Parallelism:  s.opts.Parallelism,
-		SimCounter:   &s.sims,
-		Telemetry: &exp.TelemetryOptions{
-			WindowInstr: req.Series.WindowInstr,
-			MaxEpochs:   req.Series.MaxEpochs,
-			OnEpoch: func(run int, e telemetry.Epoch) {
-				s.metrics.noteEpoch(e)
-				ev := epochEvent{Run: run, Design: specs[run].Design, Workload: specs[run].Workload.Name, Epoch: api.FromEpoch(e)}
-				if data, merr := json.Marshal(ev); merr == nil {
-					j.publishEvent("epoch", data)
-				}
-			},
-			OnSeries: func(run int, ser *telemetry.Series) {
-				j.setSeries(run, api.FromSeries(ser))
-			},
+	return &exp.TelemetryOptions{
+		WindowInstr: o.WindowInstr,
+		MaxEpochs:   o.MaxEpochs,
+		OnEpoch: func(run int, e telemetry.Epoch) {
+			s.metrics.noteEpoch(e)
+			ev := epochEvent{Run: run, Design: specs[run].Design, Workload: specs[run].Workload.Name, Epoch: api.FromEpoch(e)}
+			if data, merr := json.Marshal(ev); merr == nil {
+				j.publishEvent("epoch", data)
+			}
+		},
+		OnSeries: func(run int, ser *telemetry.Series) {
+			j.setSeries(run, api.FromSeries(ser))
 		},
 	}
-	simStart := time.Now()
-	res, _, err := r.ResultsParallelSeries(ctx, specs, progress)
-	s.metrics.phaseSim.ObserveDuration(time.Since(simStart))
-	if err != nil {
-		return nil, err
-	}
-	seriesDoc, err := j.settleSeries()
-	if err != nil {
-		return nil, err
-	}
-	if s.opts.StateDir != "" {
-		if werr := atomicfile.Write(s.statePath("series", j.ID), seriesDoc); werr != nil {
-			s.opts.Log.Warn("serve: persist series failed", "job", j.ID, "err", werr)
-		}
-	}
-	return api.Encode(api.NewSweep(res))
 }
 
 // execClusterSweep shards the sweep across the runner pool. Outcomes
 // arrive as the canonical wire Result (computed on the runners by the
 // same api.FromSim mapping, in the same SweepSpecsByName order), so the
 // assembled document is byte-identical to the local path's encoding.
-func (s *Server) execClusterSweep(ctx context.Context, req sweepRequest, progress func(done, total int)) ([]byte, error) {
-	specs, err := exp.SweepSpecsByName(req.Designs, req.Workloads, req.Config.NMRatio16)
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) execClusterSweep(ctx context.Context, specs []exp.RunSpec, c api.Config, progress func(done, total int)) ([]byte, error) {
 	runs := make([]cluster.Run, len(specs))
 	for i, sp := range specs {
 		runs[i] = cluster.Run{Design: sp.Design, Workload: sp.Workload.Name, Ratio16: sp.Ratio16}
 	}
-	cfg := cluster.Config{Scale: req.Config.Scale, InstrPerCore: req.Config.InstrPerCore, Seed: req.Config.Seed}
+	cfg := cluster.Config{Scale: c.Scale, InstrPerCore: c.InstrPerCore, Seed: c.Seed}
 	outs, err := s.opts.Cluster.Run(ctx, cfg, runs, progress)
 	if err != nil {
 		return nil, err
@@ -947,9 +913,10 @@ func parseSeriesQuery(r *http.Request) (*seriesOptions, error) {
 
 // handleRun serves one simulation synchronously: cache first, then the
 // singleflight slot — concurrent identical requests execute exactly one
-// simulation and share its bytes. With ?series=1 the response is the
-// RunSeries document (result plus epoch telemetry) instead of the plain
-// Run document; the embedded result is byte-identical to the plain one.
+// simulation and share its bytes. With ?series=1 the run is sampled
+// and the response is the RunSeries document (result plus epoch
+// telemetry), cached under its own fingerprint; the embedded result is
+// byte-identical to the plain Run document's.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
 	if !s.decodeBody(w, r, &req) {
@@ -968,12 +935,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w) {
 		return
 	}
-	if series != nil {
-		s.handleRunSeries(w, req, *series)
-		return
-	}
 	canonStart := time.Now()
-	key := runKey(req)
+	key := runKey(req, series)
 	s.metrics.phaseCanon.ObserveDuration(time.Since(canonStart))
 	lookupStart := time.Now()
 	data, _, ok := s.store.Get(key)
@@ -994,75 +957,32 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		defer s.releaseSync()
 		s.metrics.inflightSims.Add(1)
 		defer s.metrics.inflightSims.Add(-1)
+		var tel *exp.TelemetryOptions
+		var ser *telemetry.Series
+		if series != nil {
+			tel = &exp.TelemetryOptions{
+				WindowInstr: series.WindowInstr,
+				MaxEpochs:   series.MaxEpochs,
+				OnEpoch:     func(_ int, e telemetry.Epoch) { s.metrics.noteEpoch(e) },
+				OnSeries:    func(_ int, got *telemetry.Series) { ser = got },
+			}
+		}
 		simStart := time.Now()
-		sr, err := s.runOne(req.Design, req.Workload, req.Config)
+		sr, err := s.runOne(req.Design, req.Workload, req.Config, tel)
 		s.metrics.phaseSim.ObserveDuration(time.Since(simStart))
 		if err != nil {
 			return nil, err
 		}
-		doc, err := api.Encode(api.NewRun(sr))
+		var doc any = api.NewRun(sr)
+		if series != nil {
+			doc = api.NewRunSeries(sr, ser)
+		}
+		data, err := api.Encode(doc)
 		if err != nil {
 			return nil, err
 		}
-		s.store.Put(key, doc)
-		return doc, nil
-	})
-	if shared {
-		s.metrics.flightShared.Inc()
-	}
-	switch {
-	case errors.Is(err, errBusy):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "run failed: %v", err)
-	default:
-		writeDoc(w, data)
-	}
-}
-
-// handleRunSeries is the ?series=1 arm of handleRun: same cache +
-// singleflight discipline under a distinct fingerprint (the cached
-// bytes embed the series), executing through the sampled runner seam.
-// Series output is deterministic, so cached repeats are byte-identical
-// to fresh executions.
-func (s *Server) handleRunSeries(w http.ResponseWriter, req runRequest, opts seriesOptions) {
-	canonStart := time.Now()
-	key := seriesRunKey(req, opts)
-	s.metrics.phaseCanon.ObserveDuration(time.Since(canonStart))
-	lookupStart := time.Now()
-	data, _, ok := s.store.Get(key)
-	s.metrics.phaseLookup.ObserveDuration(time.Since(lookupStart))
-	if ok {
-		writeDoc(w, data)
-		return
-	}
-	data, err, shared := s.flight.Do(key, func() ([]byte, error) {
-		if doc, ok := s.store.Peek(key); ok {
-			return doc, nil
-		}
-		if !s.acquireSync() {
-			return nil, errBusy
-		}
-		defer s.releaseSync()
-		s.metrics.inflightSims.Add(1)
-		defer s.metrics.inflightSims.Add(-1)
-		topts := exp.TelemetryOptions{
-			WindowInstr: opts.WindowInstr,
-			MaxEpochs:   opts.MaxEpochs,
-			OnEpoch:     func(_ int, e telemetry.Epoch) { s.metrics.noteEpoch(e) },
-		}
-		simStart := time.Now()
-		sr, ser, err := s.runOneSeries(req.Design, req.Workload, req.Config, topts)
-		s.metrics.phaseSim.ObserveDuration(time.Since(simStart))
-		if err != nil {
-			return nil, err
-		}
-		doc, err := api.Encode(api.NewRunSeries(sr, ser))
-		if err != nil {
-			return nil, err
-		}
-		s.store.Put(key, doc)
-		return doc, nil
+		s.store.Put(key, data)
+		return data, nil
 	})
 	if shared {
 		s.metrics.flightShared.Inc()
@@ -1290,7 +1210,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 // handleJobSeries serves a telemetry sweep's time-series document.
 // Mid-sweep it returns what has settled so far, marked "partial": true;
 // after completion it returns the settled document (also recovered from
-// the state directory across restarts). Jobs submitted without series
+// the result store across restarts). Jobs submitted without series
 // options have no series to serve and answer 404.
 func (s *Server) handleJobSeries(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobFromPath(w, r)

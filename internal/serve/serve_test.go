@@ -95,7 +95,7 @@ func TestConcurrentIdenticalRunsSimulateOnce(t *testing.T) {
 	s := newTestServer(t, Options{})
 	var sims atomic.Int64
 	release := make(chan struct{})
-	s.runOne = func(d, wl string, cfg api.Config) (sim.Result, error) {
+	s.runOne = func(d, wl string, cfg api.Config, _ *exp.TelemetryOptions) (sim.Result, error) {
 		sims.Add(1)
 		<-release // hold every concurrent caller inside the flight window
 		return sim.Result{Workload: wl, Design: d, Cycles: 12345}, nil
@@ -205,10 +205,10 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	}
 	started := make(chan struct{})
 	release := make(chan struct{})
-	s.runSweep = func(ctx context.Context, d, wls []string, cfg api.Config, progress func(int, int)) ([]sim.Result, error) {
+	s.runSweep = func(ctx context.Context, specs []exp.RunSpec, cfg api.Config, _ *exp.TelemetryOptions, progress func(int, int)) ([]sim.Result, error) {
 		close(started)
 		<-release
-		return []sim.Result{{Workload: wls[0], Design: d[0], Cycles: 1}}, nil
+		return []sim.Result{{Workload: specs[0].Workload.Name, Design: specs[0].Design, Cycles: 1}}, nil
 	}
 
 	sweep := sweepRequest{Designs: []string{"Baseline"}, Workloads: []string{"lbm"}}
@@ -518,7 +518,7 @@ func TestSyncSimulationBound(t *testing.T) {
 	s := newTestServer(t, Options{MaxSyncSims: 1})
 	release := make(chan struct{})
 	started := make(chan struct{})
-	s.runOne = func(d, wl string, cfg api.Config) (sim.Result, error) {
+	s.runOne = func(d, wl string, cfg api.Config, _ *exp.TelemetryOptions) (sim.Result, error) {
 		close(started)
 		<-release
 		return sim.Result{Workload: wl, Design: d, Cycles: 1}, nil

@@ -3,7 +3,9 @@ package sim_test
 // Accounting identities of the simulated memory system, checked for
 // every registered design family: the devices are the only source of
 // byte counts, so every derived view (the Result's totals, its
-// per-class split, the telemetry epochs) must reconcile with them.
+// per-class split, the telemetry epochs) must reconcile with them, and
+// the epochs partition the run's retired instructions, cycles and LLC
+// traffic.
 
 import (
 	"testing"
@@ -79,6 +81,9 @@ func checkAccounting(t *testing.T, run string, res sim.Result, ser *telemetry.Se
 		if ep.DemandBytes < 64*ep.Requests {
 			t.Errorf("%s: epoch %d moved %d demand bytes for %d requests", run, ep.Index, ep.DemandBytes, ep.Requests)
 		}
+		e.Instr += ep.Instr
+		e.LLCAccesses += ep.LLCAccesses
+		e.LLCMisses += ep.LLCMisses
 		e.Requests += ep.Requests
 		e.NMTrafficBytes += ep.NMTrafficBytes
 		e.FMTrafficBytes += ep.FMTrafficBytes
@@ -91,6 +96,9 @@ func checkAccounting(t *testing.T, run string, res sim.Result, ser *telemetry.Se
 		e.Evictions += ep.Evictions
 	}
 	want := telemetry.Epoch{
+		Instr:          res.Instructions,
+		LLCAccesses:    res.LLCAccesses,
+		LLCMisses:      res.LLCMisses,
 		Requests:       m.Requests,
 		NMTrafficBytes: m.NMTraffic(),
 		FMTrafficBytes: m.FMTraffic(),
@@ -104,5 +112,13 @@ func checkAccounting(t *testing.T, run string, res sim.Result, ser *telemetry.Se
 	}
 	if ser.EpochsDropped != 0 || e != want {
 		t.Errorf("%s: epochs sum to %+v (%d dropped), run totals %+v", run, e, ser.EpochsDropped, want)
+	}
+	// The last epoch closes exactly where the run ends.
+	if len(ser.Epochs) == 0 {
+		t.Fatalf("%s: no epochs", run)
+	}
+	if last := ser.Epochs[len(ser.Epochs)-1]; last.EndInstr != res.Instructions || last.EndCycle != uint64(res.Cycles) {
+		t.Errorf("%s: last epoch ends at instr %d cycle %d, run at instr %d cycle %d",
+			run, last.EndInstr, last.EndCycle, res.Instructions, res.Cycles)
 	}
 }

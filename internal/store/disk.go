@@ -232,35 +232,31 @@ func (d *diskTier) stats() diskStats {
 	}
 }
 
-func encodeEnvelope(payload []byte) []byte {
+// envelopeHeader is the one canonical header line for payload.
+func envelopeHeader(payload []byte) string {
 	sum := sha256.Sum256(payload)
-	header := fmt.Sprintf("%s %s %d\n", diskMagic, hex.EncodeToString(sum[:]), len(payload))
+	return fmt.Sprintf("%s %s %d\n", diskMagic, hex.EncodeToString(sum[:]), len(payload))
+}
+
+func encodeEnvelope(payload []byte) []byte {
+	header := envelopeHeader(payload)
 	raw := make([]byte, 0, len(header)+len(payload))
 	raw = append(raw, header...)
 	raw = append(raw, payload...)
 	return raw
 }
 
+// decodeEnvelope accepts exactly the bytes encodeEnvelope produces: the
+// first line must be the canonical header for the rest of the file, so
+// a wrong length or checksum, or any other spelling of a correct one,
+// fails.
 func decodeEnvelope(raw []byte) ([]byte, bool) {
 	nl := bytes.IndexByte(raw, '\n')
 	if nl < 0 {
 		return nil, false
 	}
-	var sumHex string
-	var n int
-	var magic string
-	if _, err := fmt.Sscanf(string(raw[:nl]), "%s %s %d", &magic, &sumHex, &n); err != nil {
-		return nil, false
-	}
-	if magic != diskMagic || n < 0 {
-		return nil, false
-	}
 	payload := raw[nl+1:]
-	if len(payload) != n {
-		return nil, false
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != sumHex {
+	if string(raw[:nl+1]) != envelopeHeader(payload) {
 		return nil, false
 	}
 	return payload, true

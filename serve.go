@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -23,10 +24,12 @@ import (
 type ServeOptions struct {
 	// Addr is the TCP listen address; empty means ":8080".
 	Addr string
-	// StateDir enables persistence: submitted job requests, finished
-	// result documents and exploration checkpoints are written there, and
-	// a restarted server resumes unfinished work from it. Empty keeps
-	// everything in memory.
+	// StateDir enables persistence: submitted job requests and
+	// exploration checkpoints are written there, and a restarted server
+	// resumes unfinished work from it. Finished results and series live
+	// in the result store, whose disk tier defaults to <StateDir>/store
+	// when StoreDir is empty, so they are adopted after a restart without
+	// re-simulating. Empty keeps everything in memory.
 	StateDir string
 	// CacheEntries and CacheBytes bound the content-addressed result
 	// cache (the result store's memory tier); <= 0 means 1024 entries
@@ -138,14 +141,19 @@ func Serve(ctx context.Context, opts ServeOptions) error {
 	}
 	// One store serves the whole process: the HTTP layer's document
 	// cache and the coordinator's shard persistence share its tiers, so
-	// every layer sees every other's warm results.
+	// every layer sees every other's warm results. Its disk tier sits
+	// where serve.New would put it: StoreDir, else <StateDir>/store.
+	storeDir := opts.StoreDir
+	if storeDir == "" && opts.StateDir != "" {
+		storeDir = filepath.Join(opts.StateDir, "store")
+	}
 	var st *store.Store
-	if opts.StoreDir != "" {
+	if storeDir != "" {
 		var err error
 		st, err = store.Open(store.Options{
 			MemEntries: opts.CacheEntries,
 			MemBytes:   opts.CacheBytes,
-			Dir:        opts.StoreDir,
+			Dir:        storeDir,
 			MaxBytes:   opts.StoreMaxBytes,
 		})
 		if err != nil {

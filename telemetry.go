@@ -100,9 +100,9 @@ type Series struct {
 
 // RunWithOptions is Run with optional epoch telemetry: with
 // opts.Telemetry set it returns the run's time series alongside the
-// result; with a zero RunOptions it behaves exactly like Run and
-// returns a nil series. Either way the Result is identical to Run's —
-// telemetry never changes what a run reports.
+// result; with a zero RunOptions it is Run and returns a nil series.
+// Either way the Result is identical to Run's — telemetry never changes
+// what a run reports.
 func RunWithOptions(design, workloadName string, cfg Config, opts RunOptions) (Result, *Series, error) {
 	spec, ok := workload.ByName(workloadName)
 	if !ok {
@@ -112,18 +112,15 @@ func RunWithOptions(design, workloadName string, cfg Config, opts RunOptions) (R
 		return Result{}, nil, err
 	}
 	r := &exp.Runner{Scale: cfg.Scale, InstrPerCore: cfg.InstrPerCore, Seed: cfg.Seed}
-	if opts.Telemetry == nil {
-		sr, err := r.ResultErr(spec, design, cfg.NMRatio16)
-		if err != nil {
-			return Result{}, nil, fmt.Errorf("hybridmem: %w", err)
+	var ser *telemetry.Series
+	if t := opts.Telemetry; t != nil {
+		r.Telemetry = &exp.TelemetryOptions{
+			WindowInstr: t.WindowInstr,
+			MaxEpochs:   t.MaxEpochs,
+			OnSeries:    func(_ int, s *telemetry.Series) { ser = s },
 		}
-		return fromSim(sr), nil, nil
 	}
-	r.Telemetry = &exp.TelemetryOptions{
-		WindowInstr: opts.Telemetry.WindowInstr,
-		MaxEpochs:   opts.Telemetry.MaxEpochs,
-	}
-	sr, ser, err := r.ResultSeriesErr(spec, design, cfg.NMRatio16)
+	sr, err := r.ResultErr(spec, design, cfg.NMRatio16)
 	if err != nil {
 		return Result{}, nil, fmt.Errorf("hybridmem: %w", err)
 	}
