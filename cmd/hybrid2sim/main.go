@@ -52,7 +52,7 @@ func run() error {
 	instr := flag.Uint64("instr", 1_000_000, "instructions per core")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	traceFile := flag.String("trace", "", "replay a captured trace file instead of a synthetic workload")
-	mlp := flag.Int("mlp", 4, "per-core memory-level parallelism for trace replay (>= 1)")
+	mlp := flag.Int("mlp", 4, "per-core memory-level parallelism for trace replay (1-64)")
 	window := flag.Int("window", 0, "per-core lookahead window for streaming trace replay, in records (0 = default)")
 	list := flag.Bool("list", false, "list designs and workloads, then exit")
 	designs := flag.Bool("designs", false, "list every registered design with its grammar and parameter ranges, then exit")
@@ -94,9 +94,6 @@ func run() error {
 	}
 
 	if *traceFile != "" {
-		if *mlp < 1 {
-			return fmt.Errorf("-mlp must be >= 1, got %d", *mlp)
-		}
 		f, err := os.Open(*traceFile)
 		if err != nil {
 			return err

@@ -336,12 +336,14 @@ func RunCustom(design string, w Workload, cfg Config) (Result, error) {
 // formats (text and varint binary, plain or gzip-compressed) are
 // documented in internal/trace and auto-detected; cmd/tracegen produces
 // compatible files from the built-in workloads. mlp bounds each core's
-// overlapped misses (traces carry no dependence information).
+// overlapped misses (traces carry no dependence information) and must
+// lie in [1, 64].
 //
 // RunTrace is ReplayTrace with default streaming options.
 func RunTrace(design, name string, trace io.Reader, mlp int, cfg Config) (Result, error) {
 	if mlp < 1 {
-		mlp = 1
+		// ReplayTrace would read 0 as its default of 4.
+		return Result{}, fmt.Errorf("hybridmem: mlp must be >= 1, got %d", mlp)
 	}
 	return ReplayTrace(design, name, trace, ReplayOptions{MLP: mlp}, cfg)
 }
@@ -351,7 +353,7 @@ func RunTrace(design, name string, trace io.Reader, mlp int, cfg Config) (Result
 type ReplayOptions struct {
 	// MLP bounds each core's overlapped misses — traces carry no
 	// dependence information, so replay needs an explicit memory-level
-	// parallelism. <= 0 means 4.
+	// parallelism. <= 0 means 4; above 64 is an error.
 	MLP int
 	// Window bounds the streaming reader's per-core lookahead in
 	// records; <= 0 means the 65536-record default. Replay fails with an

@@ -251,6 +251,21 @@ func TestRunTraceErrors(t *testing.T) {
 	}
 }
 
+// TestRunTraceRejectsBadMLP: RunTrace refuses an mlp below 1 instead of
+// running at some other value (ReplayTrace would read 0 as its default
+// of 4), and both entry points refuse an mlp above 64 before allocating
+// per-core state for it.
+func TestRunTraceRejectsBadMLP(t *testing.T) {
+	for _, mlp := range []int{0, -1, 65, 1 << 30} {
+		if _, err := RunTrace("HYBRID2", "x", strings.NewReader("0 1 40 R\n"), mlp, quickCfg()); err == nil {
+			t.Errorf("RunTrace accepted mlp %d", mlp)
+		}
+	}
+	if _, err := ReplayTrace("HYBRID2", "x", strings.NewReader("0 1 40 R\n"), ReplayOptions{MLP: 1 << 20}, quickCfg()); err == nil {
+		t.Error("ReplayTrace accepted mlp 1<<20")
+	}
+}
+
 func TestRunCustomWorkload(t *testing.T) {
 	wl := Workload{
 		Name: "custom", MultiThreaded: true, FootprintGB: 1.5,

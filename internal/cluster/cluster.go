@@ -5,15 +5,17 @@
 //
 // # Roles and protocol
 //
-// A *coordinator* owns the work: it cuts a batch of simulation runs into
-// fixed-size shards, dispatches them to registered runners over HTTP,
-// and merges the responses back into input order. A *runner* is a
+// A *coordinator* owns the work: it settles every run of a batch that
+// its result store already holds, cuts the rest into fixed-size shards,
+// dispatches them to registered runners over HTTP, persists each
+// outcome, and merges everything back into input order. A *runner* is a
 // stateless executor: it joins a coordinator, heartbeats to stay live,
 // and answers shard RPCs by running the simulations through the same
-// internal/exp engine a local process would use. All payloads ride the
-// versioned wire schema of internal/api (every RPC carries the protocol,
-// schema and engine versions; a mismatch refuses the call), so a result
-// computed remotely is the exact document a local run would encode.
+// internal/exp engine a local process would use. Each outcome travels as
+// the run's sim.Result record, the value a local run computes, and
+// every RPC carries the protocol, schema and engine versions (a mismatch
+// refuses the call), so a result computed remotely is the exact record
+// a local run would produce.
 //
 //	runner  -> coordinator   POST /cluster/v1/join       {id, addr}
 //	runner  -> coordinator   POST /cluster/v1/heartbeat  {id}
@@ -41,15 +43,27 @@
 // runner is live, so a cluster that loses every node degrades to exactly
 // the single-process behaviour instead of stalling.
 //
+// # Persistence
+//
+// The unit of persistence is the run. A run's record lives in the
+// result store under its run key (exp.Runner.RunKey, over
+// store.RunKey), the key every local run uses too, so the coordinator
+// and the in-process engine read and write one set of records. Before
+// dispatch the coordinator settles each run whose record exists; after
+// dispatch it persists each successful outcome. A batch re-run after
+// node loss or a coordinator restart therefore dispatches exactly the
+// runs no earlier batch or local run has completed, however its shards
+// are cut.
+//
 // # Determinism
 //
 // Every simulation is a deterministic function of (design, workload,
 // config, seed), so re-execution, duplication and re-ordering of RPCs
-// cannot change any individual outcome. The coordinator indexes every
-// response by shard and restores input order before returning, so the
-// merged result — and any document encoded from it — is byte-identical
-// to a single-process run no matter how shards were scheduled, retried,
-// stolen or recovered. Distributed design-space exploration keeps all
+// cannot change any individual outcome. The coordinator writes every
+// outcome back to its run's input position, so the merged result — and
+// any document encoded from it — is byte-identical to a single-process
+// run no matter how shards were scheduled, retried, stolen, recovered
+// or settled from the store. Distributed design-space exploration keeps all
 // search state (RNG, frontier, trails, checkpoints) on the coordinator
 // and distributes only the embarrassingly parallel evaluations, so
 // frontier folds happen in the same order as a local search; the merge
@@ -111,13 +125,14 @@ type CoordinatorOptions struct {
 	// LocalParallelism bounds the in-process fallback executor's
 	// concurrent simulations; <= 0 means GOMAXPROCS.
 	LocalParallelism int
-	// Store, when non-nil, persists completed shard outcomes to its disk
-	// tier and serves warm shards without dispatching them — a batch
-	// re-run after coordinator restart or node loss re-dispatches only
-	// the shards the store has not seen. Loopback runners and the local
-	// fallback executor also consult it at run granularity. Shard keys
-	// fold in the protocol, schema and engine versions, so version bumps
-	// invalidate persisted shards rather than serving stale outcomes.
+	// Store, when it has a disk tier, holds the batch's run records: runs
+	// whose record exists settle without dispatch, and every successful
+	// outcome is persisted under its run key — the record exp.Runner
+	// reads and writes for the same run. Run keys fold in the engine and
+	// schema versions, so version bumps invalidate persisted runs rather
+	// than serving stale results. Loopback runners and the local
+	// fallback do not use it; the coordinator is its one reader and
+	// writer for clustered work.
 	Store *store.Store
 	// Log receives structured operational log records; nil discards
 	// them.

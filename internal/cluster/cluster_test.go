@@ -16,6 +16,7 @@ import (
 	"hybridmem/internal/api"
 	"hybridmem/internal/dse"
 	"hybridmem/internal/exp"
+	"hybridmem/internal/sim"
 	"hybridmem/internal/workload"
 )
 
@@ -69,14 +70,14 @@ func localSweepBytes(t *testing.T, cfg Config, runs []Run) []byte {
 // outcomes, as the serve layer does.
 func outcomeSweepBytes(t *testing.T, outs []RunOutcome) []byte {
 	t.Helper()
-	doc := api.Sweep{Schema: api.SchemaVersion, Results: make([]api.Result, len(outs))}
+	results := make([]sim.Result, len(outs))
 	for i, o := range outs {
 		if o.Err != "" {
 			t.Fatalf("run %d failed: %s", i, o.Err)
 		}
-		doc.Results[i] = o.Result
+		results[i] = o.Result
 	}
-	data, err := api.Encode(doc)
+	data, err := api.Encode(api.NewSweep(results))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestWorkStealing(t *testing.T) {
 		id:   "straggler",
 		addr: "loopback",
 		transport: gateTransport{
-			inner: loopbackTransport{exec: Exec{Parallelism: 1}},
+			inner: Exec{Parallelism: 1},
 			gate:  gate,
 			took:  sync.OnceFunc(func() { close(stragglerHolds) }),
 		},
@@ -273,7 +274,7 @@ func TestWorkStealing(t *testing.T) {
 	c.join(&runnerHandle{
 		id:        "fast",
 		addr:      "loopback",
-		transport: afterTransport{inner: loopbackTransport{exec: Exec{Parallelism: 1}}, ready: stragglerHolds},
+		transport: afterTransport{inner: Exec{Parallelism: 1}, ready: stragglerHolds},
 		loopback:  true,
 	})
 
@@ -344,7 +345,7 @@ func TestRunWaitsForLosingSteals(t *testing.T) {
 	c.join(&runnerHandle{
 		id:        "fast",
 		addr:      "loopback",
-		transport: afterTransport{inner: loopbackTransport{exec: Exec{Parallelism: 1}}, ready: holds},
+		transport: afterTransport{inner: Exec{Parallelism: 1}, ready: holds},
 		loopback:  true,
 	})
 	if _, err := c.Run(context.Background(), cfg, runs, nil); err != nil {
@@ -397,13 +398,13 @@ func TestRunnerDeathRedispatch(t *testing.T) {
 	c.join(&runnerHandle{
 		id:        "dying",
 		addr:      "loopback",
-		transport: &dyingTransport{inner: loopbackTransport{exec: Exec{Parallelism: 1}}, survives: 1},
+		transport: &dyingTransport{inner: Exec{Parallelism: 1}, survives: 1},
 		loopback:  true,
 	})
 	c.join(&runnerHandle{
 		id:        "survivor",
 		addr:      "loopback",
-		transport: loopbackTransport{exec: Exec{Parallelism: 1}},
+		transport: Exec{Parallelism: 1},
 		loopback:  true,
 	})
 
@@ -459,7 +460,7 @@ func TestDroppedResponsesRetry(t *testing.T) {
 	c.join(&runnerHandle{
 		id:        "flaky",
 		addr:      "loopback",
-		transport: &flakyTransport{inner: loopbackTransport{exec: Exec{Parallelism: 2}}},
+		transport: &flakyTransport{inner: Exec{Parallelism: 2}},
 		loopback:  true,
 	})
 

@@ -79,9 +79,9 @@ type Stats struct {
 	// LocalShards counts shards executed by the coordinator's local
 	// fallback because no runner was live.
 	LocalShards uint64
-	// ShardsWarm counts shards settled from the result store before
-	// dispatch — persisted outcomes of an earlier identical batch.
-	ShardsWarm uint64
+	// RunsWarm counts runs settled from the result store before
+	// dispatch: records persisted by an earlier batch or local run.
+	RunsWarm uint64
 	// Runners lists the live runners with their in-flight shard counts,
 	// sorted by ID.
 	Runners []RunnerStat
@@ -133,8 +133,8 @@ func (c *Coordinator) RegisterMetrics(r *obs.Registry) {
 		stat(func(s Stats) float64 { return float64(s.DuplicatesDropped) }))
 	r.CounterFunc("hybridmem_cluster_local_shards_total", "Shards executed by the coordinator's local fallback.",
 		stat(func(s Stats) float64 { return float64(s.LocalShards) }))
-	r.CounterFunc("hybridmem_cluster_shards_warm_total", "Shards settled from the result store before dispatch.",
-		stat(func(s Stats) float64 { return float64(s.ShardsWarm) }))
+	r.CounterFunc("hybridmem_cluster_runs_warm_total", "Runs settled from the result store before dispatch.",
+		stat(func(s Stats) float64 { return float64(s.RunsWarm) }))
 	runnerSamples := func(f func(RunnerStat) float64) func() []obs.Sample {
 		return func() []obs.Sample {
 			st := c.Stats()
@@ -157,9 +157,10 @@ func (c *Coordinator) RegisterMetrics(r *obs.Registry) {
 func (c *Coordinator) Sims() uint64 { return c.sims.Value() }
 
 // exec returns an in-process shard executor sharing the coordinator's
-// store, simulation counter and observability plane.
+// simulation counter and observability plane. It has no store: the
+// coordinator recalls and persists run records itself.
 func (c *Coordinator) exec(parallelism int) Exec {
-	return Exec{Parallelism: parallelism, Store: c.opts.Store, SimCounter: &c.sims, Obs: c.opts.Obs}
+	return Exec{Parallelism: parallelism, SimCounter: &c.sims, Obs: c.opts.Obs}
 }
 
 // Join registers (or refreshes) a runner reachable at the given URL
@@ -206,15 +207,14 @@ func (c *Coordinator) Heartbeat(id string) bool {
 
 // AttachLoopback registers n in-process runners executing shards by
 // direct call — the no-network mode tests and benchmarks drive. Each
-// loopback runner gets its own bounded executor (sharing the
-// coordinator's store, when configured), so dispatch, in-flight
+// loopback runner gets its own bounded executor, so dispatch, in-flight
 // accounting and stealing behave exactly as with real nodes.
 func (c *Coordinator) AttachLoopback(n, parallelism int) {
 	for i := 0; i < n; i++ {
 		c.join(&runnerHandle{
 			id:        fmt.Sprintf("loopback-%d", i+1),
 			addr:      "loopback",
-			transport: loopbackTransport{exec: c.exec(parallelism)},
+			transport: c.exec(parallelism),
 			loopback:  true,
 		})
 	}
@@ -316,15 +316,21 @@ func (c *Coordinator) HandleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 // Run executes a batch of runs across the cluster and returns outcomes
 // in input order — the deterministic merge every distributed document
-// rests on. progress (optional) is called with completed and total run
-// counts as shards finish. Run fails only on cancellation, a shard
-// exhausting its attempt budget, or an empty pool with LocalFallback
-// off; per-run failures ride the outcome Err slots.
+// rests on. Runs whose record the coordinator's store already holds
+// settle without dispatch; the rest are sharded, and each successful
+// outcome is persisted under its run key. progress (optional) is called
+// with completed and total run counts, first for the warm runs and then
+// as shards finish. Run fails only on cancellation, a shard exhausting
+// its attempt budget, or an empty pool with LocalFallback off; per-run
+// failures ride the outcome Err slots.
 func (c *Coordinator) Run(ctx context.Context, cfg Config, runs []Run, progress func(done, total int)) ([]RunOutcome, error) {
 	if len(runs) == 0 {
 		return nil, nil
 	}
 	d := newDispatcher(c, cfg, runs, progress)
+	if d.remaining == 0 {
+		return d.out, nil
+	}
 	// The batch span hangs off the caller's span (a serve job, usually)
 	// so a distributed document's timeline reads job -> batch -> shard
 	// -> runner. With tracing off every handle is nil and this is free.
@@ -340,9 +346,9 @@ func (c *Coordinator) Run(ctx context.Context, cfg Config, runs []Run, progress 
 
 // Evaluator adapts the coordinator into the design-space search's
 // evaluation seam: batches of dse runs execute as cluster shards, and
-// outcomes come back as the integer measurements the search folds
-// locally — so a distributed exploration is byte-identical to a
-// single-process one.
+// outcomes reduce to the integer measurements the search folds locally
+// through the same dse.Measure as an in-process search — so a
+// distributed exploration is byte-identical to a single-process one.
 func (c *Coordinator) Evaluator() dse.Evaluator {
 	return func(ctx context.Context, cfg dse.EvalConfig, runs []dse.EvalRun) ([]dse.EvalResult, error) {
 		creq := make([]Run, len(runs))
@@ -355,11 +361,8 @@ func (c *Coordinator) Evaluator() dse.Evaluator {
 		}
 		res := make([]dse.EvalResult, len(outs))
 		for i, o := range outs {
-			res[i] = dse.EvalResult{
-				Cycles:     o.Result.Cycles,
-				WriteBytes: o.NMWriteBytes + o.FMWriteBytes,
-				Err:        o.Err,
-			}
+			res[i] = dse.Measure(o.Result)
+			res[i].Err = o.Err
 		}
 		return res, nil
 	}
@@ -407,13 +410,10 @@ func (c *Coordinator) noteSettled(h *runnerHandle, duplicate bool) {
 	}
 }
 
-func (c *Coordinator) noteWarmShards(n int) {
-	if n == 0 {
-		return
-	}
+func (c *Coordinator) noteWarmRuns(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stats.ShardsWarm += uint64(n)
+	c.stats.RunsWarm += uint64(n)
 }
 
 func (c *Coordinator) noteFailed(h *runnerHandle, retried bool) {

@@ -2,60 +2,48 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
 	"hybridmem/internal/api"
+	"hybridmem/internal/exp"
 	"hybridmem/internal/obs"
-	"hybridmem/internal/store"
 )
 
 // shardState tracks one shard through dispatch. Guarded by the
 // dispatcher's mu.
 type shardState struct {
-	idx     int
-	lo, hi  int    // run index range [lo, hi) of the batch
-	key     string // content address in the result store ("" without one)
-	execs   map[*runnerHandle]bool
-	failed  int // completed failed attempts
-	done    bool
-	results []RunOutcome
-}
-
-// shardKey content-addresses one shard's work: the wire protocol plus
-// engine and schema versions (via store.VersionParts), the batch config,
-// and the exact run list. Identical work re-submitted after coordinator
-// restart or node loss lands on the same key, so a warm store answers it
-// without dispatching; any version bump changes the key and forces
-// re-simulation instead of serving stale outcomes.
-func shardKey(cfg Config, runs []Run) string {
-	parts := append(store.VersionParts("shard"),
-		"proto="+strconv.Itoa(ProtoVersion),
-		"scale="+strconv.Itoa(cfg.Scale),
-		"instr="+strconv.FormatUint(cfg.InstrPerCore, 10),
-		"seed="+strconv.FormatUint(cfg.Seed, 10),
-	)
-	for _, r := range runs {
-		parts = append(parts, r.Design, r.Workload, strconv.Itoa(r.Ratio16))
-	}
-	return store.Fingerprint(parts...)
+	idx    int
+	lo, hi int // index range [lo, hi) of the batch's cold runs
+	execs  map[*runnerHandle]bool
+	failed int // completed failed attempts
+	done   bool
 }
 
 // dispatcher drives one batch across the runner pool: a pull-based
 // queue where every runner's worker slots take pending shards first and
 // steal in-flight stragglers when the queue runs dry. All scheduling is
-// free-form; determinism comes from reassembling results by shard index
-// at the end.
+// free-form; determinism comes from writing every outcome back to its
+// run's input position.
 type dispatcher struct {
 	c        *Coordinator
 	cfg      Config
-	runs     []Run
 	progress func(done, total int)
 	ctx      context.Context
 	workers  sync.WaitGroup // this batch's worker and monitor goroutines
+
+	// out holds the batch's outcomes in input order; the store settles
+	// warm runs up front and shard completions fill in the rest. cold
+	// lists the runs left to dispatch, at input positions coldIdx and
+	// with run keys keys ("" when the store cannot hold the run).
+	out     []RunOutcome
+	cold    []Run
+	coldIdx []int
+	keys    []string
+	// rec reads and writes run records in the coordinator's store; nil
+	// without a disk tier.
+	rec *exp.Runner
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -68,43 +56,51 @@ type dispatcher struct {
 	started   map[*runnerHandle]bool
 }
 
+// newDispatcher settles every run whose record the coordinator's store
+// already holds — those never enter a shard — and cuts the cold rest
+// into shards.
 func newDispatcher(c *Coordinator, cfg Config, runs []Run, progress func(done, total int)) *dispatcher {
 	d := &dispatcher{
 		c:        c,
 		cfg:      cfg,
-		runs:     runs,
 		progress: progress,
+		out:      make([]RunOutcome, len(runs)),
 		started:  make(map[*runnerHandle]bool),
 	}
 	d.cond = sync.NewCond(&d.mu)
-	size := c.opts.ShardSize
-	warm := 0
-	for lo := 0; lo < len(runs); lo += size {
-		hi := min(lo+size, len(runs))
-		idx := len(d.shards)
-		sh := &shardState{idx: idx, lo: lo, hi: hi, execs: make(map[*runnerHandle]bool)}
-		// With a disk-backed store, a shard whose exact work was
-		// persisted by an earlier batch is settled here and never enters
-		// the dispatch queue.
-		if c.opts.Store.HasDisk() {
-			sh.key = shardKey(cfg, runs[lo:hi])
-			if raw, ok := c.opts.Store.GetDisk(sh.key); ok {
-				var outs []RunOutcome
-				if json.Unmarshal(raw, &outs) == nil && len(outs) == hi-lo {
-					sh.done = true
-					sh.results = outs
-					d.doneRuns += len(outs)
-					warm++
-				}
+	if c.opts.Store.HasDisk() {
+		d.rec = &exp.Runner{Scale: cfg.Scale, InstrPerCore: cfg.InstrPerCore, Seed: cfg.Seed, Store: c.opts.Store}
+	}
+	for i, run := range runs {
+		key := ""
+		if d.rec != nil {
+			// A malformed design has no key; its run is dispatched and
+			// its runner reports the error.
+			key, _ = d.rec.RunKey(run.Design, run.Workload, run.Ratio16)
+		}
+		if key != "" {
+			if res, ok := d.rec.Recall(key); ok {
+				d.out[i].Result = res
+				d.doneRuns++
+				continue
 			}
 		}
-		d.shards = append(d.shards, sh)
-		if !sh.done {
-			d.pending = append(d.pending, idx)
-		}
+		d.cold = append(d.cold, run)
+		d.coldIdx = append(d.coldIdx, i)
+		d.keys = append(d.keys, key)
+	}
+	c.noteWarmRuns(d.doneRuns)
+	if progress != nil && d.doneRuns > 0 {
+		progress(d.doneRuns, len(runs))
+	}
+	for lo := 0; lo < len(d.cold); lo += c.opts.ShardSize {
+		idx := len(d.shards)
+		d.shards = append(d.shards, &shardState{
+			idx: idx, lo: lo, hi: min(lo+c.opts.ShardSize, len(d.cold)), execs: make(map[*runnerHandle]bool),
+		})
+		d.pending = append(d.pending, idx)
 	}
 	d.remaining = len(d.pending)
-	c.noteWarmShards(warm)
 	return d
 }
 
@@ -122,11 +118,6 @@ func (d *dispatcher) run(parent context.Context) ([]RunOutcome, error) {
 	defer cancel()
 	d.mu.Lock()
 	d.ctx = ctx
-	if d.progress != nil && d.doneRuns > 0 {
-		// Shards answered warm from the store settled before dispatch;
-		// surface them so progress starts from the true completed count.
-		d.progress(d.doneRuns, len(d.runs))
-	}
 	d.mu.Unlock()
 
 	c := d.c
@@ -159,7 +150,7 @@ func (d *dispatcher) run(parent context.Context) ([]RunOutcome, error) {
 		d.addRunner(&runnerHandle{
 			id:        "local",
 			addr:      "local",
-			transport: loopbackTransport{exec: c.exec(c.localParallelism())},
+			transport: c.exec(c.localParallelism()),
 			loopback:  true,
 			local:     true,
 		})
@@ -179,12 +170,7 @@ func (d *dispatcher) run(parent context.Context) ([]RunOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	out := make([]RunOutcome, len(d.runs))
-	for _, sh := range d.shards {
-		copy(out[sh.lo:sh.hi], sh.results)
-	}
-	return out, nil
+	return d.out, nil
 }
 
 // wake pokes every waiting worker and the run loop.
@@ -259,7 +245,7 @@ func (d *dispatcher) worker(ctx context.Context, h *runnerHandle) {
 			Engine: api.EngineVersion,
 			Shard:  sh.idx,
 			Config: d.cfg,
-			Runs:   d.runs[sh.lo:sh.hi],
+			Runs:   d.cold[sh.lo:sh.hi],
 			Trace:  wireTrace,
 		})
 		cancel()
@@ -351,44 +337,30 @@ func (d *dispatcher) complete(sh *shardState, h *runnerHandle, outs []RunOutcome
 		return
 	}
 	sh.done = true
-	sh.results = outs
 	d.mu.Unlock()
-	// Persist before the batch can observe completion, so a caller that
-	// sees Run return is guaranteed every shard is on disk; duplicates
-	// arriving in the window see done set and take the discard path.
-	d.persist(sh)
+	// Only the winning completion reaches here, so the writes below need
+	// no lock. Every successful run is persisted under its run key before
+	// the batch can observe completion, so a caller that sees Run return
+	// finds every run on disk; a failed run is recomputed, never replayed
+	// from the store.
+	for k, o := range outs {
+		j := sh.lo + k
+		d.out[d.coldIdx[j]] = o
+		if o.Err == "" && d.keys[j] != "" {
+			d.rec.Persist(d.keys[j], o.Result)
+		}
+	}
 	d.mu.Lock()
 	d.remaining--
 	d.doneRuns += len(outs)
 	if d.progress != nil {
 		// Under mu: progress calls stay serialized with done strictly
 		// increasing, matching the in-process runner's contract.
-		d.progress(d.doneRuns, len(d.runs))
+		d.progress(d.doneRuns, len(d.out))
 	}
 	d.mu.Unlock()
 	d.c.noteSettled(h, false)
 	d.wake()
-}
-
-// persist writes a completed shard's outcomes to the store's disk tier
-// so an identical batch — after coordinator restart or node loss — is
-// served warm without dispatch. Shards holding any failed run are not
-// persisted: a failure is recomputed, never replayed from cache. Safe
-// without the mu: results are immutable once done is set, and only the
-// winning completion reaches here.
-func (d *dispatcher) persist(sh *shardState) {
-	st := d.c.opts.Store
-	if !st.HasDisk() || sh.key == "" {
-		return
-	}
-	for _, o := range sh.results {
-		if o.Err != "" {
-			return
-		}
-	}
-	if raw, err := json.Marshal(sh.results); err == nil {
-		st.PutDisk(sh.key, raw)
-	}
 }
 
 // fail settles a failed execution: requeue the shard once no execution

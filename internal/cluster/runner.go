@@ -37,8 +37,9 @@ type Exec struct {
 	// GOMAXPROCS.
 	Parallelism int
 	// Store, when non-nil, lets the per-shard runners reuse previously
-	// simulated run results from its disk tier and persist new ones, so
-	// a runner node answers repeated shards without re-simulating.
+	// simulated run records from its disk tier and persist new ones, so
+	// a runner node answers repeated shards without re-simulating. Only
+	// runner nodes set it; the coordinator keeps its own records.
 	Store *store.Store
 	// SimCounter, when non-nil, counts actual engine executions (store
 	// and memo hits excluded).
@@ -47,6 +48,14 @@ type Exec struct {
 	// plane: the simulate phase lands in its registry's phase histogram
 	// and traced shards record their spans into its flight recorder.
 	Obs *obs.Obs
+}
+
+// runShard makes Exec the transport of loopback runners and the
+// coordinator's local fallback: a direct call through exactly the same
+// dispatch machinery (sharding, in-flight bounds, stealing, retry,
+// merge) as an HTTP runner, minus the sockets.
+func (e Exec) runShard(ctx context.Context, req ShardRequest) (ShardResponse, error) {
+	return e.RunShard(ctx, req)
 }
 
 // RunShard executes one shard request and returns outcomes in run
@@ -78,29 +87,19 @@ func (e Exec) RunShard(ctx context.Context, req ShardRequest) (ShardResponse, er
 			obs.Int("shard", int64(req.Shard)), obs.Int("runs", int64(len(req.Runs))))
 	}
 	resp := ShardResponse{Proto: ProtoVersion, Shard: req.Shard, Runs: make([]RunOutcome, len(req.Runs))}
-	specs := make([]exp.RunSpec, len(req.Runs))
-	skip := make([]bool, len(req.Runs))
-	for i, run := range req.Runs {
-		if err := config.ValidateRun(req.Config.Scale, run.Ratio16, req.Config.InstrPerCore); err != nil {
-			resp.Runs[i].Err = fmt.Sprintf("cluster: run %s/%s: %v", run.Design, run.Workload, err)
-			skip[i] = true
-			continue
-		}
-		wl, ok := workload.ByName(run.Workload)
-		if !ok {
-			resp.Runs[i].Err = fmt.Sprintf("exp: unknown workload %q", run.Workload)
-			skip[i] = true
-			continue
-		}
-		specs[i] = exp.RunSpec{Workload: wl, Design: run.Design, Ratio16: run.Ratio16}
-	}
 	// Only well-formed runs are simulated; their outcomes map back to
 	// the original slots through liveIdx.
-	live := make([]exp.RunSpec, 0, len(specs))
-	liveIdx := make([]int, 0, len(specs))
-	for i, sp := range specs {
-		if !skip[i] {
-			live = append(live, sp)
+	var live []exp.RunSpec
+	var liveIdx []int
+	for i, run := range req.Runs {
+		wl, known := workload.ByName(run.Workload)
+		switch err := config.ValidateRun(req.Config.Scale, run.Ratio16, req.Config.InstrPerCore); {
+		case err != nil:
+			resp.Runs[i].Err = fmt.Sprintf("cluster: run %s/%s: %v", run.Design, run.Workload, err)
+		case !known:
+			resp.Runs[i].Err = fmt.Sprintf("exp: unknown workload %q", run.Workload)
+		default:
+			live = append(live, exp.RunSpec{Workload: wl, Design: run.Design, Ratio16: run.Ratio16})
 			liveIdx = append(liveIdx, i)
 		}
 	}
@@ -115,12 +114,7 @@ func (e Exec) RunShard(ctx context.Context, req ShardRequest) (ShardResponse, er
 			resp.Runs[i].Err = errs[j].Error()
 			continue
 		}
-		r := results[j]
-		resp.Runs[i] = RunOutcome{
-			Result:       api.FromSim(r),
-			NMWriteBytes: r.Mem.NMWriteBytes,
-			FMWriteBytes: r.Mem.FMWriteBytes,
-		}
+		resp.Runs[i].Result = results[j]
 	}
 	if sp != nil {
 		sp.End()
@@ -147,9 +141,9 @@ type NodeOptions struct {
 	// GOMAXPROCS.
 	Parallelism int
 	// StoreDir, when non-empty, gives this runner a persistent result
-	// store: run results land in the directory's disk tier and repeated
-	// shard work — including work re-dispatched after the node rejoins —
-	// is answered from it without re-simulating.
+	// store: run records land in the directory's disk tier and repeated
+	// runs — including work re-dispatched after the node rejoins — are
+	// answered from it without re-simulating.
 	StoreDir string
 	// StoreMaxBytes bounds the on-disk store; <= 0 means unbounded.
 	StoreMaxBytes int64

@@ -5,6 +5,7 @@ import (
 
 	"hybridmem/internal/api"
 	"hybridmem/internal/obs"
+	"hybridmem/internal/sim"
 )
 
 // ProtoVersion identifies the cluster RPC layout below. Every request
@@ -12,7 +13,7 @@ import (
 // coordinator/runner pair disagreeing on any of the three refuses to
 // exchange work: a version-skewed node computing results under different
 // engine semantics would silently break the byte-identity guarantee.
-const ProtoVersion = 1
+const ProtoVersion = 2
 
 // Config is the per-shard simulation configuration shared by every run
 // of a batch. The NM:FM ratio is per-run (sweeps mix ratios; DSE
@@ -47,17 +48,14 @@ type ShardRequest struct {
 	Trace *api.Trace `json:"trace,omitempty"`
 }
 
-// RunOutcome is the result of one run of a shard. Result is the
-// canonical wire form (exactly what api.FromSim produces locally, so
-// documents assembled from outcomes are byte-identical to local runs);
-// the raw write-byte counters ride alongside because the DSE objective
-// needs them and they are not recoverable from the derived traffic
-// fields. A failed run has a zero Result and a non-empty Err.
+// RunOutcome is the result of one run of a shard. Result is the run's
+// record — the sim.Result exp.Runner computes and persists locally, in
+// the same JSON encoding the store holds — so every document assembled
+// from outcomes goes through the same mapping as a local run. A failed
+// run has a zero Result and a non-empty Err.
 type RunOutcome struct {
-	Result       api.Result `json:"result"`
-	NMWriteBytes uint64     `json:"nm_write_bytes"`
-	FMWriteBytes uint64     `json:"fm_write_bytes"`
-	Err          string     `json:"error,omitempty"`
+	Result sim.Result `json:"result"`
+	Err    string     `json:"error,omitempty"`
 }
 
 // ShardResponse carries a shard's outcomes back, in the request's run

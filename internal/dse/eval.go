@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"hybridmem/internal/exp"
+	"hybridmem/internal/sim"
 )
 
 // EvalRun identifies one simulation an evaluator must execute: a
@@ -38,6 +39,13 @@ type EvalResult struct {
 	Cycles     uint64
 	WriteBytes uint64
 	Err        string
+}
+
+// Measure reduces a run to the measurements the search folds: its
+// cycles and its combined NM+FM write bytes. In-process and distributed
+// evaluators both go through it.
+func Measure(r sim.Result) EvalResult {
+	return EvalResult{Cycles: uint64(r.Cycles), WriteBytes: r.Mem.NMWriteBytes + r.Mem.FMWriteBytes}
 }
 
 // Evaluator executes one batch of simulations and returns outcomes in
@@ -82,10 +90,7 @@ func (s *searcher) runBatch(ctx context.Context, runs []exp.RunSpec, screen bool
 	}
 	out := make([]EvalResult, len(runs))
 	for i, r := range res {
-		out[i] = EvalResult{
-			Cycles:     uint64(r.Cycles),
-			WriteBytes: r.Mem.NMWriteBytes + r.Mem.FMWriteBytes,
-		}
+		out[i] = Measure(r)
 		if errs[i] != nil {
 			out[i].Err = errs[i].Error()
 		}

@@ -195,10 +195,63 @@ func (r *Runner) MemoStats() store.LRUStats {
 	return memo.Stats()
 }
 
+// resolve parses a run's design and normalizes its ratio: a design
+// without near memory runs once for every ratio, as ratio 1.
+func resolve(designName string, ratio16 int) (design.Spec, int, error) {
+	spec, err := design.Parse(designName)
+	if err != nil {
+		return design.Spec{}, 0, err
+	}
+	if !spec.Info.NeedsNM {
+		ratio16 = 1
+	}
+	return spec, ratio16, nil
+}
+
 // runKey is the canonical store key of one (already ratio-normalized)
 // run of this runner.
-func (r *Runner) runKey(wl workload.Spec, designName string, ratio16 int) string {
-	return store.RunKey(designName, wl.Name, ratio16, r.Scale, r.InstrPerCore, r.Seed, r.Prefetch)
+func (r *Runner) runKey(designName, workloadName string, ratio16 int) string {
+	return store.RunKey(designName, workloadName, ratio16, r.Scale, r.InstrPerCore, r.Seed, r.Prefetch)
+}
+
+// RunKey is the store key this runner persists and recalls a run's
+// record under: store.RunKey over the runner's knobs after the design
+// resolves and its ratio normalizes. Every layer that persists runs
+// derives keys here, so they all address the same records. A malformed
+// design name is an error.
+func (r *Runner) RunKey(designName, workloadName string, ratio16 int) (string, error) {
+	_, ratio16, err := resolve(designName, ratio16)
+	if err != nil {
+		return "", err
+	}
+	return r.runKey(designName, workloadName, ratio16), nil
+}
+
+// Recall decodes the run record stored under key in the store's disk
+// tier. An absent or undecodable record (one written before a layout
+// change that forgot to bump the engine version) reports false, and the
+// run re-simulates.
+func (r *Runner) Recall(key string) (sim.Result, bool) {
+	data, ok := r.Store.GetDisk(key)
+	if !ok {
+		return sim.Result{}, false
+	}
+	var res sim.Result
+	if err := json.Unmarshal(data, &res); err != nil {
+		return sim.Result{}, false
+	}
+	return res, true
+}
+
+// Persist writes res as the run record under key to the store's disk
+// tier; without one it does nothing.
+func (r *Runner) Persist(key string, res sim.Result) {
+	if !r.Store.HasDisk() {
+		return
+	}
+	if data, err := json.Marshal(res); err == nil {
+		r.Store.PutDisk(key, data)
+	}
 }
 
 // ResultErr runs (or recalls) one workload on one design at an NM ratio.
@@ -218,17 +271,14 @@ func (r *Runner) ResultErr(wl workload.Spec, designName string, ratio16 int) (si
 // result is ResultErr for the run'th spec of a call, the index that
 // tags its telemetry.
 func (r *Runner) result(wl workload.Spec, designName string, ratio16, run int) (sim.Result, error) {
-	spec, err := design.Parse(designName)
+	spec, ratio16, err := resolve(designName, ratio16)
 	if err != nil {
 		return sim.Result{}, err
-	}
-	if !spec.Info.NeedsNM {
-		ratio16 = 1 // no NM: one run serves all ratios
 	}
 	if r.Telemetry != nil {
 		return r.execute(wl.Name, designName, spec, ratio16, run, workloadRun(wl))
 	}
-	key := r.runKey(wl, designName, ratio16)
+	key := r.runKey(designName, wl.Name, ratio16)
 	memo, flight := r.memoState()
 	if v, ok := memo.Get(key); ok {
 		return v.res, v.err
@@ -239,23 +289,14 @@ func (r *Runner) result(wl workload.Spec, designName string, ratio16, run int) (
 		if v, ok := memo.Peek(key); ok {
 			return v, nil
 		}
-		if data, ok := r.Store.GetDisk(key); ok {
-			var res sim.Result
-			if err := json.Unmarshal(data, &res); err == nil {
-				return memoVal{res: res}, nil
-			}
-			// Undecodable (a record written before a layout change that
-			// forgot to bump the engine version): re-simulate.
+		if res, ok := r.Recall(key); ok {
+			return memoVal{res: res}, nil
 		}
 		res, err := r.execute(wl.Name, designName, spec, ratio16, run, workloadRun(wl))
 		if err != nil {
 			return memoVal{err: err}, nil
 		}
-		if r.Store != nil {
-			if data, err := json.Marshal(res); err == nil {
-				r.Store.PutDisk(key, data)
-			}
-		}
+		r.Persist(key, res)
 		return memoVal{res: res}, nil
 	})
 	memo.Put(key, v)
@@ -524,22 +565,28 @@ func withBaseline(designs []string) []string {
 	return append([]string{"Baseline"}, designs...)
 }
 
+// MaxMLP bounds the memory-level parallelism of trace replay: 8× the
+// largest sim.MLPFor. Every core allocates and scans one slot per unit
+// of MLP on each miss, so an unbounded request costs unbounded memory
+// and time.
+const MaxMLP = 64
+
 // RunTrace replays a captured trace on a design at an NM ratio,
 // streaming the records: the trace (any format internal/trace reads,
 // auto-detected) is never materialized, so arbitrarily large captures
 // replay in memory bounded by the runner's TraceWindow. mlp bounds
-// per-core overlapped misses and must be >= 1. A trace with no records
-// (empty or whitespace/comments only) is an error, not a zero-cycle
-// result, as is a decode error or a core interleaving more skewed than
-// the lookahead window. Trace runs are not memoized; with Telemetry set
+// per-core overlapped misses and must lie in [1, MaxMLP]. A trace with
+// no records (empty or whitespace/comments only) is an error, not a
+// zero-cycle result, as is a decode error or a core interleaving more
+// skewed than the lookahead window. Trace runs are not memoized; with Telemetry set
 // they are sampled like ResultErr's runs.
 func (r *Runner) RunTrace(name string, rd io.Reader, designName string, ratio16, mlp int) (sim.Result, error) {
 	spec, err := design.Parse(designName)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	if mlp < 1 {
-		return sim.Result{}, fmt.Errorf("exp: trace %s: mlp must be >= 1, got %d", name, mlp)
+	if mlp < 1 || mlp > MaxMLP {
+		return sim.Result{}, fmt.Errorf("exp: trace %s: mlp must be in [1, %d], got %d", name, MaxMLP, mlp)
 	}
 	sr, err := trace.NewStreamReader(rd, config.Cores, r.TraceWindow)
 	if err != nil {

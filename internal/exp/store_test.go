@@ -53,6 +53,34 @@ func TestMemoBoundedEvicts(t *testing.T) {
 	}
 }
 
+// TestRunKeyAddressesPersistedRecord: RunKey is the key a run's record
+// is persisted under, ratio normalization included — a design without
+// near memory keys every ratio as ratio 1 — and Recall decodes exactly
+// the result the run returned.
+func TestRunKeyAddressesPersistedRecord(t *testing.T) {
+	st, err := store.Open(store.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := tiny()
+	r.Store = st
+	wl := r.Workloads()[0]
+	res := r.Result(wl, "Baseline", 4)
+	key, err := r.RunKey("Baseline", wl.Name, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := store.RunKey("Baseline", wl.Name, 1, r.Scale, r.InstrPerCore, r.Seed, r.Prefetch); key != want {
+		t.Fatalf("RunKey = %s, want the ratio-1 key %s", key, want)
+	}
+	if got, ok := r.Recall(key); !ok || got != res {
+		t.Fatalf("Recall(%s) = %+v, %v; want the run's result", key, got, ok)
+	}
+	if _, err := r.RunKey("no-such-design", wl.Name, 1); err == nil {
+		t.Fatal("RunKey accepted a malformed design name")
+	}
+}
+
 // TestStoreSharedAcrossRunners pins the tentpole property end to end: a
 // fresh runner over a warm store executes zero simulations and returns
 // results identical to the runner that populated it.

@@ -88,13 +88,19 @@ func TestTraceRoundTripDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunTraceRejectsBadMLP pins the flag-validation satellite at the
-// engine level: trace replay refuses a non-positive MLP instead of
-// silently clamping it.
+// TestRunTraceRejectsBadMLP pins MLP validation at the engine level:
+// trace replay refuses a non-positive MLP instead of silently clamping
+// it, and an MLP above MaxMLP before any per-core state is allocated
+// (1<<30 would ask for 64 GB).
 func TestRunTraceRejectsBadMLP(t *testing.T) {
 	r := tiny()
-	if _, err := r.RunTrace("t", bytes.NewReader([]byte("0 1 40 R\n")), "Baseline", 1, 0); err == nil {
-		t.Fatal("mlp 0 accepted")
+	for _, mlp := range []int{0, -1, MaxMLP + 1, 1 << 30} {
+		if _, err := r.RunTrace("t", bytes.NewReader([]byte("0 1 40 R\n")), "Baseline", 1, mlp); err == nil {
+			t.Fatalf("mlp %d accepted", mlp)
+		}
+	}
+	if _, err := r.RunTrace("t", bytes.NewReader([]byte("0 1 40 R\n")), "Baseline", 1, MaxMLP); err != nil {
+		t.Fatalf("mlp %d (the bound) rejected: %v", MaxMLP, err)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 
 	"hybridmem/internal/api"
 	"hybridmem/internal/cluster"
+	"hybridmem/internal/obs"
+	"hybridmem/internal/store"
 )
 
 // clusterTestServer builds a coordinator-mode server with n loopback
@@ -117,6 +119,7 @@ func TestClusterMetricsAndHealth(t *testing.T) {
 		"hybridmem_cluster_shards_completed_total",
 		"hybridmem_cluster_shards_stolen_total",
 		"hybridmem_cluster_shards_retried_total",
+		"hybridmem_cluster_runs_warm_total 0",
 		`hybridmem_cluster_runner_inflight{runner="loopback-1"}`,
 		`hybridmem_cluster_runner_shards_total{runner="loopback-2"}`,
 	} {
@@ -141,6 +144,40 @@ func TestClusterMetricsAndHealth(t *testing.T) {
 	})
 	if skew.Code != http.StatusBadRequest {
 		t.Fatalf("skewed join answered %d, want 400", skew.Code)
+	}
+}
+
+// TestClusterSweepReusesRunRecords: a coordinator sharing the server's
+// disk store settles runs that an earlier sweep persisted without
+// dispatching them — the runs, not the sweeps, are the unit of reuse —
+// and reports them on /metrics.
+func TestClusterSweepReusesRunRecords(t *testing.T) {
+	st, err := store.Open(store.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cluster.NewCoordinator(cluster.CoordinatorOptions{ShardSize: 2, Store: st})
+	c.AttachLoopback(2, 1)
+	s := newTestServer(t, Options{Cluster: c, Store: st, Parallelism: 2})
+	cfg := api.Config{Scale: 16, NMRatio16: 1, InstrPerCore: 20_000, Seed: 1}
+	runJob(t, s, "/v1/sweep", sweepRequest{Designs: []string{"Baseline", "HYBRID2"}, Workloads: []string{"lbm", "mcf"}, Config: cfg})
+	dispatched := c.Stats().ShardsDispatched
+
+	// A different sweep is a different job, but both its runs are warm.
+	subset := sweepRequest{Designs: []string{"HYBRID2"}, Workloads: []string{"mcf", "lbm"}, Config: cfg}
+	got := runJob(t, s, "/v1/sweep", subset)
+	if want := runJob(t, newTestServer(t, Options{Parallelism: 2}), "/v1/sweep", subset); !bytes.Equal(got, want) {
+		t.Fatalf("warm clustered sweep differs from a local server:\nlocal: %s\nclustered: %s", want, got)
+	}
+	if st := c.Stats(); st.ShardsDispatched != dispatched || st.RunsWarm != 2 {
+		t.Fatalf("warm sweep dispatched %d more shards with %d warm runs, want 0 and 2", st.ShardsDispatched-dispatched, st.RunsWarm)
+	}
+	body := get(s.Handler(), "/metrics").Body.Bytes()
+	if err := obs.Lint(body); err != nil {
+		t.Fatalf("/metrics fails lint: %v", err)
+	}
+	if !bytes.Contains(body, []byte("\nhybridmem_cluster_runs_warm_total 2\n")) {
+		t.Fatalf("/metrics lacks hybridmem_cluster_runs_warm_total 2:\n%s", body)
 	}
 }
 

@@ -453,16 +453,9 @@ func (s *Server) acquireSync() bool {
 func (s *Server) releaseSync() { <-s.syncSem }
 
 // --- fingerprints ---
-
-// versionParts prefixes every fingerprint: a result cached under one
-// engine or schema version can never serve a request under another. The
-// canonical implementation lives with the store so every layer keys the
-// same way.
-func versionParts(kind string) []string { return store.VersionParts(kind) }
-
-// fingerprint is the store's canonical content address, promoted from
-// this package.
-func fingerprint(parts ...string) string { return store.Fingerprint(parts...) }
+//
+// Every key opens with store.VersionParts, so a result cached under one
+// engine or schema version never serves a request under another.
 
 func cfgParts(c api.Config) []string {
 	return []string{
@@ -476,15 +469,15 @@ func cfgParts(c api.Config) []string {
 // runKey is the cache key of a sync run; series (from ?series=1) makes
 // it the key of the run-series document instead.
 func runKey(req runRequest, series *seriesOptions) string {
-	parts := append(versionParts("run"), req.Design, req.Workload)
+	parts := append(store.VersionParts("run"), req.Design, req.Workload)
 	parts = append(parts, cfgParts(req.Config)...)
-	return fingerprint(append(parts, seriesParts(series)...)...)
+	return store.Fingerprint(append(parts, seriesParts(series)...)...)
 }
 
 func sweepKey(req sweepRequest) string {
-	parts := append(versionParts("sweep"), "designs="+join(req.Designs), "workloads="+join(req.Workloads))
+	parts := append(store.VersionParts("sweep"), "designs="+join(req.Designs), "workloads="+join(req.Workloads))
 	parts = append(parts, cfgParts(req.Config)...)
-	return fingerprint(append(parts, seriesParts(req.Series)...)...)
+	return store.Fingerprint(append(parts, seriesParts(req.Series)...)...)
 }
 
 // seriesParts folds telemetry options into a fingerprint: the series
@@ -504,10 +497,10 @@ func seriesParts(o *seriesOptions) []string {
 
 // seriesKey is the store key of a sampled sweep job's settled series
 // document, derived from the job ID that keys its result document.
-func seriesKey(jobID string) string { return fingerprint(jobID, "series") }
+func seriesKey(jobID string) string { return store.Fingerprint(jobID, "series") }
 
 func exploreKey(req exploreRequest) string {
-	parts := append(versionParts("explore"),
+	parts := append(store.VersionParts("explore"),
 		"families="+join(req.Families),
 		"workloads="+join(req.Workloads),
 		"budget="+strconv.Itoa(req.Budget),
@@ -524,7 +517,7 @@ func exploreKey(req exploreRequest) string {
 			"sbudget="+strconv.Itoa(req.ScreenBudget),
 		)
 	}
-	return fingerprint(append(parts, cfgParts(req.Config)...)...)
+	return store.Fingerprint(append(parts, cfgParts(req.Config)...)...)
 }
 
 func join(ss []string) string { return strings.Join(ss, ",") }
@@ -553,7 +546,14 @@ func (s *Server) defaultRunOne(designName, workloadName string, cfg api.Config, 
 	return s.runner(cfg, tel).ResultErr(wl, designName, cfg.NMRatio16)
 }
 
+// defaultRunSweep shards a plain sweep across the coordinator's pool
+// when the server is one, and runs it locally otherwise. A sampled sweep
+// always runs locally — runners return results, not series — and
+// passivity makes its headline document match the clustered one.
 func (s *Server) defaultRunSweep(ctx context.Context, specs []exp.RunSpec, cfg api.Config, tel *exp.TelemetryOptions, progress func(done, total int)) ([]sim.Result, error) {
+	if s.opts.Cluster != nil && tel == nil {
+		return s.clusterSweep(ctx, specs, cfg, progress)
+	}
 	return s.runner(cfg, tel).ResultsParallelProgress(ctx, specs, progress)
 }
 
@@ -665,12 +665,6 @@ func (s *Server) execSweep(ctx context.Context, j *job) ([]byte, error) {
 			j.publishProgress(data)
 		}
 	}
-	if s.opts.Cluster != nil && req.Series == nil {
-		return s.execClusterSweep(ctx, specs, req.Config, progress)
-	}
-	// Telemetry rides on local execution even under a coordinator:
-	// runners return results, not series, and passivity guarantees the
-	// headline document matches the clustered path byte for byte.
 	var tel *exp.TelemetryOptions
 	if o := req.Series; o != nil {
 		tel = s.sweepTelemetry(j, specs, *o)
@@ -729,11 +723,10 @@ func (s *Server) sweepTelemetry(j *job, specs []exp.RunSpec, o seriesOptions) *e
 	}
 }
 
-// execClusterSweep shards the sweep across the runner pool. Outcomes
-// arrive as the canonical wire Result (computed on the runners by the
-// same api.FromSim mapping, in the same SweepSpecsByName order), so the
-// assembled document is byte-identical to the local path's encoding.
-func (s *Server) execClusterSweep(ctx context.Context, specs []exp.RunSpec, c api.Config, progress func(done, total int)) ([]byte, error) {
+// clusterSweep shards the sweep across the runner pool. Outcomes carry
+// each run's sim.Result record in SweepSpecsByName order, so the caller
+// encodes them exactly as it encodes a local sweep.
+func (s *Server) clusterSweep(ctx context.Context, specs []exp.RunSpec, c api.Config, progress func(done, total int)) ([]sim.Result, error) {
 	runs := make([]cluster.Run, len(specs))
 	for i, sp := range specs {
 		runs[i] = cluster.Run{Design: sp.Design, Workload: sp.Workload.Name, Ratio16: sp.Ratio16}
@@ -743,19 +736,15 @@ func (s *Server) execClusterSweep(ctx context.Context, specs []exp.RunSpec, c ap
 	if err != nil {
 		return nil, err
 	}
-	doc := api.Sweep{Schema: api.SchemaVersion, Results: make([]api.Result, len(outs))}
+	res := make([]sim.Result, len(outs))
 	var errs []error
 	for i, o := range outs {
 		if o.Err != "" {
 			errs = append(errs, errors.New(o.Err))
-			continue
 		}
-		doc.Results[i] = o.Result
+		res[i] = o.Result
 	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return api.Encode(doc)
+	return res, errors.Join(errs...)
 }
 
 type exploreProgress struct {
@@ -1133,10 +1122,6 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg = normalizeConfig(cfg, 1_000_000)
-	if mlp < 1 {
-		writeError(w, http.StatusBadRequest, "mlp must be >= 1, got %d", mlp)
-		return
-	}
 	if verr := s.checkConfig(cfg); verr != nil {
 		writeError(w, http.StatusBadRequest, "%v", verr)
 		return
@@ -1158,8 +1143,9 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	res, err := runner.RunTrace(name, r.Body, designName, cfg.NMRatio16, mlp)
 	s.metrics.inflightSims.Add(-1)
 	if err != nil {
-		// Everything RunTrace reports — decode errors, window skew, an
-		// empty trace — originates in the uploaded bytes.
+		// Everything RunTrace reports — an mlp outside [1, exp.MaxMLP],
+		// decode errors, window skew, an empty trace — originates in the
+		// request.
 		writeError(w, http.StatusBadRequest, "replay failed: %v", err)
 		return
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -508,6 +509,21 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if w := get(h, "/v1/jobs/nosuchjob"); w.Code != http.StatusNotFound {
 		t.Errorf("unknown job: code %d, want 404", w.Code)
+	}
+}
+
+// TestReplayRejectsMLPOutOfRange: /v1/replay answers 400 for an mlp
+// outside [1, exp.MaxMLP] — an unbounded one would allocate per-core
+// state proportional to it, and 1<<30 would exhaust memory and kill
+// the server.
+func TestReplayRejectsMLPOutOfRange(t *testing.T) {
+	h := newTestServer(t, Options{}).Handler()
+	for _, mlp := range []string{"0", "-3", strconv.Itoa(exp.MaxMLP + 1), "1073741824"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/replay?design=Baseline&mlp="+mlp, strings.NewReader("0 1 40 R\n")))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "mlp") {
+			t.Errorf("mlp %s: code %d (%s), want 400 naming mlp", mlp, w.Code, strings.TrimSpace(w.Body.String()))
+		}
 	}
 }
 

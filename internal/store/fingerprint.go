@@ -15,9 +15,9 @@ import (
 // NUL-separated so concatenation ambiguity cannot alias two requests.
 //
 // This is the single canonical fingerprint of the repo: the serve
-// layer's request/job IDs, the runner's per-simulation records and the
-// cluster's shard records all derive their keys from it, so every layer
-// addresses the same store entries the same way.
+// layer's request/job IDs and the per-run records that exp.Runner and
+// the cluster coordinator share (RunKey) all derive their keys from it,
+// so every layer addresses the same store entries the same way.
 func Fingerprint(parts ...string) string {
 	h := sha256.New()
 	for _, p := range parts {

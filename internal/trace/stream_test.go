@@ -38,7 +38,7 @@ func sampleRecords(n, cores int) []struct {
 }
 
 // encode serializes records with a StreamWriter into a buffer.
-func encode(t *testing.T, recs []struct {
+func encode(t testing.TB, recs []struct {
 	core int
 	rec  Record
 }, format Format, compress bool) []byte {
@@ -430,6 +430,36 @@ func TestParseFormat(t *testing.T) {
 	}
 	if _, err := ParseFormat("msgpack"); err == nil {
 		t.Fatal("unknown format accepted")
+	}
+}
+
+// TestStreamReadAllocsIndependentOfLength pins the decoder's steady
+// state: reading a 1k-record and a 100k-record stream make the same
+// number of allocations — at most 4: the input reader, the decoder, and
+// its bufio reader and buffer — in text and in binary, so decoding a
+// record allocates nothing.
+func TestStreamReadAllocsIndependentOfLength(t *testing.T) {
+	for _, format := range []Format{FormatText, FormatBinary} {
+		read := func(data []byte) float64 {
+			return testing.AllocsPerRun(3, func() {
+				d, err := NewDecoder(bytes.NewReader(data), 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for {
+					if _, _, err := d.Decode(); err == io.EOF {
+						break
+					} else if err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+		short := read(encode(t, sampleRecords(1_000, 8), format, false))
+		long := read(encode(t, sampleRecords(100_000, 8), format, false))
+		if short != long || long > 4 {
+			t.Errorf("%v: %v allocs reading 1k records, %v reading 100k; want equal and at most 4", format, short, long)
+		}
 	}
 }
 

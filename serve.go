@@ -37,12 +37,13 @@ type ServeOptions struct {
 	CacheEntries int
 	CacheBytes   int64
 	// StoreDir, when non-empty, adds a persistent disk tier below the
-	// memory cache: result documents and run results are written there
-	// and repeated requests are served from it across restarts, never
-	// re-simulating. In coordinator mode the same store also persists
-	// completed shard outcomes, so batches re-run after node loss or
-	// coordinator restart re-dispatch only cold work. Entries are keyed
-	// by the engine and schema versions, so version bumps invalidate the
+	// memory cache: result documents and one record per simulated run
+	// are written there, and repeated requests are served from it across
+	// restarts, never re-simulating. In coordinator mode the coordinator
+	// reads and writes the same run records for the runs it dispatches,
+	// so a batch re-run after node loss or a coordinator restart
+	// dispatches only runs the store has not seen. Entries are keyed by
+	// the engine and schema versions, so version bumps invalidate the
 	// directory's contents rather than serving stale results.
 	StoreDir string
 	// StoreMaxBytes bounds the disk tier; least-recently-used entries
@@ -139,9 +140,9 @@ func Serve(ctx context.Context, opts ServeOptions) error {
 		}()
 		defer signal.Stop(quit)
 	}
-	// One store serves the whole process: the HTTP layer's document
-	// cache and the coordinator's shard persistence share its tiers, so
-	// every layer sees every other's warm results. Its disk tier sits
+	// One store serves the whole process: the HTTP layer's documents,
+	// its local runs' records and the coordinator's run records share
+	// its tiers, so every layer sees every other's warm results. Its disk tier sits
 	// where serve.New would put it: StoreDir, else <StateDir>/store.
 	storeDir := opts.StoreDir
 	if storeDir == "" && opts.StateDir != "" {
@@ -265,8 +266,8 @@ type RunnerOptions struct {
 	// GOMAXPROCS.
 	Parallelism int
 	// StoreDir, when non-empty, gives the runner a persistent result
-	// store: run results are written to its disk tier and repeated shard
-	// work is answered from it without re-simulating, surviving runner
+	// store: run records are written to its disk tier and repeated runs
+	// are answered from it without re-simulating, surviving runner
 	// restarts.
 	StoreDir string
 	// StoreMaxBytes bounds the runner's disk store; <= 0 means
