@@ -13,6 +13,7 @@
 package cameo
 
 import (
+	"hybridmem/internal/baselines/migcommon"
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
 )
@@ -50,10 +51,7 @@ type CAMEO struct {
 	// 0 = the group's NM line, v>0 = FM line g*k+(v-1).
 	slots []uint8
 
-	rcTags []uint64
-	rcLRU  []uint64
-	rcSets int
-	clock  uint64
+	rc *migcommon.RemapCache
 
 	permPow2 uint32
 	permMul  uint32
@@ -79,12 +77,9 @@ func New(cfg Config, nm, fm *memsys.Device) *CAMEO {
 		k:      k,
 		pinned: fmLines - groups*k,
 		slots:  make([]uint8, uint64(groups)*uint64(k+1)),
-		rcTags: make([]uint64, cfg.RemapCacheEntries),
-		rcLRU:  make([]uint64, cfg.RemapCacheEntries),
-		rcSets: cfg.RemapCacheEntries / 16,
-	}
-	if c.rcSets <= 0 || c.rcSets&(c.rcSets-1) != 0 {
-		panic("cameo: remap cache sets must be a positive power of two")
+		// One remap-cache entry covers a group, like CAMEO's
+		// row-granularity line-location table (LLIT) entries.
+		rc: migcommon.NewRemapCache(cfg.RemapCacheEntries, 16),
 	}
 	for g := uint32(0); g < groups; g++ {
 		base := uint64(g) * uint64(k+1)
@@ -123,31 +118,6 @@ func (c *CAMEO) scramble(l uint32) uint32 {
 	}
 }
 
-// rcLookup checks the on-chip line-location table cache (one entry covers
-// a group, like CAMEO's row-granularity LLIT entries).
-func (c *CAMEO) rcLookup(group uint32) bool {
-	c.clock++
-	set := int(group) % c.rcSets
-	base := set * 16
-	victim := base
-	key := uint64(group) + 1
-	for i := base; i < base+16; i++ {
-		if c.rcTags[i] == key {
-			c.rcLRU[i] = c.clock
-			return true
-		}
-		if c.rcTags[victim] == 0 {
-			continue
-		}
-		if c.rcTags[i] == 0 || c.rcLRU[i] < c.rcLRU[victim] {
-			victim = i
-		}
-	}
-	c.rcTags[victim] = key
-	c.rcLRU[victim] = c.clock
-	return false
-}
-
 // Access implements MemorySystem: an FM-resident line is swapped with the
 // group's NM occupant on every access (CAMEO's policy).
 func (c *CAMEO) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtypes.Tick {
@@ -169,7 +139,7 @@ func (c *CAMEO) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtyp
 
 	g := logical % c.groups
 	j := logical / c.groups
-	if !c.rcLookup(g) {
+	if !c.rc.Lookup(g) {
 		// Line-location table read from NM on the critical path.
 		now = c.nm.AccessAs(memtypes.Metadata, now, memtypes.Addr(c.cfg.NMBytes)-memtypes.Addr(1+g%4096)*64, 64, false)
 	}

@@ -15,6 +15,7 @@
 package chameleon
 
 import (
+	"hybridmem/internal/baselines/migcommon"
 	"hybridmem/internal/config"
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
@@ -88,12 +89,16 @@ type Chameleon struct {
 	cand     []uint8
 	ctr      []int16
 	lastSeg  uint32 // globally last-accessed sector (episode counting)
+	// Undo state of the run, for Reset: every swap, and every group
+	// whose competing counter left its initial (no candidate) state.
+	swaps       []swapUndo
+	countedGrps []uint32
 	// swapCredit paces swaps by demand: each FM demand access earns one
 	// credit; a 2 KB swap costs 64 (it moves 64 accesses worth of FM
 	// bytes each way). This keeps swap traffic bounded by demand traffic.
 	swapCredit int
 
-	rc        *remapCache
+	rc        *migcommon.RemapCache
 	cache     *segCache
 	cacheBase memtypes.Addr
 
@@ -106,43 +111,40 @@ type Chameleon struct {
 	permAdd  uint32
 }
 
-type remapCache struct {
-	tags  []uint64
-	lru   []uint64
-	sets  int
-	assoc int
-	clock uint64
+// swapUndo is one swap: member j of group g moved into NM from member
+// slot v, and the previous occupant occ took v.
+type swapUndo struct {
+	g         uint32
+	occ, j, v uint8
 }
 
-func newRemapCache(entries, assoc int) *remapCache {
-	sets := entries / assoc
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic("chameleon: remap cache sets must be a positive power of two")
+// Reset implements memtypes.Resetter: it unwinds the swaps newest first,
+// clears the counters of the groups the run counted in and the installed
+// cache-mode segments, and zeroes the run's state.
+func (c *Chameleon) Reset() {
+	for i := len(c.swaps) - 1; i >= 0; i-- {
+		u := c.swaps[i]
+		base := uint64(u.g) * uint64(c.k+1)
+		c.slots[base+uint64(u.j)] = u.v
+		c.slots[base+uint64(u.occ)] = 0
+		c.occupant[u.g] = u.occ
 	}
-	return &remapCache{tags: make([]uint64, entries), lru: make([]uint64, entries), sets: sets, assoc: assoc}
-}
-
-func (r *remapCache) lookup(logical uint32) bool {
-	r.clock++
-	set := int(logical) % r.sets
-	base := set * r.assoc
-	victim := base
-	key := uint64(logical) + 1
-	for i := base; i < base+r.assoc; i++ {
-		if r.tags[i] == key {
-			r.lru[i] = r.clock
-			return true
-		}
-		if r.tags[victim] == 0 {
-			continue
-		}
-		if r.tags[i] == 0 || r.lru[i] < r.lru[victim] {
-			victim = i
-		}
+	for _, g := range c.countedGrps {
+		c.cand[g], c.ctr[g] = 255, 0
 	}
-	r.tags[victim] = key
-	r.lru[victim] = r.clock
-	return false
+	c.swaps, c.countedGrps = c.swaps[:0], c.countedGrps[:0]
+	if sc := c.cache; sc != nil {
+		for _, slot := range sc.where {
+			sc.slots[slot], sc.dirty[slot] = 0, false
+		}
+		clear(sc.where)
+		clear(sc.touches)
+		sc.fifo = 0
+	}
+	c.rc.Reset()
+	c.lastSeg = ^uint32(0)
+	c.swapCredit = 0
+	c.stats = memtypes.MemStats{}
 }
 
 // PoM returns the configuration of Chameleon's base design, Part-of-
@@ -177,7 +179,7 @@ func New(cfg Config, nm, fm *memsys.Device) *Chameleon {
 		cand:     make([]uint8, flatNM),
 		ctr:      make([]int16, flatNM),
 		lastSeg:  ^uint32(0),
-		rc:       newRemapCache(cfg.RemapCacheEntries, 16),
+		rc:       migcommon.NewRemapCache(cfg.RemapCacheEntries, 16),
 
 		cacheBase: memtypes.Addr(cfg.NMBytes - cfg.CacheBytes),
 	}
@@ -272,6 +274,7 @@ func (c *Chameleon) swap(now memtypes.Tick, g, j uint32) {
 	c.nm.AccessBG(memtypes.Metadata, end, c.cacheBase-memtypes.Addr(1+g%4096)*64, 64, true)
 	c.stats.Migrations++
 
+	c.swaps = append(c.swaps, swapUndo{g: g, occ: uint8(occ), j: uint8(j), v: v})
 	c.slots[base+uint64(occ)] = v
 	c.slots[base+uint64(j)] = 0
 	c.occupant[g] = uint8(j)
@@ -344,7 +347,7 @@ func (c *Chameleon) Access(now memtypes.Tick, addr memtypes.Addr, write bool) me
 
 	// Chameleon's remap metadata is per-group (a few bits per member), so
 	// one remap-cache entry covers a whole congruence group.
-	if g := logical % c.groups; !c.rc.lookup(g) {
+	if g := logical % c.groups; !c.rc.Lookup(g) {
 		// Remap-table read in NM on the critical path, spread over the
 		// metadata region like the real per-group table.
 		now = c.nm.AccessAs(memtypes.Metadata, now, c.cacheBase-memtypes.Addr(1+g%4096)*64, 64, false)
@@ -371,6 +374,9 @@ func (c *Chameleon) Access(now memtypes.Tick, addr memtypes.Addr, write bool) me
 			case c.cand[g] == uint8(j):
 				c.ctr[g]++
 			case c.ctr[g] <= 0:
+				if c.cand[g] == 255 {
+					c.countedGrps = append(c.countedGrps, g)
+				}
 				c.cand[g] = uint8(j)
 				c.ctr[g] = 1
 			default:

@@ -2,6 +2,7 @@ package chameleon
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hybridmem/internal/memsys"
@@ -199,5 +200,37 @@ func TestLocationsStayBijectiveUnderSwaps(t *testing.T) {
 			t.Fatalf("aliasing after swaps at logical %d", l)
 		}
 		seen[key] = true
+	}
+}
+
+// TestResetRestoresBuiltState: after traffic that swaps group members and
+// installs cache-mode segments, Reset (with the devices reset) leaves
+// exactly a fresh build's state.
+func TestResetRestoresBuiltState(t *testing.T) {
+	c := newSmall(5)
+	rng := rand.New(rand.NewSource(5))
+	var now memtypes.Tick
+	for i := 0; i < 200000; i++ {
+		now += memtypes.Tick(rng.Intn(40))
+		addr := memtypes.Addr(rng.Intn(32)) << 11 // a hot set smaller than the cache slice
+		if i%4 == 0 {
+			addr = memtypes.Addr(rng.Int63n(8 << 20))
+		}
+		c.Access(now, addr&^63, rng.Intn(4) == 0)
+	}
+	c.Finish(now)
+	if c.stats.Migrations == 0 || len(c.cache.where) == 0 {
+		t.Fatalf("traffic swapped %d, installed %d", c.stats.Migrations, len(c.cache.where))
+	}
+	c.Reset()
+	c.nm.Reset()
+	c.fm.Reset()
+	if len(c.swaps)+len(c.countedGrps) != 0 {
+		t.Fatal("undo state not empty after Reset")
+	}
+	got, want := *c, *newSmall(5)
+	got.swaps, got.countedGrps = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Error("reset state differs from a fresh build")
 	}
 }

@@ -92,8 +92,9 @@ type Cache struct {
 	used []uint64 // per-64B chunk touch bits (lines up to 4 KB)
 
 	// touched lists every slot that ever held a line, in first-fill
-	// order, so Finish credits resident use masks without scanning the
-	// whole (potentially tens of millions of entries) array.
+	// order, so Finish credits resident use masks and Reset empties the
+	// cache without scanning the whole (potentially tens of millions of
+	// entries) array.
 	touched []int32
 
 	sets     int
@@ -139,6 +140,20 @@ func New(cfg Config, nm, fm *memsys.Device) *Cache {
 		c.lrus = make([]uint64, sets*cfg.Assoc)
 	}
 	return c
+}
+
+// Reset implements memtypes.Resetter: only the slots on the touched list
+// ever held a line, so clearing them empties the cache.
+func (c *Cache) Reset() {
+	for _, idx := range c.touched {
+		c.tags[idx], c.used[idx] = 0, 0
+		if c.lrus != nil {
+			c.lrus[idx] = 0
+		}
+	}
+	c.touched = c.touched[:0]
+	c.clock = 0
+	c.stats = memtypes.MemStats{}
 }
 
 // Name implements MemorySystem.

@@ -1,6 +1,8 @@
 package dramcache
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"hybridmem/internal/memsys"
@@ -152,5 +154,39 @@ func TestCapacityConservation(t *testing.T) {
 	c.Access(now, memtypes.Addr(cap), false)
 	if c.Stats().Evictions != 1 {
 		t.Fatalf("evictions %d after overflow, want 1", c.Stats().Evictions)
+	}
+}
+
+// TestResetRestoresBuiltState: after traffic that fills, hits and
+// evicts, Reset (with the devices reset) leaves exactly a fresh build's
+// state, for set-associative and direct-mapped caches alike.
+func TestResetRestoresBuiltState(t *testing.T) {
+	for _, cfg := range []Config{DFC(1<<20, 256), Alloy(1 << 20), Tagless(1 << 20)} {
+		build := func() *Cache {
+			nm, fm := devices()
+			return New(cfg, nm, fm)
+		}
+		c := build()
+		rng := rand.New(rand.NewSource(1))
+		var now memtypes.Tick
+		for i := 0; i < 20000; i++ {
+			now += memtypes.Tick(rng.Intn(40))
+			c.Access(now, memtypes.Addr(rng.Int63n(8<<20))&^63, rng.Intn(4) == 0)
+		}
+		c.Finish(now)
+		if c.stats.Evictions == 0 {
+			t.Fatalf("%s: no evictions", cfg.Name)
+		}
+		c.Reset()
+		c.nm.Reset()
+		c.fm.Reset()
+		if len(c.touched) != 0 {
+			t.Fatalf("%s: touched list not empty after Reset", cfg.Name)
+		}
+		got, want := *c, *build()
+		got.touched, want.touched = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reset state differs from a fresh build", cfg.Name)
+		}
 	}
 }

@@ -33,6 +33,9 @@ func (f *FMOnly) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memty
 // Finish implements MemorySystem (no deferred work).
 func (f *FMOnly) Finish(memtypes.Tick) {}
 
+// Reset implements memtypes.Resetter.
+func (f *FMOnly) Reset() { f.stats = memtypes.MemStats{} }
+
 // Stats implements MemorySystem.
 func (f *FMOnly) Stats() *memtypes.MemStats { return memsys.WithTraffic(&f.stats, nil, f.fm) }
 
@@ -58,6 +61,9 @@ func (f *NMOnly) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memty
 
 // Finish implements MemorySystem (no deferred work).
 func (f *NMOnly) Finish(memtypes.Tick) {}
+
+// Reset implements memtypes.Resetter.
+func (f *NMOnly) Reset() { f.stats = memtypes.MemStats{} }
 
 // Stats implements MemorySystem.
 func (f *NMOnly) Stats() *memtypes.MemStats { return memsys.WithTraffic(&f.stats, f.nm, nil) }

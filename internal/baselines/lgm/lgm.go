@@ -79,6 +79,18 @@ func New(cfg Config, nm, fm *memsys.Device) *LGM {
 	return l
 }
 
+// Reset implements memtypes.Resetter.
+func (l *LGM) Reset() {
+	l.space.Reset()
+	l.rc.Reset()
+	l.stats = memtypes.MemStats{}
+	clear(l.touched)
+	l.candQ = l.candQ[:0]
+	l.fmDemand, l.nmFIFO = 0, 0
+	l.lastSeg = ^uint32(0)
+	l.nextInt = l.cfg.IntervalCycles
+}
+
 // Name implements MemorySystem.
 func (l *LGM) Name() string { return "LGM" }
 

@@ -80,6 +80,17 @@ func New(cfg Config, nm, fm *memsys.Device) *MemPod {
 	return m
 }
 
+// Reset implements memtypes.Resetter.
+func (m *MemPod) Reset() {
+	m.space.Reset()
+	m.rc.Reset()
+	m.stats = memtypes.MemStats{}
+	m.mea = m.mea[:0]
+	clear(m.meaIdx)
+	m.debt, m.fmDemand, m.nmFIFO = 0, 0, 0
+	m.nextInt = m.cfg.IntervalCycles
+}
+
 // Name implements MemorySystem.
 func (m *MemPod) Name() string { return "MPOD" }
 

@@ -2,6 +2,7 @@ package mempod
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hybridmem/internal/memsys"
@@ -95,5 +96,39 @@ func TestRemapCacheMissesChargeNMMeta(t *testing.T) {
 	}
 	if nm.Traffic[memtypes.Metadata].Read == 0 {
 		t.Fatal("wide random traffic produced no remap-cache misses")
+	}
+}
+
+// TestResetRestoresBuiltState: after traffic that swaps sectors across
+// several intervals, Reset leaves exactly a fresh build's state: the
+// flat space's initial placement and every field of the design.
+func TestResetRestoresBuiltState(t *testing.T) {
+	x := newSmall(3)
+	rng := rand.New(rand.NewSource(3))
+	var now memtypes.Tick
+	for i := 0; i < 200000; i++ {
+		now += memtypes.Tick(rng.Intn(20))
+		addr := memtypes.Addr(rng.Intn(256)) << 11 // a hot set of sectors
+		if i%4 == 0 {
+			addr = memtypes.Addr(rng.Int63n(8 << 20))
+		}
+		x.Access(now, addr&^63, rng.Intn(4) == 0)
+	}
+	x.Finish(now)
+	if x.stats.Migrations == 0 {
+		t.Fatal("no swaps to undo")
+	}
+	x.Reset()
+	fresh := newSmall(3)
+	for l := uint32(0); l < fresh.space.Sectors(); l++ {
+		if x.space.Lookup(l) != fresh.space.Lookup(l) {
+			t.Fatalf("sector %d: placement %+v after Reset, %+v when built", l, x.space.Lookup(l), fresh.space.Lookup(l))
+		}
+	}
+	got, want := *x, *fresh
+	got.space, want.space = nil, nil
+	got.mea, want.mea = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reset state differs from a fresh build:\n got %+v\nwant %+v", got, want)
 	}
 }

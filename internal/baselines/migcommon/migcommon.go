@@ -8,6 +8,7 @@ package migcommon
 import (
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
+	"hybridmem/internal/placement"
 )
 
 // Loc is the physical location of a logical sector.
@@ -28,11 +29,22 @@ type Space struct {
 	nmOwner []uint32 // NM slot -> logical sector
 	fmOwner []uint32 // FM slot -> logical sector
 
+	// swaps is the run's undo log: Reset unwinds it to restore the
+	// initial placement in time proportional to the swaps made.
+	swaps []swapUndo
+
 	nm, fm *memsys.Device
 	stats  *memtypes.MemStats
 
 	// remapTableBase addresses the in-NM remap table for metadata traffic.
 	remapTableBase memtypes.Addr
+}
+
+// swapUndo is one Swap: logical sector a moved from FM slot fmSlot into
+// NM slot nmSlot, whose occupant b took fmSlot.
+type swapUndo struct {
+	a, b           uint32
+	nmSlot, fmSlot uint32
 }
 
 // NewSpace builds the space with the paper's initial page placement:
@@ -55,10 +67,33 @@ func NewSpace(sectorBytes int, nmBytes, fmBytes uint64, nm, fm *memsys.Device, s
 		stats:          stats,
 		remapTableBase: memtypes.Addr(nmBytes) - memtypes.Addr(total)*8,
 	}
-	// Seeded Fisher-Yates over physical slots, memoized per (seed,
-	// geometry) — see placement.go.
-	initialPlacement(seed, nmSec, fmSec, s.remap, s.nmOwner, s.fmOwner)
+	perm := placement.Perm(seed, int(total))
+	remap := s.remap[:len(perm)]
+	for logical, phys := range perm {
+		if phys < nmSec {
+			remap[logical] = Loc{NM: true, Idx: phys}
+		} else {
+			remap[logical] = Loc{NM: false, Idx: phys - nmSec}
+		}
+	}
+	owners := placement.Inverse(seed, int(total))
+	copy(s.nmOwner, owners[:nmSec])
+	copy(s.fmOwner, owners[nmSec:])
 	return s
+}
+
+// Reset undoes every Swap since construction, newest first, restoring
+// the initial placement. The counters belong to the design, which
+// resets them itself.
+func (s *Space) Reset() {
+	for i := len(s.swaps) - 1; i >= 0; i-- {
+		u := s.swaps[i]
+		s.remap[u.a] = Loc{NM: false, Idx: u.fmSlot}
+		s.fmOwner[u.fmSlot] = u.a
+		s.remap[u.b] = Loc{NM: true, Idx: u.nmSlot}
+		s.nmOwner[u.nmSlot] = u.b
+	}
+	s.swaps = s.swaps[:0]
 }
 
 // Sectors returns the number of logical sectors in the flat space.
@@ -131,6 +166,7 @@ func (s *Space) Swap(now memtypes.Tick, a uint32, nmSlot uint32, fmSkipBytes int
 	s.stats.Migrations++
 
 	// Update mappings: A takes the NM slot, B takes A's old FM slot.
+	s.swaps = append(s.swaps, swapUndo{a: a, b: b, nmSlot: nmSlot, fmSlot: la.Idx})
 	s.remap[a] = lb
 	s.nmOwner[nmSlot] = a
 	s.remap[b] = la
@@ -163,12 +199,14 @@ func (s *Space) CheckInvariants() bool {
 
 // RemapCache is the on-chip cache of remap-table entries. Its capacity is
 // set equal to Hybrid2's XTA in the paper's comparisons (§5, 512 KB).
+// Every design with a set-associative remap cache (MemPod, LGM,
+// Chameleon, CAMEO, SILC-FM) uses this one.
 type RemapCache struct {
-	tags  []uint64 // logical sector +1, 0 = invalid
-	lru   []uint64
-	sets  int
-	assoc int
-	clock uint64
+	tags    []uint64 // key +1, 0 = invalid
+	lru     []uint64
+	setMask uint32
+	assoc   int
+	clock   uint64
 
 	Hits, Misses uint64
 }
@@ -180,18 +218,27 @@ func NewRemapCache(entries, assoc int) *RemapCache {
 		panic("migcommon: remap cache sets must be a positive power of two")
 	}
 	return &RemapCache{
-		tags:  make([]uint64, entries),
-		lru:   make([]uint64, entries),
-		sets:  sets,
-		assoc: assoc,
+		tags:    make([]uint64, entries),
+		lru:     make([]uint64, entries),
+		setMask: uint32(sets - 1),
+		assoc:   assoc,
 	}
 }
 
-// Lookup returns whether logical's remap entry is cached, inserting it.
+// Reset empties the cache and zeroes its counters.
+func (r *RemapCache) Reset() {
+	clear(r.tags)
+	clear(r.lru)
+	r.clock, r.Hits, r.Misses = 0, 0, 0
+}
+
+// Lookup returns whether the entry of key (a logical sector, or the
+// group or set number a design keys its remap entries by) is cached,
+// inserting it on a miss. The victim is the first invalid way, else the
+// lowest-indexed least-recently-used one.
 func (r *RemapCache) Lookup(logical uint32) bool {
 	r.clock++
-	set := int(logical) % r.sets
-	base := set * r.assoc
+	base := int(logical&r.setMask) * r.assoc
 	victim := base
 	key := uint64(logical) + 1
 	for i := base; i < base+r.assoc; i++ {

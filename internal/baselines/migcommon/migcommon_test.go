@@ -2,6 +2,7 @@ package migcommon
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -190,4 +191,40 @@ func TestRemapCacheBadGeometryPanics(t *testing.T) {
 		}
 	}()
 	NewRemapCache(48, 16) // 3 sets: not a power of two
+}
+
+// TestSpaceResetRestoresPlacement: Reset unwinds random swaps back to the
+// seeded initial placement, leaving a space deeply equal to a fresh one.
+func TestSpaceResetRestoresPlacement(t *testing.T) {
+	s, _ := newSpace(4)
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 5000; i++ {
+		a := uint32(rng.Intn(int(s.Sectors())))
+		if !s.Lookup(a).NM {
+			s.Swap(memtypes.Tick(i), a, uint32(rng.Intn(int(s.NMSectors))), 0)
+		}
+	}
+	s.Reset()
+	s.nm.Reset()
+	s.fm.Reset()
+	if len(s.swaps) != 0 {
+		t.Fatal("swap log not empty after Reset")
+	}
+	fresh, _ := newSpace(4)
+	got, want := *s, *fresh
+	got.swaps, got.stats, want.stats = nil, nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Error("reset space differs from a fresh one")
+	}
+}
+
+func TestRemapCacheReset(t *testing.T) {
+	r := NewRemapCache(64, 4)
+	for i := uint32(0); i < 1000; i++ {
+		r.Lookup(i * 7 % 97)
+	}
+	r.Reset()
+	if !reflect.DeepEqual(r, NewRemapCache(64, 4)) {
+		t.Error("reset remap cache differs from a fresh one")
+	}
 }

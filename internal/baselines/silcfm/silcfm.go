@@ -16,6 +16,7 @@ package silcfm
 import (
 	"math/bits"
 
+	"hybridmem/internal/baselines/migcommon"
 	"hybridmem/internal/config"
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
@@ -60,14 +61,12 @@ type SILCFM struct {
 
 	sets  uint32
 	ways  []way
-	clock uint64
+	clock uint64 // way LRU stamps
 
 	episodes map[uint32]uint8 // FM segment -> reuse episodes (bounded)
 	lastSeg  uint32
 
-	rcTags []uint64
-	rcLRU  []uint64
-	rcSets int
+	rc *migcommon.RemapCache
 }
 
 // New builds SILC-FM over the two devices.
@@ -85,12 +84,7 @@ func New(cfg Config, nm, fm *memsys.Device) *SILCFM {
 		ways:     make([]way, nmSectors),
 		episodes: make(map[uint32]uint8, 4096),
 		lastSeg:  ^uint32(0),
-		rcTags:   make([]uint64, cfg.RemapCacheEntries),
-		rcLRU:    make([]uint64, cfg.RemapCacheEntries),
-		rcSets:   cfg.RemapCacheEntries / 16,
-	}
-	if s.rcSets <= 0 || s.rcSets&(s.rcSets-1) != 0 {
-		panic("silcfm: remap cache sets must be a positive power of two")
+		rc:       migcommon.NewRemapCache(cfg.RemapCacheEntries, 16),
 	}
 	return s
 }
@@ -100,29 +94,6 @@ func (s *SILCFM) Name() string { return "SILC-FM" }
 
 // Stats implements MemorySystem.
 func (s *SILCFM) Stats() *memtypes.MemStats { return memsys.WithTraffic(&s.stats, s.nm, s.fm) }
-
-func (s *SILCFM) rcLookup(key uint32) bool {
-	s.clock++
-	set := int(key) % s.rcSets
-	base := set * 16
-	victim := base
-	k := uint64(key) + 1
-	for i := base; i < base+16; i++ {
-		if s.rcTags[i] == k {
-			s.rcLRU[i] = s.clock
-			return true
-		}
-		if s.rcTags[victim] == 0 {
-			continue
-		}
-		if s.rcTags[i] == 0 || s.rcLRU[i] < s.rcLRU[victim] {
-			victim = i
-		}
-	}
-	s.rcTags[victim] = k
-	s.rcLRU[victim] = s.clock
-	return false
-}
 
 func (s *SILCFM) nmAddr(wayIdx uint32, off memtypes.Addr) memtypes.Addr {
 	return memtypes.Addr(wayIdx)*memtypes.Addr(s.cfg.SectorBytes) + off
@@ -157,7 +128,7 @@ func (s *SILCFM) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memty
 	sub := uint(offset / 64)
 	fmHome := memtypes.Addr(seg)*memtypes.Addr(s.cfg.SectorBytes) + offset
 
-	if !s.rcLookup(seg % s.sets) {
+	if !s.rc.Lookup(seg % s.sets) {
 		// Location-table read from NM on the critical path.
 		now = s.nm.AccessAs(memtypes.Metadata, now, memtypes.Addr(s.cfg.NMBytes)-memtypes.Addr(1+seg%4096)*64, 64, false)
 	}

@@ -25,10 +25,12 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"hybridmem/internal/config"
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
+	"hybridmem/internal/placement"
 )
 
 // Mode selects the full design or one of the ablations of Fig. 14.
@@ -164,7 +166,14 @@ type Hybrid2 struct {
 	nextReset memtypes.Tick
 	metaBase  memtypes.Addr
 
-	// §3.8 free-space extension state.
+	// Undo logs of the run: every overwrite of a remap entry or of an NM
+	// slot's (owner, state) pair records the value it replaces, so Reset
+	// restores the built placement in time proportional to the writes.
+	remapLog []remapUndo
+	slotLog  []slotUndo
+
+	// §3.8 free-space extension state. The hints are set-up, not run
+	// state: runs only read them, and Reset keeps them.
 	unused      []bool
 	savedCopies uint64
 
@@ -194,9 +203,34 @@ func (p PathStats) Frac2b() float64 {
 // PathStats returns the Fig. 7 outcome counters.
 func (h *Hybrid2) PathStats() PathStats { return h.path }
 
-type loc struct {
-	nm  bool
-	idx uint32
+// loc is a logical sector's location: an NM pool slot (top bit set) or
+// an FM slot, packed in 4 bytes. The remap table holds one per sector of
+// the whole flat space, so its size is most of a build's cost.
+type loc uint32
+
+const locNM loc = 1 << 31
+
+func nmLoc(slot uint32) loc { return locNM | loc(slot) }
+func fmLoc(slot uint32) loc { return loc(slot) }
+
+// nm reports whether the sector lives in NM.
+func (l loc) nm() bool { return l&locNM != 0 }
+
+// idx returns the sector's slot on its device.
+func (l loc) idx() uint32 { return uint32(l &^ locNM) }
+
+// remapUndo is one overwritten remap entry.
+type remapUndo struct {
+	logical uint32
+	old     loc
+}
+
+// slotUndo is one overwritten NM slot: its inverted-remap owner and its
+// state.
+type slotUndo struct {
+	slot  uint32
+	owner uint32
+	state uint8
 }
 
 // New builds Hybrid2 over the two devices.
@@ -220,6 +254,9 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 	}
 	flat := pool - cacheSlots
 	fmSec := uint32(cfg.FMBytes / uint64(cfg.SectorBytes))
+	if uint64(flat)+uint64(fmSec) >= uint64(locNM) {
+		panic("core: flat space exceeds 2^31 sectors")
+	}
 
 	h := &Hybrid2{
 		cfg:            cfg,
@@ -243,19 +280,29 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 	}
 
 	// Initial placement. Normal modes: logical sectors spread randomly
-	// over flat NM + FM proportionally to capacity (§4), memoized per
-	// (seed, geometry) in placement.go — the fill also leaves occupied NM
-	// slots in state slotFlat, the slice's zero value. CacheOnly: the
-	// flat NM region is unused and everything lives in FM at its home.
+	// over flat NM + FM proportionally to capacity (§4); flat NM slots
+	// occupy pool indices [cacheSlots, pool) and start in state slotFlat,
+	// the slice's zero value. CacheOnly: the flat NM region is unused and
+	// everything lives in FM at its home.
+	for i := range h.invRemap {
+		h.invRemap[i] = invalidLogical
+	}
 	if cfg.Mode == CacheOnly {
-		for i := range h.invRemap {
-			h.invRemap[i] = invalidLogical
-		}
 		for l := range h.remap {
-			h.remap[l] = loc{nm: false, idx: uint32(l) % fmSec}
+			h.remap[l] = fmLoc(uint32(l) % fmSec)
 		}
 	} else {
-		initialPlacement(cfg.Seed, flat, fmSec, cacheSlots, h.remap, h.invRemap)
+		perm := placement.Perm(cfg.Seed, len(h.remap))
+		remap, invRemap := h.remap[:len(perm)], h.invRemap
+		for logical, phys := range perm {
+			if phys < flat {
+				slot := cacheSlots + phys
+				remap[logical] = nmLoc(slot)
+				invRemap[slot] = uint32(logical)
+			} else {
+				remap[logical] = fmLoc(phys - flat)
+			}
+		}
 	}
 	// Cache slots start free, at pool indices [0, cacheSlots).
 	for s := uint32(0); s < cacheSlots; s++ {
@@ -266,6 +313,54 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 		h.unused = make([]bool, len(h.remap))
 	}
 	return h
+}
+
+// Reset implements memtypes.Resetter: it replays the undo logs backwards
+// to restore the placement New built, then clears the XTA and the run's
+// counters and refills the cache's free-slot list.
+func (h *Hybrid2) Reset() {
+	for i := len(h.remapLog) - 1; i >= 0; i-- {
+		u := h.remapLog[i]
+		h.remap[u.logical] = u.old
+	}
+	for i := len(h.slotLog) - 1; i >= 0; i-- {
+		u := h.slotLog[i]
+		h.invRemap[u.slot], h.slotState[u.slot] = u.owner, u.state
+	}
+	h.remapLog, h.slotLog = h.remapLog[:0], h.slotLog[:0]
+	clear(h.entries)
+	h.freeNM = h.freeNM[:0]
+	for s := uint32(0); s < uint32(len(h.entries)); s++ {
+		h.freeNM = append(h.freeNM, s)
+	}
+	h.freeFM = h.freeFM[:0]
+	h.clock, h.stackOn, h.nmFIFO, h.fmBudget = 0, 0, 0, 0
+	h.nextReset = h.cfg.FMBudgetReset
+	h.savedCopies = 0
+	h.stats, h.path = memtypes.MemStats{}, PathStats{}
+}
+
+// setRemap points a logical sector at l, logging the entry it replaces.
+func (h *Hybrid2) setRemap(logical uint32, l loc) {
+	h.remapLog = append(grow(h.remapLog), remapUndo{logical, h.remap[logical]})
+	h.remap[logical] = l
+}
+
+// setSlot sets an NM slot's inverted-remap owner and state, logging the
+// pair it replaces.
+func (h *Hybrid2) setSlot(slot, owner uint32, state uint8) {
+	h.slotLog = append(grow(h.slotLog), slotUndo{slot, h.invRemap[slot], h.slotState[slot]})
+	h.invRemap[slot], h.slotState[slot] = owner, state
+}
+
+// grow doubles a full undo log. Append alone grows large slices by a
+// quarter, which allocates about five times a long run's final log; the
+// log of one long run can hold tens of thousands of entries.
+func grow[E any](log []E) []E {
+	if len(log) < cap(log) {
+		return log
+	}
+	return slices.Grow(log, len(log)+256)
 }
 
 // Name implements MemorySystem.
@@ -375,10 +470,9 @@ func (h *Hybrid2) allocateNM(now memtypes.Tick) uint32 {
 			rd := h.nm.AccessBG(memtypes.Migration, now, h.nmAddr(slot, 0), h.cfg.SectorBytes, false)
 			h.fm.AccessBG(memtypes.Migration, rd, h.fmAddr(fmSlot, 0), h.cfg.SectorBytes, true)
 		}
-		h.remap[displaced] = loc{nm: false, idx: fmSlot}
+		h.setRemap(displaced, fmLoc(fmSlot))
 		h.metaWrite(now, displaced)
-		h.invRemap[slot] = invalidLogical
-		h.slotState[slot] = slotCacheFree
+		h.setSlot(slot, invalidLogical, slotCacheFree)
 		return slot
 	}
 	panic("core: no flat NM slot available for allocation")
@@ -419,7 +513,7 @@ func (h *Hybrid2) evictEntry(now memtypes.Tick, set int, e *xtaEntry) {
 		// Case 1: all lines already in NM, remap already points there.
 		// Release the reference; the slot keeps the flat data.
 		if h.slotState[e.nmPtr] == slotFlatRef {
-			h.slotState[e.nmPtr] = slotFlat
+			h.setSlot(e.nmPtr, h.invRemap[e.nmPtr], slotFlat)
 		}
 		e.valid = false
 		return
@@ -454,18 +548,16 @@ func (h *Hybrid2) evictEntry(now memtypes.Tick, set int, e *xtaEntry) {
 			rd := h.fm.AccessBG(memtypes.Migration, now, h.fmAddr(e.fmPtr, off), lb, false)
 			h.nm.AccessBG(memtypes.Migration, rd, h.nmAddr(e.nmPtr, off), lb, true)
 		}
-		h.remap[e.logical] = loc{nm: true, idx: e.nmPtr}
+		h.setRemap(e.logical, nmLoc(e.nmPtr))
 		h.metaWrite(now, e.logical)
 		h.pushFreeFM(now, e.fmPtr)
-		h.invRemap[e.nmPtr] = e.logical
-		h.slotState[e.nmPtr] = slotFlat
+		h.setSlot(e.nmPtr, e.logical, slotFlat)
 		h.stats.Migrations++
 	} else if h.sectorUnused(e.logical) {
 		// §3.8: the sector holds no live data — drop it without
 		// write-backs.
 		h.savedCopies++
-		h.invRemap[e.nmPtr] = invalidLogical
-		h.slotState[e.nmPtr] = slotCacheFree
+		h.setSlot(e.nmPtr, invalidLogical, slotCacheFree)
 		h.freeNM = append(h.freeNM, e.nmPtr)
 		h.stats.Evictions++
 	} else {
@@ -477,8 +569,7 @@ func (h *Hybrid2) evictEntry(now memtypes.Tick, set int, e *xtaEntry) {
 			rd := h.nm.AccessBG(memtypes.Writeback, now, h.nmAddr(e.nmPtr, off), lb, false)
 			h.fm.AccessBG(memtypes.Writeback, rd, h.fmAddr(e.fmPtr, off), lb, true)
 		}
-		h.invRemap[e.nmPtr] = invalidLogical
-		h.slotState[e.nmPtr] = slotCacheFree
+		h.setSlot(e.nmPtr, invalidLogical, slotCacheFree)
 		h.freeNM = append(h.freeNM, e.nmPtr)
 		h.stats.Evictions++
 	}
@@ -572,18 +663,18 @@ func (h *Hybrid2) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memt
 	e.lru = h.clock
 	e.ctr = 0
 
-	if l.nm { // 2a: sector already in NM
+	if l.nm() { // 2a: sector already in NM
 		h.path.Miss2a++
 		e.migrated = true
-		e.nmPtr = l.idx
+		e.nmPtr = l.idx()
 		e.fmPtr = 0
 		e.validVec = h.fullMask
 		e.dirtyVec = h.fullMask // convention of §3.2
-		if h.slotState[l.idx] == slotFlat {
-			h.slotState[l.idx] = slotFlatRef
+		if h.slotState[l.idx()] == slotFlat {
+			h.setSlot(l.idx(), h.invRemap[l.idx()], slotFlatRef)
 		}
 		h.stats.ServedNM++
-		return h.nm.Access(now, h.nmAddr(l.idx, offset), 64, write)
+		return h.nm.Access(now, h.nmAddr(l.idx(), offset), 64, write)
 	}
 
 	// 2b: sector in FM — allocate an NM slot, fetch the requested line,
@@ -592,19 +683,18 @@ func (h *Hybrid2) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memt
 	slot := h.takeSlot(now)
 	e.migrated = false
 	e.nmPtr = slot
-	e.fmPtr = l.idx
+	e.fmPtr = l.idx()
 	e.validVec = 1 << line
 	e.dirtyVec = 0
 	if write {
 		e.dirtyVec = 1 << line
 	}
-	h.slotState[slot] = slotCacheData
-	h.invRemap[slot] = logical
+	h.setSlot(slot, logical, slotCacheData)
 	h.metaWrite(now, slot)
 
 	h.stats.ServedFM++
 	h.fmBudget++
-	done, fullDone := h.fm.AccessCriticalFirst(now, h.fmAddr(l.idx, lineOff), lb, 64)
+	done, fullDone := h.fm.AccessCriticalFirst(now, h.fmAddr(l.idx(), lineOff), lb, 64)
 	h.nm.AccessBG(memtypes.Fill, fullDone, h.nmAddr(slot, lineOff), lb, true)
 	return done
 }
@@ -622,29 +712,29 @@ func (h *Hybrid2) CheckInvariants() bool {
 	seenNM := make(map[uint32]bool)
 	seenFM := make(map[uint32]bool)
 	for logical, l := range h.remap {
-		if l.nm {
-			if l.idx >= h.poolSectors || seenNM[l.idx] {
+		if l.nm() {
+			if l.idx() >= h.poolSectors || seenNM[l.idx()] {
 				return false
 			}
-			seenNM[l.idx] = true
-			st := h.slotState[l.idx]
+			seenNM[l.idx()] = true
+			st := h.slotState[l.idx()]
 			if h.cfg.Mode != CacheOnly {
 				if st != slotFlat && st != slotFlatRef {
 					return false
 				}
-				if h.invRemap[l.idx] != uint32(logical) {
+				if h.invRemap[l.idx()] != uint32(logical) {
 					return false
 				}
 			}
 		} else {
-			if l.idx >= h.fmSectors {
+			if l.idx() >= h.fmSectors {
 				return false
 			}
 			if h.cfg.Mode != CacheOnly {
-				if seenFM[l.idx] {
+				if seenFM[l.idx()] {
 					return false
 				}
-				seenFM[l.idx] = true
+				seenFM[l.idx()] = true
 			}
 		}
 	}

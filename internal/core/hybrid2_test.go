@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -66,7 +67,7 @@ func TestXTAHitServesFromNM(t *testing.T) {
 	// Find a logical sector initially in FM so the first access is 2b.
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap[l].nm {
+		if !h.remap[l].nm() {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}
@@ -86,7 +87,7 @@ func TestSectorInNMAdoptedWithoutTraffic(t *testing.T) {
 	h := newSmall(t, Normal)
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if h.remap[l].nm {
+		if h.remap[l].nm() {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}
@@ -110,7 +111,7 @@ func TestLineMissFetchesOnlyOneLine(t *testing.T) {
 	h := newSmall(t, Normal)
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap[l].nm {
+		if !h.remap[l].nm() {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}
@@ -152,8 +153,8 @@ func TestMigrateAllMigratesOnEviction(t *testing.T) {
 	// Touch enough distinct FM sectors mapping to set 0 to overflow it.
 	touched := 0
 	for l := uint32(0); l < h.Sectors() && touched < h.cfg.Assoc+4; l++ {
-		if !h.remap[l].nm || h.slotState[h.remap[l].idx] != slotFlat {
-			if !h.remap[l].nm && int(l)%h.sets == 0 {
+		if !h.remap[l].nm() || h.slotState[h.remap[l].idx()] != slotFlat {
+			if !h.remap[l].nm() && int(l)%h.sets == 0 {
 				h.Access(memtypes.Tick(touched)*1000, memtypes.Addr(l)*memtypes.Addr(h.cfg.SectorBytes), false)
 				touched++
 			}
@@ -240,7 +241,7 @@ func TestDirtyWritebackOnEviction(t *testing.T) {
 	count := 0
 	var now memtypes.Tick
 	for l := uint32(0); l < h.Sectors() && count < 3*h.cfg.Assoc; l++ {
-		if !h.remap[l].nm && int(l)%h.sets == 0 {
+		if !h.remap[l].nm() && int(l)%h.sets == 0 {
 			now += 2000
 			h.Access(now, memtypes.Addr(l)*memtypes.Addr(h.cfg.SectorBytes), true)
 			count++
@@ -278,7 +279,7 @@ func TestAccessCounterSaturates(t *testing.T) {
 	var addr memtypes.Addr
 	var logical uint32
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap[l].nm {
+		if !h.remap[l].nm() {
 			logical = l
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
@@ -361,7 +362,7 @@ func TestHotDataEventuallyMigrates(t *testing.T) {
 	h := newSmall(t, Normal)
 	var hot []memtypes.Addr
 	for l := uint32(0); l < h.Sectors() && len(hot) < 64; l++ {
-		if !h.remap[l].nm {
+		if !h.remap[l].nm() {
 			hot = append(hot, memtypes.Addr(l)*memtypes.Addr(h.cfg.SectorBytes))
 		}
 	}
@@ -408,7 +409,7 @@ func TestPathStatsHotReuseMostly1a(t *testing.T) {
 	h := newSmall(t, Normal)
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap[l].nm {
+		if !h.remap[l].nm() {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}
@@ -419,5 +420,50 @@ func TestPathStatsHotReuseMostly1a(t *testing.T) {
 	p := h.PathStats()
 	if p.Hit1a < 990 {
 		t.Fatalf("only %d of 1000 hot accesses took 1a", p.Hit1a)
+	}
+}
+
+// TestResetRestoresBuiltState drives every mode (and the free-space
+// extension with hints set after New) through evictions, migrations and
+// NM allocations, then requires Reset to leave exactly the state of a
+// fresh build: undo logs empty, every other field, devices included,
+// deeply equal.
+func TestResetRestoresBuiltState(t *testing.T) {
+	for _, mode := range []Mode{Normal, CacheOnly, MigrateAll, MigrateNone, NoRemapOverhead} {
+		for _, free := range []bool{false, true} {
+			build := func() *Hybrid2 {
+				cfg := smallConfig()
+				cfg.Mode, cfg.FreeSpaceAware = mode, free
+				h := New(cfg, memsys.New(memsys.HBM2Config()), memsys.New(memsys.DDR4Config()))
+				h.MarkFree(1<<20, 2<<20)
+				return h
+			}
+			h := build()
+			rng := rand.New(rand.NewSource(int64(mode)))
+			var now memtypes.Tick
+			for i := 0; i < 20000; i++ {
+				now += memtypes.Tick(rng.Intn(40))
+				addr := memtypes.Addr(rng.Intn(64)) << 11 // a hot set of sectors
+				if i%3 == 0 {
+					addr = memtypes.Addr(rng.Int63n(int64(h.Sectors()) << 11))
+				}
+				h.Access(now, addr&^63, rng.Intn(4) == 0)
+			}
+			h.Finish(now)
+			if h.stats.Migrations+h.stats.Evictions == 0 || len(h.remapLog)+len(h.slotLog) == 0 {
+				t.Fatalf("%v free=%v: traffic moved nothing to undo", mode, free)
+			}
+			h.Reset()
+			h.nm.Reset()
+			h.fm.Reset()
+			if len(h.remapLog)+len(h.slotLog) != 0 {
+				t.Fatalf("%v free=%v: undo logs not empty after Reset", mode, free)
+			}
+			got, want := *h, *build()
+			got.remapLog, got.slotLog = nil, nil
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v free=%v: reset state differs from a fresh build", mode, free)
+			}
+		}
 	}
 }

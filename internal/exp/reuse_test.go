@@ -1,0 +1,177 @@
+package exp
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+
+	"hybridmem/internal/design"
+	"hybridmem/internal/sim"
+)
+
+// batch returns the runs of designs over r's workloads, candidate-major
+// (each design's workloads back to back, as the DSE evaluator orders
+// them) or, with alternate set, switching design on every run.
+func batch(r *Runner, designs []string, alternate bool) []RunSpec {
+	var specs []RunSpec
+	if alternate {
+		for _, wl := range r.Workloads() {
+			for _, d := range designs {
+				specs = append(specs, RunSpec{Workload: wl, Design: d, Ratio16: 1})
+			}
+		}
+		return specs
+	}
+	return r.SweepSpecs(designs, []int{1})
+}
+
+func runBatch(t *testing.T, r *Runner, specs []RunSpec) []sim.Result {
+	t.Helper()
+	out, errs := r.ResultsParallelEach(context.Background(), specs)
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCandidateMajorBatchBuildsEachDesignOnce: with one worker, the
+// workloads of one design run back to back on one machine, reset
+// between runs instead of rebuilt — with results equal to a batch whose
+// alternating designs build every run fresh.
+func TestCandidateMajorBatchBuildsEachDesignOnce(t *testing.T) {
+	designs := []string{"HYBRID2", "MPOD"}
+	reuse, fresh := tiny(), tiny()
+	reuse.Parallelism, fresh.Parallelism = 1, 1
+	got := runBatch(t, reuse, batch(reuse, designs, false))
+	if n := reuse.builds.Load(); n != int64(len(designs)) {
+		t.Errorf("candidate-major batch of %d runs built %d machines, want %d", len(got), n, len(designs))
+	}
+	alt := batch(fresh, designs, true)
+	want := runBatch(t, fresh, alt)
+	if n := fresh.builds.Load(); n != int64(len(alt)) {
+		t.Errorf("alternating batch of %d runs built %d machines, want one per run", len(alt), n)
+	}
+	byRun := map[RunSpec]sim.Result{}
+	for i, s := range alt {
+		byRun[s] = want[i]
+	}
+	for i, s := range batch(reuse, designs, false) {
+		if got[i] != byRun[s] {
+			t.Errorf("%s/%s: reused machine's result differs from a fresh build's", s.Design, s.Workload.Name)
+		}
+	}
+}
+
+// TestFailedRunDropsMachine: a run that errors or panics never hands its
+// machine to the next run.
+func TestFailedRunDropsMachine(t *testing.T) {
+	r := tiny()
+	spec, err := design.Parse("HYBRID2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fail := range []func(*machine) (sim.Result, error){
+		func(*machine) (sim.Result, error) { return sim.Result{}, errors.New("replay failed") },
+		func(*machine) (sim.Result, error) { panic("boom") },
+	} {
+		if _, err := r.execute("wl", "HYBRID2", spec, 1, 0, fail); err == nil {
+			t.Fatal("failed run reported no error")
+		}
+		if len(r.idle) != 0 {
+			t.Fatalf("failed run left %d idle machine(s)", len(r.idle))
+		}
+	}
+	if _, err := r.ResultErr(r.Workloads()[0], "HYBRID2", 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.idle) != 1 {
+		t.Fatalf("successful run left %d idle machine(s), want 1", len(r.idle))
+	}
+}
+
+// TestCloneCopiesKnobsSharesNoState: a clone copies every exported
+// field and starts with none of the original's unexported state — its
+// own memo, singleflight group and idle machines.
+func TestCloneCopiesKnobsSharesNoState(t *testing.T) {
+	r := tiny()
+	if _, err := r.ResultErr(r.Workloads()[0], "Baseline", 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.idle) == 0 || r.memo == nil {
+		t.Fatal("original runner holds no memo or idle machine to check against")
+	}
+	v := reflect.ValueOf(r).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if !v.Type().Field(i).IsExported() {
+			continue
+		}
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(i + 3))
+		case reflect.Uint64:
+			f.SetUint(uint64(i + 3))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Slice:
+			if f.Len() == 0 {
+				f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+			}
+		default:
+			t.Fatalf("field %s: kind %s not covered by this test", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	c := reflect.ValueOf(r.clone()).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		orig, cl := v.Field(i), c.Field(i)
+		if !v.Type().Field(i).IsExported() {
+			if !cl.IsZero() {
+				t.Errorf("clone shares unexported state %s", name)
+			}
+			continue
+		}
+		same := false
+		switch orig.Kind() {
+		case reflect.Pointer, reflect.Slice:
+			same = orig.Pointer() == cl.Pointer() && (orig.Kind() == reflect.Pointer || orig.Len() == cl.Len())
+		default:
+			same = orig.Interface() == cl.Interface()
+		}
+		if !same {
+			t.Errorf("clone drops exported field %s", name)
+		}
+	}
+}
+
+// TestMissTakesOverIdleSlot: a run that finds no idle machine for its
+// design drops the oldest idle one while it builds its own, so idle plus
+// in-use machines never outnumber the workers.
+func TestMissTakesOverIdleSlot(t *testing.T) {
+	r := tiny()
+	r.Parallelism = 1
+	wl := r.Workloads()[0]
+	if _, err := r.ResultErr(wl, "HYBRID2", 1); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := design.Parse("MPOD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := -1
+	if _, err := r.execute(wl.Name, "MPOD", spec, 1, 0, func(m *machine) (sim.Result, error) {
+		idle = len(r.idle)
+		return workloadRun(wl)(m)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if idle != 0 {
+		t.Errorf("%d idle machine(s) kept while a run built a new one with one worker", idle)
+	}
+	if len(r.idle) != 1 || r.idle[0].spec.Info.Name != "MPOD" {
+		t.Errorf("idle machines after the run: %d, want the MPOD run's", len(r.idle))
+	}
+}

@@ -4,7 +4,9 @@
 // (workload, design, NM-ratio) runs so figures built from the same sweep
 // (12, 13, 15-18) reuse results, and evaluates independent runs across a
 // worker pool (see ResultsParallel and Sweep) so regenerating the
-// evaluation scales with the machine's cores.
+// evaluation scales with the machine's cores. Consecutive runs of one
+// design on a worker share one machine, reset between runs instead of
+// rebuilt (see execute).
 //
 // Designs are resolved through the self-registering catalog in
 // internal/design: the engine imports no internal/baselines package and
@@ -22,7 +24,10 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/pprof"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"hybridmem/internal/config"
 	"hybridmem/internal/design"
@@ -89,6 +94,14 @@ type Runner struct {
 	mu     sync.Mutex
 	memo   *store.LRU[memoVal]
 	flight *store.Flight[memoVal]
+
+	// idle holds the machines of finished runs for the next run of the
+	// same design and system to reset instead of rebuilding, oldest
+	// first: at most one per worker (see execute).
+	idleMu sync.Mutex
+	idle   []*machine
+	// builds counts the machines execute built rather than reused.
+	builds atomic.Int64
 }
 
 // memoVal is one settled run: its result or its error, memoized
@@ -136,11 +149,11 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// clone returns a runner with the same knobs but its own memo cache —
-// used by studies that vary a knob (seed, prefetcher) per sub-sweep.
-// The persistent store and the simulation counter are shared: store
-// keys cover every knob, so sub-sweeps reuse and contribute entries
-// safely.
+// clone returns a runner with the same knobs but its own memo cache and
+// idle machines — used by studies that vary a knob (seed, prefetcher)
+// per sub-sweep. The persistent store and the simulation counter are
+// shared: store keys cover every knob, so sub-sweeps reuse and
+// contribute entries safely.
 func (r *Runner) clone() *Runner {
 	return &Runner{
 		Scale:        r.Scale,
@@ -149,6 +162,7 @@ func (r *Runner) clone() *Runner {
 		Prefetch:     r.Prefetch,
 		Subset:       r.Subset,
 		Parallelism:  r.Parallelism,
+		TraceWindow:  r.TraceWindow,
 		Store:        r.Store,
 		MemoEntries:  r.MemoEntries,
 		SimCounter:   r.SimCounter,
@@ -303,49 +317,122 @@ func (r *Runner) result(wl workload.Spec, designName string, ratio16, run int) (
 	return v.res, v.err
 }
 
-// machine is one run's freshly built system, handed to the engine call;
-// smp is nil when telemetry is off.
+// machine is the system one run simulates on: spec's design built over
+// its devices for sys, either fresh or a previous run's machine reset to
+// its built state. smp is the run's sampler, nil when telemetry is off.
 type machine struct {
+	spec   design.Spec
 	ms     memtypes.MemorySystem
 	nm, fm *memsys.Device
 	sys    config.System
 	smp    *telemetry.Sampler
 }
 
-// workloadRun simulates a synthetic workload on a built machine.
-func workloadRun(wl workload.Spec) func(machine) (sim.Result, error) {
-	return func(m machine) (sim.Result, error) {
+// matches reports whether m is what spec.Build(sys) would return.
+func (m *machine) matches(spec design.Spec, sys config.System) bool {
+	return m.sys == sys && m.spec.Info == spec.Info && slices.Equal(m.spec.Values, spec.Values)
+}
+
+// reset returns m's design and devices to their built state.
+func (m *machine) reset() {
+	m.ms.(memtypes.Resetter).Reset()
+	if m.nm != nil {
+		m.nm.Reset()
+	}
+	m.fm.Reset()
+}
+
+// takeIdle hands out the idle machine that builds spec for sys, if there
+// is one. A run that finds none takes over the slot of the oldest idle
+// machine instead, dropping it, so the runner's machines — idle plus in
+// use — never outnumber its workers.
+func (r *Runner) takeIdle(spec design.Spec, sys config.System) *machine {
+	r.idleMu.Lock()
+	defer r.idleMu.Unlock()
+	for i, m := range r.idle {
+		if m.matches(spec, sys) {
+			r.idle = slices.Delete(r.idle, i, i+1)
+			return m
+		}
+	}
+	if len(r.idle) > 0 {
+		r.idle = slices.Delete(r.idle, 0, 1)
+	}
+	return nil
+}
+
+// putIdle keeps the machine of a successful run for reuse, if its design
+// can reset, dropping the oldest idle machine beyond one per worker.
+func (r *Runner) putIdle(m *machine) {
+	if _, ok := m.ms.(memtypes.Resetter); !ok {
+		return
+	}
+	m.smp = nil // the sampler belongs to the finished run
+	r.idleMu.Lock()
+	defer r.idleMu.Unlock()
+	if len(r.idle) >= r.workers() {
+		r.idle = slices.Delete(r.idle, 0, 1)
+	}
+	r.idle = append(r.idle, m)
+}
+
+// workloadRun simulates a synthetic workload on a machine.
+func workloadRun(wl workload.Spec) func(*machine) (sim.Result, error) {
+	return func(m *machine) (sim.Result, error) {
 		return sim.RunSampled(wl, m.ms, m.nm, m.fm, m.sys, m.smp), nil
 	}
 }
 
-// execute builds spec's memory system at ratio16 and runs simulate on
-// it: the one build-and-simulate path behind every run method. With
-// Telemetry set a sampler rides along and the settled series goes to
-// OnSeries, tagged with run. A panic from the simulation settles as
-// this run's error instead of killing a worker goroutine or poisoning
-// the memo with a zero result; construction-time panics are already
-// errors from Spec.Build.
-func (r *Runner) execute(name, designName string, spec design.Spec, ratio16, run int, simulate func(machine) (sim.Result, error)) (res sim.Result, err error) {
+// execute runs simulate on a machine of spec's design at ratio16: the
+// one machine-and-simulate path behind every run method. The machine is
+// the previous run's when that run built the same design for the same
+// system and its design implements memtypes.Resetter — reset instead of
+// rebuilt, with identical results — and freshly built otherwise. A
+// candidate-major batch (one design's workloads back to back) thus
+// builds each design once per worker. With Telemetry set a sampler
+// rides along and the settled series goes to OnSeries, tagged with run.
+// A panic from the simulation settles as this run's error instead of
+// killing a worker goroutine or poisoning the memo with a zero result,
+// and the machine of a failed run is dropped; construction-time panics
+// are already errors from Spec.Build. The run carries pprof labels
+// design, workload and phase (build or reset, then simulate), so CPU
+// profiles attribute its samples.
+func (r *Runner) execute(name, designName string, spec design.Spec, ratio16, run int, simulate func(*machine) (sim.Result, error)) (res sim.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = sim.Result{}, fmt.Errorf("exp: run %s/%s: %v", name, designName, p)
 		}
 	}()
-	m := machine{sys: r.system(ratio16)}
-	if m.ms, m.nm, m.fm, err = spec.Build(m.sys); err != nil {
-		return sim.Result{}, err
+	sys := r.system(ratio16)
+	labels := func(phase string) pprof.LabelSet {
+		return pprof.Labels("design", designName, "workload", name, "phase", phase)
+	}
+	ctx := context.Background()
+	m := r.takeIdle(spec, sys)
+	if m != nil {
+		pprof.Do(ctx, labels("reset"), func(context.Context) { m.reset() })
+	} else {
+		m = &machine{spec: spec, sys: sys}
+		pprof.Do(ctx, labels("build"), func(context.Context) {
+			m.ms, m.nm, m.fm, err = spec.Build(sys)
+		})
+		if err != nil {
+			return sim.Result{}, err
+		}
+		r.builds.Add(1)
 	}
 	if r.Telemetry != nil {
 		m.smp = r.Telemetry.sampler(run)
 	}
 	r.SimCounter.Inc()
-	if res, err = simulate(m); err != nil {
+	pprof.Do(ctx, labels("simulate"), func(context.Context) { res, err = simulate(m) })
+	if err != nil {
 		return sim.Result{}, err
 	}
 	if m.smp != nil && r.Telemetry.OnSeries != nil {
 		r.Telemetry.OnSeries(run, m.smp.Series())
 	}
+	r.putIdle(m)
 	return res, nil
 }
 
@@ -604,7 +691,7 @@ func (r *Runner) RunTrace(name string, rd io.Reader, designName string, ratio16,
 	for i := range srcs {
 		srcs[i] = sr.Source(i)
 	}
-	return r.execute(name, designName, spec, ratio16, 0, func(m machine) (sim.Result, error) {
+	return r.execute(name, designName, spec, ratio16, 0, func(m *machine) (sim.Result, error) {
 		res := sim.RunSourcesSampled(name, srcs, mlp, m.ms, m.nm, m.fm, m.sys, m.smp)
 		// Per-core sources signal stream problems only as an early end of
 		// records; surface the real cause now that replay has drained.

@@ -152,6 +152,22 @@ func New(cfg Config) *Device {
 	return d
 }
 
+// Reset returns the device to the state New left it in — every bank
+// closed and idle, every counter zero — reusing its channel and bank
+// arrays.
+func (d *Device) Reset() {
+	for i := range d.channels {
+		ch := &d.channels[i]
+		ch.busFreeAt, ch.bgFreeAt = 0, 0
+		for b := range ch.banks {
+			ch.banks[b] = bank{openRow: -1}
+		}
+	}
+	d.Traffic = memtypes.Traffic{}
+	d.Activations, d.Reads, d.Writes, d.Refreshes = 0, 0, 0, 0
+	d.busyCycles = 0
+}
+
 // locate resolves an address to its channel, bank and row.
 func (d *Device) locate(addr memtypes.Addr) (*channel, *bank, int64) {
 	a := uint64(addr)

@@ -50,6 +50,18 @@ type MemorySystem interface {
 	Stats() *MemStats
 }
 
+// Resetter is the optional reuse contract of a MemorySystem. Reset
+// returns the instance to exactly the state its registered Build
+// function returned, post-construction set-up included (such as
+// Hybrid2's free-space hints), so the next run on it is
+// indistinguishable from a run on a fresh build. It undoes only what
+// Access, Finish and Stats changed, at a cost proportional to that
+// state rather than to the capacity modelled. The devices a design runs
+// on are reset separately (memsys.Device.Reset) by whoever owns them.
+type Resetter interface {
+	Reset()
+}
+
 // Class says why a device transfer moved its bytes.
 type Class uint8
 

@@ -1,0 +1,101 @@
+package sim_test
+
+// Reset equivalence: a machine reset after a run must simulate the next
+// run exactly like a fresh build — same Result, same telemetry series —
+// for every registered design that implements memtypes.Resetter.
+
+import (
+	"reflect"
+	"testing"
+
+	"hybridmem/internal/baselines/migcommon"
+	"hybridmem/internal/config"
+	"hybridmem/internal/design"
+	"hybridmem/internal/memsys"
+	"hybridmem/internal/memtypes"
+	"hybridmem/internal/sim"
+	"hybridmem/internal/telemetry"
+	"hybridmem/internal/workload"
+)
+
+// resetNames is every registered family's sample name plus every H2ABL
+// knob, the free-space hints included.
+func resetNames() []string {
+	var names []string
+	for _, info := range design.AllInfos() {
+		names = append(names, info.SampleName())
+	}
+	return append(names, "H2ABL-reset-25000", "H2ABL-stack-64", "H2ABL-assoc-4", "H2ABL-free-250", "H2ABL-free-1000")
+}
+
+// invariantsHold checks the design's own invariants, where it has any.
+func invariantsHold(ms memtypes.MemorySystem) bool {
+	switch m := ms.(type) {
+	case interface{ CheckInvariants() bool }:
+		return m.CheckInvariants()
+	case interface{ Space() *migcommon.Space }:
+		return m.Space().CheckInvariants()
+	}
+	return true
+}
+
+func sampledRun(wl workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System) (sim.Result, *telemetry.Series) {
+	smp := telemetry.New(telemetry.Options{WindowInstr: 16384})
+	return sim.RunSampled(wl, ms, nm, fm, sys, smp), smp.Series()
+}
+
+func TestResetMatchesFreshBuild(t *testing.T) {
+	sys := config.Scaled(config.DefaultScale, 2)
+	sys.InstrPerCore = 20_000
+	sys.Seed = 7
+	var wls []workload.Spec
+	for _, n := range []string{"lbm", "mcf", "omnetpp"} {
+		wl, _ := workload.ByName(n)
+		wls = append(wls, wl)
+	}
+	resettable := map[string]bool{}
+	for _, name := range resetNames() {
+		spec, err := design.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, nm, fm, err := spec.Build(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, ok := ms.(memtypes.Resetter)
+		if !ok {
+			continue
+		}
+		resettable[spec.Info.Name] = true
+		for i, wl := range wls {
+			if i > 0 {
+				rs.Reset()
+				if nm != nil {
+					nm.Reset()
+				}
+				fm.Reset()
+			}
+			if !invariantsHold(ms) {
+				t.Fatalf("%s: invariants broken before run %d (%s)", name, i, wl.Name)
+			}
+			got, gotSer := sampledRun(wl, ms, nm, fm, sys)
+			fms, fnm, ffm, err := spec.Build(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantSer := sampledRun(wl, fms, fnm, ffm, sys)
+			if got != want {
+				t.Errorf("%s: run %d (%s) on a reset machine:\n got %+v\nwant %+v", name, i, wl.Name, got, want)
+			}
+			if !reflect.DeepEqual(gotSer, wantSer) {
+				t.Errorf("%s: run %d (%s): series on a reset machine differs from a fresh build's", name, i, wl.Name)
+			}
+		}
+	}
+	for _, base := range []string{"Baseline", "MPOD", "CHA", "LGM", "TAGLESS", "DFC", "HYBRID2", "H2ABL", "H2DSE", "IDEAL", "ALLOY"} {
+		if !resettable[base] {
+			t.Errorf("%s does not implement memtypes.Resetter", base)
+		}
+	}
+}
