@@ -176,10 +176,10 @@ func BenchmarkSweepParallel(b *testing.B) { benchmarkFig2Sweep(b, 0) }
 func BenchmarkDistributedSweep(b *testing.B) {
 	designs := []string{"Baseline", "MPOD", "DFC-256", "HYBRID2"}
 	workloads := []string{"cg.D", "lbm", "bwaves", "xz", "fotonik3d", "namd"}
-	var runs []cluster.Run
+	var runs []exp.Run
 	for _, d := range designs {
 		for _, w := range workloads {
-			runs = append(runs, cluster.Run{Design: d, Workload: w, Ratio16: 1})
+			runs = append(runs, exp.Run{Design: d, Workload: w, Ratio16: 1})
 		}
 	}
 	for _, n := range []int{1, 4} {

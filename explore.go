@@ -266,18 +266,14 @@ func Explore(ctx context.Context, opts ExploreOptions) (ExploreResult, error) {
 	return out, nil
 }
 
-// fromPoints converts internal search points to the public form.
+// fromPoints converts internal search points to the public form
+// through dse's wire projection (the points of APIDoc), so ExplorePoint
+// converts from api.ExplorePoint and cannot drift from it.
 func fromPoints(pts []dse.Point) []ExplorePoint {
-	out := make([]ExplorePoint, len(pts))
-	for i, p := range pts {
-		out[i] = ExplorePoint{
-			Design:     p.Design,
-			Speedup:    p.Speedup,
-			CapacityMB: p.CapacityMB,
-			TrafficGB:  p.TrafficGB,
-			Infeasible: p.Infeasible,
-			Err:        p.Err,
-		}
+	wire := dse.Result{Evaluated: pts}.APIDoc().Evaluated
+	out := make([]ExplorePoint, len(wire))
+	for i, p := range wire {
+		out[i] = ExplorePoint(p)
 	}
 	return out
 }

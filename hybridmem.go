@@ -171,12 +171,8 @@ func AllDesigns() []DesignInfo {
 	for i, info := range infos {
 		params := make([]DesignParam, len(info.Params))
 		for j, p := range info.Params {
-			params[j] = DesignParam{
-				Name: p.Name, Doc: p.Doc,
-				Min: p.Min, Max: p.Max, Pow2: p.Pow2,
-				Enum:     append([]string(nil), p.Enum...),
-				Optional: p.Optional, Default: p.Default,
-			}
+			params[j] = DesignParam(p)
+			params[j].Enum = append([]string(nil), p.Enum...)
 		}
 		out[i] = DesignInfo{
 			Name:    info.Name,
@@ -243,15 +239,9 @@ func RunAll(cfg Config, opts SweepOptions) ([]Result, error) {
 			return nil, err
 		}
 	}
-	specs := make([]exp.RunSpec, 0, len(designs)*len(names))
-	for _, d := range designs {
-		for _, n := range names {
-			wl, ok := workload.ByName(n)
-			if !ok {
-				return nil, fmt.Errorf("hybridmem: unknown workload %q", n)
-			}
-			specs = append(specs, exp.RunSpec{Workload: wl, Design: d, Ratio16: cfg.NMRatio16})
-		}
+	specs, err := exp.SweepSpecsByName(designs, names, cfg.NMRatio16)
+	if err != nil {
+		return nil, fmt.Errorf("hybridmem: %w", err)
 	}
 	r := &exp.Runner{
 		Scale:        cfg.Scale,
@@ -389,24 +379,7 @@ func ReplayTrace(design, name string, r io.Reader, opts ReplayOptions, cfg Confi
 	return fromSim(sr), nil
 }
 
-// fromSim converts an internal simulation result to the public form,
-// through the same field mapping the JSON wire encoding uses
-// (internal/api), so API values and served documents cannot drift apart.
-func fromSim(sr sim.Result) Result {
-	a := api.FromSim(sr)
-	return Result{
-		Workload:       a.Workload,
-		Design:         a.Design,
-		Cycles:         a.Cycles,
-		Instructions:   a.Instructions,
-		IPC:            a.IPC,
-		MPKI:           a.MPKI,
-		Requests:       a.Requests,
-		ServedNMFrac:   a.ServedNMFrac,
-		NMTrafficBytes: a.NMTrafficBytes,
-		FMTrafficBytes: a.FMTrafficBytes,
-		MetaNMBytes:    a.MetaNMBytes,
-		Migrations:     a.Migrations,
-		EnergyNanoJ:    a.EnergyNanoJ,
-	}
-}
+// fromSim converts an internal simulation result to the public form
+// through the JSON wire mapping (internal/api): Result converts from
+// api.Result, so the compiler rejects a field the two do not share.
+func fromSim(sr sim.Result) Result { return Result(api.FromSim(sr)) }

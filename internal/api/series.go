@@ -10,118 +10,37 @@ import (
 // SeriesSchemaVersion identifies the layout of the time-series
 // documents below (RunSeries, SweepSeries), versioned independently of
 // the headline result schema so the epoch field set can evolve without
-// invalidating result documents. Field order is the struct order below
-// and is pinned by the golden test in this package; changing it is a
-// schema change and must bump this constant.
+// invalidating result documents. The epoch, phase and series layouts
+// are the JSON tags of the internal/telemetry types aliased below, in
+// their struct order, pinned by the golden test in this package;
+// changing them is a schema change and must bump this constant.
 const SeriesSchemaVersion = 2
 
-// Epoch is the wire form of one telemetry sampling window (see
-// internal/telemetry.Epoch): deltas of the simulator's counters
-// between two consecutive epoch boundaries plus the derived rates.
-type Epoch struct {
-	Index          int     `json:"epoch"`
-	EndInstr       uint64  `json:"end_instr"`
-	EndCycle       uint64  `json:"end_cycle"`
-	Instr          uint64  `json:"instr"`
-	Cycles         uint64  `json:"cycles"`
-	IPC            float64 `json:"ipc"`
-	LLCAccesses    uint64  `json:"llc_accesses"`
-	LLCMisses      uint64  `json:"llc_misses"`
-	MPKI           float64 `json:"mpki"`
-	Requests       uint64  `json:"requests"`
-	NMHitFrac      float64 `json:"nm_hit_frac"`
-	NMTrafficBytes uint64  `json:"nm_traffic_bytes"`
-	FMTrafficBytes uint64  `json:"fm_traffic_bytes"`
-	MetaNMBytes    uint64  `json:"meta_nm_bytes"`
-	DemandBytes    uint64  `json:"demand_bytes"`
-	FillBytes      uint64  `json:"fill_bytes"`
-	WritebackBytes uint64  `json:"writeback_bytes"`
-	MigrationBytes uint64  `json:"migration_bytes"`
-	Migrations     uint64  `json:"migrations"`
-	Evictions      uint64  `json:"evictions"`
-	WastedFrac     float64 `json:"wasted_frac"`
-	LatCount       uint64  `json:"lat_count"`
-	LatMean        float64 `json:"lat_mean"`
-	LatP50         uint64  `json:"lat_p50"`
-	LatP99         uint64  `json:"lat_p99"`
-}
+// Epoch is the wire form of one telemetry sampling window: deltas of
+// the simulator's counters between two consecutive epoch boundaries
+// plus the derived rates.
+type Epoch = telemetry.Epoch
 
 // SeriesPhase is the wire form of one phase of the change-point
 // segmentation summary.
-type SeriesPhase struct {
-	StartEpoch     int     `json:"start_epoch"`
-	EndEpoch       int     `json:"end_epoch"`
-	Epochs         int     `json:"epochs"`
-	MeanIPC        float64 `json:"mean_ipc"`
-	MeanMPKI       float64 `json:"mean_mpki"`
-	MeanNMHitFrac  float64 `json:"mean_nm_hit_frac"`
-	MeanWastedFrac float64 `json:"mean_wasted_frac"`
-}
+type SeriesPhase = telemetry.Phase
 
 // Series is the wire form of one run's telemetry series.
-type Series struct {
-	WindowInstr   uint64        `json:"window_instr"`
-	EpochsTotal   int           `json:"epochs_total"`
-	EpochsDropped int           `json:"epochs_dropped"`
-	Epochs        []Epoch       `json:"epochs"`
-	Phases        []SeriesPhase `json:"phases"`
-}
+type Series = telemetry.Series
 
-// FromEpoch converts a telemetry epoch to the wire form.
-func FromEpoch(e telemetry.Epoch) Epoch {
-	return Epoch{
-		Index:          e.Index,
-		EndInstr:       e.EndInstr,
-		EndCycle:       e.EndCycle,
-		Instr:          e.Instr,
-		Cycles:         e.Cycles,
-		IPC:            e.IPC,
-		LLCAccesses:    e.LLCAccesses,
-		LLCMisses:      e.LLCMisses,
-		MPKI:           e.MPKI,
-		Requests:       e.Requests,
-		NMHitFrac:      e.NMHitFrac,
-		NMTrafficBytes: e.NMTrafficBytes,
-		FMTrafficBytes: e.FMTrafficBytes,
-		MetaNMBytes:    e.MetaNMBytes,
-		DemandBytes:    e.DemandBytes,
-		FillBytes:      e.FillBytes,
-		WritebackBytes: e.WritebackBytes,
-		MigrationBytes: e.MigrationBytes,
-		Migrations:     e.Migrations,
-		Evictions:      e.Evictions,
-		WastedFrac:     e.WastedFrac,
-		LatCount:       e.LatCount,
-		LatMean:        e.LatMean,
-		LatP50:         e.LatP50,
-		LatP99:         e.LatP99,
-	}
-}
-
-// FromSeries converts a telemetry series to the wire form — the single
-// mapping every encoder goes through. A nil series maps to an empty
-// document (zero window, no epochs), so callers need no guards.
+// FromSeries returns a telemetry series as a wire document whose epoch
+// and phase lists encode as arrays, never null. A nil series maps to an
+// empty document (zero window, no epochs), so callers need no guards.
 func FromSeries(ts *telemetry.Series) Series {
-	out := Series{Epochs: []Epoch{}, Phases: []SeriesPhase{}}
-	if ts == nil {
-		return out
+	var out Series
+	if ts != nil {
+		out = *ts
 	}
-	out.WindowInstr = ts.WindowInstr
-	out.EpochsTotal = ts.EpochsTotal
-	out.EpochsDropped = ts.EpochsDropped
-	for _, e := range ts.Epochs {
-		out.Epochs = append(out.Epochs, FromEpoch(e))
+	if out.Epochs == nil {
+		out.Epochs = []Epoch{}
 	}
-	for _, p := range ts.Phases {
-		out.Phases = append(out.Phases, SeriesPhase{
-			StartEpoch:     p.StartEpoch,
-			EndEpoch:       p.EndEpoch,
-			Epochs:         p.Epochs,
-			MeanIPC:        p.MeanIPC,
-			MeanMPKI:       p.MeanMPKI,
-			MeanNMHitFrac:  p.MeanNMHitFrac,
-			MeanWastedFrac: p.MeanWastedFrac,
-		})
+	if out.Phases == nil {
+		out.Phases = []SeriesPhase{}
 	}
 	return out
 }

@@ -106,9 +106,6 @@ func (s *Space) Stats() *memtypes.MemStats { return memsys.WithTraffic(s.stats, 
 // Lookup returns the physical location of a logical sector.
 func (s *Space) Lookup(logical uint32) Loc { return s.remap[logical] }
 
-// OwnerNM returns the logical sector stored in an NM slot.
-func (s *Space) OwnerNM(slot uint32) uint32 { return s.nmOwner[slot] }
-
 // DataAddr returns the device byte address of a physical location.
 func (s *Space) DataAddr(l Loc) memtypes.Addr {
 	return memtypes.Addr(l.Idx) * memtypes.Addr(s.SectorBytes)

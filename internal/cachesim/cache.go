@@ -148,11 +148,3 @@ func (c *Cache) Contains(addr memtypes.Addr) bool {
 	}
 	return false
 }
-
-// MissRate returns misses/accesses, 0 when unused.
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
-}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hybridmem/internal/dse"
+	"hybridmem/internal/exp"
 	"hybridmem/internal/obs"
 )
 
@@ -323,7 +324,7 @@ func (c *Coordinator) HandleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // as shards finish. Run fails only on cancellation, a shard exhausting
 // its attempt budget, or an empty pool with LocalFallback off; per-run
 // failures ride the outcome Err slots.
-func (c *Coordinator) Run(ctx context.Context, cfg Config, runs []Run, progress func(done, total int)) ([]RunOutcome, error) {
+func (c *Coordinator) Run(ctx context.Context, cfg Config, runs []exp.Run, progress func(done, total int)) ([]RunOutcome, error) {
 	if len(runs) == 0 {
 		return nil, nil
 	}
@@ -350,12 +351,8 @@ func (c *Coordinator) Run(ctx context.Context, cfg Config, runs []Run, progress 
 // through the same dse.Measure as an in-process search — so a
 // distributed exploration is byte-identical to a single-process one.
 func (c *Coordinator) Evaluator() dse.Evaluator {
-	return func(ctx context.Context, cfg dse.EvalConfig, runs []dse.EvalRun) ([]dse.EvalResult, error) {
-		creq := make([]Run, len(runs))
-		for i, r := range runs {
-			creq[i] = Run{Design: r.Design, Workload: r.Workload, Ratio16: r.Ratio16}
-		}
-		outs, err := c.Run(ctx, Config{Scale: cfg.Scale, InstrPerCore: cfg.InstrPerCore, Seed: cfg.SimSeed}, creq, nil)
+	return func(ctx context.Context, cfg dse.EvalConfig, runs []exp.Run) ([]dse.EvalResult, error) {
+		outs, err := c.Run(ctx, Config{Scale: cfg.Scale, InstrPerCore: cfg.InstrPerCore, Seed: cfg.SimSeed}, runs, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -38,7 +38,7 @@ type dispatcher struct {
 	// lists the runs left to dispatch, at input positions coldIdx and
 	// with run keys keys ("" when the store cannot hold the run).
 	out     []RunOutcome
-	cold    []Run
+	cold    []exp.Run
 	coldIdx []int
 	keys    []string
 	// rec reads and writes run records in the coordinator's store; nil
@@ -59,7 +59,7 @@ type dispatcher struct {
 // newDispatcher settles every run whose record the coordinator's store
 // already holds — those never enter a shard — and cuts the cold rest
 // into shards.
-func newDispatcher(c *Coordinator, cfg Config, runs []Run, progress func(done, total int)) *dispatcher {
+func newDispatcher(c *Coordinator, cfg Config, runs []exp.Run, progress func(done, total int)) *dispatcher {
 	d := &dispatcher{
 		c:        c,
 		cfg:      cfg,

@@ -15,11 +15,9 @@ import (
 	"time"
 
 	"hybridmem/internal/api"
-	"hybridmem/internal/config"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/obs"
 	"hybridmem/internal/store"
-	"hybridmem/internal/workload"
 )
 
 // maxRPCBytes bounds cluster RPC bodies: shard requests and responses
@@ -87,34 +85,18 @@ func (e Exec) RunShard(ctx context.Context, req ShardRequest) (ShardResponse, er
 			obs.Int("shard", int64(req.Shard)), obs.Int("runs", int64(len(req.Runs))))
 	}
 	resp := ShardResponse{Proto: ProtoVersion, Shard: req.Shard, Runs: make([]RunOutcome, len(req.Runs))}
-	// Only well-formed runs are simulated; their outcomes map back to
-	// the original slots through liveIdx.
-	var live []exp.RunSpec
-	var liveIdx []int
-	for i, run := range req.Runs {
-		wl, known := workload.ByName(run.Workload)
-		switch err := config.ValidateRun(req.Config.Scale, run.Ratio16, req.Config.InstrPerCore); {
-		case err != nil:
-			resp.Runs[i].Err = fmt.Sprintf("cluster: run %s/%s: %v", run.Design, run.Workload, err)
-		case !known:
-			resp.Runs[i].Err = fmt.Sprintf("exp: unknown workload %q", run.Workload)
-		default:
-			live = append(live, exp.RunSpec{Workload: wl, Design: run.Design, Ratio16: run.Ratio16})
-			liveIdx = append(liveIdx, i)
-		}
-	}
 	simStart := time.Now()
-	results, errs := runner.ResultsParallelEach(ctx, live)
+	results, errs := runner.ResultsByName(ctx, req.Runs)
 	obs.PhaseHist(e.Obs.Registry()).With("simulate").ObserveDuration(time.Since(simStart))
 	if err := ctx.Err(); err != nil {
 		return ShardResponse{}, err
 	}
-	for j, i := range liveIdx {
-		if errs[j] != nil {
-			resp.Runs[i].Err = errs[j].Error()
+	for i, err := range errs {
+		if err != nil {
+			resp.Runs[i].Err = err.Error()
 			continue
 		}
-		resp.Runs[i].Result = results[j]
+		resp.Runs[i].Result = results[i]
 	}
 	if sp != nil {
 		sp.End()

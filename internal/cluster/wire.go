@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hybridmem/internal/api"
+	"hybridmem/internal/exp"
 	"hybridmem/internal/obs"
 	"hybridmem/internal/sim"
 )
@@ -17,30 +18,25 @@ const ProtoVersion = 2
 
 // Config is the per-shard simulation configuration shared by every run
 // of a batch. The NM:FM ratio is per-run (sweeps mix ratios; DSE
-// candidates each carry their own), so it lives on Run, not here.
+// candidates each carry their own), so it lives on exp.Run, not here.
 type Config struct {
 	Scale        int    `json:"scale"`
 	InstrPerCore uint64 `json:"instr_per_core"`
 	Seed         uint64 `json:"seed"`
 }
 
-// Run identifies one simulation of a shard: a registered design name, a
-// workload name, and the NM:FM capacity ratio in sixteenths.
-type Run struct {
-	Design   string `json:"design"`
-	Workload string `json:"workload"`
-	Ratio16  int    `json:"ratio16"`
-}
+// Run is the older name of exp.Run, the name-keyed run a shard carries.
+type Run = exp.Run
 
 // ShardRequest is one unit of dispatched work: a contiguous slice of a
 // batch's runs, executed independently by any runner.
 type ShardRequest struct {
-	Proto  int    `json:"proto"`
-	Schema int    `json:"schema"`
-	Engine int    `json:"engine"`
-	Shard  int    `json:"shard"`
-	Config Config `json:"config"`
-	Runs   []Run  `json:"runs"`
+	Proto  int       `json:"proto"`
+	Schema int       `json:"schema"`
+	Engine int       `json:"engine"`
+	Shard  int       `json:"shard"`
+	Config Config    `json:"config"`
+	Runs   []exp.Run `json:"runs"`
 	// Trace carries the dispatching shard span's identity when the
 	// coordinator traces; absent (and ignored by pre-tracing nodes,
 	// which decode leniently) otherwise. It never affects outcomes —

@@ -435,6 +435,9 @@ func newSearcher(opts Options) (*searcher, error) {
 			SimCounter:   opts.SimCounter,
 		}
 	}
+	if s.opts.Eval == nil {
+		s.opts.Eval = s.localEval
+	}
 	return s, nil
 }
 
@@ -511,9 +514,9 @@ func (s *searcher) restore(ck *checkpoint) error {
 // normalization point of every candidate's speedup — at full or
 // screening fidelity.
 func (s *searcher) evalBaseline(ctx context.Context, screen bool) error {
-	runs := make([]exp.RunSpec, len(s.wls))
+	runs := make([]exp.Run, len(s.wls))
 	for i, wl := range s.wls {
-		runs[i] = exp.RunSpec{Workload: wl, Design: "Baseline", Ratio16: 1}
+		runs[i] = exp.Run{Design: "Baseline", Workload: wl.Name, Ratio16: 1}
 	}
 	res, err := s.runBatch(ctx, runs, screen)
 	if err != nil {
@@ -715,10 +718,10 @@ func (s *searcher) evalBatch(ctx context.Context, batch []design.Spec, screen bo
 	if screen {
 		baseline = s.screenBaseline
 	}
-	runs := make([]exp.RunSpec, 0, len(batch)*len(s.wls))
+	runs := make([]exp.Run, 0, len(batch)*len(s.wls))
 	for _, c := range batch {
 		for _, wl := range s.wls {
-			runs = append(runs, exp.RunSpec{Workload: wl, Design: c.Name, Ratio16: s.opts.Ratio16})
+			runs = append(runs, exp.Run{Design: c.Name, Workload: wl.Name, Ratio16: s.opts.Ratio16})
 		}
 	}
 	res, err := s.runBatch(ctx, runs, screen)

@@ -9,14 +9,9 @@ import (
 	"hybridmem/internal/sim"
 )
 
-// EvalRun identifies one simulation an evaluator must execute: a
-// registered design name, a workload name, and the NM:FM ratio in
-// sixteenths.
-type EvalRun struct {
-	Design   string
-	Workload string
-	Ratio16  int
-}
+// EvalRun is the older name of exp.Run, the name-keyed simulation an
+// evaluator must execute.
+type EvalRun = exp.Run
 
 // EvalConfig is the simulation configuration shared by every run of an
 // evaluation batch. InstrPerCore is the fidelity the batch runs at —
@@ -55,36 +50,34 @@ func Measure(r sim.Result) EvalResult {
 // Evaluations must be the deterministic simulation function of
 // (cfg, run) — the engine guarantees this — so any evaluator
 // (in-process, loopback, distributed) yields byte-identical searches.
-type Evaluator func(ctx context.Context, cfg EvalConfig, runs []EvalRun) ([]EvalResult, error)
+type Evaluator func(ctx context.Context, cfg EvalConfig, runs []exp.Run) ([]EvalResult, error)
 
-// runBatch executes one batch of runs at the given fidelity: through
-// Options.Eval when set (the distributed path), otherwise on the
-// in-process runner of that fidelity. Either way the outcomes come back
-// in input order with per-run error attribution.
-func (s *searcher) runBatch(ctx context.Context, runs []exp.RunSpec, screen bool) ([]EvalResult, error) {
-	if s.opts.Eval != nil {
-		cfg := EvalConfig{Scale: s.opts.Scale, InstrPerCore: s.opts.InstrPerCore, SimSeed: s.opts.SimSeed}
-		if screen {
-			cfg.InstrPerCore = s.opts.ScreenInstrPerCore
-		}
-		evalRuns := make([]EvalRun, len(runs))
-		for i, r := range runs {
-			evalRuns[i] = EvalRun{Design: r.Design, Workload: r.Workload.Name, Ratio16: r.Ratio16}
-		}
-		out, err := s.opts.Eval(ctx, cfg, evalRuns)
-		if err != nil {
-			return nil, err
-		}
-		if len(out) != len(runs) {
-			return nil, fmt.Errorf("dse: evaluator returned %d results for %d runs", len(out), len(runs))
-		}
-		return out, nil
-	}
-	runner := s.runner
+// runBatch executes one batch of runs at the given fidelity through
+// the search's evaluator (see localEval) and checks that the outcomes
+// come back one per run.
+func (s *searcher) runBatch(ctx context.Context, runs []exp.Run, screen bool) ([]EvalResult, error) {
+	cfg := EvalConfig{Scale: s.opts.Scale, InstrPerCore: s.opts.InstrPerCore, SimSeed: s.opts.SimSeed}
 	if screen {
+		cfg.InstrPerCore = s.opts.ScreenInstrPerCore
+	}
+	out, err := s.opts.Eval(ctx, cfg, runs)
+	if err != nil {
+		return nil, err
+	}
+	if len(out) != len(runs) {
+		return nil, fmt.Errorf("dse: evaluator returned %d results for %d runs", len(out), len(runs))
+	}
+	return out, nil
+}
+
+// localEval is the Evaluator a search without Options.Eval installs: it
+// runs each batch in-process on the runner of the batch's fidelity.
+func (s *searcher) localEval(ctx context.Context, cfg EvalConfig, runs []exp.Run) ([]EvalResult, error) {
+	runner := s.runner
+	if cfg.InstrPerCore != runner.InstrPerCore {
 		runner = s.screenRunner
 	}
-	res, errs := runner.ResultsParallelEach(ctx, runs)
+	res, errs := runner.ResultsByName(ctx, runs)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -125,13 +125,3 @@ func TestResultsParallelProgressReports(t *testing.T) {
 		}
 	}
 }
-
-// TestResultErrCtxCanceled pins the single-run cancellation point.
-func TestResultErrCtxCanceled(t *testing.T) {
-	r := tiny()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := r.ResultErrCtx(ctx, r.Workloads()[0], "HYBRID2", 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v is not context.Canceled", err)
-	}
-}

@@ -186,6 +186,16 @@ type RunSpec struct {
 	Ratio16  int
 }
 
+// Run identifies one simulation by name: a registered design name, a
+// workload name, and the NM:FM capacity ratio in sixteenths. It is the
+// wire form of a RunSpec, carried by cluster shard requests and handed
+// to design-space search evaluators; ResultsByName executes it.
+type Run struct {
+	Design   string `json:"design"`
+	Workload string `json:"workload"`
+	Ratio16  int    `json:"ratio16"`
+}
+
 // memoState returns the runner's memo cache and singleflight group,
 // creating them on first use.
 func (r *Runner) memoState() (*store.LRU[memoVal], *store.Flight[memoVal]) {
@@ -436,17 +446,6 @@ func (r *Runner) execute(name, designName string, spec design.Spec, ratio16, run
 	return res, nil
 }
 
-// ResultErrCtx is ResultErr with cancellation: a canceled context fails
-// fast with ctx.Err() before any simulation state is built. A run already
-// in flight on another goroutine is not interrupted — simulations are
-// short — but no new work starts after cancellation.
-func (r *Runner) ResultErrCtx(ctx context.Context, wl workload.Spec, designName string, ratio16 int) (sim.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return sim.Result{}, err
-	}
-	return r.ResultErr(wl, designName, ratio16)
-}
-
 // Result is the panicking convenience form of ResultErr, for call sites
 // whose design names are statically known to be well-formed.
 func (r *Runner) Result(wl workload.Spec, designName string, ratio16 int) sim.Result {
@@ -575,15 +574,40 @@ func (r *Runner) ResultsParallelProgress(ctx context.Context, specs []RunSpec, p
 // ResultsParallelEach evaluates the given runs across the runner's
 // worker pool and returns results and errors in input order, one error
 // slot per run (nil on success) — no joining, so executors that relay
-// per-run outcomes (the cluster shard executor, the DSE evaluator) keep
-// exact run-to-error attribution. Memoization, determinism and
-// cancellation behave exactly as in ResultsParallelCtx; a run abandoned
-// by cancellation settles its slot as ctx.Err() with a zero result.
+// per-run outcomes keep exact run-to-error attribution. Memoization,
+// determinism and cancellation behave exactly as in ResultsParallelCtx;
+// a run abandoned by cancellation settles its slot as ctx.Err() with a
+// zero result.
 func (r *Runner) ResultsParallelEach(ctx context.Context, specs []RunSpec) ([]sim.Result, []error) {
 	out := make([]sim.Result, len(specs))
 	errs := r.parallelForEach(ctx, len(specs), func(i int) error {
 		var err error
 		out[i], err = r.result(specs[i].Workload, specs[i].Design, specs[i].Ratio16, i)
+		return err
+	})
+	return out, errs
+}
+
+// ResultsByName is ResultsParallelEach for name-keyed runs: each run
+// resolves against this runner's configuration — the scale, ratio and
+// instruction budget must validate, and the workload must be a built-in
+// one — and evaluates in its own slot, so a malformed run fails only its
+// slot. Executors that receive runs over the wire (the cluster shard
+// executor, the design-space search's in-process evaluator) go through
+// it.
+func (r *Runner) ResultsByName(ctx context.Context, runs []Run) ([]sim.Result, []error) {
+	out := make([]sim.Result, len(runs))
+	errs := r.parallelForEach(ctx, len(runs), func(i int) error {
+		run := runs[i]
+		if err := config.ValidateRun(r.Scale, run.Ratio16, r.InstrPerCore); err != nil {
+			return fmt.Errorf("exp: run %s/%s: %w", run.Design, run.Workload, err)
+		}
+		wl, ok := workload.ByName(run.Workload)
+		if !ok {
+			return fmt.Errorf("exp: unknown workload %q", run.Workload)
+		}
+		var err error
+		out[i], err = r.result(wl, run.Design, run.Ratio16, i)
 		return err
 	})
 	return out, errs
@@ -708,17 +732,6 @@ func (r *Runner) Speedup(wl workload.Spec, designName string, ratio16 int) float
 		return 0
 	}
 	return float64(base.Cycles) / float64(res.Cycles)
-}
-
-// ClassSpeedups collects per-workload speedups of one MPKI class.
-func (r *Runner) ClassSpeedups(c workload.Class, designName string, ratio16 int) []float64 {
-	var out []float64
-	for _, wl := range r.Workloads() {
-		if wl.Class == c {
-			out = append(out, r.Speedup(wl, designName, ratio16))
-		}
-	}
-	return out
 }
 
 // AllSpeedups collects per-workload speedups across all classes.

@@ -29,20 +29,6 @@ type Config struct {
 	InterleaveBytes int     // channel interleaving granularity
 	RWPicoJPerBit   float64 // read/write + I/O energy, pJ per bit
 	ActPreNanoJ     float64 // activate+precharge energy, nJ per activation
-
-	// Refresh modeling (optional; the paper excludes refresh energy from
-	// its dynamic-energy figures, so the defaults leave it off). When
-	// TREFI > 0, each bank is unavailable for TRFC every TREFI cycles.
-	TREFI memtypes.Tick // refresh interval (all-bank, per device)
-	TRFC  memtypes.Tick // refresh cycle time (bank blocked)
-}
-
-// WithRefresh returns a copy of the config with DDR4-class refresh
-// enabled: tREFI 7.8 µs and tRFC 350 ns at 3.2 GHz CPU cycles.
-func (c Config) WithRefresh() Config {
-	c.TREFI = 24960
-	c.TRFC = 1120
-	return c
 }
 
 // HBM2Config returns the near-memory device of Table 1: HBM2 at 2 GHz,
@@ -90,9 +76,8 @@ func DDR4Config() Config {
 }
 
 type bank struct {
-	openRow     int64 // -1: closed
-	freeAt      memtypes.Tick
-	refreshedAt memtypes.Tick // start of the last refresh window applied
+	openRow int64 // -1: closed
+	freeAt  memtypes.Tick
 }
 
 type channel struct {
@@ -126,8 +111,6 @@ type Device struct {
 	Activations uint64
 	Reads       uint64
 	Writes      uint64
-	Refreshes   uint64
-	busyCycles  float64
 }
 
 // New creates a device with all banks closed and idle.
@@ -164,8 +147,7 @@ func (d *Device) Reset() {
 		}
 	}
 	d.Traffic = memtypes.Traffic{}
-	d.Activations, d.Reads, d.Writes, d.Refreshes = 0, 0, 0, 0
-	d.busyCycles = 0
+	d.Activations, d.Reads, d.Writes = 0, 0, 0
 }
 
 // locate resolves an address to its channel, bank and row.
@@ -192,26 +174,6 @@ func (d *Device) burst(bytes int) memtypes.Tick {
 
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
-
-// applyRefresh blocks the bank for TRFC if a refresh window started since
-// the bank last refreshed: a lazy model of periodic all-bank refresh that
-// costs nothing when refresh is disabled (TREFI == 0). Refreshing closes
-// the row buffer.
-func (d *Device) applyRefresh(bk *bank, now memtypes.Tick) {
-	if d.cfg.TREFI == 0 {
-		return
-	}
-	window := now / d.cfg.TREFI * d.cfg.TREFI
-	if window <= bk.refreshedAt && bk.refreshedAt != 0 {
-		return
-	}
-	bk.refreshedAt = window
-	if end := window + d.cfg.TRFC; end > bk.freeAt {
-		bk.freeAt = end
-	}
-	bk.openRow = -1
-	d.Refreshes++
-}
 
 // Access performs a demand transfer of size bytes at addr starting no
 // earlier than now and returns the completion time. Write transfers
@@ -261,7 +223,6 @@ func (d *Device) transfer(cls memtypes.Class, now memtypes.Tick, addr memtypes.A
 		return now, now
 	}
 	ch, bk, row := d.locate(addr)
-	d.applyRefresh(bk, now)
 
 	start := max(now, ch.busFreeAt, bk.freeAt)
 	if bg {
@@ -284,7 +245,6 @@ func (d *Device) transfer(cls memtypes.Class, now memtypes.Tick, addr memtypes.A
 		ch.busFreeAt = start + burst
 	}
 	bk.freeAt = done
-	d.busyCycles += float64(burst)
 
 	if write {
 		d.Traffic[cls].Write += uint64(bytes)
@@ -328,10 +288,6 @@ func (d *Device) DynamicEnergyNanoJ() float64 {
 	bits := float64(t.Read+t.Write) * 8
 	return bits*d.cfg.RWPicoJPerBit/1000 + float64(d.Activations)*d.cfg.ActPreNanoJ
 }
-
-// BusyCycles returns accumulated data-bus occupancy across channels,
-// useful for utilization sanity checks in tests.
-func (d *Device) BusyCycles() float64 { return d.busyCycles }
 
 // PeakBandwidthBytesPerCycle returns the aggregate peak bandwidth.
 func (d *Device) PeakBandwidthBytesPerCycle() float64 {

@@ -246,50 +246,3 @@ func TestCriticalFirstDegenerate(t *testing.T) {
 		t.Fatal("oversized critical chunk mishandled")
 	}
 }
-
-func TestRefreshDisabledByDefault(t *testing.T) {
-	d := New(DDR4Config())
-	d.Access(0, 0, 64, false)
-	d.Access(100000, 0, 64, false)
-	if d.Refreshes != 0 {
-		t.Fatalf("refreshes %d with refresh disabled", d.Refreshes)
-	}
-}
-
-func TestRefreshBlocksBank(t *testing.T) {
-	cfg := DDR4Config().WithRefresh()
-	d := New(cfg)
-	// An access right at a refresh window start waits out tRFC.
-	done := d.Access(cfg.TREFI, 0, 64, false)
-	plain := New(DDR4Config())
-	ref := plain.Access(cfg.TREFI, 0, 64, false)
-	if done < ref+cfg.TRFC-1 {
-		t.Fatalf("refresh did not delay access: %d vs %d+%d", done, ref, cfg.TRFC)
-	}
-	if d.Refreshes == 0 {
-		t.Fatal("no refresh recorded")
-	}
-}
-
-func TestRefreshClosesRowBuffer(t *testing.T) {
-	cfg := DDR4Config().WithRefresh()
-	d := New(cfg)
-	d.Access(0, 0, 64, false) // opens row 0
-	// Next access to the same row after a refresh window: row miss again.
-	acts := d.Activations
-	d.Access(cfg.TREFI+cfg.TRFC+100, 0, 64, false)
-	if d.Activations != acts+1 {
-		t.Fatal("row survived a refresh")
-	}
-}
-
-func TestRefreshAppliedOncePerWindow(t *testing.T) {
-	cfg := DDR4Config().WithRefresh()
-	d := New(cfg)
-	for i := 0; i < 10; i++ {
-		d.Access(cfg.TREFI+memtypes.Tick(i)*200, 0, 64, false)
-	}
-	if d.Refreshes != 1 {
-		t.Fatalf("refreshes %d for one window and one bank, want 1", d.Refreshes)
-	}
-}

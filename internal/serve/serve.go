@@ -252,20 +252,8 @@ func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	st := opts.Store
 	if st == nil {
-		dir := opts.StoreDir
-		if dir == "" && opts.StateDir != "" {
-			// Finished jobs are adopted from the store after a restart,
-			// so persistence needs a disk tier.
-			dir = filepath.Join(opts.StateDir, "store")
-		}
 		var err error
-		st, err = store.Open(store.Options{
-			MemEntries: opts.CacheEntries,
-			MemBytes:   opts.CacheBytes,
-			Dir:        dir,
-			MaxBytes:   opts.StoreMaxBytes,
-		})
-		if err != nil {
+		if st, err = OpenStore(opts); err != nil {
 			return nil, err
 		}
 	}
@@ -294,6 +282,24 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// OpenStore opens the result store a server over opts uses when
+// opts.Store is nil: memory tiers bounded by CacheEntries and
+// CacheBytes, and a disk tier at StoreDir, else at <StateDir>/store
+// (finished jobs are adopted from the store after a restart, so
+// persistence needs a disk tier), else none.
+func OpenStore(opts Options) (*store.Store, error) {
+	dir := opts.StoreDir
+	if dir == "" && opts.StateDir != "" {
+		dir = filepath.Join(opts.StateDir, "store")
+	}
+	return store.Open(store.Options{
+		MemEntries: opts.CacheEntries,
+		MemBytes:   opts.CacheBytes,
+		Dir:        dir,
+		MaxBytes:   opts.StoreMaxBytes,
+	})
 }
 
 // Handler returns the server's HTTP handler.
@@ -712,7 +718,7 @@ func (s *Server) sweepTelemetry(j *job, specs []exp.RunSpec, o seriesOptions) *e
 		MaxEpochs:   o.MaxEpochs,
 		OnEpoch: func(run int, e telemetry.Epoch) {
 			s.metrics.noteEpoch(e)
-			ev := epochEvent{Run: run, Design: specs[run].Design, Workload: specs[run].Workload.Name, Epoch: api.FromEpoch(e)}
+			ev := epochEvent{Run: run, Design: specs[run].Design, Workload: specs[run].Workload.Name, Epoch: e}
 			if data, merr := json.Marshal(ev); merr == nil {
 				j.publishEvent("epoch", data)
 			}
@@ -727,9 +733,9 @@ func (s *Server) sweepTelemetry(j *job, specs []exp.RunSpec, o seriesOptions) *e
 // each run's sim.Result record in SweepSpecsByName order, so the caller
 // encodes them exactly as it encodes a local sweep.
 func (s *Server) clusterSweep(ctx context.Context, specs []exp.RunSpec, c api.Config, progress func(done, total int)) ([]sim.Result, error) {
-	runs := make([]cluster.Run, len(specs))
+	runs := make([]exp.Run, len(specs))
 	for i, sp := range specs {
-		runs[i] = cluster.Run{Design: sp.Design, Workload: sp.Workload.Name, Ratio16: sp.Ratio16}
+		runs[i] = exp.Run{Design: sp.Design, Workload: sp.Workload.Name, Ratio16: sp.Ratio16}
 	}
 	cfg := cluster.Config{Scale: c.Scale, InstrPerCore: c.InstrPerCore, Seed: c.Seed}
 	outs, err := s.opts.Cluster.Run(ctx, cfg, runs, progress)

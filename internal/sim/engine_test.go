@@ -1,7 +1,7 @@
 package sim_test
 
-// The engine-rewrite pin: the heap-scheduled, batch-pulling, stenciled
-// run loop must reproduce the old linear-scan reference loop's Result
+// The engine-rewrite pin: the heap-scheduled, batch-pulling run loop
+// must reproduce the old linear-scan reference loop's Result
 // bit-identically for every registered design, and its steady state must
 // not allocate per record.
 

@@ -1,14 +1,13 @@
 // Package sim wires the interval cores, the shared LLC and one memory
 // organization together and runs a workload to completion, producing the
-// per-run metrics every figure of the paper is built from.
+// per-run metrics every figure of the paper is built from. It reaches
+// the organization only through memtypes.MemorySystem and imports no
+// design package.
 package sim
 
 import (
-	"hybridmem/internal/baselines/dramcache"
-	"hybridmem/internal/baselines/flat"
 	"hybridmem/internal/cachesim"
 	"hybridmem/internal/config"
-	hybrid "hybridmem/internal/core"
 	"hybridmem/internal/cpu"
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
@@ -111,50 +110,6 @@ func RunSampled(spec workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Dev
 	return RunSourcesSampled(spec.Name, srcs, MLPFor(spec), ms, nm, fm, sys, smp)
 }
 
-// The devirtualization wrappers below give the registry's main designs a
-// concrete-typed run loop. A generic instantiated directly on the pointer
-// types would not do it: Go's gcshape stenciling buckets all pointer type
-// arguments into one dictionary-based instantiation, leaving ms.Access an
-// indirect call. A one-field struct wrapper per design is its own gcshape,
-// so runLoop stencils per design and the inner Access/Finish calls bind
-// (and inline) statically.
-
-type hybridMS struct{ m *hybrid.Hybrid2 }
-
-func (a hybridMS) Name() string { return a.m.Name() }
-func (a hybridMS) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtypes.Tick {
-	return a.m.Access(now, addr, write)
-}
-func (a hybridMS) Finish(now memtypes.Tick)  { a.m.Finish(now) }
-func (a hybridMS) Stats() *memtypes.MemStats { return a.m.Stats() }
-
-type dramCacheMS struct{ m *dramcache.Cache }
-
-func (a dramCacheMS) Name() string { return a.m.Name() }
-func (a dramCacheMS) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtypes.Tick {
-	return a.m.Access(now, addr, write)
-}
-func (a dramCacheMS) Finish(now memtypes.Tick)  { a.m.Finish(now) }
-func (a dramCacheMS) Stats() *memtypes.MemStats { return a.m.Stats() }
-
-type fmOnlyMS struct{ m *flat.FMOnly }
-
-func (a fmOnlyMS) Name() string { return a.m.Name() }
-func (a fmOnlyMS) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtypes.Tick {
-	return a.m.Access(now, addr, write)
-}
-func (a fmOnlyMS) Finish(now memtypes.Tick)  { a.m.Finish(now) }
-func (a fmOnlyMS) Stats() *memtypes.MemStats { return a.m.Stats() }
-
-type nmOnlyMS struct{ m *flat.NMOnly }
-
-func (a nmOnlyMS) Name() string { return a.m.Name() }
-func (a nmOnlyMS) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtypes.Tick {
-	return a.m.Access(now, addr, write)
-}
-func (a nmOnlyMS) Finish(now memtypes.Tick)  { a.m.Finish(now) }
-func (a nmOnlyMS) Stats() *memtypes.MemStats { return a.m.Stats() }
-
 // RunSources executes one explicit trace source per core — the entry
 // point for replaying captured traces. mlp bounds each core's overlapped
 // misses.
@@ -165,17 +120,7 @@ func RunSources(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, n
 // RunSourcesSampled is RunSources with an optional telemetry sampler;
 // nil smp is exactly RunSources.
 func RunSourcesSampled(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
-	switch m := ms.(type) {
-	case *hybrid.Hybrid2:
-		return runLoop(name, srcs, mlp, hybridMS{m}, nm, fm, sys, smp)
-	case *dramcache.Cache:
-		return runLoop(name, srcs, mlp, dramCacheMS{m}, nm, fm, sys, smp)
-	case *flat.FMOnly:
-		return runLoop(name, srcs, mlp, fmOnlyMS{m}, nm, fm, sys, smp)
-	case *flat.NMOnly:
-		return runLoop(name, srcs, mlp, nmOnlyMS{m}, nm, fm, sys, smp)
-	}
-	return runLoop[memtypes.MemorySystem](name, srcs, mlp, ms, nm, fm, sys, smp)
+	return runLoop(name, srcs, mlp, ms, nm, fm, sys, smp)
 }
 
 // coreState is one core's slot in the run loop: its source, the batch
@@ -229,17 +174,17 @@ func maxCoreTime(cores []*cpu.Core) memtypes.Tick {
 	return t
 }
 
-// runLoop is the per-record simulation loop, generic so the type switch
-// in RunSources stencils a concrete-typed copy per main design. The
-// scheduler is an index min-heap keyed on (core time, index), replacing
-// the O(cores) scan per record; selection order is bit-identical to the
-// scan because both pick the lexicographic minimum, and only the selected
-// core's time ever changes. The steady state allocates nothing: record
-// buffers, heap and core state are preallocated, and the histogram is a
-// fixed array. The telemetry sampler is optional and passive: with smp
-// nil the per-record cost is one predictable branch and the Result is
-// unchanged either way.
-func runLoop[MS memtypes.MemorySystem](name string, srcs []Source, mlp int, ms MS, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
+// runLoop is the per-record simulation loop; every design runs through
+// it behind the memtypes.MemorySystem interface, one dynamic call per
+// memory access. The scheduler is an index min-heap keyed on (core time,
+// index), replacing the O(cores) scan per record; selection order is
+// bit-identical to the scan because both pick the lexicographic minimum,
+// and only the selected core's time ever changes. The steady state
+// allocates nothing: record buffers, heap and core state are
+// preallocated, and the histogram is a fixed array. The telemetry
+// sampler is optional and passive: with smp nil the per-record cost is
+// one predictable branch and the Result is unchanged either way.
+func runLoop(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
 	llc := cachesim.New(sys.LLCBytes, config.LLCAssoc, memtypes.CPULineBytes)
 	var lat stats.Histogram
 

@@ -31,9 +31,10 @@
 //
 // # Series schema
 //
-// Series is the in-process form; internal/api renders it as a
-// versioned wire document (api.Series, schema api.SeriesSchemaVersion)
-// with one JSON object per epoch plus a phase-segmentation summary:
+// Series is both the in-process form and, through its JSON tags, the
+// series of internal/api's versioned wire documents (api.Series, schema
+// api.SeriesSchemaVersion): one JSON object per epoch plus a
+// phase-segmentation summary:
 // deterministic change-point detection over the per-epoch IPC series
 // (see segment.go) splits the run into phases, each summarized by its
 // mean IPC, MPKI, NM hit fraction and wasted-fetch fraction.
@@ -78,65 +79,67 @@ type Options struct {
 
 // Epoch is one closed sampling window: deltas of the simulator's
 // cumulative counters between two consecutive boundaries, plus the
-// derived rates the paper's figures are built from.
+// derived rates the paper's figures are built from. The JSON tags are
+// the series wire schema (api.SeriesSchemaVersion): field order is the
+// wire order, pinned by internal/api's golden test.
 type Epoch struct {
-	Index    int    // epoch number within the run, from 0
-	EndInstr uint64 // cumulative instructions at the closing boundary
-	EndCycle uint64 // cumulative cycles (max core time) at the boundary
+	Index    int    `json:"epoch"`     // epoch number within the run, from 0
+	EndInstr uint64 `json:"end_instr"` // cumulative instructions at the closing boundary
+	EndCycle uint64 `json:"end_cycle"` // cumulative cycles (max core time) at the boundary
 
-	Instr  uint64  // instructions retired within the window
-	Cycles uint64  // cycles elapsed within the window
-	IPC    float64 // Instr / Cycles, 0 when no cycle elapsed
+	Instr  uint64  `json:"instr"`  // instructions retired within the window
+	Cycles uint64  `json:"cycles"` // cycles elapsed within the window
+	IPC    float64 `json:"ipc"`    // Instr / Cycles, 0 when no cycle elapsed
 
-	LLCAccesses uint64  // LLC accesses within the window
-	LLCMisses   uint64  // LLC misses within the window
-	MPKI        float64 // LLCMisses per thousand window instructions
+	LLCAccesses uint64  `json:"llc_accesses"` // LLC accesses within the window
+	LLCMisses   uint64  `json:"llc_misses"`   // LLC misses within the window
+	MPKI        float64 `json:"mpki"`         // LLCMisses per thousand window instructions
 
-	Requests  uint64  // memory requests within the window
-	NMHitFrac float64 // fraction of window requests served from NM
+	Requests  uint64  `json:"requests"`    // memory requests within the window
+	NMHitFrac float64 `json:"nm_hit_frac"` // fraction of window requests served from NM
 
-	NMTrafficBytes uint64 // NM read+write bytes within the window
-	FMTrafficBytes uint64 // FM read+write bytes within the window
-	MetaNMBytes    uint64 // metadata subset of the NM traffic
+	NMTrafficBytes uint64 `json:"nm_traffic_bytes"` // NM read+write bytes within the window
+	FMTrafficBytes uint64 `json:"fm_traffic_bytes"` // FM read+write bytes within the window
+	MetaNMBytes    uint64 `json:"meta_nm_bytes"`    // metadata subset of the NM traffic
 	// The window's bytes of the other traffic classes, both devices
 	// together. Metadata lives in NM, so these four plus MetaNMBytes sum
 	// to NMTrafficBytes + FMTrafficBytes.
-	DemandBytes    uint64
-	FillBytes      uint64
-	WritebackBytes uint64
-	MigrationBytes uint64
-	Migrations     uint64
-	Evictions      uint64
-	WastedFrac     float64 // wasted fraction of bytes fetched this window
+	DemandBytes    uint64  `json:"demand_bytes"`
+	FillBytes      uint64  `json:"fill_bytes"`
+	WritebackBytes uint64  `json:"writeback_bytes"`
+	MigrationBytes uint64  `json:"migration_bytes"`
+	Migrations     uint64  `json:"migrations"`
+	Evictions      uint64  `json:"evictions"`
+	WastedFrac     float64 `json:"wasted_frac"` // wasted fraction of bytes fetched this window
 
-	LatCount uint64  // demand read-miss latency samples in the window
-	LatMean  float64 // mean demand read-miss latency, cycles
-	LatP50   uint64
-	LatP99   uint64
+	LatCount uint64  `json:"lat_count"` // demand read-miss latency samples in the window
+	LatMean  float64 `json:"lat_mean"`  // mean demand read-miss latency, cycles
+	LatP50   uint64  `json:"lat_p50"`
+	LatP99   uint64  `json:"lat_p99"`
 }
 
 // Phase is one segment of the phase-segmentation summary: a maximal
 // run of consecutive epochs with statistically similar IPC.
 type Phase struct {
-	StartEpoch int // first epoch index in the phase, inclusive
-	EndEpoch   int // last epoch index in the phase, inclusive
-	Epochs     int // EndEpoch - StartEpoch + 1
+	StartEpoch int `json:"start_epoch"` // first epoch index in the phase, inclusive
+	EndEpoch   int `json:"end_epoch"`   // last epoch index in the phase, inclusive
+	Epochs     int `json:"epochs"`      // EndEpoch - StartEpoch + 1
 
-	MeanIPC        float64
-	MeanMPKI       float64
-	MeanNMHitFrac  float64
-	MeanWastedFrac float64
+	MeanIPC        float64 `json:"mean_ipc"`
+	MeanMPKI       float64 `json:"mean_mpki"`
+	MeanNMHitFrac  float64 `json:"mean_nm_hit_frac"`
+	MeanWastedFrac float64 `json:"mean_wasted_frac"`
 }
 
 // Series is the finalized output of one sampled run: the retained
 // epochs (oldest first), bookkeeping about what the ring dropped, and
 // the phase segmentation computed over the retained epochs.
 type Series struct {
-	WindowInstr   uint64  // configured epoch length
-	EpochsTotal   int     // epochs ever closed during the run
-	EpochsDropped int     // epochs the ring evicted (EpochsTotal - len(Epochs))
-	Epochs        []Epoch // retained epochs, oldest first
-	Phases        []Phase // segmentation over the retained epochs
+	WindowInstr   uint64  `json:"window_instr"`   // configured epoch length
+	EpochsTotal   int     `json:"epochs_total"`   // epochs ever closed during the run
+	EpochsDropped int     `json:"epochs_dropped"` // epochs the ring evicted (EpochsTotal - len(Epochs))
+	Epochs        []Epoch `json:"epochs"`         // retained epochs, oldest first
+	Phases        []Phase `json:"phases"`         // segmentation over the retained epochs
 }
 
 // Sampler accumulates epochs for one run. It is driven by the run

@@ -9,14 +9,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"hybridmem/internal/cluster"
 	"hybridmem/internal/obs"
 	"hybridmem/internal/serve"
-	"hybridmem/internal/store"
 )
 
 // ServeOptions configures the simulation service started by Serve. The
@@ -142,28 +140,27 @@ func Serve(ctx context.Context, opts ServeOptions) error {
 	}
 	// One store serves the whole process: the HTTP layer's documents,
 	// its local runs' records and the coordinator's run records share
-	// its tiers, so every layer sees every other's warm results. Its disk tier sits
-	// where serve.New would put it: StoreDir, else <StateDir>/store.
-	storeDir := opts.StoreDir
-	if storeDir == "" && opts.StateDir != "" {
-		storeDir = filepath.Join(opts.StateDir, "store")
+	// its tiers, so every layer sees every other's warm results.
+	sopts := serve.Options{
+		CacheEntries:  opts.CacheEntries,
+		CacheBytes:    opts.CacheBytes,
+		StoreDir:      opts.StoreDir,
+		StoreMaxBytes: opts.StoreMaxBytes,
+		QueueDepth:    opts.QueueDepth,
+		JobHistory:    opts.JobHistory,
+		Workers:       opts.Workers,
+		Parallelism:   opts.Parallelism,
+		StateDir:      opts.StateDir,
+		Log:           opts.Log,
+		Obs:           o,
 	}
-	var st *store.Store
-	if storeDir != "" {
-		var err error
-		st, err = store.Open(store.Options{
-			MemEntries: opts.CacheEntries,
-			MemBytes:   opts.CacheBytes,
-			Dir:        storeDir,
-			MaxBytes:   opts.StoreMaxBytes,
-		})
-		if err != nil {
-			return fmt.Errorf("hybridmem: %w", err)
-		}
+	st, err := serve.OpenStore(sopts)
+	if err != nil {
+		return fmt.Errorf("hybridmem: %w", err)
 	}
-	var coord *cluster.Coordinator
+	sopts.Store = st
 	if opts.Coordinator || opts.ClusterLoopbackRunners > 0 {
-		coord = cluster.NewCoordinator(cluster.CoordinatorOptions{
+		sopts.Cluster = cluster.NewCoordinator(cluster.CoordinatorOptions{
 			ShardSize:        opts.ClusterShardSize,
 			MaxInFlight:      opts.ClusterMaxInFlight,
 			HeartbeatTimeout: opts.ClusterHeartbeatTimeout,
@@ -175,23 +172,10 @@ func Serve(ctx context.Context, opts ServeOptions) error {
 			Obs:              o,
 		})
 		if opts.ClusterLoopbackRunners > 0 {
-			coord.AttachLoopback(opts.ClusterLoopbackRunners, opts.Parallelism)
+			sopts.Cluster.AttachLoopback(opts.ClusterLoopbackRunners, opts.Parallelism)
 		}
 	}
-	srv, err := serve.New(serve.Options{
-		CacheEntries:  opts.CacheEntries,
-		CacheBytes:    opts.CacheBytes,
-		Store:         st,
-		StoreMaxBytes: opts.StoreMaxBytes,
-		QueueDepth:    opts.QueueDepth,
-		JobHistory:    opts.JobHistory,
-		Workers:       opts.Workers,
-		Parallelism:   opts.Parallelism,
-		StateDir:      opts.StateDir,
-		Log:           opts.Log,
-		Obs:           o,
-		Cluster:       coord,
-	})
+	srv, err := serve.New(sopts)
 	if err != nil {
 		return fmt.Errorf("hybridmem: %w", err)
 	}

@@ -128,6 +128,8 @@ func RunWithOptions(design, workloadName string, cfg Config, opts RunOptions) (R
 }
 
 // fromSeries converts the internal telemetry series to the public form.
+// Epoch and Phase convert from their telemetry counterparts, so the
+// compiler rejects a field the two do not share.
 func fromSeries(ts *telemetry.Series) *Series {
 	if ts == nil {
 		return nil
@@ -140,26 +142,10 @@ func fromSeries(ts *telemetry.Series) *Series {
 		Phases:        make([]Phase, len(ts.Phases)),
 	}
 	for i, e := range ts.Epochs {
-		s.Epochs[i] = Epoch{
-			Index:    e.Index,
-			EndInstr: e.EndInstr, EndCycle: e.EndCycle,
-			Instr: e.Instr, Cycles: e.Cycles, IPC: e.IPC,
-			LLCAccesses: e.LLCAccesses, LLCMisses: e.LLCMisses, MPKI: e.MPKI,
-			Requests: e.Requests, NMHitFrac: e.NMHitFrac,
-			NMTrafficBytes: e.NMTrafficBytes, FMTrafficBytes: e.FMTrafficBytes,
-			MetaNMBytes: e.MetaNMBytes,
-			DemandBytes: e.DemandBytes, FillBytes: e.FillBytes,
-			WritebackBytes: e.WritebackBytes, MigrationBytes: e.MigrationBytes,
-			Migrations: e.Migrations, Evictions: e.Evictions, WastedFrac: e.WastedFrac,
-			LatCount: e.LatCount, LatMean: e.LatMean, LatP50: e.LatP50, LatP99: e.LatP99,
-		}
+		s.Epochs[i] = Epoch(e)
 	}
 	for i, p := range ts.Phases {
-		s.Phases[i] = Phase{
-			StartEpoch: p.StartEpoch, EndEpoch: p.EndEpoch, Epochs: p.Epochs,
-			MeanIPC: p.MeanIPC, MeanMPKI: p.MeanMPKI,
-			MeanNMHitFrac: p.MeanNMHitFrac, MeanWastedFrac: p.MeanWastedFrac,
-		}
+		s.Phases[i] = Phase(p)
 	}
 	return s
 }
