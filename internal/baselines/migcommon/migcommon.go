@@ -6,6 +6,7 @@
 package migcommon
 
 import (
+	"hybridmem/internal/cachesim"
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
 	"hybridmem/internal/placement"
@@ -197,62 +198,66 @@ func (s *Space) CheckInvariants() bool {
 // RemapCache is the on-chip cache of remap-table entries. Its capacity is
 // set equal to Hybrid2's XTA in the paper's comparisons (§5, 512 KB).
 // Every design with a set-associative remap cache (MemPod, LGM,
-// Chameleon, CAMEO, SILC-FM) uses this one.
+// Chameleon, CAMEO, SILC-FM) uses this one. Its true-LRU recency is the
+// LLC's packed cachesim.Order word, one per set.
 type RemapCache struct {
 	tags    []uint64 // key +1, 0 = invalid
-	lru     []uint64
+	order   []cachesim.Order
 	setMask uint32
 	assoc   int
-	clock   uint64
 
 	Hits, Misses uint64
 }
 
-// NewRemapCache builds a remap cache of the given entry count.
+// NewRemapCache builds a remap cache of the given entry count; assoc must
+// be at most cachesim.MaxAssoc.
 func NewRemapCache(entries, assoc int) *RemapCache {
+	if assoc <= 0 || assoc > cachesim.MaxAssoc {
+		panic("migcommon: remap cache associativity must be 1 to 16")
+	}
 	sets := entries / assoc
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("migcommon: remap cache sets must be a positive power of two")
 	}
-	return &RemapCache{
+	r := &RemapCache{
 		tags:    make([]uint64, entries),
-		lru:     make([]uint64, entries),
+		order:   make([]cachesim.Order, sets),
 		setMask: uint32(sets - 1),
 		assoc:   assoc,
 	}
+	r.Reset()
+	return r
 }
 
 // Reset empties the cache and zeroes its counters.
 func (r *RemapCache) Reset() {
 	clear(r.tags)
-	clear(r.lru)
-	r.clock, r.Hits, r.Misses = 0, 0, 0
+	init := cachesim.NewOrder(r.assoc)
+	for i := range r.order {
+		r.order[i] = init
+	}
+	r.Hits, r.Misses = 0, 0
 }
 
 // Lookup returns whether the entry of key (a logical sector, or the
 // group or set number a design keys its remap entries by) is cached,
-// inserting it on a miss. The victim is the first invalid way, else the
-// lowest-indexed least-recently-used one.
+// inserting it on a miss. The victim is the set's least recently used
+// way; ways are never invalidated, so an untouched way goes first.
 func (r *RemapCache) Lookup(logical uint32) bool {
-	r.clock++
-	base := int(logical&r.setMask) * r.assoc
-	victim := base
+	set := logical & r.setMask
+	base := int(set) * r.assoc
 	key := uint64(logical) + 1
-	for i := base; i < base+r.assoc; i++ {
-		if r.tags[i] == key {
-			r.lru[i] = r.clock
+	ways := r.tags[base : base+r.assoc : base+r.assoc]
+	for i, t := range ways {
+		if t == key {
+			r.order[set] = r.order[set].Touch(i)
 			r.Hits++
 			return true
 		}
-		if r.tags[victim] == 0 {
-			continue
-		}
-		if r.tags[i] == 0 || r.lru[i] < r.lru[victim] {
-			victim = i
-		}
 	}
 	r.Misses++
-	r.tags[victim] = key
-	r.lru[victim] = r.clock
+	i, o := r.order[set].Replace(r.assoc)
+	r.order[set] = o
+	ways[i] = key
 	return false
 }

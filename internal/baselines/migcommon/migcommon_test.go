@@ -185,12 +185,20 @@ func TestRemapCacheHitMissBehaviour(t *testing.T) {
 }
 
 func TestRemapCacheBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewRemapCache(48, 16) // 3 sets: not a power of two
+	for _, g := range [][2]int{
+		{48, 16}, // 3 sets: not a power of two
+		{64, 32}, // beyond the 16 ways a cachesim.Order tracks
+		{64, 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("geometry %v did not panic", g)
+				}
+			}()
+			NewRemapCache(g[0], g[1])
+		}()
+	}
 }
 
 // TestSpaceResetRestoresPlacement: Reset unwinds random swaps back to the

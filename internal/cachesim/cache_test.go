@@ -63,19 +63,12 @@ func TestWriteHitSetsDirty(t *testing.T) {
 	}
 }
 
-func TestContains(t *testing.T) {
-	c := New(1<<13, 8, 64)
-	c.Access(0x40, false)
-	if !c.Contains(0x40) || !c.Contains(0x7f) {
-		t.Fatal("resident line not found")
-	}
-	if c.Contains(0x80) {
-		t.Fatal("phantom residency")
-	}
-}
-
 func TestBadGeometryPanics(t *testing.T) {
-	for _, g := range [][3]int{{0, 4, 64}, {100, 4, 64}, {1 << 14, 4, 60}} {
+	for _, g := range [][3]int{
+		{0, 4, 64}, {100, 4, 64}, {1 << 14, 4, 60},
+		{1 << 14, 32, 64}, // beyond the 16 ways an Order word tracks
+		{1 << 8, 4, 2},    // lines too small to keep tags clear of the dirty bit
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {

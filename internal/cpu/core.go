@@ -15,19 +15,17 @@ type Core struct {
 	Instructions uint64
 
 	issueWidth  int
-	computeRem  uint64 // sub-cycle remainder of compute work
-	outstanding []memtypes.Tick
-	writeBuf    []memtypes.Tick
+	computeRem  uint64          // sub-cycle remainder of compute work
+	outstanding []memtypes.Tick // min-heap of miss completion times
+	writeBuf    []memtypes.Tick // min-heap of write completion times
 }
 
 // New creates a core with the given issue width and maximum number of
-// overlapping outstanding misses (MSHRs / effective MLP).
+// overlapping outstanding misses (MSHRs / effective MLP). Both must be at
+// least 1.
 func New(issueWidth, mlp int) *Core {
-	if issueWidth < 1 {
-		issueWidth = 1
-	}
-	if mlp < 1 {
-		mlp = 1
+	if issueWidth < 1 || mlp < 1 {
+		panic("cpu: issue width and MLP must be at least 1")
 	}
 	return &Core{
 		issueWidth:  issueWidth,
@@ -55,16 +53,9 @@ func (c *Core) AddLatency(cycles memtypes.Tick) { c.Time += cycles }
 // one resolves. This exposes miss latency once MLP is exhausted while
 // letting up to len(outstanding) misses overlap.
 func (c *Core) StallForMiss(done memtypes.Tick) {
-	oldest := 0
-	for i, t := range c.outstanding {
-		if t < c.outstanding[oldest] {
-			oldest = i
-		}
-	}
-	if wait := c.outstanding[oldest]; wait > c.Time {
+	if wait := replaceMin(c.outstanding, done); wait > c.Time {
 		c.Time = wait
 	}
-	c.outstanding[oldest] = done
 }
 
 // StallForWrite reserves a write-buffer entry for a store or write-back
@@ -72,16 +63,34 @@ func (c *Core) StallForMiss(done memtypes.Tick) {
 // write buffer applies backpressure — without it, write traffic would
 // queue without bound at the memory devices.
 func (c *Core) StallForWrite(done memtypes.Tick) {
-	oldest := 0
-	for i, t := range c.writeBuf {
-		if t < c.writeBuf[oldest] {
-			oldest = i
-		}
-	}
-	if wait := c.writeBuf[oldest]; wait > c.Time {
+	if wait := replaceMin(c.writeBuf, done); wait > c.Time {
 		c.Time = wait
 	}
-	c.writeBuf[oldest] = done
+}
+
+// replaceMin replaces the earliest completion time of the min-heap h with
+// done and returns the time it replaced. Only the multiset of times is
+// observable (a stall waits for the minimum, a drain for the maximum), so
+// the heap behaves exactly like a scan for the oldest slot.
+func replaceMin(h []memtypes.Tick, done memtypes.Tick) memtypes.Tick {
+	oldest := h[0]
+	i := 0
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			break
+		}
+		if r := m + 1; r < len(h) && h[r] < h[m] {
+			m = r
+		}
+		if h[m] >= done {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = done
+	return oldest
 }
 
 // DrainMisses stalls until every outstanding miss has completed. Called at

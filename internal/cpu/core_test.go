@@ -67,14 +67,16 @@ func TestDrainTakesMaxOutstanding(t *testing.T) {
 	}
 }
 
-func TestDegenerateParamsClamped(t *testing.T) {
-	c := New(0, 0)
-	if c.MLP() != 1 {
-		t.Fatalf("MLP %d, want clamp to 1", c.MLP())
-	}
-	c.AdvanceCompute(10)
-	if c.Time != 10 {
-		t.Fatalf("width clamp failed: %d cycles for 10 instrs", c.Time)
+func TestDegenerateParamsPanic(t *testing.T) {
+	for _, p := range [][2]int{{0, 4}, {4, 0}, {-1, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d, %d) did not panic", p[0], p[1])
+				}
+			}()
+			New(p[0], p[1])
+		}()
 	}
 }
 

@@ -133,32 +133,38 @@ type coreState struct {
 	n    int
 }
 
-// lessCore orders heap entries by (core time, core index): exactly the
-// core the old linear scan selected — the lowest-indexed core among those
-// with the minimum time.
-func lessCore(cores []*cpu.Core, a, b int32) bool {
-	ta, tb := cores[a].Time, cores[b].Time
-	return ta < tb || (ta == tb && a < b)
+// slot is one scheduler heap entry: a core's index and its time, copied
+// so that ordering the heap reads no core state.
+type slot struct {
+	t memtypes.Tick
+	i int32
 }
 
-// siftDown restores the min-heap property from slot i after the entry
-// there grew (the selected core advanced) or was replaced (a pop).
-func siftDown(h []int32, i int, cores []*cpu.Core) {
+// before orders slots by (time, index): the heap's minimum is exactly the
+// core the old linear scan selected, the lowest-indexed core among those
+// with the minimum time.
+func (a slot) before(b slot) bool { return a.t < b.t || a.t == b.t && a.i < b.i }
+
+// siftDown places x in the min-heap h whose root slot is vacant: after
+// the selected core advanced (x is that core with its new time) or after
+// a pop (x is the heap's former last entry).
+func siftDown(h []slot, x slot) {
+	i := 0
 	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
+		m := 2*i + 1
+		if m >= len(h) {
+			break
 		}
-		m := l
-		if r := l + 1; r < len(h) && lessCore(cores, h[r], h[l]) {
+		if r := m + 1; r < len(h) && h[r].before(h[m]) {
 			m = r
 		}
-		if !lessCore(cores, h[m], h[i]) {
-			return
+		if x.before(h[m]) {
+			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
 	}
+	h[i] = x
 }
 
 // maxCoreTime returns the latest core time — the run's cycle count so
@@ -176,8 +182,8 @@ func maxCoreTime(cores []*cpu.Core) memtypes.Tick {
 
 // runLoop is the per-record simulation loop; every design runs through
 // it behind the memtypes.MemorySystem interface, one dynamic call per
-// memory access. The scheduler is an index min-heap keyed on (core time,
-// index), replacing the O(cores) scan per record; selection order is
+// memory access. The scheduler is a min-heap of (core time, index) slots,
+// replacing the O(cores) scan per record; selection order is
 // bit-identical to the scan because both pick the lexicographic minimum,
 // and only the selected core's time ever changes. The steady state
 // allocates nothing: record buffers, heap and core state are
@@ -200,14 +206,14 @@ func runLoop(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, 
 	cores := make([]*cpu.Core, n)
 	st := make([]coreState, n)
 	bufs := make([]memtypes.Rec, n*batchLen)
-	heap := make([]int32, n)
+	heap := make([]slot, n)
 	for i := range cores {
 		cores[i] = cpu.New(config.IssueWidth, mlp)
 		st[i] = coreState{src: srcs[i], buf: bufs[i*batchLen : (i+1)*batchLen]}
 		if bs, ok := srcs[i].(BatchSource); ok {
 			st[i].bsrc = bs
 		}
-		heap[i] = int32(i)
+		heap[i] = slot{i: int32(i)}
 	}
 	// The initial heap [0..n-1] is valid: all times are zero and parents
 	// have smaller indices than their children.
@@ -215,7 +221,7 @@ func runLoop(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, 
 	for len(heap) > 0 {
 		// Advance the earliest core: keeps memory-system calls in
 		// near-time order so device contention is modeled consistently.
-		sel := heap[0]
+		sel := heap[0].i
 		cs := &st[sel]
 		c := cores[sel]
 		if cs.head == cs.n {
@@ -236,10 +242,10 @@ func runLoop(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, 
 			if cs.n == 0 {
 				c.DrainMisses()
 				last := len(heap) - 1
-				heap[0] = heap[last]
+				x := heap[last]
 				heap = heap[:last]
-				if len(heap) > 1 {
-					siftDown(heap, 0, cores)
+				if last > 0 {
+					siftDown(heap, x)
 				}
 				continue
 			}
@@ -289,7 +295,7 @@ func runLoop(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, 
 			}
 		}
 		if len(heap) > 1 {
-			siftDown(heap, 0, cores)
+			siftDown(heap, slot{t: c.Time, i: sel})
 		}
 	}
 
