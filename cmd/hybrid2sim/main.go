@@ -53,7 +53,7 @@ func run() error {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	traceFile := flag.String("trace", "", "replay a captured trace file instead of a synthetic workload")
 	mlp := flag.Int("mlp", 4, "per-core memory-level parallelism for trace replay (1-64)")
-	window := flag.Int("window", 0, "per-core lookahead window for streaming trace replay, in records (0 = default)")
+	window := flag.Int("window", 0, "per-core lookahead window for streaming trace replay, in records (0 = default, at most 1048576)")
 	list := flag.Bool("list", false, "list designs and workloads, then exit")
 	designs := flag.Bool("designs", false, "list every registered design with its grammar and parameter ranges, then exit")
 	seriesJSON := flag.String("series-json", "", "sample epoch telemetry and write the run-series JSON document to this file (\"-\" = stdout)")

@@ -346,9 +346,10 @@ type ReplayOptions struct {
 	// parallelism. <= 0 means 4; above 64 is an error.
 	MLP int
 	// Window bounds the streaming reader's per-core lookahead in
-	// records; <= 0 means the 65536-record default. Replay fails with an
-	// error if the trace's core interleaving is more skewed than the
-	// window (e.g. all of one core's records grouped before another's).
+	// records; <= 0 means the 65536-record default, and above 1048576
+	// (trace.MaxWindow) is an error. Replay fails with an error if the
+	// trace's core interleaving is more skewed than the window (e.g. all
+	// of one core's records grouped before another's).
 	Window int
 }
 

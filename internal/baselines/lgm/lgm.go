@@ -135,9 +135,12 @@ func (l *LGM) interval(now memtypes.Tick) {
 
 // Access implements MemorySystem.
 func (l *LGM) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtypes.Tick {
-	for now >= l.nextInt {
+	if now >= l.nextInt {
+		// Only the first elapsed interval has work: it empties the
+		// tracking state and the FM demand count, so the intervals after
+		// it, with no access in between, would change nothing.
 		l.interval(l.nextInt)
-		l.nextInt += l.cfg.IntervalCycles
+		l.nextInt = memtypes.NextPeriod(l.nextInt, now, l.cfg.IntervalCycles)
 	}
 	l.stats.Requests++
 	logical := uint32(uint64(addr) / uint64(l.cfg.SectorBytes))

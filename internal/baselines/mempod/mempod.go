@@ -162,9 +162,12 @@ func (m *MemPod) interval(now memtypes.Tick) {
 
 // Access implements MemorySystem.
 func (m *MemPod) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtypes.Tick {
-	for now >= m.nextInt {
+	if now >= m.nextInt {
+		// Only the first elapsed interval has work: it empties the
+		// tracking state and the FM demand count, so the intervals after
+		// it, with no access in between, would change nothing.
 		m.interval(m.nextInt)
-		m.nextInt += m.cfg.IntervalCycles
+		m.nextInt = memtypes.NextPeriod(m.nextInt, now, m.cfg.IntervalCycles)
 	}
 	m.stats.Requests++
 	logical := uint32(uint64(addr) / uint64(m.cfg.SectorBytes))

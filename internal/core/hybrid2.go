@@ -435,11 +435,13 @@ func (h *Hybrid2) popFreeFM(now memtypes.Tick) uint32 {
 }
 
 // maybeResetBudget implements the periodic FM-access-counter reset
-// (§3.7.3) that adapts migration bandwidth to workload phases.
+// (§3.7.3) that adapts migration bandwidth to workload phases. Every
+// elapsed reset zeroes the budget, so one zeroing covers any number of
+// them.
 func (h *Hybrid2) maybeResetBudget(now memtypes.Tick) {
-	for now >= h.nextReset {
+	if now >= h.nextReset {
 		h.fmBudget = 0
-		h.nextReset += h.cfg.FMBudgetReset
+		h.nextReset = memtypes.NextPeriod(h.nextReset, now, h.cfg.FMBudgetReset)
 	}
 }
 

@@ -64,7 +64,8 @@ type Runner struct {
 	// <= 0 means GOMAXPROCS. 1 forces strictly serial execution.
 	Parallelism int
 	// TraceWindow bounds the per-core lookahead of streaming trace
-	// replay, in records; <= 0 means trace.DefaultWindow.
+	// replay, in records; <= 0 means trace.DefaultWindow, and above
+	// trace.MaxWindow RunTrace fails.
 	TraceWindow int
 	// Store, when non-nil, persists every completed run (and recalls
 	// past ones) through the shared content-addressed result store: a
@@ -686,7 +687,8 @@ const MaxMLP = 64
 // streaming the records: the trace (any format internal/trace reads,
 // auto-detected) is never materialized, so arbitrarily large captures
 // replay in memory bounded by the runner's TraceWindow. mlp bounds
-// per-core overlapped misses and must lie in [1, MaxMLP]. A trace with
+// per-core overlapped misses and must lie in [1, MaxMLP]; the window may
+// not exceed trace.MaxWindow. A trace with
 // no records (empty or whitespace/comments only) is an error, not a
 // zero-cycle result, as is a decode error or a core interleaving more
 // skewed than the lookahead window. Trace runs are not memoized; with Telemetry set

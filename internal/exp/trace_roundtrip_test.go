@@ -3,9 +3,12 @@ package exp
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"hybridmem/internal/config"
+	"hybridmem/internal/design"
 	"hybridmem/internal/memtypes"
 	"hybridmem/internal/sim"
 	"hybridmem/internal/trace"
@@ -110,12 +113,66 @@ func TestRunTraceWindowSkew(t *testing.T) {
 	var buf bytes.Buffer
 	sw := trace.NewStreamWriter(&buf, trace.FormatText, false)
 	for i := 0; i < 64; i++ {
-		sw.Append(7, trace.Record{Gap: 1, Addr: memtypes.Addr(64 * i)})
+		sw.Append(7, memtypes.Rec{Gap: 1, Addr: memtypes.Addr(64 * i)})
 	}
 	sw.Close()
 	r := tiny()
 	r.TraceWindow = 8
 	if _, err := r.RunTrace("skewed", &buf, "Baseline", 1, 2); err == nil {
 		t.Fatal("skewed trace accepted with an 8-record window")
+	}
+}
+
+// TestRunTraceRejectsWindowAboveMax pins the lookahead bound at the
+// engine level: a window above trace.MaxWindow is refused before any
+// record is buffered.
+func TestRunTraceRejectsWindowAboveMax(t *testing.T) {
+	r := tiny()
+	for _, w := range []int{trace.MaxWindow + 1, 100_000_000} {
+		r.TraceWindow = w
+		if _, err := r.RunTrace("t", bytes.NewReader([]byte("0 1 40 R\n")), "Baseline", 1, 2); err == nil {
+			t.Fatalf("window %d accepted", w)
+		}
+	}
+	r.TraceWindow = trace.MaxWindow
+	if _, err := r.RunTrace("t", bytes.NewReader([]byte("0 1 40 R\n")), "Baseline", 1, 2); err != nil {
+		t.Fatalf("window %d (the bound) rejected: %v", trace.MaxWindow, err)
+	}
+}
+
+// largeGapTrace is a 4-record text trace whose core-0 records each skip
+// 2^63-1 instructions, so simulated time jumps by about 2^61 cycles per
+// record. A design that steps a periodic event once per elapsed period
+// would loop ~10^14 times on it.
+const largeGapTrace = "0 9223372036854775807 0 R\n" +
+	"0 9223372036854775807 40 R\n" +
+	"0 9223372036854775807 80 R\n" +
+	"1 1 c0 R\n"
+
+// TestRunTraceLargeGapsFinish replays largeGapTrace on every registered
+// design's sample name: each must finish well within a second, so the
+// periodic work of MPOD, LGM and Hybrid2 catches up in O(1), not once
+// per elapsed period.
+func TestRunTraceLargeGapsFinish(t *testing.T) {
+	r := &Runner{Scale: 16, InstrPerCore: 1000, Seed: 1}
+	for _, info := range design.AllInfos() {
+		name := info.SampleName()
+		done := make(chan error, 1)
+		start := time.Now()
+		go func() {
+			_, err := r.RunTrace("gaps", strings.NewReader(largeGapTrace), name, 1, 4)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("%s: large-gap replay took %v", name, d)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: large-gap replay still running after 10s", name)
+		}
 	}
 }

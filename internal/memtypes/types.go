@@ -10,18 +10,42 @@ type Addr uint64
 // configuration, Table 1).
 type Tick uint64
 
+// NextPeriod returns the first boundary next + k*period, k >= 1, after
+// now, for a periodic event that came due at next <= now. It is the
+// result of stepping next by period until it passes now, computed in
+// O(1) so a long idle stretch costs nothing; it saturates at the largest
+// Tick instead of wrapping.
+func NextPeriod(next, now, period Tick) Tick {
+	k := (now-next)/period + 1
+	if k > (^Tick(0)-next)/period {
+		return ^Tick(0)
+	}
+	return next + k*period
+}
+
 // CPULineBytes is the granularity of processor memory requests: one
 // last-level-cache line.
 const CPULineBytes = 64
 
-// Rec is one trace record as the simulation loop consumes it: Gap
-// non-memory instructions followed by one 64 B access at Addr. Batch
-// record transfers (sim.BatchSource) move slices of Rec so the decoder
-// or generator amortizes its per-record work across a whole batch.
+// Rec is one trace record: Gap non-memory instructions followed by one
+// 64 B access at Addr. It is the simulator's only record type: the
+// workload generators and the trace decoder produce it, the trace
+// encoder writes it, and the run loop consumes it.
 type Rec struct {
 	Gap   uint64
 	Addr  Addr
 	Write bool
+}
+
+// Source yields one core's records in program order, the only way
+// records move from a generator or trace to the run loop. NextBatch
+// fills dst with up to len(dst) records and returns the count; 0 means
+// the source is exhausted, and a short non-zero count is not the end.
+// The records may not depend on pull granularity: any sequence of calls,
+// with any dst lengths, yields the same record stream, so a run is the
+// same whether its records are pulled one at a time or in batches.
+type Source interface {
+	NextBatch(dst []Rec) int
 }
 
 // MemorySystem is the interface every memory organization under study

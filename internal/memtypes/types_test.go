@@ -60,3 +60,30 @@ func TestCPULineGranularity(t *testing.T) {
 		t.Fatalf("CPULineBytes = %d, want 64", CPULineBytes)
 	}
 }
+
+// TestNextPeriodMatchesStepping pins NextPeriod against the loop it
+// replaced, stepping next by period until it passes now, and checks that
+// it saturates instead of wrapping near the largest Tick.
+func TestNextPeriodMatchesStepping(t *testing.T) {
+	for _, period := range []Tick{1, 3, 7, 160_000} {
+		for _, next := range []Tick{period, 3*period + 2} {
+			for _, d := range []Tick{0, 1, period - 1, period, period + 1, 5*period + 3} {
+				now := next + d
+				want := next
+				for now >= want {
+					want += period
+				}
+				if got := NextPeriod(next, now, period); got != want {
+					t.Fatalf("NextPeriod(%d, %d, %d) = %d, want %d", next, now, period, got, want)
+				}
+			}
+		}
+	}
+	const max = ^Tick(0)
+	if got := NextPeriod(10, max-1, 100); got != max {
+		t.Fatalf("near the largest Tick: got %d, want saturation at %d", got, max)
+	}
+	if got := NextPeriod(max-5, max-5, 3); got != max-2 {
+		t.Fatalf("last boundary before the largest Tick: got %d, want %d", got, max-2)
+	}
+}

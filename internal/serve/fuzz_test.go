@@ -55,3 +55,55 @@ func FuzzRequestBodies(f *testing.F) {
 		}
 	})
 }
+
+// largeGapTrace is a 4-record text trace whose core-0 records each skip
+// 2^63-1 instructions. Designs that stepped their periodic work once per
+// elapsed period looped ~10^14 times on it, holding a sync slot forever.
+const largeGapTrace = "0 9223372036854775807 0 R\n" +
+	"0 9223372036854775807 40 R\n" +
+	"0 9223372036854775807 80 R\n" +
+	"1 1 c0 R\n"
+
+// FuzzReplay sends arbitrary query strings and small arbitrary bodies to
+// /v1/replay on a live server. Every input is answered 200 (a trace that
+// replays), 400 (a bad parameter or trace) or 503 (every sync slot
+// busy): never a 500 and never a panic.
+func FuzzReplay(f *testing.F) {
+	for _, seed := range []struct{ query, body string }{
+		{"design=Baseline", "0 1 40 R\n"},
+		{"design=HYBRID2&name=t&mlp=2&window=16&scale=16&nm_ratio16=2&seed=3", "0 12 1000 R\n1 3 0x2040 W\n0 7 10c0 r\n"},
+		{"design=HYBRID2", largeGapTrace},
+		{"design=MPOD", largeGapTrace},
+		{"design=LGM&mlp=64", largeGapTrace},
+		{"design=Baseline&window=100000000", "0 1 40 R\n"},
+		{"design=Baseline&mlp=0", "0 1 40 R\n"},
+		{"design=Baseline&mlp=65", "0 1 40 R\n"},
+		{"design=Baseline", ""},
+		{"design=NOSUCH", "0 1 40 R\n"},
+		{"design=Baseline&scale=-1", "0 1 40 R\n"},
+		{"design=Baseline", "HMT\x01\x00\x01\x40"},
+		{"", ""},
+	} {
+		f.Add(seed.query, []byte(seed.body))
+	}
+	s, err := New(Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Shutdown(context.Background()) })
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, query string, body []byte) {
+		if len(body) > 4096 {
+			return
+		}
+		req := httptest.NewRequest("POST", "/v1/replay", bytes.NewReader(body))
+		req.URL.RawQuery = query
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		switch w.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusServiceUnavailable:
+		default:
+			t.Errorf("POST /v1/replay?%s %q: status %d, want 200, 400 or 503: %s", query, body, w.Code, w.Body)
+		}
+	})
+}

@@ -1150,8 +1150,8 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	s.metrics.inflightSims.Add(-1)
 	if err != nil {
 		// Everything RunTrace reports — an mlp outside [1, exp.MaxMLP],
-		// decode errors, window skew, an empty trace — originates in the
-		// request.
+		// a window above trace.MaxWindow, decode errors, window skew, an
+		// empty trace — originates in the request.
 		writeError(w, http.StatusBadRequest, "replay failed: %v", err)
 		return
 	}

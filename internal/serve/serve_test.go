@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"runtime"
 	"strconv"
@@ -18,10 +19,12 @@ import (
 	"time"
 
 	"hybridmem/internal/api"
+	"hybridmem/internal/design"
 	"hybridmem/internal/dse"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/sim"
 	"hybridmem/internal/store"
+	"hybridmem/internal/trace"
 	"hybridmem/internal/workload"
 )
 
@@ -523,6 +526,54 @@ func TestReplayRejectsMLPOutOfRange(t *testing.T) {
 		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/replay?design=Baseline&mlp="+mlp, strings.NewReader("0 1 40 R\n")))
 		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "mlp") {
 			t.Errorf("mlp %s: code %d (%s), want 400 naming mlp", mlp, w.Code, strings.TrimSpace(w.Body.String()))
+		}
+	}
+}
+
+// TestReplayRejectsWindowAboveMax: /v1/replay answers 400 for a window
+// above trace.MaxWindow, which would let one small compressed upload
+// make the reader buffer without bound.
+func TestReplayRejectsWindowAboveMax(t *testing.T) {
+	h := newTestServer(t, Options{}).Handler()
+	for _, window := range []string{strconv.Itoa(trace.MaxWindow + 1), "100000000"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/replay?design=Baseline&window="+window, strings.NewReader("0 1 40 R\n")))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "window") {
+			t.Errorf("window %s: code %d (%s), want 400 naming the window", window, w.Code, strings.TrimSpace(w.Body.String()))
+		}
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/replay?design=Baseline&window="+strconv.Itoa(trace.MaxWindow), strings.NewReader("0 1 40 R\n")))
+	if w.Code != http.StatusOK {
+		t.Errorf("window %d (the bound): code %d (%s), want 200", trace.MaxWindow, w.Code, strings.TrimSpace(w.Body.String()))
+	}
+}
+
+// TestReplayLargeGapsFinish replays largeGapTrace through /v1/replay on
+// every registered design's sample name. Each must answer 200 well
+// within a second: a design that stepped its periodic work once per
+// elapsed period would hold the sync slot for hours.
+func TestReplayLargeGapsFinish(t *testing.T) {
+	h := newTestServer(t, Options{}).Handler()
+	for _, info := range design.AllInfos() {
+		name := info.SampleName()
+		done := make(chan *httptest.ResponseRecorder, 1)
+		start := time.Now()
+		go func() {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/replay?design="+url.QueryEscape(name), strings.NewReader(largeGapTrace)))
+			done <- w
+		}()
+		select {
+		case w := <-done:
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s: code %d (%s)", name, w.Code, strings.TrimSpace(w.Body.String()))
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("%s: large-gap replay took %v", name, d)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: large-gap replay still running after 10s", name)
 		}
 	}
 }

@@ -22,8 +22,8 @@ import (
 	"hybridmem/internal/workload"
 )
 
-// referenceRunSources is the pre-rewrite loop verbatim: linear earliest-
-// core scan, one Source.Next per record, interface dispatch into ms.
+// referenceRunSources is the pre-rewrite loop: linear earliest-core
+// scan, one record pulled per selection, interface dispatch into ms.
 func referenceRunSources(name string, srcs []sim.Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System) sim.Result {
 	llc := cachesim.New(sys.LLCBytes, config.LLCAssoc, memtypes.CPULineBytes)
 	var lat stats.Histogram
@@ -36,6 +36,7 @@ func referenceRunSources(name string, srcs []sim.Source, mlp int, ms memtypes.Me
 		cores[i] = cpu.New(config.IssueWidth, mlp)
 	}
 
+	var one [1]memtypes.Rec
 	for active > 0 {
 		sel := -1
 		for i, c := range cores {
@@ -47,13 +48,13 @@ func referenceRunSources(name string, srcs []sim.Source, mlp int, ms memtypes.Me
 			}
 		}
 		c := cores[sel]
-		gap, addr, write, ok := srcs[sel].Next()
-		if !ok {
+		if srcs[sel].NextBatch(one[:]) == 0 {
 			c.DrainMisses()
 			done[sel] = true
 			active--
 			continue
 		}
+		gap, addr, write := one[0].Gap, one[0].Addr, one[0].Write
 		c.AdvanceCompute(gap)
 		c.RetireMemOp()
 		c.AddLatency(config.LLCLatency)
@@ -118,12 +119,6 @@ func referenceRunSources(name string, srcs []sim.Source, mlp int, ms memtypes.Me
 	return res
 }
 
-// nextOnly hides a stream's NextBatch so the engine's plain-Source path
-// is exercised too.
-type nextOnly struct{ s *workload.Stream }
-
-func (n nextOnly) Next() (uint64, memtypes.Addr, bool, bool) { return n.s.Next() }
-
 func engineSys() config.System {
 	sys := config.Scaled(config.DefaultScale, 16)
 	sys.InstrPerCore = 20_000
@@ -131,22 +126,17 @@ func engineSys() config.System {
 	return sys
 }
 
-func engineSources(spec workload.Spec, sys config.System, batch bool) []sim.Source {
+func engineSources(spec workload.Spec, sys config.System) []sim.Source {
 	srcs := make([]sim.Source, config.Cores)
 	for i := range srcs {
-		s := workload.NewStream(spec, i, sys.Scale, sys.InstrPerCore, sys.Seed)
-		if batch {
-			srcs[i] = s
-		} else {
-			srcs[i] = nextOnly{s}
-		}
+		srcs[i] = workload.NewStream(spec, i, sys.Scale, sys.InstrPerCore, sys.Seed)
 	}
 	return srcs
 }
 
-// TestHeapLoopMatchesLinearScan pins the rewritten engine against the
-// reference loop for every registered design, on both the batched and
-// the plain-Source path.
+// TestHeapLoopMatchesLinearScan pins the rewritten engine, which pulls
+// each core a batch at a time, against the reference loop, which pulls
+// one record per selection, for every registered design.
 func TestHeapLoopMatchesLinearScan(t *testing.T) {
 	spec, ok := workload.ByName("lbm")
 	if !ok {
@@ -164,24 +154,15 @@ func TestHeapLoopMatchesLinearScan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			want := referenceRunSources(spec.Name, engineSources(spec, sys, true), mlp, ms, nm, fm, sys)
+			want := referenceRunSources(spec.Name, engineSources(spec, sys), mlp, ms, nm, fm, sys)
 
 			ms2, nm2, fm2, err := design.Build(name, sys)
 			if err != nil {
 				t.Fatalf("rebuild: %v", err)
 			}
-			got := sim.RunSources(spec.Name, engineSources(spec, sys, true), mlp, ms2, nm2, fm2, sys)
+			got := sim.RunSources(spec.Name, engineSources(spec, sys), mlp, ms2, nm2, fm2, sys)
 			if got != want {
 				t.Errorf("batched engine diverges from reference:\n got %+v\nwant %+v", got, want)
-			}
-
-			ms3, nm3, fm3, err := design.Build(name, sys)
-			if err != nil {
-				t.Fatalf("rebuild: %v", err)
-			}
-			got = sim.RunSources(spec.Name, engineSources(spec, sys, false), mlp, ms3, nm3, fm3, sys)
-			if got != want {
-				t.Errorf("plain-Source engine diverges from reference:\n got %+v\nwant %+v", got, want)
 			}
 		})
 	}
@@ -198,12 +179,12 @@ func TestHeapLoopMatchesLinearScanPrefetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := referenceRunSources(spec.Name, engineSources(spec, sys, true), mlp, ms, nm, fm, sys)
+	want := referenceRunSources(spec.Name, engineSources(spec, sys), mlp, ms, nm, fm, sys)
 	ms2, nm2, fm2, err := design.Build("HYBRID2", sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sim.RunSources(spec.Name, engineSources(spec, sys, true), mlp, ms2, nm2, fm2, sys)
+	got := sim.RunSources(spec.Name, engineSources(spec, sys), mlp, ms2, nm2, fm2, sys)
 	if got != want {
 		t.Errorf("prefetch run diverges:\n got %+v\nwant %+v", got, want)
 	}
@@ -223,7 +204,7 @@ func runAllocs(t *testing.T, designName string, instr uint64) float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim.RunSources(spec.Name, engineSources(spec, sys, true), mlp, ms, nm, fm, sys)
+		sim.RunSources(spec.Name, engineSources(spec, sys), mlp, ms, nm, fm, sys)
 	})
 }
 
@@ -249,7 +230,7 @@ func TestSteadyStateZeroAllocsSynthetic(t *testing.T) {
 }
 
 // encodeTrace renders the synthetic workload to an uncompressed binary
-// trace in memory.
+// trace in memory, one record per core in turn.
 func encodeTrace(t *testing.T, spec workload.Spec, sys config.System) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -258,15 +239,15 @@ func encodeTrace(t *testing.T, spec workload.Spec, sys config.System) []byte {
 	for i := range srcs {
 		srcs[i] = workload.NewStream(spec, i, sys.Scale, sys.InstrPerCore, sys.Seed)
 	}
+	var rec [1]memtypes.Rec
 	for {
 		wrote := false
 		for core, s := range srcs {
-			gap, addr, write, ok := s.Next()
-			if !ok {
+			if s.NextBatch(rec[:]) == 0 {
 				continue
 			}
 			wrote = true
-			if err := sw.Append(core, trace.Record{Gap: gap, Addr: addr, Write: write}); err != nil {
+			if err := sw.Append(core, rec[0]); err != nil {
 				t.Fatal(err)
 			}
 		}

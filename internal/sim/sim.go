@@ -52,23 +52,9 @@ func (r Result) ServedNMFrac() float64 {
 // DynamicEnergyNJ returns total dynamic memory energy.
 func (r Result) DynamicEnergyNJ() float64 { return r.NMEnergyNJ + r.FMEnergyNJ }
 
-// Source yields one core's trace records: gap non-memory instructions
-// followed by a 64 B access. Implemented by workload.Stream and by
-// trace.Replayer.
-type Source interface {
-	Next() (gap uint64, addr memtypes.Addr, write bool, ok bool)
-}
-
-// BatchSource is the optional bulk fast path of a Source: NextBatch fills
-// dst with up to len(dst) records and returns the count, 0 meaning the
-// source is exhausted. A short (but non-zero) count is not end-of-stream.
-// The records must be exactly the ones the same number of Next calls
-// would have produced; the driver uses it to amortize per-record decode
-// and generation overhead. Sources whose record values depend on when
-// other cores consume records must not implement it.
-type BatchSource interface {
-	NextBatch(dst []memtypes.Rec) int
-}
+// Source is memtypes.Source: one core's records, pulled in batches. The
+// alias is kept because the benchmark module names it.
+type Source = memtypes.Source
 
 // batchLen is the per-core record buffer of the run loop: large enough to
 // amortize batched decode, small enough (1.5 KB per core) to stay cache
@@ -123,11 +109,10 @@ func RunSourcesSampled(name string, srcs []Source, mlp int, ms memtypes.MemorySy
 	return runLoop(name, srcs, mlp, ms, nm, fm, sys, smp)
 }
 
-// coreState is one core's slot in the run loop: its source, the batch
-// fast path if the source has one, and the refillable record buffer.
+// coreState is one core's slot in the run loop: its source and the
+// refillable record buffer.
 type coreState struct {
 	src  Source
-	bsrc BatchSource
 	buf  []memtypes.Rec
 	head int
 	n    int
@@ -185,9 +170,11 @@ func maxCoreTime(cores []*cpu.Core) memtypes.Tick {
 // memory access. The scheduler is a min-heap of (core time, index) slots,
 // replacing the O(cores) scan per record; selection order is
 // bit-identical to the scan because both pick the lexicographic minimum,
-// and only the selected core's time ever changes. The steady state
-// allocates nothing: record buffers, heap and core state are
-// preallocated, and the histogram is a fixed array. The telemetry
+// and only the selected core's time ever changes. Each core's records
+// arrive batchLen at a time through its Source; a source's records do
+// not depend on pull granularity, so the batching moves no result. The
+// steady state allocates nothing: record buffers, heap and core state
+// are preallocated, and the histogram is a fixed array. The telemetry
 // sampler is optional and passive: with smp nil the per-record cost is
 // one predictable branch and the Result is unchanged either way.
 func runLoop(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
@@ -210,9 +197,6 @@ func runLoop(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, 
 	for i := range cores {
 		cores[i] = cpu.New(config.IssueWidth, mlp)
 		st[i] = coreState{src: srcs[i], buf: bufs[i*batchLen : (i+1)*batchLen]}
-		if bs, ok := srcs[i].(BatchSource); ok {
-			st[i].bsrc = bs
-		}
 		heap[i] = slot{i: int32(i)}
 	}
 	// The initial heap [0..n-1] is valid: all times are zero and parents
@@ -225,19 +209,7 @@ func runLoop(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, 
 		cs := &st[sel]
 		c := cores[sel]
 		if cs.head == cs.n {
-			if cs.bsrc != nil {
-				cs.n = cs.bsrc.NextBatch(cs.buf)
-			} else {
-				// Plain sources are pulled one record per selection, so
-				// implementations sensitive to interleaving see the same
-				// call schedule as the old loop.
-				gap, addr, write, ok := cs.src.Next()
-				cs.n = 0
-				if ok {
-					cs.buf[0] = memtypes.Rec{Gap: gap, Addr: addr, Write: write}
-					cs.n = 1
-				}
-			}
+			cs.n = cs.src.NextBatch(cs.buf)
 			cs.head = 0
 			if cs.n == 0 {
 				c.DrainMisses()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"hybridmem/internal/memtypes"
 )
 
 // FuzzDecode feeds arbitrary bytes to the auto-detecting decoder. Every
@@ -34,7 +36,7 @@ func FuzzDecode(f *testing.F) {
 
 	type coreRec struct {
 		core int
-		rec  Record
+		rec  memtypes.Rec
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := NewDecoder(bytes.NewReader(data), 8)

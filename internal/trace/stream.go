@@ -48,6 +48,15 @@ var binaryMagic = []byte{'H', 'M', 'T', 1}
 // ~1.5 MB per core regardless of trace size.
 const DefaultWindow = 1 << 16
 
+// MaxWindow is the largest per-core lookahead a StreamReader accepts, in
+// records. Every core but the one being served can hold a full window,
+// so at 24 bytes per record a replay by 8 cores queues at most 8 × 24 MB
+// = 192 MB of records; the queues' backing arrays add at most about as
+// much again (a drained prefix is reclaimed once it is half the array).
+// A larger window would let one small, highly compressible upload make
+// the reader buffer without bound.
+const MaxWindow = 1 << 20
+
 // Decoder reads one trace record at a time in the file's global order,
 // auto-detecting gzip compression and the text vs binary encoding from
 // the stream's first bytes. It buffers only bufio-sized chunks of input:
@@ -98,38 +107,38 @@ func (d *Decoder) Records() uint64 { return d.n }
 // Decode returns the next record and its issuing core. It returns io.EOF
 // at a clean end of trace and a positioned error (line or record number)
 // on malformed input, including a truncated final binary record.
-func (d *Decoder) Decode() (core int, rec Record, err error) {
+func (d *Decoder) Decode() (core int, rec memtypes.Rec, err error) {
 	if d.format == FormatBinary {
 		return d.decodeBinary()
 	}
 	return d.decodeText()
 }
 
-func (d *Decoder) decodeBinary() (int, Record, error) {
+func (d *Decoder) decodeBinary() (int, memtypes.Rec, error) {
 	hdr, err := binary.ReadUvarint(d.br)
 	if err == io.EOF {
-		return 0, Record{}, io.EOF
+		return 0, memtypes.Rec{}, io.EOF
 	}
 	if err != nil {
-		return 0, Record{}, errorf("record %d: %w", d.n+1, err)
+		return 0, memtypes.Rec{}, errorf("record %d: %w", d.n+1, err)
 	}
 	// Range-check before the int conversion: a corrupt header varint
 	// must be a positioned error on every platform, not a 32-bit
 	// truncation that mis-attributes the record or indexes out of range.
 	if hdr>>1 >= uint64(d.maxCores) {
-		return 0, Record{}, errorf("record %d: core %d out of range [0,%d)", d.n+1, hdr>>1, d.maxCores)
+		return 0, memtypes.Rec{}, errorf("record %d: core %d out of range [0,%d)", d.n+1, hdr>>1, d.maxCores)
 	}
 	core := int(hdr >> 1)
 	gap, err := d.readField()
 	if err != nil {
-		return 0, Record{}, err
+		return 0, memtypes.Rec{}, err
 	}
 	addr, err := d.readField()
 	if err != nil {
-		return 0, Record{}, err
+		return 0, memtypes.Rec{}, err
 	}
 	d.n++
-	return core, Record{Gap: gap, Addr: memtypes.Addr(addr), Write: hdr&1 == 1}, nil
+	return core, memtypes.Rec{Gap: gap, Addr: memtypes.Addr(addr), Write: hdr&1 == 1}, nil
 }
 
 // readField reads one non-leading varint of a binary record, where EOF
@@ -145,7 +154,7 @@ func (d *Decoder) readField() (uint64, error) {
 	return v, nil
 }
 
-func (d *Decoder) decodeText() (int, Record, error) {
+func (d *Decoder) decodeText() (int, memtypes.Rec, error) {
 	for {
 		line, err := d.br.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
@@ -154,28 +163,28 @@ func (d *Decoder) decodeText() (int, Record, error) {
 			// blob misdetected as text) that must fail fast instead of
 			// being buffered in full — the decoder's memory stays
 			// bounded on arbitrary inputs.
-			return 0, Record{}, errorf("line %d: longer than %d bytes", d.line+1, d.br.Size())
+			return 0, memtypes.Rec{}, errorf("line %d: longer than %d bytes", d.line+1, d.br.Size())
 		}
 		if err != nil && err != io.EOF {
 			// A transport failure (e.g. a corrupt gzip stream) must
 			// surface as itself, not as a parse error on the fragment
 			// read so far.
-			return 0, Record{}, errorf("%w", err)
+			return 0, memtypes.Rec{}, errorf("%w", err)
 		}
 		if len(line) == 0 && err == io.EOF {
-			return 0, Record{}, io.EOF
+			return 0, memtypes.Rec{}, io.EOF
 		}
 		d.line++
 		s := trimSpaceBytes(line)
 		if len(s) == 0 || s[0] == '#' {
 			if err == io.EOF {
-				return 0, Record{}, io.EOF
+				return 0, memtypes.Rec{}, io.EOF
 			}
 			continue
 		}
 		core, rec, perr := d.parseLine(s)
 		if perr != nil {
-			return 0, Record{}, perr
+			return 0, memtypes.Rec{}, perr
 		}
 		d.n++
 		return core, rec, nil
@@ -185,7 +194,7 @@ func (d *Decoder) decodeText() (int, Record, error) {
 // parseLine parses one non-comment trace line in place. It works on the
 // bufio-owned byte slice without converting to string, so steady-state
 // text decoding is allocation-free.
-func (d *Decoder) parseLine(s []byte) (int, Record, error) {
+func (d *Decoder) parseLine(s []byte) (int, memtypes.Rec, error) {
 	var f [4][]byte
 	nf := 0
 	for rest := s; ; {
@@ -194,31 +203,31 @@ func (d *Decoder) parseLine(s []byte) (int, Record, error) {
 			break
 		}
 		if nf == len(f) {
-			return 0, Record{}, errorf("line %d: want 4 fields, got %d", d.line, countFields(s))
+			return 0, memtypes.Rec{}, errorf("line %d: want 4 fields, got %d", d.line, countFields(s))
 		}
 		f[nf] = field
 		nf++
 		rest = r
 	}
 	if nf != 4 {
-		return 0, Record{}, errorf("line %d: want 4 fields, got %d", d.line, nf)
+		return 0, memtypes.Rec{}, errorf("line %d: want 4 fields, got %d", d.line, nf)
 	}
 	cv, ok := parseDecimal(trimPlus(f[0]))
 	if !ok || cv >= uint64(d.maxCores) {
-		return 0, Record{}, errorf("line %d: bad core %q", d.line, f[0])
+		return 0, memtypes.Rec{}, errorf("line %d: bad core %q", d.line, f[0])
 	}
 	core := int(cv)
 	gap, ok := parseDecimal(f[1])
 	if !ok {
-		return 0, Record{}, errorf("line %d: bad gap %q", d.line, f[1])
+		return 0, memtypes.Rec{}, errorf("line %d: bad gap %q", d.line, f[1])
 	}
 	addr, ok := parseHex(f[2])
 	if !ok {
-		return 0, Record{}, errorf("line %d: bad address %q", d.line, f[2])
+		return 0, memtypes.Rec{}, errorf("line %d: bad address %q", d.line, f[2])
 	}
 	var write bool
 	if len(f[3]) != 1 {
-		return 0, Record{}, errorf("line %d: bad access type %q", d.line, f[3])
+		return 0, memtypes.Rec{}, errorf("line %d: bad access type %q", d.line, f[3])
 	}
 	switch f[3][0] {
 	case 'R', 'r':
@@ -226,9 +235,9 @@ func (d *Decoder) parseLine(s []byte) (int, Record, error) {
 	case 'W', 'w':
 		write = true
 	default:
-		return 0, Record{}, errorf("line %d: bad access type %q", d.line, f[3])
+		return 0, memtypes.Rec{}, errorf("line %d: bad access type %q", d.line, f[3])
 	}
-	return core, Record{Gap: gap, Addr: memtypes.Addr(addr), Write: write}, nil
+	return core, memtypes.Rec{Gap: gap, Addr: memtypes.Addr(addr), Write: write}, nil
 }
 
 func isSpaceByte(c byte) bool {
@@ -368,7 +377,7 @@ func (sw *StreamWriter) Comment(s string) error {
 }
 
 // Append encodes one record of one core.
-func (sw *StreamWriter) Append(core int, r Record) error {
+func (sw *StreamWriter) Append(core int, r memtypes.Rec) error {
 	if sw.err != nil {
 		return sw.err
 	}
@@ -416,8 +425,8 @@ func (sw *StreamWriter) Close() error {
 
 // StreamReader replays a trace from an io.Reader in constant memory: it
 // decodes the global record stream on demand and hands each core its
-// records through a bounded lookahead window, instead of materializing
-// the whole trace like Read. When one core's replay runs far ahead of
+// records through a bounded lookahead window, never materializing the
+// whole trace. When one core's replay runs far ahead of
 // another's position in the file, up to window records per core are
 // buffered; if the trace's interleave skew exceeds that, replay stops
 // with an error (see Err) rather than buffering without bound.
@@ -427,7 +436,7 @@ func (sw *StreamWriter) Close() error {
 type StreamReader struct {
 	dec    *Decoder
 	window int
-	queues [][]Record // per-core FIFO: queues[c][heads[c]:] is pending
+	queues [][]memtypes.Rec // per-core FIFO: queues[c][heads[c]:] is pending
 	heads  []int
 	max    int // high-water mark of any per-core queue, for tests/stats
 	eof    bool
@@ -436,8 +445,12 @@ type StreamReader struct {
 
 // NewStreamReader opens a trace (any format, auto-detected) for
 // streaming replay by maxCores cores. window bounds the per-core
-// lookahead in records; <= 0 means DefaultWindow.
+// lookahead in records; <= 0 means DefaultWindow, and a window above
+// MaxWindow is an error.
 func NewStreamReader(r io.Reader, maxCores, window int) (*StreamReader, error) {
+	if window > MaxWindow {
+		return nil, errorf("window must be at most %d records, got %d", MaxWindow, window)
+	}
 	dec, err := NewDecoder(r, maxCores)
 	if err != nil {
 		return nil, err
@@ -448,12 +461,12 @@ func NewStreamReader(r io.Reader, maxCores, window int) (*StreamReader, error) {
 	return &StreamReader{
 		dec:    dec,
 		window: window,
-		queues: make([][]Record, maxCores),
+		queues: make([][]memtypes.Rec, maxCores),
 		heads:  make([]int, maxCores),
 	}, nil
 }
 
-// Source returns core's record stream; the result implements sim.Source.
+// Source returns core's record stream.
 func (sr *StreamReader) Source(core int) *CoreStream {
 	return &CoreStream{sr: sr, core: core}
 }
@@ -519,48 +532,22 @@ func (sr *StreamReader) pump() bool {
 }
 
 // CoreStream serves one core's records from a shared StreamReader; it
-// implements sim.Source.
+// implements Source.
 type CoreStream struct {
 	sr   *StreamReader
 	core int
 }
 
-// Next implements sim.Source: it pops core's next record, pumping the
-// shared decoder (buffering other cores' records within their windows)
-// until one arrives. ok is false at end of trace and after any decode or
-// window error — the caller distinguishes the two via StreamReader.Err.
-func (cs *CoreStream) Next() (gap uint64, addr memtypes.Addr, write bool, ok bool) {
-	sr := cs.sr
-	if sr.err != nil {
-		// A stream error ends every core's replay at once, including
-		// cores with buffered records: partial data must not replay on.
-		return 0, 0, false, false
-	}
-	for sr.queued(cs.core) == 0 {
-		if sr.eof {
-			return 0, 0, false, false
-		}
-		sr.pump()
-		if sr.err != nil {
-			return 0, 0, false, false
-		}
-	}
-	r := sr.queues[cs.core][sr.heads[cs.core]]
-	sr.heads[cs.core]++
-	if sr.heads[cs.core] == len(sr.queues[cs.core]) {
-		sr.queues[cs.core] = sr.queues[cs.core][:0]
-		sr.heads[cs.core] = 0
-	}
-	return r.Gap, r.Addr, r.Write, true
-}
-
-// NextBatch implements sim.BatchSource: it pops up to len(dst) of core's
-// records in one call. Like Next it pumps the shared decoder only until
-// at least one record is buffered, then drains what is already queued —
-// record values, ordering, and error behavior match repeated Next calls.
+// NextBatch implements Source: it pops up to len(dst) of core's records,
+// pumping the shared decoder (buffering other cores' records within their
+// windows) only until at least one is queued. It returns 0 at end of
+// trace and after any decode or window error — the caller distinguishes
+// the two via StreamReader.Err.
 func (cs *CoreStream) NextBatch(dst []memtypes.Rec) int {
 	sr := cs.sr
 	if sr.err != nil || len(dst) == 0 {
+		// A stream error ends every core's replay at once, including
+		// cores with buffered records: partial data must not replay on.
 		return 0
 	}
 	for sr.queued(cs.core) == 0 {
@@ -573,16 +560,8 @@ func (cs *CoreStream) NextBatch(dst []memtypes.Rec) int {
 		}
 	}
 	q := sr.queues[cs.core]
-	h := sr.heads[cs.core]
-	n := len(q) - h
-	if n > len(dst) {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		r := q[h+i]
-		dst[i] = memtypes.Rec{Gap: r.Gap, Addr: r.Addr, Write: r.Write}
-	}
-	sr.heads[cs.core] = h + n
+	n := copy(dst, q[sr.heads[cs.core]:])
+	sr.heads[cs.core] += n
 	if sr.heads[cs.core] == len(q) {
 		sr.queues[cs.core] = q[:0]
 		sr.heads[cs.core] = 0

@@ -18,17 +18,17 @@ import (
 // n cores.
 func sampleRecords(n, cores int) []struct {
 	core int
-	rec  Record
+	rec  memtypes.Rec
 } {
 	out := make([]struct {
 		core int
-		rec  Record
+		rec  memtypes.Rec
 	}, n)
 	s := uint64(42)
 	for i := range out {
 		s = s*6364136223846793005 + 1
 		out[i].core = int(s % uint64(cores))
-		out[i].rec = Record{
+		out[i].rec = memtypes.Rec{
 			Gap:   s >> 40 % 500,
 			Addr:  memtypes.Addr(s % (1 << 34) &^ 63),
 			Write: s%5 == 0,
@@ -40,7 +40,7 @@ func sampleRecords(n, cores int) []struct {
 // encode serializes records with a StreamWriter into a buffer.
 func encode(t testing.TB, recs []struct {
 	core int
-	rec  Record
+	rec  memtypes.Rec
 }, format Format, compress bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -100,7 +100,7 @@ func TestStreamRoundTripAllEncodings(t *testing.T) {
 
 func TestReadAutoDetectsAllEncodings(t *testing.T) {
 	recs := sampleRecords(300, 8)
-	var want *Trace
+	var want [][]memtypes.Rec
 	for _, tc := range []struct {
 		format   Format
 		compress bool
@@ -110,20 +110,20 @@ func TestReadAutoDetectsAllEncodings(t *testing.T) {
 		{FormatBinary, false},
 		{FormatBinary, true},
 	} {
-		tr, err := Read(bytes.NewReader(encode(t, recs, tc.format, tc.compress)), 8)
+		cores, err := replayCores(bytes.NewReader(encode(t, recs, tc.format, tc.compress)), 8)
 		if err != nil {
 			t.Fatalf("%v/gz=%v: %v", tc.format, tc.compress, err)
 		}
 		if want == nil {
-			want = tr
+			want = cores
 			continue
 		}
-		if !reflect.DeepEqual(tr, want) {
+		if !reflect.DeepEqual(cores, want) {
 			t.Fatalf("%v/gz=%v: decoded trace differs from text decoding", tc.format, tc.compress)
 		}
 	}
-	if want.Records() != 300 {
-		t.Fatalf("records %d, want 300", want.Records())
+	if n := countRecords(want); n != 300 {
+		t.Fatalf("records %d, want 300", n)
 	}
 }
 
@@ -220,24 +220,22 @@ func TestStreamReaderServesPerCore(t *testing.T) {
 	// Drain core by core — the worst consumption order for the windows,
 	// but well within the default window at 400 records.
 	for core := 0; core < 4; core++ {
-		var want []Record
+		var want []memtypes.Rec
 		for _, r := range recs {
 			if r.core == core {
 				want = append(want, r.rec)
 			}
 		}
+		// Pull with a different batch size per core, including one
+		// record at a time.
 		src := sr.Source(core)
-		for i, w := range want {
-			gap, addr, write, ok := src.Next()
-			if !ok {
-				t.Fatalf("core %d: stream ended at %d/%d", core, i, len(want))
-			}
-			if got := (Record{Gap: gap, Addr: addr, Write: write}); got != w {
-				t.Fatalf("core %d record %d: got %+v want %+v", core, i, got, w)
-			}
+		buf := make([]memtypes.Rec, 1+core*5)
+		var got []memtypes.Rec
+		for n := src.NextBatch(buf); n > 0; n = src.NextBatch(buf) {
+			got = append(got, buf[:n]...)
 		}
-		if _, _, _, ok := src.Next(); ok {
-			t.Fatalf("core %d: extra record", core)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("core %d: got %d records, want %d, or their values differ", core, len(got), len(want))
 		}
 	}
 	if err := sr.Err(); err != nil {
@@ -257,14 +255,15 @@ func TestStreamReaderWindowSkewError(t *testing.T) {
 	var buf bytes.Buffer
 	sw := NewStreamWriter(&buf, FormatText, false)
 	for i := 0; i < 100; i++ {
-		sw.Append(1, Record{Gap: 1, Addr: memtypes.Addr(i * 64)})
+		sw.Append(1, memtypes.Rec{Gap: 1, Addr: memtypes.Addr(i * 64)})
 	}
 	sw.Close()
 	sr, err := NewStreamReader(&buf, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := sr.Source(0).Next(); ok {
+	var rec [4]memtypes.Rec
+	if sr.Source(0).NextBatch(rec[:]) != 0 {
 		t.Fatal("core 0 got a record from a core-1-only trace")
 	}
 	if err := sr.Err(); err == nil || !strings.Contains(err.Error(), "window") {
@@ -275,8 +274,21 @@ func TestStreamReaderWindowSkewError(t *testing.T) {
 	}
 	// The error also poisons the buffered core's stream: replay must not
 	// continue on partial data.
-	if _, _, _, ok := sr.Source(1).Next(); ok {
+	if sr.Source(1).NextBatch(rec[:]) != 0 {
 		t.Fatal("core 1 served records after a stream error")
+	}
+}
+
+// TestStreamReaderRejectsWindowAboveMax pins the window's upper bound:
+// the reader refuses a window above MaxWindow before reading any input.
+func TestStreamReaderRejectsWindowAboveMax(t *testing.T) {
+	for _, w := range []int{MaxWindow + 1, 100_000_000} {
+		if _, err := NewStreamReader(strings.NewReader(sample), 8, w); err == nil || !strings.Contains(err.Error(), "window") {
+			t.Fatalf("window %d: got %v, want a window error", w, err)
+		}
+	}
+	if _, err := NewStreamReader(strings.NewReader(sample), 8, MaxWindow); err != nil {
+		t.Fatalf("window %d (the bound) rejected: %v", MaxWindow, err)
 	}
 }
 
@@ -325,8 +337,9 @@ func TestStreamReaderBoundedMemoryOnUnboundedTrace(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = sr.Source(i)
 	}
+	var rec [1]memtypes.Rec
 	for i := 0; i < total; i++ {
-		if _, _, _, ok := srcs[i%8].Next(); !ok {
+		if srcs[i%8].NextBatch(rec[:]) == 0 {
 			t.Fatalf("record %d: stream ended early: %v", i, sr.Err())
 		}
 	}
@@ -343,13 +356,12 @@ func TestStreamReaderBoundedMemoryOnUnboundedTrace(t *testing.T) {
 
 func TestInterleaverOrdersByInstructionPosition(t *testing.T) {
 	// core 0 retires at positions 101, 202; core 1 at 11, 22, 33.
-	tr := &Trace{Cores: [][]Record{
+	cores := [][]memtypes.Rec{
 		{{Gap: 100, Addr: 0}, {Gap: 100, Addr: 64}},
 		{{Gap: 10, Addr: 128}, {Gap: 10, Addr: 192}, {Gap: 10, Addr: 256}},
-	}}
-	srcs := []Source{NewReplayer(tr.Cores[0]), NewReplayer(tr.Cores[1])}
+	}
 	var order []int
-	it := NewInterleaver(srcs)
+	it := NewInterleaver(sources(cores, 1))
 	for {
 		core, _, ok := it.Next()
 		if !ok {
@@ -363,16 +375,16 @@ func TestInterleaverOrdersByInstructionPosition(t *testing.T) {
 }
 
 func TestWritePreservesGlobalOrder(t *testing.T) {
-	tr := &Trace{Cores: [][]Record{
+	cores := [][]memtypes.Rec{
 		{{Gap: 100, Addr: 0}, {Gap: 100, Addr: 64}},
 		{{Gap: 10, Addr: 128}, {Gap: 10, Addr: 192, Write: true}, {Gap: 10, Addr: 256}},
-	}}
+	}
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := writeCores(&buf, cores, FormatText); err != nil {
 		t.Fatal(err)
 	}
 	// Global order by cumulative instruction position, not round-robin.
-	var cores []int
+	var order []int
 	d, err := NewDecoder(bytes.NewReader(buf.Bytes()), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -385,19 +397,19 @@ func TestWritePreservesGlobalOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cores = append(cores, core)
+		order = append(order, core)
 	}
-	if want := []int{1, 1, 1, 0, 0}; !reflect.DeepEqual(cores, want) {
-		t.Fatalf("serialized core order %v, want %v", cores, want)
+	if want := []int{1, 1, 1, 0, 0}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("serialized core order %v, want %v", order, want)
 	}
 	// A write-read-write round trip must be byte-stable: re-serializing
-	// the parsed trace reproduces the file exactly.
-	back, err := Read(bytes.NewReader(buf.Bytes()), 8)
+	// the replayed trace reproduces the file exactly.
+	back, err := replayCores(bytes.NewReader(buf.Bytes()), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var again bytes.Buffer
-	if err := back.Write(&again); err != nil {
+	if err := writeCores(&again, back, FormatText); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -472,7 +484,7 @@ func benchTrace(b *testing.B, format Format, compress bool) []byte {
 	s := uint64(7)
 	for i := 0; i < 1_000_000; i++ {
 		s = s*6364136223846793005 + 1
-		sw.Append(int(s%8), Record{Gap: s >> 56, Addr: memtypes.Addr(s % (1 << 32) &^ 63), Write: s%4 == 0})
+		sw.Append(int(s%8), memtypes.Rec{Gap: s >> 56, Addr: memtypes.Addr(s % (1 << 32) &^ 63), Write: s%4 == 0})
 	}
 	if err := sw.Close(); err != nil {
 		b.Fatal(err)

@@ -1,10 +1,11 @@
-// Package trace defines the memory-trace formats and replayers that let
-// the simulator run from captured traces (e.g. from Pin, as the paper's
-// authors did) instead of the built-in synthetic workloads.
+// Package trace defines the memory-trace formats and the streaming
+// reader and writer that let the simulator run from captured traces
+// (e.g. from Pin, as the paper's authors did) instead of the built-in
+// synthetic workloads. Records are memtypes.Rec values throughout.
 //
 // Two encodings are supported, both optionally gzip-compressed; readers
 // auto-detect compression and encoding from the stream's first bytes, so
-// every consumer (Read, NewDecoder, NewStreamReader, cmd/hybrid2sim,
+// every consumer (NewDecoder, NewStreamReader, cmd/hybrid2sim,
 // cmd/traceconv, hybridmem.ReplayTrace) accepts any of the four
 // combinations.
 //
@@ -41,174 +42,105 @@
 //
 // # Record order
 //
-// Both formats carry records in one global stream. Writers (Trace.Write,
-// Interleaver, cmd/tracegen) order records by cumulative per-core
-// instruction position — each record advances its core by Gap+1
-// instructions — which approximates the capture-time interleaving of an
-// in-order retirement, instead of imposing an artificial round-robin.
-// Streaming readers rely on the interleaving being approximately fair:
-// StreamReader buffers at most a bounded lookahead window per core and
+// Both formats carry records in one global stream. Writers (Interleaver
+// feeding a StreamWriter, as cmd/tracegen does) order records by
+// cumulative per-core instruction position — each record advances its
+// core by Gap+1 instructions — which approximates the capture-time
+// interleaving of an in-order retirement, instead of imposing an
+// artificial round-robin. Streaming readers rely on the interleaving
+// being approximately fair: StreamReader buffers at most a bounded
+// lookahead window per core, never more than MaxWindow records, and
 // errors if the skew between cores exceeds it.
+//
+// # Sources
+//
+// Every per-core record stream — a workload generator, a StreamReader's
+// CoreStream — is a Source (memtypes.Source): records are pulled in
+// batches with NextBatch, and the records a source yields do not depend
+// on how many are pulled per call. Interleaver, the simulator's run loop
+// and any other consumer may therefore batch as suits them without
+// changing a record, a written byte or a simulated number.
 package trace
 
 import (
 	"fmt"
-	"io"
 
 	"hybridmem/internal/memtypes"
 )
 
-// Record is one memory access of one core's trace.
-type Record struct {
-	Gap   uint64 // non-memory instructions before this access
-	Addr  memtypes.Addr
-	Write bool
-}
+// Source is memtypes.Source: one core's records in program order,
+// pulled in batches. The alias is kept because the benchmark module
+// names it.
+type Source = memtypes.Source
 
-// Trace holds per-core record streams, fully materialized. For large
-// traces prefer StreamReader, which replays in constant memory.
-type Trace struct {
-	Cores [][]Record
-}
-
-// Read parses a whole trace (any format, auto-detected) with at most
-// maxCores cores into memory.
-func Read(r io.Reader, maxCores int) (*Trace, error) {
-	d, err := NewDecoder(r, maxCores)
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{Cores: make([][]Record, maxCores)}
-	for {
-		core, rec, err := d.Decode()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Cores[core] = append(t.Cores[core], rec)
-	}
-}
-
-// Write serializes the trace as text, interleaving cores by cumulative
-// instruction position (see the package docs on record order), so a
-// read-write round trip preserves the global record order.
-func (t *Trace) Write(w io.Writer) error {
-	return t.WriteFormat(w, FormatText)
-}
-
-// WriteFormat serializes the trace in the given format, in the same
-// global order as Write.
-func (t *Trace) WriteFormat(w io.Writer, format Format) error {
-	srcs := make([]Source, len(t.Cores))
-	for c := range t.Cores {
-		srcs[c] = NewReplayer(t.Cores[c])
-	}
-	it := NewInterleaver(srcs)
-	sw := NewStreamWriter(w, format, false)
-	for {
-		core, rec, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := sw.Append(core, rec); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
-}
-
-// Records returns the total record count.
-func (t *Trace) Records() int {
-	n := 0
-	for _, c := range t.Cores {
-		n += len(c)
-	}
-	return n
-}
-
-// Source yields one core's records in program order: gap non-memory
-// instructions followed by a 64 B access. workload.Stream, Replayer and
-// StreamReader's per-core streams all implement it (it mirrors
-// sim.Source).
-type Source interface {
-	Next() (gap uint64, addr memtypes.Addr, write bool, ok bool)
-}
-
-// Replayer replays one core's materialized records; it implements
-// sim.Source.
-type Replayer struct {
-	recs []Record
-	pos  int
-}
-
-// NewReplayer returns a replayer over one core's records.
-func NewReplayer(recs []Record) *Replayer { return &Replayer{recs: recs} }
-
-// Next implements sim.Source.
-func (p *Replayer) Next() (gap uint64, addr memtypes.Addr, write bool, ok bool) {
-	if p.pos >= len(p.recs) {
-		return 0, 0, false, false
-	}
-	r := p.recs[p.pos]
-	p.pos++
-	return r.Gap, r.Addr, r.Write, true
-}
+// interleaveBatch is the per-core record buffer of an Interleaver.
+const interleaveBatch = 64
 
 // Interleaver merges per-core record sources into a single globally
 // ordered stream: the next record is always the pending one with the
 // lowest cumulative instruction position (ties to the lowest core) —
-// the order an in-order machine would retire them. tracegen and
-// Trace.Write serialize through it so written traces preserve a
-// capture-like interleaving.
+// the order an in-order machine would retire them. tracegen serializes
+// through it so written traces preserve a capture-like interleaving.
 type Interleaver struct {
-	srcs    []Source
-	pending []Record
-	pos     []uint64
-	live    []bool
+	cores []interleaveCore
+}
+
+// interleaveCore is one source's state: its pending record, the
+// instruction position that record retires at, and the batch the next
+// pending records come from.
+type interleaveCore struct {
+	src     Source
+	pending memtypes.Rec
+	pos     uint64
+	live    bool
+	buf     []memtypes.Rec
+	head, n int
 }
 
 // NewInterleaver builds an interleaver over one source per core. Sources
-// are consumed lazily, one pending record each, so interleaving is
-// constant-memory.
+// are pulled lazily, a small batch per core at a time, so interleaving
+// is constant-memory.
 func NewInterleaver(srcs []Source) *Interleaver {
-	it := &Interleaver{
-		srcs:    srcs,
-		pending: make([]Record, len(srcs)),
-		pos:     make([]uint64, len(srcs)),
-		live:    make([]bool, len(srcs)),
-	}
-	for c := range srcs {
+	it := &Interleaver{cores: make([]interleaveCore, len(srcs))}
+	bufs := make([]memtypes.Rec, len(srcs)*interleaveBatch)
+	for c := range it.cores {
+		it.cores[c] = interleaveCore{src: srcs[c], buf: bufs[c*interleaveBatch : (c+1)*interleaveBatch]}
 		it.refill(c)
 	}
 	return it
 }
 
+// refill makes core c's next record pending, pulling a new batch from
+// its source when the current one is used up.
 func (it *Interleaver) refill(c int) {
-	gap, addr, write, ok := it.srcs[c].Next()
-	if !ok {
-		it.live[c] = false
-		return
+	ic := &it.cores[c]
+	if ic.head == ic.n {
+		ic.n = ic.src.NextBatch(ic.buf)
+		ic.head = 0
+		if ic.n == 0 {
+			ic.live = false
+			return
+		}
 	}
-	it.live[c] = true
-	it.pending[c] = Record{Gap: gap, Addr: addr, Write: write}
-	it.pos[c] += gap + 1
+	ic.live = true
+	ic.pending = ic.buf[ic.head]
+	ic.head++
+	ic.pos += ic.pending.Gap + 1
 }
 
 // Next returns the next record in global order; ok is false once every
 // source is exhausted.
-func (it *Interleaver) Next() (core int, r Record, ok bool) {
+func (it *Interleaver) Next() (core int, r memtypes.Rec, ok bool) {
 	sel := -1
-	for c := range it.srcs {
-		if it.live[c] && (sel < 0 || it.pos[c] < it.pos[sel]) {
+	for c := range it.cores {
+		if it.cores[c].live && (sel < 0 || it.cores[c].pos < it.cores[sel].pos) {
 			sel = c
 		}
 	}
 	if sel < 0 {
-		return 0, Record{}, false
+		return 0, memtypes.Rec{}, false
 	}
-	r = it.pending[sel]
+	r = it.cores[sel].pending
 	it.refill(sel)
 	return sel, r, true
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,22 +19,95 @@ const sample = `# comment and blank lines are ignored
 7 0 ff w
 `
 
+// sliceSource is a Source over records held in memory that hands out at
+// most step records per call, so tests can vary the pull granularity.
+type sliceSource struct {
+	recs []memtypes.Rec
+	step int
+}
+
+func (s *sliceSource) NextBatch(dst []memtypes.Rec) int {
+	if len(dst) > s.step {
+		dst = dst[:s.step]
+	}
+	n := copy(dst, s.recs)
+	s.recs = s.recs[n:]
+	return n
+}
+
+// sources wraps per-core record slices as sources pulled step records at
+// a time.
+func sources(cores [][]memtypes.Rec, step int) []Source {
+	srcs := make([]Source, len(cores))
+	for c := range cores {
+		srcs[c] = &sliceSource{recs: cores[c], step: step}
+	}
+	return srcs
+}
+
+// writeCores serializes per-core records the way cmd/tracegen does:
+// interleaved by instruction position through a StreamWriter.
+func writeCores(w io.Writer, cores [][]memtypes.Rec, format Format) error {
+	sw := NewStreamWriter(w, format, false)
+	it := NewInterleaver(sources(cores, interleaveBatch))
+	for {
+		core, rec, ok := it.Next()
+		if !ok {
+			break
+		}
+		if err := sw.Append(core, rec); err != nil {
+			return err
+		}
+	}
+	return sw.Close()
+}
+
+// replayCores streams a trace (any encoding) through a StreamReader,
+// pulling the cores round-robin in batches of 7 records, and returns
+// each core's records.
+func replayCores(r io.Reader, maxCores int) ([][]memtypes.Rec, error) {
+	sr, err := NewStreamReader(r, maxCores, 0)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]memtypes.Rec, maxCores)
+	var buf [7]memtypes.Rec
+	for live := true; live; {
+		live = false
+		for c := range out {
+			if n := sr.Source(c).NextBatch(buf[:]); n > 0 {
+				out[c] = append(out[c], buf[:n]...)
+				live = true
+			}
+		}
+	}
+	return out, sr.Err()
+}
+
+func countRecords(cores [][]memtypes.Rec) int {
+	n := 0
+	for _, c := range cores {
+		n += len(c)
+	}
+	return n
+}
+
 func TestReadSample(t *testing.T) {
-	tr, err := Read(strings.NewReader(sample), 8)
+	cores, err := replayCores(strings.NewReader(sample), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Records() != 4 {
-		t.Fatalf("records %d, want 4", tr.Records())
+	if n := countRecords(cores); n != 4 {
+		t.Fatalf("records %d, want 4", n)
 	}
-	if len(tr.Cores[0]) != 2 || len(tr.Cores[1]) != 1 || len(tr.Cores[7]) != 1 {
-		t.Fatalf("per-core counts wrong: %d/%d/%d", len(tr.Cores[0]), len(tr.Cores[1]), len(tr.Cores[7]))
+	if len(cores[0]) != 2 || len(cores[1]) != 1 || len(cores[7]) != 1 {
+		t.Fatalf("per-core counts wrong: %d/%d/%d", len(cores[0]), len(cores[1]), len(cores[7]))
 	}
-	r := tr.Cores[0][0]
+	r := cores[0][0]
 	if r.Gap != 12 || r.Addr != 0x1000 || r.Write {
 		t.Fatalf("record mismatch: %+v", r)
 	}
-	if !tr.Cores[1][0].Write {
+	if !cores[1][0].Write {
 		t.Fatal("W record parsed as read")
 	}
 }
@@ -46,7 +121,7 @@ func TestReadErrors(t *testing.T) {
 		"0 1 1000 X", // bad type
 	}
 	for _, c := range cases {
-		if _, err := Read(strings.NewReader(c), 8); err == nil {
+		if _, err := replayCores(strings.NewReader(c), 8); err == nil {
 			t.Errorf("input %q accepted", c)
 		}
 	}
@@ -54,32 +129,32 @@ func TestReadErrors(t *testing.T) {
 
 func TestRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
-		tr := &Trace{Cores: make([][]Record, 8)}
+		cores := make([][]memtypes.Rec, 8)
 		s := uint64(seed)
 		n := int(s%50) + 1
 		for i := 0; i < n; i++ {
 			s = s*6364136223846793005 + 1
 			core := int(s % 8)
-			tr.Cores[core] = append(tr.Cores[core], Record{
+			cores[core] = append(cores[core], memtypes.Rec{
 				Gap:   s % 1000,
 				Addr:  memtypes.Addr(s % (1 << 30)),
 				Write: s%3 == 0,
 			})
 		}
 		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
+		if err := writeCores(&buf, cores, FormatText); err != nil {
 			return false
 		}
-		back, err := Read(&buf, 8)
+		back, err := replayCores(&buf, 8)
 		if err != nil {
 			return false
 		}
-		if back.Records() != tr.Records() {
-			return false
-		}
-		for c := range tr.Cores {
-			for i := range tr.Cores[c] {
-				if back.Cores[c][i] != tr.Cores[c][i] {
+		for c := range cores {
+			if len(back[c]) != len(cores[c]) {
+				return false
+			}
+			for i := range cores[c] {
+				if back[c][i] != cores[c][i] {
 					return false
 				}
 			}
@@ -91,25 +166,54 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReplayerYieldsInOrder(t *testing.T) {
-	recs := []Record{{Gap: 1, Addr: 64}, {Gap: 2, Addr: 128, Write: true}}
-	p := NewReplayer(recs)
-	g, a, w, ok := p.Next()
-	if !ok || g != 1 || a != 64 || w {
-		t.Fatalf("first record wrong: %d %d %v %v", g, a, w, ok)
+// TestInterleaverYieldsRecordsInOrder pins that the interleaver's output
+// does not depend on how its sources are pulled: sources handing out one
+// record per call and sources handing out whole batches give the same
+// global sequence, and every core's records come out whole and in
+// program order across batch boundaries.
+func TestInterleaverYieldsRecordsInOrder(t *testing.T) {
+	cores := make([][]memtypes.Rec, 5)
+	s := uint64(3)
+	for c := range cores {
+		for i := 0; i < 150+40*c; i++ {
+			s = s*6364136223846793005 + 1
+			cores[c] = append(cores[c], memtypes.Rec{Gap: s >> 58, Addr: memtypes.Addr(s >> 20 &^ 63), Write: s%7 == 0})
+		}
 	}
-	g, a, w, ok = p.Next()
-	if !ok || g != 2 || a != 128 || !w {
-		t.Fatalf("second record wrong: %d %d %v %v", g, a, w, ok)
+	type coreRec struct {
+		core int
+		rec  memtypes.Rec
 	}
-	if _, _, _, ok = p.Next(); ok {
-		t.Fatal("replayer did not terminate")
+	merge := func(step int) []coreRec {
+		var out []coreRec
+		it := NewInterleaver(sources(cores, step))
+		for {
+			core, rec, ok := it.Next()
+			if !ok {
+				return out
+			}
+			out = append(out, coreRec{core, rec})
+		}
+	}
+	want := merge(1)
+	for _, step := range []int{3, interleaveBatch, 1 << 20} {
+		if got := merge(step); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pulling %d records per call changed the interleaving", step)
+		}
+	}
+	back := make([][]memtypes.Rec, len(cores))
+	for _, r := range want {
+		back[r.core] = append(back[r.core], r.rec)
+	}
+	if !reflect.DeepEqual(back, cores) {
+		t.Fatal("interleaved records differ from the sources' records")
 	}
 }
 
-func TestEmptyReplayer(t *testing.T) {
-	p := NewReplayer(nil)
-	if _, _, _, ok := p.Next(); ok {
-		t.Fatal("empty replayer yielded a record")
+func TestEmptyInterleaver(t *testing.T) {
+	for _, srcs := range [][]Source{nil, sources(make([][]memtypes.Rec, 3), 1)} {
+		if _, _, ok := NewInterleaver(srcs).Next(); ok {
+			t.Fatalf("interleaver over %d empty sources yielded a record", len(srcs))
+		}
 	}
 }

@@ -174,9 +174,9 @@ func (s *Stream) newRun() {
 	s.runLeft = run
 }
 
-// Next returns the next record: gap non-memory instructions followed by a
+// next returns the next record: gap non-memory instructions followed by a
 // 64 B access at addr. ok is false once the instruction budget is spent.
-func (s *Stream) Next() (gap uint64, addr memtypes.Addr, write bool, ok bool) {
+func (s *Stream) next() (gap uint64, addr memtypes.Addr, write bool, ok bool) {
 	if s.instrLeft <= 0 {
 		return 0, 0, false, false
 	}
@@ -205,13 +205,14 @@ func (s *Stream) Next() (gap uint64, addr memtypes.Addr, write bool, ok bool) {
 	return gap, addr, write, true
 }
 
-// NextBatch fills dst with up to len(dst) records and returns how many it
-// produced. A short count means the instruction budget ran out. Draw order
-// is identical to repeated Next calls.
+// NextBatch implements memtypes.Source: it fills dst with up to len(dst)
+// records and returns how many it produced. A short count means the
+// instruction budget ran out. Each record is drawn on its own, so the
+// stream does not depend on the batch sizes.
 func (s *Stream) NextBatch(dst []memtypes.Rec) int {
 	n := 0
 	for n < len(dst) {
-		gap, addr, write, ok := s.Next()
+		gap, addr, write, ok := s.next()
 		if !ok {
 			break
 		}

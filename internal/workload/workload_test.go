@@ -44,8 +44,8 @@ func TestStreamDeterminism(t *testing.T) {
 	a := NewStream(spec, 3, 16, 100000, 42)
 	b := NewStream(spec, 3, 16, 100000, 42)
 	for i := 0; i < 5000; i++ {
-		g1, a1, w1, ok1 := a.Next()
-		g2, a2, w2, ok2 := b.Next()
+		g1, a1, w1, ok1 := a.next()
+		g2, a2, w2, ok2 := b.next()
 		if g1 != g2 || a1 != a2 || w1 != w2 || ok1 != ok2 {
 			t.Fatalf("divergence at record %d", i)
 		}
@@ -61,8 +61,8 @@ func TestStreamDifferentCoresDiffer(t *testing.T) {
 	b := NewStream(spec, 1, 16, 100000, 42)
 	same := 0
 	for i := 0; i < 1000; i++ {
-		_, a1, _, _ := a.Next()
-		_, a2, _, _ := b.Next()
+		_, a1, _, _ := a.next()
+		_, a2, _, _ := b.next()
 		if a1 == a2 {
 			same++
 		}
@@ -79,7 +79,7 @@ func TestAddressesWithinRegion(t *testing.T) {
 		s := NewStream(spec, core, 16, 50000, seed)
 		base, size := s.RegionBase(), s.Footprint()
 		for {
-			_, addr, _, ok := s.Next()
+			_, addr, _, ok := s.next()
 			if !ok {
 				return true
 			}
@@ -127,7 +127,7 @@ func TestInstructionBudgetRespected(t *testing.T) {
 	s := NewStream(spec, 0, 16, budget, 7)
 	var instr uint64
 	for {
-		gap, _, _, ok := s.Next()
+		gap, _, _, ok := s.next()
 		if !ok {
 			break
 		}
@@ -144,7 +144,7 @@ func TestAccessIntensityMatchesAPKI(t *testing.T) {
 	s := NewStream(spec, 0, 16, 2_000_000, 3)
 	var instr, accesses uint64
 	for {
-		gap, _, _, ok := s.Next()
+		gap, _, _, ok := s.next()
 		if !ok {
 			break
 		}
@@ -166,7 +166,7 @@ func TestSpatialLocalityOrdering(t *testing.T) {
 		var prev memtypes.Addr
 		var seq, n int
 		for {
-			_, addr, _, ok := s.Next()
+			_, addr, _, ok := s.next()
 			if !ok {
 				break
 			}
@@ -189,7 +189,7 @@ func TestWriteFractionApproximate(t *testing.T) {
 	s := NewStream(spec, 0, 16, 2_000_000, 5)
 	var writes, n int
 	for {
-		_, _, w, ok := s.Next()
+		_, _, w, ok := s.next()
 		if !ok {
 			break
 		}
