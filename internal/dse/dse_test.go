@@ -472,3 +472,17 @@ func TestFrontierDominance(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerprintPinned pins the checkpoint fingerprint's bytes: a
+// checkpoint written by an earlier build must keep resuming, so the
+// string may only change together with checkpointVersion.
+func TestFingerprintPinned(t *testing.T) {
+	s, err := newSearcher(tinyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "v1|fam=H2DSE|wl=mcf|budget=6|seed=7|simseed=1|scale=16|instr=20000|ratio=1|batch=2|maxvals=3|ubound=0"
+	if got := s.fingerprint(); got != want {
+		t.Fatalf("fingerprint\n got %s\nwant %s", got, want)
+	}
+}

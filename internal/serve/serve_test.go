@@ -649,3 +649,24 @@ func (cw *countWriter) Write(p []byte) (int, error) {
 func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
 }
+
+// TestExploreKeyPinned pins the parts of an explore job's store key, so
+// explore documents stored by an earlier build keep hitting.
+func TestExploreKeyPinned(t *testing.T) {
+	req := exploreRequest{
+		Families:    []string{"H2DSE"},
+		Workloads:   []string{"mcf"},
+		Budget:      8,
+		BatchSize:   4,
+		Seed:        3,
+		MaxPerParam: 3,
+		Config:      normalizeConfig(api.Config{InstrPerCore: 30_000}, 200_000),
+	}
+	want := store.Fingerprint(append(store.VersionParts("explore"),
+		"families=H2DSE", "workloads=mcf", "budget=8", "batch=4", "seed=3",
+		"maxvals=3", "ubound=0",
+		"scale=16", "ratio=1", "instr=30000", "seed=1")...)
+	if got := exploreKey(req); got != want {
+		t.Fatalf("exploreKey = %s, want %s", got, want)
+	}
+}
