@@ -52,7 +52,6 @@ func run() int {
 	parallel := flag.Int("parallel", runtime.NumCPU(), "simulation runs evaluated concurrently")
 	runners := flag.Int("runners", 0, "evaluate through the distributed execution plane with N in-process runners (0: direct local evaluation; results are identical either way)")
 	maxvals := flag.Int("maxvals", 12, "max enumerated values per integer parameter")
-	ubound := flag.Int("ubound", 0, "upper bound substituted for parameters declared unbounded above (0: refuse to enumerate them)")
 	maxBatches := flag.Int("maxbatches", 0, "pause after this many batches (0: run to completion); combine with -checkpoint to time-slice a search")
 	storeDir := flag.String("store", "", "persistent result-store directory: previously simulated candidate runs are reused across searches (empty: no reuse; never changes results)")
 	checkpoint := flag.String("checkpoint", "", "JSON state file, rewritten atomically after every batch")
@@ -107,7 +106,6 @@ func run() int {
 		LoopbackRunners:    *runners,
 		StoreDir:           *storeDir,
 		MaxPerParam:        *maxvals,
-		UnboundedMax:       *ubound,
 		MaxBatches:         *maxBatches,
 		Checkpoint:         *checkpoint,
 		Resume:             *resume,

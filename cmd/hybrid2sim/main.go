@@ -189,14 +189,9 @@ func printDesigns() {
 	for _, d := range hybridmem.AllDesigns() {
 		fmt.Printf("%-44s %s (%s)\n", d.Grammar, d.Doc, d.Kind)
 		for _, p := range d.Params {
-			constraint := ""
-			switch {
-			case p.Enum != nil:
+			constraint := fmt.Sprintf("%d..%d", p.Min, p.Max)
+			if p.Enum != nil {
 				constraint = strings.Join(p.Enum, "|")
-			case p.Max > 0:
-				constraint = fmt.Sprintf("%d..%d", p.Min, p.Max)
-			default:
-				constraint = fmt.Sprintf(">= %d", p.Min)
 			}
 			if p.Pow2 {
 				constraint += ", power of two"

@@ -73,12 +73,6 @@ type ExploreOptions struct {
 	// parameter (wide ranges subsample on a geometric ladder); <= 0
 	// means 12.
 	MaxPerParam int
-	// UnboundedMax substitutes an upper bound for parameters declared
-	// unbounded above; without one, such a parameter refuses to
-	// enumerate (an accidental infinite space fails loudly). Every
-	// built-in family is bounded, so this matters only for externally
-	// registered designs.
-	UnboundedMax int
 	// Checkpoint names a JSON state file rewritten atomically after
 	// every batch; empty disables checkpointing. Resume continues from
 	// an existing checkpoint: a search interrupted at any batch
@@ -241,7 +235,6 @@ func Explore(ctx context.Context, opts ExploreOptions) (ExploreResult, error) {
 		ScreenBudget:       opts.ScreenBudget,
 		Parallelism:        opts.Parallelism,
 		MaxPerParam:        opts.MaxPerParam,
-		UnboundedMax:       opts.UnboundedMax,
 		Checkpoint:         opts.Checkpoint,
 		Resume:             opts.Resume,
 		Progress:           progress,

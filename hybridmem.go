@@ -133,8 +133,8 @@ func Designs() []string {
 type DesignParam struct {
 	Name string
 	Doc  string
-	// Min and Max bound integer values inclusively; Max <= 0 means
-	// unbounded above. Ignored when Enum is set.
+	// Min and Max bound integer values inclusively. Ignored when Enum
+	// is set.
 	Min, Max int
 	// Pow2 additionally requires a positive power of two.
 	Pow2 bool

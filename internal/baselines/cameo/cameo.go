@@ -44,61 +44,30 @@ type CAMEO struct {
 	fm    *memsys.Device
 	stats memtypes.MemStats
 
-	groups uint32 // one NM line per group
-	k      uint32 // FM lines per group
-	pinned uint32
-	// slots[g*(k+1)+j]: location of member j of group g:
-	// 0 = the group's NM line, v>0 = FM line g*k+(v-1).
-	slots []uint8
-
+	g  migcommon.Groups // one group per NM line
 	rc *migcommon.RemapCache
-
-	permPow2 uint32
-	permMul  uint32
-	permAdd  uint32
 }
 
 // New builds CAMEO over the two devices.
 func New(cfg Config, nm, fm *memsys.Device) *CAMEO {
-	groups := uint32(cfg.NMBytes / uint64(cfg.LineBytes))
-	fmLines := uint32(cfg.FMBytes / uint64(cfg.LineBytes))
-	if groups == 0 {
-		panic("cameo: no NM capacity")
-	}
-	k := fmLines / groups
-	if k == 0 {
-		k = 1
-	}
-	c := &CAMEO{
-		cfg:    cfg,
-		nm:     nm,
-		fm:     fm,
-		groups: groups,
-		k:      k,
-		pinned: fmLines - groups*k,
-		slots:  make([]uint8, uint64(groups)*uint64(k+1)),
+	return &CAMEO{
+		cfg: cfg,
+		nm:  nm,
+		fm:  fm,
+		g:   migcommon.NewGroups(uint32(cfg.NMBytes/uint64(cfg.LineBytes)), uint32(cfg.FMBytes/uint64(cfg.LineBytes)), cfg.Seed),
 		// One remap-cache entry covers a group, like CAMEO's
 		// row-granularity line-location table (LLIT) entries.
 		rc: migcommon.NewRemapCache(cfg.RemapCacheEntries, 16),
 	}
-	for g := uint32(0); g < groups; g++ {
-		base := uint64(g) * uint64(k+1)
-		for j := uint32(1); j <= k; j++ {
-			c.slots[base+uint64(j)] = uint8(j)
-		}
-	}
-	p := uint32(1)
-	for p < c.Lines() {
-		p <<= 1
-	}
-	c.permPow2 = p
-	c.permMul = uint32(cfg.Seed)*8 + 5
-	c.permAdd = uint32(cfg.Seed>>16) | 1
-	return c
 }
 
-// Lines returns the logical flat-space size in 64 B lines.
-func (c *CAMEO) Lines() uint32 { return c.groups*(c.k+1) + c.pinned }
+// Reset implements memtypes.Resetter: it unwinds the run's swaps and
+// empties the remap cache.
+func (c *CAMEO) Reset() {
+	c.g.Reset()
+	c.rc.Reset()
+	c.stats = memtypes.MemStats{}
+}
 
 // Name implements MemorySystem.
 func (c *CAMEO) Name() string { return "CAMEO" }
@@ -106,98 +75,47 @@ func (c *CAMEO) Name() string { return "CAMEO" }
 // Stats implements MemorySystem.
 func (c *CAMEO) Stats() *memtypes.MemStats { return memsys.WithTraffic(&c.stats, c.nm, c.fm) }
 
-// scramble models OS page-allocation randomness (cycle-walking LCG).
-func (c *CAMEO) scramble(l uint32) uint32 {
-	n := c.Lines()
-	x := l
-	for {
-		x = (x*c.permMul + c.permAdd) & (c.permPow2 - 1)
-		if x < n {
-			return x
-		}
-	}
-}
-
 // Access implements MemorySystem: an FM-resident line is swapped with the
 // group's NM occupant on every access (CAMEO's policy).
 func (c *CAMEO) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtypes.Tick {
 	c.stats.Requests++
-	logical := uint32(uint64(addr) / uint64(c.cfg.LineBytes))
-	if logical >= c.Lines() {
-		logical %= c.Lines()
-	}
-	logical = c.scramble(logical)
 	lb := c.cfg.LineBytes
-
-	grouped := c.groups * (c.k + 1)
-	if logical >= grouped {
+	logical := c.g.Logical(uint32(uint64(addr) / uint64(lb)))
+	inNM, unit := c.g.Locate(logical)
+	lineAddr := memtypes.Addr(unit) * memtypes.Addr(lb)
+	g, j, grouped := c.g.Member(logical)
+	if !grouped {
 		// Pinned FM line: no group, no migration.
 		c.stats.ServedFM++
-		fmAddr := memtypes.Addr(c.groups*c.k+(logical-grouped)) * memtypes.Addr(lb)
-		return c.fm.Access(now, fmAddr, lb, write)
+		return c.fm.Access(now, lineAddr, lb, write)
 	}
 
-	g := logical % c.groups
-	j := logical / c.groups
 	if !c.rc.Lookup(g) {
 		// Line-location table read from NM on the critical path.
 		now = c.nm.AccessAs(memtypes.Metadata, now, memtypes.Addr(c.cfg.NMBytes)-memtypes.Addr(1+g%4096)*64, 64, false)
 	}
-
-	base := uint64(g) * uint64(c.k+1)
-	v := c.slots[base+uint64(j)]
-	nmAddr := memtypes.Addr(g) * memtypes.Addr(lb)
-	if v == 0 {
+	if inNM {
 		c.stats.ServedNM++
-		return c.nm.Access(now, nmAddr, lb, write)
+		return c.nm.Access(now, lineAddr, lb, write)
 	}
 
 	// FM resident: serve it and swap it with the NM occupant.
 	c.stats.ServedFM++
-	fmAddr := memtypes.Addr(g*c.k+uint32(v-1)) * memtypes.Addr(lb)
-	done := c.fm.Access(now, fmAddr, lb, write)
+	done := c.fm.Access(now, lineAddr, lb, write)
 
 	// Swap in the background: the occupant goes to the accessed line's
 	// FM slot, the line's data fills the NM slot.
+	nmAddr := memtypes.Addr(g) * memtypes.Addr(lb)
 	rdNM := c.nm.AccessBG(memtypes.Migration, now, nmAddr, lb, false)
-	c.fm.AccessBG(memtypes.Migration, rdNM, fmAddr, lb, true)
+	c.fm.AccessBG(memtypes.Migration, rdNM, lineAddr, lb, true)
 	c.nm.AccessBG(memtypes.Migration, done, nmAddr, lb, true)
 	c.stats.Migrations++
-
-	// Occupant member (slot value 0) takes v; accessed member takes NM.
-	for jj := uint64(0); jj <= uint64(c.k); jj++ {
-		if c.slots[base+jj] == 0 {
-			c.slots[base+jj] = v
-			break
-		}
-	}
-	c.slots[base+uint64(j)] = 0
+	c.g.Swap(g, j)
 	return done
 }
 
 // Finish implements MemorySystem (no deferred work).
 func (c *CAMEO) Finish(memtypes.Tick) {}
 
-// CheckInvariants verifies each group holds exactly one NM resident and
-// distinct FM slots; used by tests.
-func (c *CAMEO) CheckInvariants() bool {
-	for g := uint32(0); g < c.groups; g++ {
-		base := uint64(g) * uint64(c.k+1)
-		seen := make(map[uint8]bool, c.k+1)
-		nmCount := 0
-		for j := uint64(0); j <= uint64(c.k); j++ {
-			v := c.slots[base+j]
-			if seen[v] {
-				return false
-			}
-			seen[v] = true
-			if v == 0 {
-				nmCount++
-			}
-		}
-		if nmCount != 1 {
-			return false
-		}
-	}
-	return true
-}
+// CheckInvariants verifies the group layout; used by tests.
+func (c *CAMEO) CheckInvariants() bool { return c.g.CheckInvariants() }

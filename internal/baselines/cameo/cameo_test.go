@@ -2,8 +2,10 @@ package cameo
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"hybridmem/internal/baselines/migcommon"
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
 )
@@ -15,11 +17,11 @@ func newSmall(seed uint64) *CAMEO {
 
 func TestGeometry(t *testing.T) {
 	c := newSmall(1)
-	if c.groups != 1<<20/64 {
-		t.Fatalf("groups %d, want one per NM line", c.groups)
+	if c.g.Count != 1<<20/64 {
+		t.Fatalf("groups %d, want one per NM line", c.g.Count)
 	}
-	if c.k != 8 {
-		t.Fatalf("k %d, want FM:NM ratio 8", c.k)
+	if c.g.K != 8 {
+		t.Fatalf("k %d, want FM:NM ratio 8", c.g.K)
 	}
 	if !c.CheckInvariants() {
 		t.Fatal("initial state invalid")
@@ -30,12 +32,12 @@ func TestAccessSwapsLineIntoNM(t *testing.T) {
 	c := newSmall(2)
 	// Find a raw address resolving to an FM-resident grouped line.
 	var addr memtypes.Addr
-	for raw := uint32(0); raw < c.Lines(); raw++ {
-		l := c.scramble(raw)
-		if l >= c.groups*(c.k+1) {
+	for raw := uint32(0); raw < c.g.Units(); raw++ {
+		l := c.g.Logical(raw)
+		if _, _, grouped := c.g.Member(l); !grouped {
 			continue
 		}
-		if c.slots[uint64(l%c.groups)*uint64(c.k+1)+uint64(l/c.groups)] != 0 {
+		if inNM, _ := c.g.Locate(l); !inNM {
 			addr = memtypes.Addr(raw) * 64
 			break
 		}
@@ -57,7 +59,7 @@ func TestAccessSwapsLineIntoNM(t *testing.T) {
 func TestGroupInvariantsUnderTraffic(t *testing.T) {
 	c := newSmall(3)
 	rng := rand.New(rand.NewSource(7))
-	space := uint64(c.Lines()) * 64
+	space := uint64(c.g.Units()) * 64
 	var now memtypes.Tick
 	for i := 0; i < 30000; i++ {
 		now += 50
@@ -92,13 +94,13 @@ func TestFineGranularityNoOverfetch(t *testing.T) {
 
 func TestPinnedLinesNeverMigrate(t *testing.T) {
 	c := newSmall(5)
-	if c.pinned == 0 {
+	if c.g.Pinned == 0 {
 		t.Skip("no pinned remainder in this geometry")
 	}
-	pinned := c.groups*(c.k+1) + c.pinned - 1
+	pinned := c.g.Units() - 1
 	var raw memtypes.Addr
-	for r := uint32(0); r < c.Lines(); r++ {
-		if c.scramble(r) == pinned {
+	for r := uint32(0); r < c.g.Units(); r++ {
+		if c.g.Logical(r) == pinned {
 			raw = memtypes.Addr(r) * 64
 			break
 		}
@@ -109,5 +111,41 @@ func TestPinnedLinesNeverMigrate(t *testing.T) {
 	}
 	if c.Stats().Migrations != before {
 		t.Fatal("pinned line triggered a swap")
+	}
+}
+
+// TestResetRestoresBuiltState: after swapping traffic, Reset (with the
+// devices reset) leaves a fresh build's layout, remap cache and counters.
+func TestResetRestoresBuiltState(t *testing.T) {
+	c := newSmall(6)
+	rng := rand.New(rand.NewSource(6))
+	space := uint64(c.g.Units()) * 64
+	var now memtypes.Tick
+	for i := 0; i < 20000; i++ {
+		now += 50
+		c.Access(now, memtypes.Addr(rng.Uint64()%space), rng.Intn(4) == 0)
+	}
+	if c.stats.Migrations == 0 {
+		t.Fatal("no swaps to undo")
+	}
+	c.Reset()
+	c.nm.Reset()
+	c.fm.Reset()
+	fresh := newSmall(6)
+	for l := uint32(0); l < fresh.g.Units(); l++ {
+		gotNM, got := c.g.Locate(l)
+		wantNM, want := fresh.g.Locate(l)
+		if gotNM != wantNM || got != want {
+			t.Fatalf("line %d: at (%v, %d) after Reset, (%v, %d) when built", l, gotNM, got, wantNM, want)
+		}
+	}
+	if !c.CheckInvariants() {
+		t.Fatal("group invariants violated after Reset")
+	}
+	got, want := *c, *fresh
+	// The layout is compared above and by migcommon's Groups tests.
+	got.g, want.g = migcommon.Groups{}, migcommon.Groups{}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("reset state differs from a fresh build")
 	}
 }

@@ -81,17 +81,12 @@ type Chameleon struct {
 	fm    *memsys.Device
 	stats memtypes.MemStats
 
-	groups   uint32  // one NM slot per group
-	k        uint32  // FM members per group
-	pinned   uint32  // logical sectors permanently in FM (remainder)
-	slots    []uint8 // member slot per (group, member): 0 = NM, else FM slot g*k+(v-1)
-	occupant []uint8 // member index currently in NM
-	cand     []uint8
-	ctr      []int16
-	lastSeg  uint32 // globally last-accessed sector (episode counting)
-	// Undo state of the run, for Reset: every swap, and every group
-	// whose competing counter left its initial (no candidate) state.
-	swaps       []swapUndo
+	g       migcommon.Groups // one group per flat NM segment
+	cand    []uint8
+	ctr     []int16
+	lastSeg uint32 // globally last-accessed sector (episode counting)
+	// countedGrps is every group whose competing counter left its
+	// initial (no candidate) state this run, for Reset.
 	countedGrps []uint32
 	// swapCredit paces swaps by demand: each FM demand access earns one
 	// credit; a 2 KB swap costs 64 (it moves 64 accesses worth of FM
@@ -101,38 +96,17 @@ type Chameleon struct {
 	rc        *migcommon.RemapCache
 	cache     *segCache
 	cacheBase memtypes.Addr
-
-	// Address scrambling (OS page-allocation randomness): an LCG-based
-	// cycle-walking permutation over the logical sector space, so
-	// contiguous application footprints spread uniformly over the
-	// congruence groups and their members.
-	permPow2 uint32
-	permMul  uint32
-	permAdd  uint32
-}
-
-// swapUndo is one swap: member j of group g moved into NM from member
-// slot v, and the previous occupant occ took v.
-type swapUndo struct {
-	g         uint32
-	occ, j, v uint8
 }
 
 // Reset implements memtypes.Resetter: it unwinds the swaps newest first,
 // clears the counters of the groups the run counted in and the installed
 // cache-mode segments, and zeroes the run's state.
 func (c *Chameleon) Reset() {
-	for i := len(c.swaps) - 1; i >= 0; i-- {
-		u := c.swaps[i]
-		base := uint64(u.g) * uint64(c.k+1)
-		c.slots[base+uint64(u.j)] = u.v
-		c.slots[base+uint64(u.occ)] = 0
-		c.occupant[u.g] = u.occ
-	}
+	c.g.Reset()
 	for _, g := range c.countedGrps {
 		c.cand[g], c.ctr[g] = 255, 0
 	}
-	c.swaps, c.countedGrps = c.swaps[:0], c.countedGrps[:0]
+	c.countedGrps = c.countedGrps[:0]
 	if sc := c.cache; sc != nil {
 		for _, slot := range sc.where {
 			sc.slots[slot], sc.dirty[slot] = 0, false
@@ -151,35 +125,23 @@ func (c *Chameleon) Reset() {
 // Memory (Sim et al., MICRO'14, [7] in the paper): the same congruence
 // groups and competing counters with no cache-mode slice.
 func PoM(nmBytes, fmBytes uint64, remapEntries int, seed uint64) Config {
-	cfg := Default(nmBytes, fmBytes, 0, remapEntries, seed)
-	return cfg
+	return Default(nmBytes, fmBytes, 0, remapEntries, seed)
 }
 
-// New builds Chameleon over the two devices.
+// New builds Chameleon over the two devices. Its congruence groups
+// spread the permuted sector space (OS page-allocation randomness)
+// uniformly over the NM left outside the cache-mode slice.
 func New(cfg Config, nm, fm *memsys.Device) *Chameleon {
-	flatNM := uint32((cfg.NMBytes - cfg.CacheBytes) / uint64(cfg.SectorBytes))
-	fmSec := uint32(cfg.FMBytes / uint64(cfg.SectorBytes))
-	if flatNM == 0 {
-		panic("chameleon: no flat NM capacity")
-	}
-	k := fmSec / flatNM
-	if k == 0 {
-		k = 1
-	}
-	pinned := fmSec - flatNM*k
+	groups := migcommon.NewGroups(uint32((cfg.NMBytes-cfg.CacheBytes)/uint64(cfg.SectorBytes)), uint32(cfg.FMBytes/uint64(cfg.SectorBytes)), cfg.Seed)
 	c := &Chameleon{
-		cfg:      cfg,
-		nm:       nm,
-		fm:       fm,
-		groups:   flatNM,
-		k:        k,
-		pinned:   pinned,
-		slots:    make([]uint8, uint64(flatNM)*uint64(k+1)),
-		occupant: make([]uint8, flatNM),
-		cand:     make([]uint8, flatNM),
-		ctr:      make([]int16, flatNM),
-		lastSeg:  ^uint32(0),
-		rc:       migcommon.NewRemapCache(cfg.RemapCacheEntries, 16),
+		cfg:     cfg,
+		nm:      nm,
+		fm:      fm,
+		g:       groups,
+		cand:    make([]uint8, groups.Count),
+		ctr:     make([]int16, groups.Count),
+		lastSeg: ^uint32(0),
+		rc:      migcommon.NewRemapCache(cfg.RemapCacheEntries, 16),
 
 		cacheBase: memtypes.Addr(cfg.NMBytes - cfg.CacheBytes),
 	}
@@ -188,22 +150,6 @@ func New(cfg Config, nm, fm *memsys.Device) *Chameleon {
 	}
 	for i := range c.cand {
 		c.cand[i] = 255
-	}
-	p := uint32(1)
-	for p < c.Sectors() {
-		p <<= 1
-	}
-	c.permPow2 = p
-	c.permMul = uint32(cfg.Seed)*8 + 5 // odd multiplier: bijective mod 2^k
-	c.permAdd = uint32(cfg.Seed>>16) | 1
-	// Initial placement: member 0 of each group in NM, member j (>0) in
-	// FM slot g*k+(j-1).
-	for g := uint32(0); g < flatNM; g++ {
-		base := uint64(g) * uint64(k+1)
-		c.slots[base] = 0
-		for j := uint32(1); j <= k; j++ {
-			c.slots[base+uint64(j)] = uint8(j)
-		}
 	}
 	return c
 }
@@ -219,51 +165,12 @@ func (c *Chameleon) Name() string {
 // Stats implements MemorySystem.
 func (c *Chameleon) Stats() *memtypes.MemStats { return memsys.WithTraffic(&c.stats, c.nm, c.fm) }
 
-// Sectors returns the logical flat-space size in sectors.
-func (c *Chameleon) Sectors() uint32 { return c.groups*(c.k+1) + c.pinned }
-
-// scramble permutes the logical sector space (cycle-walking LCG): an
-// affine map with odd multiplier is a bijection on [0, 2^k); values
-// landing outside the sector range are walked until they fall inside.
-func (c *Chameleon) scramble(logical uint32) uint32 {
-	n := c.Sectors()
-	x := logical
-	for {
-		x = (x*c.permMul + c.permAdd) & (c.permPow2 - 1)
-		if x < n {
-			return x
-		}
-	}
-}
-
-// locate returns whether logical is in NM and the device sector address.
-// Callers pass already scrambled sector numbers.
-func (c *Chameleon) locate(logical uint32) (inNM bool, addr memtypes.Addr) {
-	grouped := c.groups * (c.k + 1)
-	if logical >= grouped {
-		// Pinned FM sector beyond the grouped region.
-		slot := c.groups*c.k + (logical - grouped)
-		return false, memtypes.Addr(slot) * memtypes.Addr(c.cfg.SectorBytes)
-	}
-	g := logical % c.groups
-	j := logical / c.groups
-	v := c.slots[uint64(g)*uint64(c.k+1)+uint64(j)]
-	if v == 0 {
-		return true, memtypes.Addr(g) * memtypes.Addr(c.cfg.SectorBytes)
-	}
-	slot := g*c.k + uint32(v-1)
-	return false, memtypes.Addr(slot) * memtypes.Addr(c.cfg.SectorBytes)
-}
-
 // swap exchanges member j with the group's occupant, charging the full
 // 2×sector movement plus remap metadata updates.
 func (c *Chameleon) swap(now memtypes.Tick, g, j uint32) {
-	base := uint64(g) * uint64(c.k+1)
-	occ := uint32(c.occupant[g])
 	sb := c.cfg.SectorBytes
 	nmAddr := memtypes.Addr(g) * memtypes.Addr(sb)
-	v := c.slots[base+uint64(j)]
-	fmAddr := memtypes.Addr(g*c.k+uint32(v-1)) * memtypes.Addr(sb)
+	fmAddr := memtypes.Addr(c.g.Swap(g, j)) * memtypes.Addr(sb)
 
 	tA := c.fm.AccessBG(memtypes.Migration, now, fmAddr, sb, false)
 	tB := c.nm.AccessBG(memtypes.Migration, now, nmAddr, sb, false)
@@ -273,11 +180,6 @@ func (c *Chameleon) swap(now memtypes.Tick, g, j uint32) {
 	// Remap metadata update for the group, in NM.
 	c.nm.AccessBG(memtypes.Metadata, end, c.cacheBase-memtypes.Addr(1+g%4096)*64, 64, true)
 	c.stats.Migrations++
-
-	c.swaps = append(c.swaps, swapUndo{g: g, occ: uint8(occ), j: uint8(j), v: v})
-	c.slots[base+uint64(occ)] = v
-	c.slots[base+uint64(j)] = 0
-	c.occupant[g] = uint8(j)
 }
 
 // cacheAccess tries the cache-mode slice for an FM-resident access.
@@ -338,23 +240,19 @@ func (c *Chameleon) cacheAccess(now memtypes.Tick, addr memtypes.Addr, fmAddr me
 // Access implements MemorySystem.
 func (c *Chameleon) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtypes.Tick {
 	c.stats.Requests++
-	logical := uint32(uint64(addr) / uint64(c.cfg.SectorBytes))
-	if logical >= c.Sectors() {
-		logical %= c.Sectors()
-	}
-	logical = c.scramble(logical)
+	logical := c.g.Logical(uint32(uint64(addr) / uint64(c.cfg.SectorBytes)))
 	offset := memtypes.Addr(uint64(addr) % uint64(c.cfg.SectorBytes))
 
 	// Chameleon's remap metadata is per-group (a few bits per member), so
 	// one remap-cache entry covers a whole congruence group.
-	if g := logical % c.groups; !c.rc.Lookup(g) {
+	g, j, grouped := c.g.Member(logical)
+	if !c.rc.Lookup(g) {
 		// Remap-table read in NM on the critical path, spread over the
 		// metadata region like the real per-group table.
 		now = c.nm.AccessAs(memtypes.Metadata, now, c.cacheBase-memtypes.Addr(1+g%4096)*64, 64, false)
 	}
 
-	inNM, secAddr := c.locate(logical)
-	grouped := c.groups * (c.k + 1)
+	inNM, sec := c.g.Locate(logical)
 	repeat := logical == c.lastSeg
 	c.lastSeg = logical
 
@@ -362,10 +260,8 @@ func (c *Chameleon) Access(now memtypes.Tick, addr memtypes.Addr, write bool) me
 	// Consecutive accesses to the same sector (a streaming burst through
 	// a segment) count as one episode, so the counters measure segment
 	// reuse rather than burst length.
-	if logical < grouped && !repeat {
-		g := logical % c.groups
-		j := logical / c.groups
-		if uint8(j) == c.occupant[g] {
+	if grouped && !repeat {
+		if j == c.g.Occupant(g) {
 			if c.ctr[g] > 0 {
 				c.ctr[g]--
 			}
@@ -387,10 +283,11 @@ func (c *Chameleon) Access(now memtypes.Tick, addr memtypes.Addr, write bool) me
 				c.swap(now, g, j)
 				c.cand[g] = 255
 				c.ctr[g] = 0
-				inNM, secAddr = c.locate(logical)
+				inNM, sec = true, g
 			}
 		}
 	}
+	secAddr := memtypes.Addr(sec) * memtypes.Addr(c.cfg.SectorBytes)
 
 	if inNM {
 		c.stats.ServedNM++
@@ -416,3 +313,6 @@ func (c *Chameleon) Access(now memtypes.Tick, addr memtypes.Addr, write bool) me
 
 // Finish implements MemorySystem (no deferred interval work).
 func (c *Chameleon) Finish(memtypes.Tick) {}
+
+// CheckInvariants verifies the group layout; used by tests.
+func (c *Chameleon) CheckInvariants() bool { return c.g.CheckInvariants() }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hybridmem/internal/baselines/migcommon"
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
 )
@@ -14,42 +15,60 @@ func newSmall(seed uint64) *Chameleon {
 	return New(cfg, memsys.New(memsys.HBM2Config()), memsys.New(memsys.DDR4Config()))
 }
 
+// location is where a logical sector lives: NM or FM, and the unit.
+type location struct {
+	inNM bool
+	unit uint32
+}
+
+func locate(c *Chameleon, logical uint32) location {
+	inNM, unit := c.g.Locate(logical)
+	return location{inNM, unit}
+}
+
+// inNM reports whether the logical sector lives in NM.
+func inNM(c *Chameleon, logical uint32) bool { return locate(c, logical).inNM }
+
+// grouped reports whether the logical sector belongs to a group.
+func grouped(c *Chameleon, logical uint32) bool {
+	_, _, ok := c.g.Member(logical)
+	return ok
+}
+
 func TestGroupGeometry(t *testing.T) {
 	c := newSmall(1)
-	if c.groups == 0 || c.k == 0 {
-		t.Fatalf("degenerate grouping: groups=%d k=%d", c.groups, c.k)
+	if c.g.Count == 0 || c.g.K == 0 {
+		t.Fatalf("degenerate grouping: groups=%d k=%d", c.g.Count, c.g.K)
 	}
 	// Every logical sector must resolve to exactly one location.
-	seen := make(map[memtypes.Addr]bool)
+	seen := make(map[location]bool)
 	nmCount := 0
-	for l := uint32(0); l < c.Sectors(); l++ {
-		inNM, addr := c.locate(l)
-		key := addr
-		if inNM {
-			key |= 1 << 62
+	for l := uint32(0); l < c.g.Units(); l++ {
+		loc := locate(c, l)
+		if loc.inNM {
 			nmCount++
 		}
-		if seen[key] {
+		if seen[loc] {
 			t.Fatalf("two sectors at the same location (logical %d)", l)
 		}
-		seen[key] = true
+		seen[loc] = true
 	}
-	if nmCount != int(c.groups) {
-		t.Fatalf("NM residents %d, want one per group (%d)", nmCount, c.groups)
+	if nmCount != int(c.g.Count) {
+		t.Fatalf("NM residents %d, want one per group (%d)", nmCount, c.g.Count)
 	}
 }
 
 func TestCompetingCountersSwapAfterThreshold(t *testing.T) {
 	c := newSmall(2)
-	// Pick a raw address whose scrambled sector is an FM member of some
+	// Pick a raw address whose permuted sector is an FM member of some
 	// group, and revisit it repeatedly with unrelated accesses in between
 	// (consecutive accesses count as one reuse episode) until the
 	// competing counter crosses the threshold and swap credit suffices.
 	var addr memtypes.Addr
 	var logical uint32
-	for raw := uint32(0); raw < c.Sectors(); raw++ {
-		l := c.scramble(raw)
-		if inNM, _ := c.locate(l); !inNM && l < c.groups*(c.k+1) {
+	for raw := uint32(0); raw < c.g.Units(); raw++ {
+		l := c.g.Logical(raw)
+		if !inNM(c, l) && grouped(c, l) {
 			addr = memtypes.Addr(raw) * 2048
 			logical = l
 			break
@@ -63,7 +82,7 @@ func TestCompetingCountersSwapAfterThreshold(t *testing.T) {
 		// Unrelated FM accesses break the burst and earn swap credit.
 		c.Access(now, memtypes.Addr(1000+i)*2048, false)
 	}
-	if inNM, _ := c.locate(logical); !inNM {
+	if !inNM(c, logical) {
 		t.Fatal("persistently hot FM member never swapped into NM")
 	}
 	if c.Stats().Migrations == 0 {
@@ -78,15 +97,15 @@ func TestOccupantAccessesDecayCounter(t *testing.T) {
 	var fmRaw, occRaw memtypes.Addr
 	var fmLogical uint32
 	found := false
-	for raw := uint32(0); raw < c.Sectors() && !found; raw++ {
-		l := c.scramble(raw)
-		if inNM, _ := c.locate(l); inNM || l >= c.groups*(c.k+1) {
+	for raw := uint32(0); raw < c.g.Units() && !found; raw++ {
+		l := c.g.Logical(raw)
+		if inNM(c, l) || !grouped(c, l) {
 			continue
 		}
-		g := l % c.groups
-		occLogical := uint32(c.occupant[g])*c.groups + g
-		for raw2 := uint32(0); raw2 < c.Sectors(); raw2++ {
-			if c.scramble(raw2) == occLogical {
+		g, _, _ := c.g.Member(l)
+		occLogical := c.g.Occupant(g)*c.g.Count + g
+		for raw2 := uint32(0); raw2 < c.g.Units(); raw2++ {
+			if c.g.Logical(raw2) == occLogical {
 				fmRaw = memtypes.Addr(raw) * 2048
 				occRaw = memtypes.Addr(raw2) * 2048
 				fmLogical = l
@@ -107,7 +126,7 @@ func TestOccupantAccessesDecayCounter(t *testing.T) {
 		now += 300
 		c.Access(now, occRaw, false)
 	}
-	if inNM, _ := c.locate(fmLogical); inNM {
+	if inNM(c, fmLogical) {
 		t.Fatal("challenger swapped in despite equally hot occupant")
 	}
 }
@@ -115,8 +134,8 @@ func TestOccupantAccessesDecayCounter(t *testing.T) {
 func TestCacheModeSliceServesFMData(t *testing.T) {
 	c := newSmall(4)
 	var addr memtypes.Addr
-	for raw := uint32(0); raw < c.Sectors(); raw++ {
-		if inNM, _ := c.locate(c.scramble(raw)); !inNM {
+	for raw := uint32(0); raw < c.g.Units(); raw++ {
+		if !inNM(c, c.g.Logical(raw)) {
 			addr = memtypes.Addr(raw) * 2048
 			break
 		}
@@ -139,13 +158,13 @@ func TestCacheModeSliceServesFMData(t *testing.T) {
 
 func TestPinnedSectorsStayInFM(t *testing.T) {
 	c := newSmall(5)
-	if c.pinned == 0 {
+	if c.g.Pinned == 0 {
 		t.Skip("configuration has no pinned remainder")
 	}
-	pinnedLogical := c.groups*(c.k+1) + c.pinned - 1
+	pinnedLogical := c.g.Units() - 1
 	var raw memtypes.Addr
-	for r := uint32(0); r < c.Sectors(); r++ {
-		if c.scramble(r) == pinnedLogical {
+	for r := uint32(0); r < c.g.Units(); r++ {
+		if c.g.Logical(r) == pinnedLogical {
 			raw = memtypes.Addr(r) * 2048
 			break
 		}
@@ -157,7 +176,7 @@ func TestPinnedSectorsStayInFM(t *testing.T) {
 		now += 300
 		c.Access(now, memtypes.Addr(7000+i)*2048, false)
 	}
-	if inNM, _ := c.locate(pinnedLogical); inNM {
+	if inNM(c, pinnedLogical) {
 		t.Fatal("pinned sector migrated")
 	}
 }
@@ -165,7 +184,7 @@ func TestPinnedSectorsStayInFM(t *testing.T) {
 func TestServedCountersConsistent(t *testing.T) {
 	c := newSmall(6)
 	rng := rand.New(rand.NewSource(10))
-	space := uint64(c.Sectors()) * 2048
+	space := uint64(c.g.Units()) * 2048
 	var now memtypes.Tick
 	for i := 0; i < 40000; i++ {
 		now += 60
@@ -183,23 +202,22 @@ func TestServedCountersConsistent(t *testing.T) {
 func TestLocationsStayBijectiveUnderSwaps(t *testing.T) {
 	c := newSmall(7)
 	rng := rand.New(rand.NewSource(11))
-	space := uint64(c.Sectors()) * 2048
+	space := uint64(c.g.Units()) * 2048
 	var now memtypes.Tick
 	for i := 0; i < 40000; i++ {
 		now += 60
 		c.Access(now, memtypes.Addr(rng.Uint64()%space), false)
 	}
-	seen := make(map[memtypes.Addr]bool)
-	for l := uint32(0); l < c.Sectors(); l++ {
-		inNM, addr := c.locate(l)
-		key := addr
-		if inNM {
-			key |= 1 << 62
-		}
-		if seen[key] {
+	seen := make(map[location]bool)
+	for l := uint32(0); l < c.g.Units(); l++ {
+		loc := locate(c, l)
+		if seen[loc] {
 			t.Fatalf("aliasing after swaps at logical %d", l)
 		}
-		seen[key] = true
+		seen[loc] = true
+	}
+	if !c.CheckInvariants() {
+		t.Fatal("group invariants violated")
 	}
 }
 
@@ -225,11 +243,19 @@ func TestResetRestoresBuiltState(t *testing.T) {
 	c.Reset()
 	c.nm.Reset()
 	c.fm.Reset()
-	if len(c.swaps)+len(c.countedGrps) != 0 {
-		t.Fatal("undo state not empty after Reset")
+	if len(c.countedGrps) != 0 || !c.CheckInvariants() {
+		t.Fatal("undo state not empty or groups inconsistent after Reset")
 	}
-	got, want := *c, *newSmall(5)
-	got.swaps, got.countedGrps = nil, nil
+	fresh := newSmall(5)
+	for l := uint32(0); l < fresh.g.Units(); l++ {
+		if locate(c, l) != locate(fresh, l) {
+			t.Fatalf("sector %d: at %+v after Reset, %+v when built", l, locate(c, l), locate(fresh, l))
+		}
+	}
+	got, want := *c, *fresh
+	got.countedGrps = nil
+	// The layout is compared above and by migcommon's Groups tests.
+	got.g, want.g = migcommon.Groups{}, migcommon.Groups{}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("reset state differs from a fresh build")
 	}

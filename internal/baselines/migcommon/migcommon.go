@@ -1,8 +1,15 @@
 // Package migcommon holds the substrate shared by the flat-address-space
-// migration schemes (MemPod, Chameleon, LGM): the sector-granularity
-// remap table over NM+FM, its inverted counterpart, the on-chip remap
-// cache (sized equal to Hybrid2's XTA for the paper's fair comparison),
-// and the swap operation that exchanges an FM sector with an NM victim.
+// migration schemes:
+//
+//   - Space, used by MemPod and LGM: an all-to-all sector remap table
+//     over NM+FM with its inverse, and the swap that exchanges an FM
+//     sector with an NM victim.
+//   - Groups, used by CAMEO, Chameleon and POM: a congruence-group
+//     layout in which each NM unit holds one member of its group, and
+//     the swap that exchanges a member with the NM occupant.
+//   - RemapCache, used by all five and by SILC-FM: the on-chip cache of
+//     remap entries, sized equal to Hybrid2's XTA for the paper's fair
+//     comparison.
 package migcommon
 
 import (

@@ -55,7 +55,7 @@ func localSweepBytes(t *testing.T, cfg Config, runs []Run) []byte {
 		}
 		specs[i] = exp.RunSpec{Workload: wl, Design: run.Design, Ratio16: run.Ratio16}
 	}
-	results, err := r.ResultsParallelCtx(context.Background(), specs)
+	results, err := r.ResultsParallel(specs)
 	if err != nil {
 		t.Fatal(err)
 	}

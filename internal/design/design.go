@@ -84,8 +84,8 @@ func (k Kind) String() string {
 type Param struct {
 	Name string
 	Doc  string
-	// Min and Max bound integer values inclusively; Max <= 0 means
-	// unbounded above. Ignored for enum parameters.
+	// Min and Max bound integer values inclusively; Register rejects
+	// Max <= 0 or Max < Min. Ignored for enum parameters.
 	Min, Max int
 	// Pow2 additionally requires a positive power of two.
 	Pow2 bool
@@ -173,6 +173,9 @@ func Register(info Info) {
 	for _, p := range info.Params {
 		if p.Name == "" {
 			panic("design: " + info.Name + ": unnamed parameter")
+		}
+		if p.Enum == nil && (p.Max <= 0 || p.Max < p.Min) {
+			panic("design: " + info.Name + ": <" + p.Name + "> needs a range with Min <= Max and Max > 0")
 		}
 		if seenOptional && !p.Optional {
 			panic("design: " + info.Name + ": required parameter after an optional one")
@@ -368,13 +371,9 @@ func parseValue(info *Info, p Param, raw string) (Value, error) {
 	if err != nil {
 		return Value{}, fmt.Errorf("design: %s: <%s> must be an integer, got %q", info.Name, p.Name, raw)
 	}
-	if v < p.Min || (p.Max > 0 && v > p.Max) {
-		hi := "∞"
-		if p.Max > 0 {
-			hi = strconv.Itoa(p.Max)
-		}
-		return Value{}, fmt.Errorf("design: %s: <%s> = %d out of range [%d, %s]",
-			info.Name, p.Name, v, p.Min, hi)
+	if v < p.Min || v > p.Max {
+		return Value{}, fmt.Errorf("design: %s: <%s> = %d out of range [%d, %d]",
+			info.Name, p.Name, v, p.Min, p.Max)
 	}
 	if p.Pow2 && (v <= 0 || v&(v-1) != 0) {
 		return Value{}, fmt.Errorf("design: %s: <%s> = %d must be a power of two", info.Name, p.Name, v)

@@ -7,18 +7,13 @@ import (
 )
 
 // EnumOptions bounds design-space enumeration over a parameter grammar.
-// The zero value is usable for every bounded grammar.
+// The zero value is usable.
 type EnumOptions struct {
 	// MaxPerParam caps the candidate values enumerated per integer
 	// parameter; wide ranges are subsampled on a geometric ladder that
 	// always keeps both endpoints. <= 0 means 12. Enum parameters always
 	// contribute every token.
 	MaxPerParam int
-	// UnboundedMax substitutes an inclusive upper bound for parameters
-	// declared unbounded above (Max <= 0). Enumerating such a parameter
-	// with UnboundedMax <= 0 is an error: an accidental infinite space
-	// must fail loudly instead of hanging.
-	UnboundedMax int
 }
 
 // maxPerParam resolves the effective per-parameter cap.
@@ -42,12 +37,8 @@ const maxSpace = 1 << 20
 // ranges subsampled on a geometric ladder of at most MaxPerParam values
 // including both endpoints), filtered through the family's Check hook.
 // Every returned Spec carries its canonical full name and parses back
-// identically, so it is directly buildable and cache-keyable.
-//
-// A parameter that is unbounded above (Max <= 0) requires an explicit
-// EnumOptions.UnboundedMax; without one Enumerate returns an error
-// instead of attempting an infinite space. A family with no parameters
-// enumerates to exactly its base name.
+// identically, so it is directly buildable and cache-keyable. A family
+// with no parameters enumerates to exactly its base name.
 func (i *Info) Enumerate(opts EnumOptions) ([]Spec, error) {
 	if len(i.Params) == 0 {
 		return []Spec{{Name: i.Name, Info: i}}, nil
@@ -174,24 +165,14 @@ func paramValues(i *Info, p Param, opts EnumOptions) ([]Value, error) {
 		}
 		return out, nil
 	}
-	max := p.Max
-	if max <= 0 {
-		if opts.UnboundedMax <= 0 {
-			return nil, fmt.Errorf("design: %s: <%s> is unbounded above (Max <= 0): set EnumOptions.UnboundedMax to enumerate it", i.Name, p.Name)
-		}
-		max = opts.UnboundedMax
-	}
-	if max < p.Min {
-		return nil, fmt.Errorf("design: %s: <%s> has empty range [%d, %d]", i.Name, p.Name, p.Min, max)
-	}
 	var ints []int
 	if p.Pow2 {
-		ints = pow2Ladder(p.Min, max, opts.maxPerParam())
+		ints = pow2Ladder(p.Min, p.Max, opts.maxPerParam())
 		if len(ints) == 0 {
-			return nil, fmt.Errorf("design: %s: <%s> has no power of two in [%d, %d]", i.Name, p.Name, p.Min, max)
+			return nil, fmt.Errorf("design: %s: <%s> has no power of two in [%d, %d]", i.Name, p.Name, p.Min, p.Max)
 		}
 	} else {
-		ints = intLadder(p.Min, max, opts.maxPerParam())
+		ints = intLadder(p.Min, p.Max, opts.maxPerParam())
 	}
 	out := make([]Value, len(ints))
 	for j, v := range ints {

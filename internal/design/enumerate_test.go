@@ -1,8 +1,13 @@
 package design
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"hybridmem/internal/config"
+	"hybridmem/internal/memsys"
+	"hybridmem/internal/memtypes"
 )
 
 // enumOpts is the tight cap used by the enumeration property tests: small
@@ -118,34 +123,33 @@ func TestNeighborsOffLadderBrackets(t *testing.T) {
 	}
 }
 
-// TestEnumerateUnboundedRejected asserts the infinite-space guard: a
-// parameter unbounded above enumerates only with an explicit bound.
-func TestEnumerateUnboundedRejected(t *testing.T) {
-	info := &Info{
-		Name: "UNBOUNDED-TEST",
-		Params: []Param{
-			{Name: "n", Doc: "unbounded above", Min: 1, Max: 0},
-		},
+// TestRegisterRejectsUnboundedParam asserts the infinite-space guard:
+// an integer parameter without a finite range fails at registration,
+// before any enumeration could attempt an infinite space.
+func TestRegisterRejectsUnboundedParam(t *testing.T) {
+	build := func(Spec, config.System, *memsys.Device, *memsys.Device) (memtypes.MemorySystem, error) {
+		return nil, nil
 	}
-	if _, err := info.Enumerate(EnumOptions{}); err == nil {
-		t.Fatal("Enumerate accepted an unbounded parameter without UnboundedMax")
-	} else if !strings.Contains(err.Error(), "UnboundedMax") {
-		t.Fatalf("unbounded-space error %q does not mention UnboundedMax", err)
+	for _, p := range []Param{
+		{Name: "n", Doc: "unbounded above", Min: 1, Max: 0},
+		{Name: "n", Doc: "negative bound", Min: -8, Max: -1},
+		{Name: "n", Doc: "empty range", Min: 8, Max: 4},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("Register accepted %s [%d, %d]", p.Doc, p.Min, p.Max)
+				}
+				if !strings.Contains(fmt.Sprint(r), "<n>") {
+					t.Fatalf("registration panic %q does not name the parameter", r)
+				}
+			}()
+			Register(Info{Name: "UNBOUNDED-TEST", Example: "UNBOUNDED-TEST-1", Params: []Param{p}, Build: build})
+		}()
 	}
-	specs, err := info.Enumerate(EnumOptions{MaxPerParam: 4, UnboundedMax: 64})
-	if err != nil {
-		t.Fatalf("Enumerate with UnboundedMax: %v", err)
-	}
-	if len(specs) == 0 {
-		t.Fatal("bounded enumeration is empty")
-	}
-	for _, s := range specs {
-		if v := s.Values[0].Int; v < 1 || v > 64 {
-			t.Errorf("enumerated value %d outside [1, 64]", v)
-		}
-	}
-	if _, err := info.Neighbors(specs[0], EnumOptions{}); err == nil {
-		t.Fatal("Neighbors accepted an unbounded parameter without UnboundedMax")
+	if _, ok := LookupInfo("UNBOUNDED-TEST"); ok {
+		t.Fatal("a rejected design was registered")
 	}
 }
 

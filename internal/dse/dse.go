@@ -131,11 +131,9 @@ type Options struct {
 	// Parallelism bounds concurrently evaluated runs; <= 0 means
 	// GOMAXPROCS. It does not affect results.
 	Parallelism int
-	// MaxPerParam and UnboundedMax bound the space enumeration; see
-	// design.EnumOptions. Zero means 12 values per parameter and
-	// rejection of unbounded parameters.
-	MaxPerParam  int
-	UnboundedMax int
+	// MaxPerParam bounds the space enumeration; see design.EnumOptions.
+	// Zero means 12 values per parameter.
+	MaxPerParam int
 	// Eval, when non-nil, routes every simulation batch — candidate
 	// rounds and baselines, at either fidelity — through an external
 	// evaluator instead of the in-process runner; the hook the cluster
@@ -358,12 +356,9 @@ func newSearcher(opts Options) (*searcher, error) {
 	} else if opts.MaxPerParam < 2 {
 		opts.MaxPerParam = 2
 	}
-	if opts.UnboundedMax < 0 {
-		opts.UnboundedMax = 0
-	}
 	s := &searcher{
 		opts:     opts,
-		enumOpts: design.EnumOptions{MaxPerParam: opts.MaxPerParam, UnboundedMax: opts.UnboundedMax},
+		enumOpts: design.EnumOptions{MaxPerParam: opts.MaxPerParam},
 		seen:     map[string]bool{},
 		rng:      rng{state: opts.Seed},
 	}
@@ -463,10 +458,13 @@ func (s *searcher) fingerprint() string {
 	for i, wl := range s.wls {
 		wls[i] = wl.Name
 	}
-	fp := fmt.Sprintf("v%d|fam=%s|wl=%s|budget=%d|seed=%d|simseed=%d|scale=%d|instr=%d|ratio=%d|batch=%d|maxvals=%d|ubound=%d",
+	// ubound=0 is the fixed trace of a removed option (a bound for
+	// parameters unbounded above, which Register now rejects); it stays
+	// so that existing checkpoints keep resuming.
+	fp := fmt.Sprintf("v%d|fam=%s|wl=%s|budget=%d|seed=%d|simseed=%d|scale=%d|instr=%d|ratio=%d|batch=%d|maxvals=%d|ubound=0",
 		checkpointVersion, strings.Join(fams, ","), strings.Join(wls, ","), s.opts.Budget,
 		s.opts.Seed, s.opts.SimSeed, s.opts.Scale, s.opts.InstrPerCore,
-		s.opts.Ratio16, s.opts.BatchSize, s.enumOpts.MaxPerParam, s.enumOpts.UnboundedMax)
+		s.opts.Ratio16, s.opts.BatchSize, s.enumOpts.MaxPerParam)
 	// The screening fidelity changes the round sequence, so it is part of
 	// the fingerprint — but only when enabled, so checkpoints written by
 	// single-fidelity searches (including pre-screening ones) stay valid.

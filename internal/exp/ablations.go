@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"hybridmem/internal/core"
@@ -105,10 +106,10 @@ func PathBreakdown(r *Runner) (Table, map[string]float64) {
 		Header: []string{"Benchmark", "1a-hit", "1b-linefetch", "2a-adopt", "2b-allocate"}}
 	// These runs need the core's path counters, which the memoized
 	// sim.Result does not carry, so they bypass the Runner cache and fan
-	// out over parallelFor directly; rows land in workload order.
+	// out over parallelForCtx directly; rows land in workload order.
 	wls := r.Workloads()
 	stats2b := make([]core.PathStats, len(wls))
-	err := r.parallelFor(len(wls), func(i int) error {
+	err := r.parallelForCtx(context.Background(), len(wls), func(i int) error {
 		sys := r.system(1)
 		ms, nm, fm, err := design.Build("HYBRID2", sys)
 		if err != nil {

@@ -19,7 +19,7 @@ func TestCanceledContextAbortsParallelSweep(t *testing.T) {
 		cancel()
 		specs := r.SweepSpecs(withBaseline(MainDesigns), []int{1, 2, 4})
 		start := time.Now()
-		res, err := r.ResultsParallelCtx(ctx, specs)
+		res, err := r.ResultsParallelProgress(ctx, specs, nil)
 		if err == nil {
 			t.Fatalf("parallelism %d: canceled sweep returned no error", workers)
 		}
@@ -62,27 +62,6 @@ func TestCancelMidSweepAbandonsQueuedWork(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("joined error %v is not context.Canceled", err)
-	}
-}
-
-// TestSweepCtxBackgroundMatchesSweep pins that the context plumbing does
-// not change results: the same sweep through SweepCtx(Background) and
-// Sweep produces identical memoized results.
-func TestSweepCtxBackgroundMatchesSweep(t *testing.T) {
-	a, b := tiny(), tiny()
-	designs := withBaseline([]string{"HYBRID2"})
-	if err := a.Sweep(designs, []int{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SweepCtx(context.Background(), designs, []int{1}); err != nil {
-		t.Fatal(err)
-	}
-	for _, wl := range a.Workloads() {
-		for _, d := range designs {
-			if a.Result(wl, d, 1) != b.Result(wl, d, 1) {
-				t.Fatalf("%s/%s: SweepCtx result differs from Sweep", wl.Name, d)
-			}
-		}
 	}
 }
 

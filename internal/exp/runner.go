@@ -457,12 +457,6 @@ func (r *Runner) Result(wl workload.Spec, designName string, ratio16 int) sim.Re
 	return res
 }
 
-// parallelFor runs fn(i) for every i in [0, n) across the runner's
-// worker pool without a cancellation point; see parallelForCtx.
-func (r *Runner) parallelFor(n int, fn func(i int) error) error {
-	return r.parallelForCtx(context.Background(), n, fn)
-}
-
 // parallelForCtx runs fn(i) for every i in [0, n) across the runner's
 // worker pool, serially when one worker suffices. Errors are joined in
 // index order; one failing index never aborts the others, but a canceled
@@ -537,23 +531,18 @@ feed:
 // whose design name is malformed report errors (joined, one per bad run)
 // without aborting the rest of the sweep; their result slots are zero.
 func (r *Runner) ResultsParallel(specs []RunSpec) ([]sim.Result, error) {
-	return r.ResultsParallelCtx(context.Background(), specs)
+	return r.ResultsParallelProgress(context.Background(), specs, nil)
 }
 
-// ResultsParallelCtx is ResultsParallel with cancellation: when ctx is
-// canceled, queued runs are abandoned promptly (their error slots settle
-// as ctx.Err()) while runs already executing finish and land in the memo
-// cache as usual.
-func (r *Runner) ResultsParallelCtx(ctx context.Context, specs []RunSpec) ([]sim.Result, error) {
-	return r.ResultsParallelProgress(ctx, specs, nil)
-}
-
-// ResultsParallelProgress is ResultsParallelCtx with streaming progress:
-// when progress is non-nil it is called once per settled run with the
-// count of runs finished so far and the total — the hook long-lived
-// servers use to report sweep progress to clients. Calls are serialized
-// and done is strictly increasing, but the order in which indices settle
-// is scheduling-dependent; on cancellation, abandoned runs never report.
+// ResultsParallelProgress is ResultsParallel with cancellation and
+// streaming progress. When ctx is canceled, queued runs are abandoned
+// promptly (their error slots settle as ctx.Err()) while runs already
+// executing finish and land in the memo cache as usual. When progress is
+// non-nil it is called once per settled run with the count of runs
+// finished so far and the total — the hook long-lived servers use to
+// report sweep progress to clients. Calls are serialized and done is
+// strictly increasing, but the order in which indices settle is
+// scheduling-dependent; on cancellation, abandoned runs never report.
 func (r *Runner) ResultsParallelProgress(ctx context.Context, specs []RunSpec, progress func(done, total int)) ([]sim.Result, error) {
 	out := make([]sim.Result, len(specs))
 	var mu sync.Mutex
@@ -576,7 +565,8 @@ func (r *Runner) ResultsParallelProgress(ctx context.Context, specs []RunSpec, p
 // worker pool and returns results and errors in input order, one error
 // slot per run (nil on success) — no joining, so executors that relay
 // per-run outcomes keep exact run-to-error attribution. Memoization,
-// determinism and cancellation behave exactly as in ResultsParallelCtx;
+// determinism and cancellation behave exactly as in
+// ResultsParallelProgress;
 // a run abandoned by cancellation settles its slot as ctx.Err() with a
 // zero result.
 func (r *Runner) ResultsParallelEach(ctx context.Context, specs []RunSpec) ([]sim.Result, []error) {
@@ -653,13 +643,7 @@ func SweepSpecsByName(designs, workloadNames []string, ratio16 int) ([]RunSpec, 
 // Sweep evaluates every (workload, design, ratio) combination in
 // parallel, warming the memo cache so subsequent Result calls are free.
 func (r *Runner) Sweep(designs []string, ratios []int) error {
-	return r.SweepCtx(context.Background(), designs, ratios)
-}
-
-// SweepCtx is Sweep with cancellation: a canceled context abandons the
-// queued remainder of the cross product promptly.
-func (r *Runner) SweepCtx(ctx context.Context, designs []string, ratios []int) error {
-	_, err := r.ResultsParallelCtx(ctx, r.SweepSpecs(designs, ratios))
+	_, err := r.ResultsParallel(r.SweepSpecs(designs, ratios))
 	return err
 }
 

@@ -300,7 +300,6 @@ type jobManager struct {
 	settled      []string // settled job IDs, oldest first
 	settledBytes int64    // total result bytes retained by settled jobs
 	retain       int
-	retainBytes  int64
 	closed       bool
 	wg           sync.WaitGroup
 	running      atomic.Int64
@@ -308,13 +307,12 @@ type jobManager struct {
 	cancel       context.CancelFunc
 }
 
-func newJobManager(s *Server, depth, workers, retain int, retainBytes int64) *jobManager {
+func newJobManager(s *Server, depth, workers, retain int) *jobManager {
 	m := &jobManager{
-		s:           s,
-		byID:        make(map[string]*job),
-		queue:       make(chan *job, depth),
-		retain:      retain,
-		retainBytes: retainBytes,
+		s:      s,
+		byID:   make(map[string]*job),
+		queue:  make(chan *job, depth),
+		retain: retain,
 	}
 	m.ctx, m.cancel = context.WithCancel(context.Background())
 	for i := 0; i < workers; i++ {
@@ -399,7 +397,7 @@ func (m *jobManager) retire(j *job) {
 	}
 	m.settled = append(m.settled, j.ID)
 	m.settledBytes += size
-	for (len(m.settled) > m.retain || m.settledBytes > m.retainBytes) && len(m.settled) > 1 {
+	for (len(m.settled) > m.retain || m.settledBytes > jobHistoryBytes) && len(m.settled) > 1 {
 		old := m.settled[0]
 		m.settled = m.settled[1:]
 		if oj, ok := m.byID[old]; ok {

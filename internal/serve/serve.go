@@ -102,6 +102,21 @@ import (
 	"hybridmem/internal/workload"
 )
 
+// Fixed request and retention bounds of every Server.
+const (
+	// maxRequestBytes bounds request bodies on the JSON endpoints. The
+	// trace-replay body is exempt: traces stream and may be arbitrarily
+	// large.
+	maxRequestBytes = 1 << 20
+	// maxInstrPerCore caps the per-core instruction budget a request may
+	// ask for, so one request cannot pin the CPUs indefinitely (the
+	// paper's runs use 1M).
+	maxInstrPerCore = 64 << 20
+	// jobHistoryBytes bounds the result bytes the settled jobs of the
+	// job index retain; see Options.JobHistory.
+	jobHistoryBytes = 256 << 20
+)
+
 // Options configures a Server. The zero value of every field has a
 // usable default.
 type Options struct {
@@ -134,32 +149,23 @@ type Options struct {
 	// workers (<= 0 means GOMAXPROCS).
 	Workers     int
 	Parallelism int
-	// JobHistory and JobHistoryBytes bound the settled jobs that stay
-	// addressable (status and result endpoints) by count and by total
+	// JobHistory bounds the settled jobs that stay addressable (status
+	// and result endpoints) by count, and jobHistoryBytes by total
 	// retained result bytes — the job index shadows result documents, so
 	// it needs a byte bound just like the cache. Beyond either bound the
 	// oldest settled jobs are retired, index and persisted state both.
-	// <= 0 means 4096 jobs and 256 MB.
-	JobHistory      int
-	JobHistoryBytes int64
+	// <= 0 means 4096 jobs.
+	JobHistory int
 	// StateDir enables persistence: job specs and exploration
 	// checkpoints are written there, while finished results and series
 	// live in the result store, whose disk tier defaults to
 	// <StateDir>/store. Empty keeps job state in memory.
 	StateDir string
-	// MaxRequestBytes bounds request bodies on the JSON endpoints
-	// (<= 0 means 1 MB). The trace-replay body is exempt: traces stream
-	// and may be arbitrarily large.
-	MaxRequestBytes int64
 	// MaxSyncSims bounds simulations running inline in synchronous
 	// handlers (/v1/run misses, /v1/replay) — the synchronous
 	// counterpart of the job queue's bound; excess requests get 503.
 	// <= 0 means 2 × GOMAXPROCS.
 	MaxSyncSims int
-	// MaxInstrPerCore caps the per-core instruction budget a request may
-	// ask for, so one request cannot pin the CPUs indefinitely (the
-	// paper's runs use 1M). <= 0 means 64M.
-	MaxInstrPerCore uint64
 	// Cluster, when non-nil, makes this server a coordinator: sweeps and
 	// explorations shard across the coordinator's runner pool (see
 	// internal/cluster), and the mux gains the cluster join/heartbeat
@@ -196,20 +202,11 @@ func (o Options) withDefaults() Options {
 	if o.JobHistory <= 0 {
 		o.JobHistory = 4096
 	}
-	if o.JobHistoryBytes <= 0 {
-		o.JobHistoryBytes = 256 << 20
-	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if o.MaxRequestBytes <= 0 {
-		o.MaxRequestBytes = 1 << 20
-	}
 	if o.MaxSyncSims <= 0 {
 		o.MaxSyncSims = 2 * runtime.GOMAXPROCS(0)
-	}
-	if o.MaxInstrPerCore == 0 {
-		o.MaxInstrPerCore = 64 << 20
 	}
 	if o.Obs == nil {
 		o.Obs = obs.New(obs.Options{})
@@ -270,7 +267,7 @@ func New(opts Options) (*Server, error) {
 	s.runOne = s.defaultRunOne
 	s.runSweep = s.defaultRunSweep
 	s.runExplore = s.defaultRunExplore
-	s.jobs = newJobManager(s, opts.QueueDepth, opts.Workers, opts.JobHistory, opts.JobHistoryBytes)
+	s.jobs = newJobManager(s, opts.QueueDepth, opts.Workers, opts.JobHistory)
 	s.buildMux()
 	if err := s.recoverJobs(); err != nil {
 		// The worker pool is already running; drain it (recovery failed
@@ -378,13 +375,12 @@ type seriesOptions struct {
 }
 
 type exploreRequest struct {
-	Families     []string `json:"families"`
-	Workloads    []string `json:"workloads"`
-	Budget       int      `json:"budget"`
-	BatchSize    int      `json:"batch_size"`
-	Seed         uint64   `json:"seed"`
-	MaxPerParam  int      `json:"max_per_param"`
-	UnboundedMax int      `json:"unbounded_max"`
+	Families    []string `json:"families"`
+	Workloads   []string `json:"workloads"`
+	Budget      int      `json:"budget"`
+	BatchSize   int      `json:"batch_size"`
+	Seed        uint64   `json:"seed"`
+	MaxPerParam int      `json:"max_per_param"`
 	// ScreenInstrPerCore and ScreenBudget enable multi-fidelity
 	// screening (see dse.Options); zero means single fidelity.
 	ScreenInstrPerCore uint64     `json:"screen_instr_per_core,omitempty"`
@@ -422,8 +418,8 @@ func (s *Server) checkConfig(cfg api.Config) error {
 	if err := config.ValidateRun(cfg.Scale, cfg.NMRatio16, cfg.InstrPerCore); err != nil {
 		return err
 	}
-	if cfg.InstrPerCore > s.opts.MaxInstrPerCore {
-		return fmt.Errorf("instr_per_core %d exceeds this server's limit of %d", cfg.InstrPerCore, s.opts.MaxInstrPerCore)
+	if cfg.InstrPerCore > maxInstrPerCore {
+		return fmt.Errorf("instr_per_core %d exceeds this server's limit of %d", cfg.InstrPerCore, maxInstrPerCore)
 	}
 	return nil
 }
@@ -513,7 +509,9 @@ func exploreKey(req exploreRequest) string {
 		"batch="+strconv.Itoa(req.BatchSize),
 		"seed="+strconv.FormatUint(req.Seed, 10),
 		"maxvals="+strconv.Itoa(req.MaxPerParam),
-		"ubound="+strconv.Itoa(req.UnboundedMax),
+		// A removed request field's fixed value, kept so that explore
+		// documents stored under earlier keys still hit.
+		"ubound=0",
 	)
 	// Appended only when screening is requested, so single-fidelity
 	// fingerprints — and every result cached under them — stay stable.
@@ -578,7 +576,6 @@ func (s *Server) defaultRunExplore(ctx context.Context, req exploreRequest, chec
 		ScreenBudget:       req.ScreenBudget,
 		Parallelism:        s.opts.Parallelism,
 		MaxPerParam:        req.MaxPerParam,
-		UnboundedMax:       req.UnboundedMax,
 		Checkpoint:         checkpoint,
 		Resume:             resume,
 		Progress:           progress,
@@ -820,7 +817,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // field checking, so typos in request fields fail loudly instead of
 // silently running a default simulation.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxRequestBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)

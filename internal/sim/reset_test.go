@@ -93,7 +93,7 @@ func TestResetMatchesFreshBuild(t *testing.T) {
 			}
 		}
 	}
-	for _, base := range []string{"Baseline", "MPOD", "CHA", "LGM", "TAGLESS", "DFC", "HYBRID2", "H2ABL", "H2DSE", "IDEAL", "ALLOY"} {
+	for _, base := range []string{"Baseline", "MPOD", "CHA", "POM", "CAMEO", "LGM", "TAGLESS", "DFC", "HYBRID2", "H2ABL", "H2DSE", "IDEAL", "ALLOY"} {
 		if !resettable[base] {
 			t.Errorf("%s does not implement memtypes.Resetter", base)
 		}
