@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"hybridmem/internal/config"
+	"hybridmem/internal/memtypes"
 	"hybridmem/internal/trace"
 )
 
@@ -117,22 +118,26 @@ func run() error {
 
 	var perCore [config.Cores]uint64
 	var writes uint64
+	var cores [1024]int
+	var recs [1024]memtypes.Rec
 	for {
-		core, rec, err := dec.Decode()
+		n, err := dec.DecodeBatch(cores[:], recs[:])
+		for i, rec := range recs[:n] {
+			perCore[cores[i]]++
+			if rec.Write {
+				writes++
+			}
+			if sw != nil {
+				if err := sw.Append(cores[i], rec); err != nil {
+					return err
+				}
+			}
+		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
-		}
-		perCore[core]++
-		if rec.Write {
-			writes++
-		}
-		if sw != nil {
-			if err := sw.Append(core, rec); err != nil {
-				return err
-			}
 		}
 	}
 	if sw != nil {

@@ -689,6 +689,9 @@ func (r *Runner) RunTrace(name string, rd io.Reader, designName string, ratio16,
 	if err != nil {
 		return sim.Result{}, err
 	}
+	// Stop decoding ahead before returning on every path: rd may be a
+	// request body that must not be read once the handler returns.
+	defer sr.Close()
 	// Fail fast on an empty or immediately malformed trace, before any
 	// simulation state is built.
 	if err := sr.Prime(); err != nil {

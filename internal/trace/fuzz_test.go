@@ -2,17 +2,23 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
+	"reflect"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"hybridmem/internal/memtypes"
 )
 
 // FuzzDecode feeds arbitrary bytes to the auto-detecting decoder. Every
 // input either decodes or fails with an error, never a panic; the
-// decoder's only input buffer stays at its 64 KB line cap; and whatever
-// records it yields, re-encoded as binary, decode back to the same
-// records.
+// decoder's only input buffer stays at its 64 KB line cap; DecodeBatch
+// and a StreamReader, also over one-byte and half-size reads, yield the
+// Decode loop's records, record count and error; and whatever records it
+// yields, re-encoded as binary, decode back to the same records.
 func FuzzDecode(f *testing.F) {
 	recs := sampleRecords(40, 8)
 	for _, tc := range []struct {
@@ -33,20 +39,21 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("HMT\x02"))
 	f.Add([]byte{0x1f, 0x8b})
 	f.Add(append([]byte("HMT\x01"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
-
-	type coreRec struct {
-		core int
-		rec  memtypes.Rec
+	for _, seed := range batchSeeds() {
+		f.Add(seed)
 	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := NewDecoder(bytes.NewReader(data), 8)
 		if err != nil {
 			return
 		}
 		var got []coreRec
+		var end error
 		for {
 			core, rec, err := d.Decode()
 			if err != nil {
+				end = err
 				break
 			}
 			if core < 0 || core >= 8 {
@@ -56,6 +63,33 @@ func FuzzDecode(f *testing.F) {
 		}
 		if n := d.br.Size(); n > 1<<16 {
 			t.Fatalf("decoder buffer grew to %d bytes", n)
+		}
+
+		// Every other path must yield the byte path's records, count and
+		// error, whatever the batch size and however the input arrives.
+		for _, tc := range []struct {
+			name string
+			r    io.Reader
+			size int
+		}{
+			{"DecodeBatch", bytes.NewReader(data), 3},
+			{"DecodeBatch/OneByteReader", iotest.OneByteReader(bytes.NewReader(data)), batchRecs},
+		} {
+			recs, n, err := drainBatches(tc.r, tc.size)
+			checkSame(t, tc.name, got, d.Records(), end, recs, n, err)
+		}
+		for _, tc := range []struct {
+			name string
+			r    io.Reader
+		}{
+			{"StreamReader", bytes.NewReader(data)},
+			{"StreamReader/HalfReader", iotest.HalfReader(bytes.NewReader(data))},
+		} {
+			recs, n, err := drainStream(tc.r, got)
+			if err == nil {
+				err = io.EOF
+			}
+			checkSame(t, tc.name, got, d.Records(), end, recs, n, err)
 		}
 
 		var buf bytes.Buffer
@@ -85,4 +119,102 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-encoded stream: want io.EOF after %d records, got %v", len(got), err)
 		}
 	})
+}
+
+type coreRec struct {
+	core int
+	rec  memtypes.Rec
+}
+
+// batchSeeds are inputs at the edges of DecodeBatch's fast paths: a
+// binary record and a text line straddling the 64 KB bufio buffer, an
+// 11-byte varint and an out-of-range core amid valid records, and CRLF
+// line ends.
+func batchSeeds() [][]byte {
+	// 7-byte records from offset 4: record 9361 spans bytes 65531-65537.
+	straddle := append([]byte(nil), binaryMagic...)
+	for i := 0; i < 9400; i++ {
+		straddle = append(straddle, byte(i%8)<<1, 1)
+		straddle = binary.AppendUvarint(straddle, 1<<30+uint64(i)*64)
+	}
+	rec := []byte{3, 1, 0x40}
+	mid := func(bad ...byte) []byte {
+		b := append([]byte(nil), binaryMagic...)
+		for i := 0; i < 20; i++ {
+			b = append(b, rec...)
+		}
+		b = append(b, bad...)
+		for i := 0; i < 20; i++ {
+			b = append(b, rec...)
+		}
+		return b
+	}
+	return [][]byte{
+		straddle,
+		mid(2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x40),
+		mid(9<<1, 1, 0x40),
+		// 9-byte lines: line 7282 spans bytes 65529-65537.
+		[]byte(strings.Repeat("0 1 40 R\n", 7300)),
+		[]byte("0 1 40 R\r\n# c\r\n\r\n1 2 0x80 W \r\n7 3 ff r\r\n"),
+	}
+}
+
+// drainBatches decodes r through DecodeBatch, size records at a time.
+func drainBatches(r io.Reader, size int) ([]coreRec, uint64, error) {
+	d, err := NewDecoder(r, 8)
+	if err != nil {
+		return nil, 0, err
+	}
+	var out []coreRec
+	cores, recs := make([]int, size), make([]memtypes.Rec, size)
+	for {
+		n, err := d.DecodeBatch(cores, recs)
+		if n < size && err == nil {
+			return out, d.Records(), fmt.Errorf("short batch of %d without an error", n)
+		}
+		for i := range recs[:n] {
+			out = append(out, coreRec{cores[i], recs[i]})
+		}
+		if err != nil {
+			return out, d.Records(), err
+		}
+	}
+}
+
+// drainStream replays r through a StreamReader, pulling one record at a
+// time from the core want says comes next, so no window fills; then it
+// pulls once more to reach the end of the stream.
+func drainStream(r io.Reader, want []coreRec) ([]coreRec, uint64, error) {
+	sr, err := NewStreamReader(r, 8, 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer sr.Close()
+	var out []coreRec
+	var buf [1]memtypes.Rec
+	for _, w := range want {
+		if sr.Source(w.core).NextBatch(buf[:]) == 0 {
+			break
+		}
+		out = append(out, coreRec{w.core, buf[0]})
+	}
+	if sr.Source(0).NextBatch(buf[:]) != 0 {
+		out = append(out, coreRec{0, buf[0]})
+	}
+	return out, sr.Records(), sr.Err()
+}
+
+// checkSame fails t unless a path's records, record count and final
+// error match the byte path's.
+func checkSame(t *testing.T, name string, want []coreRec, wantN uint64, wantErr error, got []coreRec, n uint64, err error) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: %d records differ from the byte path's %d", name, len(got), len(want))
+	}
+	if n != wantN {
+		t.Fatalf("%s: Records() = %d, byte path %d", name, n, wantN)
+	}
+	if err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("%s: error %v, byte path %v", name, err, wantErr)
+	}
 }

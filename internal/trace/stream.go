@@ -7,6 +7,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strconv"
+	"sync"
 
 	"hybridmem/internal/memtypes"
 )
@@ -104,14 +106,185 @@ func (d *Decoder) Compressed() bool { return d.compressed }
 // Records returns how many records have been decoded so far.
 func (d *Decoder) Records() uint64 { return d.n }
 
-// Decode returns the next record and its issuing core. It returns io.EOF
-// at a clean end of trace and a positioned error (line or record number)
-// on malformed input, including a truncated final binary record.
+// Decode returns the next record and its issuing core, reading varints
+// a byte at a time and lines through bufio. It returns io.EOF at a clean
+// end of trace and a positioned error (line or record number) on
+// malformed input, including a truncated final binary record.
+// DecodeBatch is the fast path and Decode what it falls back to, so the
+// two yield the same records and errors.
 func (d *Decoder) Decode() (core int, rec memtypes.Rec, err error) {
 	if d.format == FormatBinary {
 		return d.decodeBinary()
 	}
 	return d.decodeText()
+}
+
+// DecodeBatch decodes up to min(len(cores), len(recs)) records into recs,
+// each with its issuing core at the same index of cores, and returns how
+// many it decoded. It returns fewer only with a non-nil error: io.EOF at
+// a clean end of trace, or the error Decode returns for the record after
+// the n decoded ones.
+//
+// Records are parsed straight from the bufio buffer. A record or line
+// straddling the buffer's edge, and any input the fast parsers do not
+// accept (a malformed varint, an out-of-range core, a malformed line),
+// goes through Decode, so the records, Records and every positioned
+// error match a Decode loop's.
+func (d *Decoder) DecodeBatch(cores []int, recs []memtypes.Rec) (int, error) {
+	want := min(len(cores), len(recs))
+	n := 0
+	for n < want {
+		if d.format == FormatBinary {
+			n += d.scanBinary(cores[n:want], recs[n:want])
+		} else {
+			n += d.scanText(cores[n:want], recs[n:want])
+		}
+		if n == want {
+			break
+		}
+		core, rec, err := d.Decode()
+		if err != nil {
+			return n, err
+		}
+		cores[n], recs[n] = core, rec
+		n++
+	}
+	return n, nil
+}
+
+// scanBinary parses the complete records at the head of the bufio buffer
+// into cores and recs. It stops at a record cut by the buffer's edge, a
+// malformed varint or an out-of-range core, leaving them to Decode.
+func (d *Decoder) scanBinary(cores []int, recs []memtypes.Rec) int {
+	buf, _ := d.br.Peek(d.br.Buffered())
+	off, n := 0, 0
+	for n < len(recs) {
+		hdr, k1 := binary.Uvarint(buf[off:])
+		if k1 <= 0 || hdr>>1 >= uint64(d.maxCores) {
+			break
+		}
+		gap, k2 := binary.Uvarint(buf[off+k1:])
+		if k2 <= 0 {
+			break
+		}
+		addr, k3 := binary.Uvarint(buf[off+k1+k2:])
+		if k3 <= 0 {
+			break
+		}
+		off += k1 + k2 + k3
+		cores[n] = int(hdr >> 1)
+		recs[n] = memtypes.Rec{Gap: gap, Addr: memtypes.Addr(addr), Write: hdr&1 == 1}
+		n++
+	}
+	d.br.Discard(off)
+	d.n += uint64(n)
+	return n
+}
+
+// scanText parses the complete lines at the head of the bufio buffer
+// into cores and recs, skipping blank and comment lines. It stops at a
+// line cut by the buffer's edge or one scanLine does not accept, leaving
+// it to Decode to parse or reject.
+func (d *Decoder) scanText(cores []int, recs []memtypes.Rec) int {
+	buf, _ := d.br.Peek(d.br.Buffered())
+	off, n := 0, 0
+	for n < len(recs) {
+		core, rec, k := d.scanLine(buf[off:])
+		if k == 0 {
+			break
+		}
+		off += k
+		d.line++
+		if core >= 0 {
+			cores[n], recs[n] = core, rec
+			n++
+		}
+	}
+	d.br.Discard(off)
+	d.n += uint64(n)
+	return n
+}
+
+// scanLine parses the text line at the head of s in one pass over its
+// bytes and returns the length of the line through its '\n'. core is -1
+// for a blank or comment line. A length of 0 means s holds no complete
+// line or the line is not a plain well-formed record (four fields, a
+// core below maxCores, no overflow); Decode then judges it.
+func (d *Decoder) scanLine(s []byte) (core int, rec memtypes.Rec, k int) {
+	i := skipBlanks(s, 0)
+	if i == len(s) {
+		return 0, rec, 0
+	}
+	if s[i] == '\n' || s[i] == '#' {
+		j := bytes.IndexByte(s[i:], '\n')
+		if j < 0 {
+			return 0, rec, 0
+		}
+		return -1, rec, i + j + 1
+	}
+	if s[i] == '+' {
+		i++
+	}
+	cv, i, ok := scanDecimal(s, i)
+	if !ok || cv >= uint64(d.maxCores) {
+		return 0, rec, 0
+	}
+	if i = nextFieldStart(s, i); i < 0 {
+		return 0, rec, 0
+	}
+	if rec.Gap, i, ok = scanDecimal(s, i); !ok {
+		return 0, rec, 0
+	}
+	if i = nextFieldStart(s, i); i < 0 {
+		return 0, rec, 0
+	}
+	if i+1 < len(s) && s[i] == '0' && s[i+1] == 'x' {
+		i += 2
+	}
+	addr, i, ok := scanHex(s, i)
+	if !ok {
+		return 0, rec, 0
+	}
+	rec.Addr = memtypes.Addr(addr)
+	if i = nextFieldStart(s, i); i < 0 {
+		return 0, rec, 0
+	}
+	switch s[i] {
+	case 'R', 'r':
+	case 'W', 'w':
+		rec.Write = true
+	default:
+		return 0, rec, 0
+	}
+	if i++; i == len(s) || !isSpaceByte(s[i]) {
+		return 0, rec, 0
+	}
+	if i = skipBlanks(s, i); i == len(s) || s[i] != '\n' {
+		return 0, rec, 0
+	}
+	return int(cv), rec, i + 1
+}
+
+// skipBlanks returns the index of the first byte at or after i in s that
+// is not a space other than '\n'.
+func skipBlanks(s []byte, i int) int {
+	for i < len(s) && s[i] != '\n' && isSpaceByte(s[i]) {
+		i++
+	}
+	return i
+}
+
+// nextFieldStart checks that the field ending at s[i] is followed by
+// spaces and another field on the same line, and returns where that
+// field starts, or -1.
+func nextFieldStart(s []byte, i int) int {
+	if i == len(s) || !isSpaceByte(s[i]) {
+		return -1
+	}
+	if i = skipBlanks(s, i); i == len(s) || s[i] == '\n' {
+		return -1
+	}
+	return i
 }
 
 func (d *Decoder) decodeBinary() (int, memtypes.Rec, error) {
@@ -290,34 +463,37 @@ func trimPlus(b []byte) []byte {
 }
 
 func parseDecimal(b []byte) (uint64, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	var v uint64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		d := uint64(c - '0')
-		if v > (^uint64(0)-d)/10 {
-			return 0, false
-		}
-		v = v*10 + d
-	}
-	return v, true
+	v, i, ok := scanDecimal(b, 0)
+	return v, ok && i == len(b)
 }
 
 func parseHex(b []byte) (uint64, bool) {
 	if len(b) >= 2 && b[0] == '0' && b[1] == 'x' {
 		b = b[2:]
 	}
-	if len(b) == 0 {
-		return 0, false
+	v, i, ok := scanHex(b, 0)
+	return v, ok && i == len(b)
+}
+
+// scanDecimal parses the decimal digits at s[i:] up to the first
+// non-digit and returns the value and the index after the digits; ok is
+// false if there are none or the value overflows.
+func scanDecimal(s []byte, i int) (v uint64, j int, ok bool) {
+	for j = i; j < len(s) && s[j]-'0' <= 9; j++ {
+		d := uint64(s[j] - '0')
+		if v > (^uint64(0)-d)/10 {
+			return 0, j, false
+		}
+		v = v*10 + d
 	}
-	var v uint64
-	for _, c := range b {
+	return v, j, j > i
+}
+
+// scanHex is scanDecimal for hex digits of either case.
+func scanHex(s []byte, i int) (v uint64, j int, ok bool) {
+	for j = i; j < len(s); j++ {
 		var d uint64
-		switch {
+		switch c := s[j]; {
 		case c >= '0' && c <= '9':
 			d = uint64(c - '0')
 		case c >= 'a' && c <= 'f':
@@ -325,14 +501,14 @@ func parseHex(b []byte) (uint64, bool) {
 		case c >= 'A' && c <= 'F':
 			d = uint64(c-'A') + 10
 		default:
-			return 0, false
+			return v, j, j > i
 		}
 		if v > ^uint64(0)>>4 {
-			return 0, false
+			return 0, j, false
 		}
 		v = v<<4 | d
 	}
-	return v, true
+	return v, j, j > i
 }
 
 // StreamWriter encodes records one at a time, so producers (tracegen,
@@ -399,7 +575,13 @@ func (sw *StreamWriter) Append(core int, r memtypes.Rec) error {
 		if r.Write {
 			rw = 'W'
 		}
-		_, sw.err = fmt.Fprintf(sw.bw, "%d %d %x %c\n", core, r.Gap, uint64(r.Addr), rw)
+		sw.buf = strconv.AppendUint(sw.buf[:0], uint64(core), 10)
+		sw.buf = append(sw.buf, ' ')
+		sw.buf = strconv.AppendUint(sw.buf, r.Gap, 10)
+		sw.buf = append(sw.buf, ' ')
+		sw.buf = strconv.AppendUint(sw.buf, uint64(r.Addr), 16)
+		sw.buf = append(sw.buf, ' ', rw, '\n')
+		_, sw.err = sw.bw.Write(sw.buf)
 	}
 	if sw.err == nil {
 		sw.n++
@@ -423,30 +605,66 @@ func (sw *StreamWriter) Close() error {
 	return sw.err
 }
 
-// StreamReader replays a trace from an io.Reader in constant memory: it
-// decodes the global record stream on demand and hands each core its
-// records through a bounded lookahead window, never materializing the
-// whole trace. When one core's replay runs far ahead of
+// StreamReader replays a trace from an io.Reader in bounded memory: it
+// decodes the global record stream ahead of the simulation and hands
+// each core its records through a bounded lookahead window, never
+// materializing the whole trace. When one core's replay runs far ahead of
 // another's position in the file, up to window records per core are
 // buffered; if the trace's interleave skew exceeds that, replay stops
 // with an error (see Err) rather than buffering without bound.
 //
-// A StreamReader and its per-core streams must be used from one
-// goroutine, which matches the simulator's single-threaded core loop.
+// Decoding runs on a producer goroutine that fills a fixed ring of
+// ringDepth batches of batchRecs records each; the consumer moves the
+// records into the per-core queues one at a time, in file order. The
+// reader's memory is therefore the window queues plus the fixed ring.
+// The StreamReader's methods and its per-core streams must be used from
+// one goroutine, which matches the simulator's single-threaded core
+// loop; Close stops the producer.
 type StreamReader struct {
-	dec    *Decoder
 	window int
 	queues [][]memtypes.Rec // per-core FIFO: queues[c][heads[c]:] is pending
 	heads  []int
-	max    int // high-water mark of any per-core queue, for tests/stats
+	max    int    // high-water mark of any per-core queue, for tests/stats
+	n      uint64 // records delivered to the queues
 	eof    bool
 	err    error
+
+	ring *[ringDepth]batch
+	full chan *batch   // decoded batches, in file order, to the consumer
+	free chan *batch   // delivered batches, back to the producer
+	stop chan struct{} // closed by Close
+	done chan struct{} // closed when the producer exits
+	cur  *batch        // batch being delivered: cur.recs[pos:cur.n] pending
+	pos  int
 }
 
+// The decode-ahead ring: the producer decodes up to ringDepth batches of
+// batchRecs records ahead of the consumer. Four batches keep the
+// producer busy while the consumer drains one; a ring of two 512-record
+// batches measured most of the overlap lost.
+const (
+	ringDepth = 4
+	batchRecs = 1024
+)
+
+// batch is one run of decoded records in file order, and the error that
+// ended decoding after them (io.EOF at a clean end of trace).
+type batch struct {
+	n     int
+	err   error
+	cores [batchRecs]int
+	recs  [batchRecs]memtypes.Rec
+}
+
+// rings recycles the rings of closed StreamReaders, so a replay's
+// allocations do not grow by a ring per replay.
+var rings = sync.Pool{New: func() any { return new([ringDepth]batch) }}
+
 // NewStreamReader opens a trace (any format, auto-detected) for
-// streaming replay by maxCores cores. window bounds the per-core
-// lookahead in records; <= 0 means DefaultWindow, and a window above
-// MaxWindow is an error.
+// streaming replay by maxCores cores and starts decoding it ahead.
+// window bounds the per-core lookahead in records; <= 0 means
+// DefaultWindow, and a window above MaxWindow is an error. The caller
+// must Close the reader unless it drains the stream to its end or error.
 func NewStreamReader(r io.Reader, maxCores, window int) (*StreamReader, error) {
 	if window > MaxWindow {
 		return nil, errorf("window must be at most %d records, got %d", MaxWindow, window)
@@ -458,12 +676,66 @@ func NewStreamReader(r io.Reader, maxCores, window int) (*StreamReader, error) {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	return &StreamReader{
-		dec:    dec,
+	sr := &StreamReader{
 		window: window,
 		queues: make([][]memtypes.Rec, maxCores),
 		heads:  make([]int, maxCores),
-	}, nil
+		ring:   rings.Get().(*[ringDepth]batch),
+		full:   make(chan *batch, ringDepth),
+		free:   make(chan *batch, ringDepth),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+	}
+	for i := range sr.ring {
+		sr.free <- &sr.ring[i]
+	}
+	go produce(dec, sr.full, sr.free, sr.stop, sr.done)
+	return sr, nil
+}
+
+// produce decodes into free batches and sends them on full, in file
+// order, until a batch ends with an error (io.EOF included) or stop is
+// closed. It closes done on exit. Both channels hold the whole ring, so
+// only waiting for a free batch blocks.
+func produce(dec *Decoder, full chan<- *batch, free <-chan *batch, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	for {
+		var b *batch
+		// Check stop first: were both ready, select would pick at
+		// random and might decode a batch more after Close.
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		select {
+		case b = <-free:
+		case <-stop:
+			return
+		}
+		b.n, b.err = dec.DecodeBatch(b.cores[:], b.recs[:])
+		full <- b
+		if b.err != nil {
+			return
+		}
+	}
+}
+
+// Close stops the decode-ahead goroutine and waits for it to exit, so
+// the input reader sees no Read once Close returns; a Read already in
+// progress is waited for. A stream closed before its end reports an
+// error from Err. Close may be called more than once.
+func (sr *StreamReader) Close() {
+	if sr.ring == nil {
+		return
+	}
+	close(sr.stop)
+	<-sr.done
+	rings.Put(sr.ring)
+	sr.ring, sr.cur = nil, nil
+	if !sr.eof && sr.err == nil {
+		sr.err = errorf("stream reader closed")
+	}
 }
 
 // Source returns core's record stream.
@@ -471,12 +743,12 @@ func (sr *StreamReader) Source(core int) *CoreStream {
 	return &CoreStream{sr: sr, core: core}
 }
 
-// Prime decodes the first record into its window, so callers can fail
+// Prime delivers the first record into its window, so callers can fail
 // fast on an empty or immediately malformed trace before standing up
 // expensive replay state. An empty trace is not an error here — check
 // Records afterwards.
 func (sr *StreamReader) Prime() error {
-	if sr.dec.Records() == 0 && !sr.eof && sr.err == nil {
+	if sr.n == 0 && !sr.eof && sr.err == nil {
 		sr.pump()
 	}
 	return sr.err
@@ -488,8 +760,9 @@ func (sr *StreamReader) Prime() error {
 // end of records.
 func (sr *StreamReader) Err() error { return sr.err }
 
-// Records returns how many records have been decoded so far.
-func (sr *StreamReader) Records() uint64 { return sr.dec.Records() }
+// Records returns how many records have been delivered to the cores'
+// windows so far; records decoded ahead are not counted until then.
+func (sr *StreamReader) Records() uint64 { return sr.n }
 
 // MaxQueued returns the high-water mark of any core's lookahead queue —
 // by construction at most the window.
@@ -499,20 +772,27 @@ func (sr *StreamReader) queued(core int) int {
 	return len(sr.queues[core]) - sr.heads[core]
 }
 
-// pump decodes one record into its core's queue; false once the stream
-// is exhausted or errored.
+// pump delivers the next decoded record into its core's queue; false
+// once the stream is exhausted or errored.
 func (sr *StreamReader) pump() bool {
-	core, rec, err := sr.dec.Decode()
-	if err == io.EOF {
-		sr.eof = true
-		return false
+	for sr.cur == nil || sr.pos == sr.cur.n {
+		if sr.cur != nil {
+			if err := sr.cur.err; err == io.EOF {
+				sr.eof = true
+				return false
+			} else if err != nil {
+				sr.err = err
+				return false
+			}
+			sr.free <- sr.cur
+		}
+		sr.cur, sr.pos = <-sr.full, 0
 	}
-	if err != nil {
-		sr.err = err
-		return false
-	}
+	core, rec := sr.cur.cores[sr.pos], sr.cur.recs[sr.pos]
+	sr.pos++
+	sr.n++
 	if sr.queued(core) >= sr.window {
-		sr.err = errorf("record %d: interleave skew exceeds the lookahead window: %d records of core %d buffered while other cores replay; rerun with a larger window", sr.dec.Records(), sr.window, core)
+		sr.err = errorf("record %d: interleave skew exceeds the lookahead window: %d records of core %d buffered while other cores replay; rerun with a larger window", sr.n, sr.window, core)
 		return false
 	}
 	q := sr.queues[core]
@@ -539,8 +819,8 @@ type CoreStream struct {
 }
 
 // NextBatch implements Source: it pops up to len(dst) of core's records,
-// pumping the shared decoder (buffering other cores' records within their
-// windows) only until at least one is queued. It returns 0 at end of
+// delivering decoded records (buffering other cores' records within
+// their windows) only until at least one is queued. It returns 0 at end of
 // trace and after any decode or window error — the caller distinguishes
 // the two via StreamReader.Err.
 func (cs *CoreStream) NextBatch(dst []memtypes.Rec) int {

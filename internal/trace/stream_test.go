@@ -475,6 +475,63 @@ func TestStreamReadAllocsIndependentOfLength(t *testing.T) {
 	}
 }
 
+// drainStreams replays a trace through 8 CoreStreams pulled round-robin,
+// 64 records at a time as the simulator's run loop pulls them, closes
+// the reader and returns how many records it delivered.
+func drainStreams(tb testing.TB, data []byte) uint64 {
+	sr, err := NewStreamReader(bytes.NewReader(data), 8, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer sr.Close()
+	var srcs [8]*CoreStream
+	for c := range srcs {
+		srcs[c] = sr.Source(c)
+	}
+	var buf [64]memtypes.Rec
+	for live := true; live; {
+		live = false
+		for _, s := range srcs {
+			if s.NextBatch(buf[:]) > 0 {
+				live = true
+			}
+		}
+	}
+	if err := sr.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	return sr.Records()
+}
+
+// TestStreamReaderAllocsIndependentOfLength pins decode-ahead replay's
+// steady state: draining a 1k-record and a 100k-record trace through 8
+// CoreStreams allocates the same, in text and in binary. The decode
+// ring is recycled across readers, and the per-core queues stop growing
+// once they hold the trace's interleave skew.
+func TestStreamReaderAllocsIndependentOfLength(t *testing.T) {
+	roundRobin := func(n int) []struct {
+		core int
+		rec  memtypes.Rec
+	} {
+		recs := sampleRecords(n, 8)
+		for i := range recs {
+			recs[i].core = i % 8
+		}
+		return recs
+	}
+	for _, format := range []Format{FormatText, FormatBinary} {
+		read := func(data []byte) float64 {
+			drainStreams(t, data) // warm the ring pool
+			return testing.AllocsPerRun(3, func() { drainStreams(t, data) })
+		}
+		short := read(encode(t, roundRobin(1_000), format, false))
+		long := read(encode(t, roundRobin(100_000), format, false))
+		if short != long {
+			t.Errorf("%v: %v allocs draining 1k records, %v draining 100k; want equal", format, short, long)
+		}
+	}
+}
+
 // benchTrace returns an encoded 1M-record trace for throughput
 // benchmarks.
 func benchTrace(b *testing.B, format Format, compress bool) []byte {
@@ -493,8 +550,11 @@ func benchTrace(b *testing.B, format Format, compress bool) []byte {
 }
 
 // BenchmarkTraceStreamRead measures streaming decode throughput — the
-// ingestion rate limit of trace-driven runs (bytes/s over the encoded
-// size, 1M records per iteration).
+// ingestion rate limit of trace-driven runs — over a 1M-record trace per
+// iteration: bytes/s over the encoded size, and ns/rec and cpu-ns/rec
+// (process CPU time, so decoding ahead on another goroutine counts). The
+// plain sub-benchmarks drive Decoder.DecodeBatch; the stream- ones
+// replay through a StreamReader's 8 CoreStreams, 64 records per pull.
 func BenchmarkTraceStreamRead(b *testing.B) {
 	for _, tc := range []struct {
 		name     string
@@ -505,30 +565,42 @@ func BenchmarkTraceStreamRead(b *testing.B) {
 		{"binary-gz", FormatBinary, true},
 		{"text", FormatText, false},
 	} {
-		b.Run(tc.name, func(b *testing.B) {
-			data := benchTrace(b, tc.format, tc.compress)
-			b.SetBytes(int64(len(data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d, err := NewDecoder(bytes.NewReader(data), 8)
+		data := benchTrace(b, tc.format, tc.compress)
+		decode := func(b *testing.B) uint64 {
+			d, err := NewDecoder(bytes.NewReader(data), 8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var cores [batchRecs]int
+			var recs [batchRecs]memtypes.Rec
+			for {
+				_, err := d.DecodeBatch(cores[:], recs[:])
+				if err == io.EOF {
+					return d.Records()
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				n := 0
-				for {
-					_, _, err := d.Decode()
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					n++
-				}
-				if n != 1_000_000 {
-					b.Fatalf("decoded %d records", n)
-				}
 			}
-		})
+		}
+		stream := func(b *testing.B) uint64 { return drainStreams(b, data) }
+		for _, run := range []struct {
+			prefix string
+			drain  func(*testing.B) uint64
+		}{{"", decode}, {"stream-", stream}} {
+			b.Run(run.prefix+tc.name, func(b *testing.B) {
+				b.SetBytes(int64(len(data)))
+				b.ResetTimer()
+				cpu := processCPU()
+				for i := 0; i < b.N; i++ {
+					if n := run.drain(b); n != 1_000_000 {
+						b.Fatalf("decoded %d records", n)
+					}
+				}
+				recs := float64(b.N) * 1_000_000
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/recs, "ns/rec")
+				b.ReportMetric(float64((processCPU()-cpu).Nanoseconds())/recs, "cpu-ns/rec")
+			})
+		}
 	}
 }

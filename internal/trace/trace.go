@@ -52,6 +52,19 @@
 // lookahead window per core, never more than MaxWindow records, and
 // errors if the skew between cores exceeds it.
 //
+// # Streaming replay
+//
+// Decoder.DecodeBatch decodes records in batches straight from its
+// input buffer. A StreamReader runs it on a producer goroutine that
+// decodes up to a fixed ring of batches (4 × 1024 records) ahead of the
+// simulation, so decoding and inflating overlap the simulated work. The
+// reader's memory is the per-core window queues plus that fixed ring,
+// whatever the trace's length. Only the consumer side — the
+// StreamReader's methods and its CoreStreams — is single-goroutine, as
+// the simulator's core loop is. Close stops the producer and waits for
+// it to exit, after which the input sees no Read; a replay that may end
+// before its trace does (an error, a panic) must Close its reader.
+//
 // # Sources
 //
 // Every per-core record stream — a workload generator, a StreamReader's
