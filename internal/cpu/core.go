@@ -3,9 +3,25 @@
 // non-memory instructions retire at the issue width, LLC hits add their
 // fixed latency, and LLC misses overlap up to the core's memory-level
 // parallelism before the core stalls on the oldest outstanding miss.
+//
+// The issue width is the compile-time constant config.IssueWidth, a
+// power of two, so retiring compute work is a shift and a mask. The MSHRs
+// and the write buffer are min-heaps of completion times, each padded
+// with one sentinel slot holding the largest Tick: a node with a left
+// child always has a right one, so sifting picks the smaller child
+// without a branch, and the sentinel is never picked.
 package cpu
 
-import "hybridmem/internal/memtypes"
+import (
+	"math/bits"
+
+	"hybridmem/internal/config"
+	"hybridmem/internal/memtypes"
+)
+
+// issueWidth is config.IssueWidth as an unsigned constant: dividing by
+// it and taking the remainder compile to a shift and a mask.
+const issueWidth uint64 = config.IssueWidth
 
 // Core models one out-of-order core. The zero value is not usable; use New.
 type Core struct {
@@ -14,32 +30,32 @@ type Core struct {
 	// Instructions retired so far.
 	Instructions uint64
 
-	issueWidth  int
-	computeRem  uint64          // sub-cycle remainder of compute work
-	outstanding []memtypes.Tick // min-heap of miss completion times
-	writeBuf    []memtypes.Tick // min-heap of write completion times
+	computeRem  uint64                         // sub-cycle remainder of compute work
+	outstanding []memtypes.Tick                // padded min-heap of miss completion times
+	writeBuf    [writeBufLen + 1]memtypes.Tick // padded min-heap of write completion times
 }
 
-// New creates a core with the given issue width and maximum number of
-// overlapping outstanding misses (MSHRs / effective MLP). Both must be at
-// least 1.
-func New(issueWidth, mlp int) *Core {
-	if issueWidth < 1 || mlp < 1 {
-		panic("cpu: issue width and MLP must be at least 1")
+// writeBufLen is the number of write-buffer entries.
+const writeBufLen = 16
+
+// New creates a core with the given maximum number of overlapping
+// outstanding misses (MSHRs / effective MLP), which must be at least 1.
+func New(mlp int) *Core {
+	if mlp < 1 {
+		panic("cpu: MLP must be at least 1")
 	}
-	return &Core{
-		issueWidth:  issueWidth,
-		outstanding: make([]memtypes.Tick, mlp),
-		writeBuf:    make([]memtypes.Tick, 16),
-	}
+	c := &Core{outstanding: make([]memtypes.Tick, mlp+1)}
+	c.outstanding[mlp] = ^memtypes.Tick(0)
+	c.writeBuf[writeBufLen] = ^memtypes.Tick(0)
+	return c
 }
 
 // AdvanceCompute retires gap non-memory instructions at the issue width.
 func (c *Core) AdvanceCompute(gap uint64) {
 	c.Instructions += gap
 	work := gap + c.computeRem
-	c.Time += memtypes.Tick(work / uint64(c.issueWidth))
-	c.computeRem = work % uint64(c.issueWidth)
+	c.Time += memtypes.Tick(work / issueWidth)
+	c.computeRem = work % issueWidth
 }
 
 // RetireMemOp accounts one memory instruction (the access itself).
@@ -51,7 +67,7 @@ func (c *Core) AddLatency(cycles memtypes.Tick) { c.Time += cycles }
 // StallForMiss reserves an MSHR for a miss completing at done. If all
 // MSHRs hold younger completions, the core first stalls until the oldest
 // one resolves. This exposes miss latency once MLP is exhausted while
-// letting up to len(outstanding) misses overlap.
+// letting up to MLP misses overlap.
 func (c *Core) StallForMiss(done memtypes.Tick) {
 	if wait := replaceMin(c.outstanding, done); wait > c.Time {
 		c.Time = wait
@@ -63,26 +79,28 @@ func (c *Core) StallForMiss(done memtypes.Tick) {
 // write buffer applies backpressure — without it, write traffic would
 // queue without bound at the memory devices.
 func (c *Core) StallForWrite(done memtypes.Tick) {
-	if wait := replaceMin(c.writeBuf, done); wait > c.Time {
+	if wait := replaceMin(c.writeBuf[:], done); wait > c.Time {
 		c.Time = wait
 	}
 }
 
-// replaceMin replaces the earliest completion time of the min-heap h with
-// done and returns the time it replaced. Only the multiset of times is
-// observable (a stall waits for the minimum, a drain for the maximum), so
-// the heap behaves exactly like a scan for the oldest slot.
+// replaceMin replaces the earliest completion time of the padded min-heap
+// h with done and returns the time it replaced. Only the multiset of
+// times is observable (a stall waits for the minimum, a drain for the
+// maximum), so the heap behaves exactly like a scan for the oldest slot.
+// The borrow of h[m+1] - h[m] is 1 exactly when the right child is
+// smaller; the sentinel past the last real slot is never smaller.
 func replaceMin(h []memtypes.Tick, done memtypes.Tick) memtypes.Tick {
+	n := len(h) - 1
 	oldest := h[0]
 	i := 0
 	for {
 		m := 2*i + 1
-		if m >= len(h) {
+		if m >= n {
 			break
 		}
-		if r := m + 1; r < len(h) && h[r] < h[m] {
-			m = r
-		}
+		_, right := bits.Sub64(uint64(h[m+1]), uint64(h[m]), 0)
+		m += int(right)
 		if h[m] >= done {
 			break
 		}
@@ -96,7 +114,7 @@ func replaceMin(h []memtypes.Tick, done memtypes.Tick) memtypes.Tick {
 // DrainMisses stalls until every outstanding miss has completed. Called at
 // stream end so the final cycle count covers all issued work.
 func (c *Core) DrainMisses() {
-	for _, t := range c.outstanding {
+	for _, t := range c.outstanding[:c.MLP()] {
 		if t > c.Time {
 			c.Time = t
 		}
@@ -104,4 +122,4 @@ func (c *Core) DrainMisses() {
 }
 
 // MLP returns the core's outstanding-miss capacity.
-func (c *Core) MLP() int { return len(c.outstanding) }
+func (c *Core) MLP() int { return len(c.outstanding) - 1 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestComputeThroughput(t *testing.T) {
-	c := New(4, 8)
+	c := New(8)
 	c.AdvanceCompute(400)
 	if c.Time != 100 {
 		t.Fatalf("400 instrs at width 4 took %d cycles, want 100", c.Time)
@@ -18,7 +18,7 @@ func TestComputeThroughput(t *testing.T) {
 }
 
 func TestComputeRemainderAccumulates(t *testing.T) {
-	c := New(4, 8)
+	c := New(8)
 	for i := 0; i < 4; i++ {
 		c.AdvanceCompute(1) // 4 × 1 instr = 1 cycle total
 	}
@@ -28,7 +28,7 @@ func TestComputeRemainderAccumulates(t *testing.T) {
 }
 
 func TestMissesOverlapUpToMLP(t *testing.T) {
-	c := New(4, 4)
+	c := New(4)
 	// 4 misses all completing at cycle 100: no stall issuing them.
 	for i := 0; i < 4; i++ {
 		c.StallForMiss(100)
@@ -44,7 +44,7 @@ func TestMissesOverlapUpToMLP(t *testing.T) {
 }
 
 func TestSingleMLPSerializes(t *testing.T) {
-	c := New(4, 1)
+	c := New(1)
 	c.StallForMiss(50)
 	c.StallForMiss(120)
 	if c.Time != 50 {
@@ -57,7 +57,7 @@ func TestSingleMLPSerializes(t *testing.T) {
 }
 
 func TestDrainTakesMaxOutstanding(t *testing.T) {
-	c := New(4, 4)
+	c := New(4)
 	for _, d := range []memtypes.Tick{30, 90, 60, 10} {
 		c.StallForMiss(d)
 	}
@@ -68,20 +68,20 @@ func TestDrainTakesMaxOutstanding(t *testing.T) {
 }
 
 func TestDegenerateParamsPanic(t *testing.T) {
-	for _, p := range [][2]int{{0, 4}, {4, 0}, {-1, -1}} {
+	for _, mlp := range []int{0, -1} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New(%d, %d) did not panic", p[0], p[1])
+					t.Errorf("New(%d) did not panic", mlp)
 				}
 			}()
-			New(p[0], p[1])
+			New(mlp)
 		}()
 	}
 }
 
 func TestWriteBufferBackpressure(t *testing.T) {
-	c := New(4, 4)
+	c := New(4)
 	// Fill all 16 write-buffer entries with writes completing at 1000.
 	for i := 0; i < 16; i++ {
 		c.StallForWrite(1000)
@@ -97,7 +97,7 @@ func TestWriteBufferBackpressure(t *testing.T) {
 }
 
 func TestWritesDoNotBlockReads(t *testing.T) {
-	c := New(4, 2)
+	c := New(2)
 	for i := 0; i < 10; i++ {
 		c.StallForWrite(500) // well within the buffer
 	}

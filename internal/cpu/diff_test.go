@@ -45,7 +45,7 @@ func (c *scanCore) DrainMisses() {
 func TestMatchesScanCore(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for mlp := 1; mlp <= 64; mlp++ {
-		got := New(1, mlp)
+		got := New(mlp)
 		want := &scanCore{outstanding: make([]memtypes.Tick, mlp), writeBuf: make([]memtypes.Tick, 16)}
 		for n := 0; n < 5000; n++ {
 			if gap := memtypes.Tick(rng.Intn(8)); gap > 0 {
@@ -75,7 +75,7 @@ func TestMatchesScanCore(t *testing.T) {
 // BenchmarkStallForWrite times a write-buffer reservation on a core that
 // keeps the 16-entry buffer full: completions land 100 to 400 cycles out.
 func BenchmarkStallForWrite(b *testing.B) {
-	c := New(4, 8)
+	c := New(8)
 	rng := rand.New(rand.NewSource(1))
 	lat := make([]memtypes.Tick, 1<<12)
 	for i := range lat {
@@ -85,5 +85,43 @@ func BenchmarkStallForWrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.AddLatency(20)
 		c.StallForWrite(c.Time + lat[i&(len(lat)-1)])
+	}
+}
+
+// divCompute is the compute model the constant issue width replaced:
+// a division and a remainder by a runtime width.
+type divCompute struct{ time, instr, rem, width uint64 }
+
+func (d *divCompute) advance(gap uint64) {
+	d.instr += gap
+	work := gap + d.rem
+	d.time += work / d.width
+	d.rem = work % d.width
+}
+
+// TestComputeMatchesDivision drives AdvanceCompute and the division
+// model at width 4 with random gap sequences mixing small gaps, zero and
+// gaps near 2^63 and 2^64, so that both the per-record work and the
+// running totals wrap, and compares time, retired instructions and the
+// sub-cycle remainder after every gap.
+func TestComputeMatchesDivision(t *testing.T) {
+	const top = ^uint64(0)
+	edges := []uint64{0, 1, 2, 3, 4, 5, 6, 7, 1 << 62, 1<<63 - 1, 1 << 63, top - 2, top}
+	rng := rand.New(rand.NewSource(1))
+	for seq := 0; seq < 200; seq++ {
+		got := New(1)
+		want := &divCompute{width: 4}
+		for n := 0; n < 500; n++ {
+			gap := edges[rng.Intn(len(edges))]
+			if rng.Intn(3) == 0 {
+				gap = rng.Uint64() >> uint(rng.Intn(64))
+			}
+			got.AdvanceCompute(gap)
+			want.advance(gap)
+			if uint64(got.Time) != want.time || got.Instructions != want.instr || got.computeRem != want.rem {
+				t.Fatalf("seq %d gap %d (%d): time %d instr %d rem %d, want %d %d %d", seq, n, gap,
+					got.Time, got.Instructions, got.computeRem, want.time, want.instr, want.rem)
+			}
+		}
 	}
 }

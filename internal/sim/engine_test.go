@@ -1,7 +1,8 @@
 package sim_test
 
-// The engine-rewrite pin: the heap-scheduled, batch-pulling run loop
-// must reproduce the old linear-scan reference loop's Result
+// The engine-rewrite pin: the batch-pulling run loop, which picks the
+// earliest core with a branch-free scan over the live cores' times, must
+// reproduce the old linear-scan reference loop's Result
 // bit-identically for every registered design, and its steady state must
 // not allocate per record.
 
@@ -33,7 +34,7 @@ func referenceRunSources(name string, srcs []sim.Source, mlp int, ms memtypes.Me
 	active := n
 	done := make([]bool, n)
 	for i := range cores {
-		cores[i] = cpu.New(config.IssueWidth, mlp)
+		cores[i] = cpu.New(mlp)
 	}
 
 	var one [1]memtypes.Rec

@@ -2,10 +2,14 @@
 // organization together and runs a workload to completion, producing the
 // per-run metrics every figure of the paper is built from. It reaches
 // the organization only through memtypes.MemorySystem and imports no
-// design package.
+// design package. The run loop always advances the earliest core, the
+// lowest-indexed on ties, so the organization sees requests in time
+// order; a branch-free scan over the live cores' times finds it.
 package sim
 
 import (
+	"math/bits"
+
 	"hybridmem/internal/cachesim"
 	"hybridmem/internal/config"
 	"hybridmem/internal/cpu"
@@ -109,74 +113,61 @@ func RunSourcesSampled(name string, srcs []Source, mlp int, ms memtypes.MemorySy
 	return runLoop(name, srcs, mlp, ms, nm, fm, sys, smp)
 }
 
-// coreState is one core's slot in the run loop: its source and the
-// refillable record buffer.
+// coreState is one core's slot in the run loop: the core model, its
+// source and the refillable record buffer, held inline so the selected
+// core's next record is one dependent load from its slot.
 type coreState struct {
+	cpu.Core
 	src  Source
-	buf  []memtypes.Rec
 	head int
 	n    int
+	buf  [batchLen]memtypes.Rec
 }
 
-// slot is one scheduler heap entry: a core's index and its time, copied
-// so that ordering the heap reads no core state.
-type slot struct {
-	t memtypes.Tick
-	i int32
-}
-
-// before orders slots by (time, index): the heap's minimum is exactly the
-// core the old linear scan selected, the lowest-indexed core among those
-// with the minimum time.
-func (a slot) before(b slot) bool { return a.t < b.t || a.t == b.t && a.i < b.i }
-
-// siftDown places x in the min-heap h whose root slot is vacant: after
-// the selected core advanced (x is that core with its new time) or after
-// a pop (x is the heap's former last entry).
-func siftDown(h []slot, x slot) {
-	i := 0
-	for {
-		m := 2*i + 1
-		if m >= len(h) {
-			break
-		}
-		if r := m + 1; r < len(h) && h[r].before(h[m]) {
-			m = r
-		}
-		if x.before(h[m]) {
-			break
-		}
-		h[i] = h[m]
-		i = m
+// earliest returns the position of the minimum of t, the lowest such
+// position on ties. The borrow of t[j] - best is 1 exactly when t[j] is
+// strictly smaller; the mask it makes adds that difference to best and
+// moves pos to j without a branch, so the choice costs the same
+// whichever core wins.
+func earliest(t []memtypes.Tick) int {
+	pos, best := 0, t[0]
+	for j := 1; j < len(t); j++ {
+		d, borrow := bits.Sub64(uint64(t[j]), uint64(best), 0)
+		mask := -borrow
+		best += memtypes.Tick(d & mask)
+		pos ^= (pos ^ j) & int(mask)
 	}
-	h[i] = x
+	return pos
 }
 
 // maxCoreTime returns the latest core time — the run's cycle count so
-// far. Called only at epoch boundaries, so its O(cores) cost is off
-// the per-record path.
-func maxCoreTime(cores []*cpu.Core) memtypes.Tick {
+// far. Called only at epoch boundaries and at the end of the run, so
+// its O(cores) cost is off the per-record path.
+func maxCoreTime(cores []coreState) memtypes.Tick {
 	var t memtypes.Tick
-	for _, c := range cores {
-		if c.Time > t {
-			t = c.Time
-		}
+	for i := range cores {
+		t = max(t, cores[i].Time)
 	}
 	return t
 }
 
 // runLoop is the per-record simulation loop; every design runs through
 // it behind the memtypes.MemorySystem interface, one dynamic call per
-// memory access. The scheduler is a min-heap of (core time, index) slots,
-// replacing the O(cores) scan per record; selection order is
-// bit-identical to the scan because both pick the lexicographic minimum,
-// and only the selected core's time ever changes. Each core's records
-// arrive batchLen at a time through its Source; a source's records do
-// not depend on pull granularity, so the batching moves no result. The
-// steady state allocates nothing: record buffers, heap and core state
-// are preallocated, and the histogram is a fixed array. The telemetry
-// sampler is optional and passive: with smp nil the per-record cost is
-// one predictable branch and the Result is unchanged either way.
+// memory access. The scheduler keeps the cores whose sources still have
+// records as a live prefix of cores, in index order, with their times
+// mirrored in the dense array times; each record goes to earliest(times),
+// the lowest-indexed core among those with the minimum time, exactly the
+// core a linear scan over all cores selects. A core whose source runs
+// dry leaves the prefix with the others' order kept, rotated to the tail
+// where the final tally still reads it. No finished core stays in the
+// scan under a sentinel time: a live core can reach any Tick, and a
+// sentinel tying with it at a lower index would win the tie. Each core's
+// records arrive batchLen at a time through its Source; a source's
+// records do not depend on pull granularity, so the batching moves no
+// result. The steady state allocates nothing: record buffers, core state
+// and times are preallocated, and the histogram is a fixed array. The
+// telemetry sampler is optional and passive: with smp nil the per-record
+// cost is one predictable branch and the Result is unchanged either way.
 func runLoop(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
 	llc := cachesim.New(sys.LLCBytes, config.LLCAssoc, memtypes.CPULineBytes)
 	var lat stats.Histogram
@@ -189,42 +180,35 @@ func runLoop(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, 
 		sNext = smp.WindowInstr()
 	}
 
-	n := len(srcs)
-	cores := make([]*cpu.Core, n)
-	st := make([]coreState, n)
-	bufs := make([]memtypes.Rec, n*batchLen)
-	heap := make([]slot, n)
+	cores := make([]coreState, len(srcs))
 	for i := range cores {
-		cores[i] = cpu.New(config.IssueWidth, mlp)
-		st[i] = coreState{src: srcs[i], buf: bufs[i*batchLen : (i+1)*batchLen]}
-		heap[i] = slot{i: int32(i)}
+		cores[i].Core = *cpu.New(mlp)
+		cores[i].src = srcs[i]
 	}
-	// The initial heap [0..n-1] is valid: all times are zero and parents
-	// have smaller indices than their children.
+	times := make([]memtypes.Tick, len(cores))
 
-	for len(heap) > 0 {
+	for live := len(cores); live > 0; {
 		// Advance the earliest core: keeps memory-system calls in
 		// near-time order so device contention is modeled consistently.
-		sel := heap[0].i
-		cs := &st[sel]
-		c := cores[sel]
+		sel := earliest(times[:live])
+		cs := &cores[sel]
 		if cs.head == cs.n {
-			cs.n = cs.src.NextBatch(cs.buf)
+			cs.n = cs.src.NextBatch(cs.buf[:])
 			cs.head = 0
 			if cs.n == 0 {
-				c.DrainMisses()
-				last := len(heap) - 1
-				x := heap[last]
-				heap = heap[:last]
-				if last > 0 {
-					siftDown(heap, x)
-				}
+				cs.DrainMisses()
+				done := *cs
+				copy(cores[sel:live], cores[sel+1:live])
+				copy(times[sel:live], times[sel+1:live])
+				live--
+				cores[live] = done
 				continue
 			}
 		}
 		r := cs.buf[cs.head]
 		cs.head++
 
+		c := &cs.Core
 		c.AdvanceCompute(r.Gap)
 		c.RetireMemOp()
 		c.AddLatency(config.LLCLatency)
@@ -266,18 +250,13 @@ func runLoop(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, 
 				sNext = sInstr - sInstr%w + w
 			}
 		}
-		if len(heap) > 1 {
-			siftDown(heap, slot{t: c.Time, i: sel})
-		}
+		times[sel] = c.Time
 	}
 
-	var cycles memtypes.Tick
+	cycles := maxCoreTime(cores)
 	var instr uint64
-	for _, c := range cores {
-		if c.Time > cycles {
-			cycles = c.Time
-		}
-		instr += c.Instructions
+	for i := range cores {
+		instr += cores[i].Instructions
 	}
 	ms.Finish(cycles)
 	// Close the final (possibly partial) epoch after Finish so flushed
