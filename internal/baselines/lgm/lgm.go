@@ -151,7 +151,8 @@ func (l *LGM) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtypes
 	if !l.rc.Lookup(logical) {
 		now = l.space.ReadRemapEntry(now, logical)
 	}
-	if !l.space.Lookup(logical).NM {
+	loc := l.space.Lookup(logical)
+	if !loc.NM {
 		l.fmDemand++
 		line := uint(uint64(offset) / memtypes.CPULineBytes)
 		info := l.touched[logical]
@@ -169,7 +170,7 @@ func (l *LGM) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtypes
 		l.touched[logical] = info
 	}
 	l.lastSeg = logical
-	return l.space.AccessData(now, logical, offset, write)
+	return l.space.AccessData(now, loc, offset, write)
 }
 
 // Finish implements MemorySystem: runs the last pending interval.

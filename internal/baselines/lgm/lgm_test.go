@@ -158,8 +158,9 @@ func TestInvariantsUnderTraffic(t *testing.T) {
 }
 
 // TestResetRestoresBuiltState: after traffic that swaps sectors across
-// several intervals, Reset leaves exactly a fresh build's state: the
-// flat space's initial placement and every field of the design.
+// several intervals, Reset leaves exactly a fresh build's state: every
+// sector's initial location, owner tables that invert it, and every
+// other field of the design.
 func TestResetRestoresBuiltState(t *testing.T) {
 	x := newSmall(3)
 	rng := rand.New(rand.NewSource(3))
@@ -182,6 +183,9 @@ func TestResetRestoresBuiltState(t *testing.T) {
 		if x.space.Lookup(l) != fresh.space.Lookup(l) {
 			t.Fatalf("sector %d: placement %+v after Reset, %+v when built", l, x.space.Lookup(l), fresh.space.Lookup(l))
 		}
+	}
+	if !x.space.CheckInvariants() {
+		t.Fatal("owner table does not invert the restored placement")
 	}
 	got, want := *x, *fresh
 	got.space, want.space = nil, nil

@@ -179,10 +179,11 @@ func (m *MemPod) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memty
 		now = m.space.ReadRemapEntry(now, logical)
 	}
 	m.observe(logical)
-	if !m.space.Lookup(logical).NM {
+	loc := m.space.Lookup(logical)
+	if !loc.NM {
 		m.fmDemand++
 	}
-	return m.space.AccessData(now, logical, offset, write)
+	return m.space.AccessData(now, loc, offset, write)
 }
 
 // Finish implements MemorySystem: runs the last pending interval.

@@ -3,7 +3,10 @@
 //
 //   - Space, used by MemPod and LGM: an all-to-all sector remap table
 //     over NM+FM with its inverse, and the swap that exchanges an FM
-//     sector with an NM victim.
+//     sector with an NM victim. Both tables are copy-on-write views of
+//     the shared placement permutation (placement.Table), so building
+//     a space costs their page indexes and Reset the pages the run's
+//     swaps wrote; no swap is logged.
 //   - Groups, used by CAMEO, Chameleon and POM: a congruence-group
 //     layout in which each NM unit holds one member of its group, and
 //     the swap that exchanges a member with the NM occupant.
@@ -26,33 +29,23 @@ type Loc struct {
 }
 
 // Space is a flat NM+FM address space with all-to-all sector remapping.
-// Logical sector s of the processor physical address space lives at
-// Remap[s]; Owner maps physical slots back to logical sectors.
+// Physical slots are numbered NM first: slot p < NMSectors is NM slot p,
+// and slot NMSectors+i is FM slot i. Logical sector s of the processor
+// physical address space lives at physical slot remap[s]; owner maps
+// physical slots back to logical sectors.
 type Space struct {
 	SectorBytes int
 	NMSectors   uint32
 	FMSectors   uint32
 
-	remap   []Loc    // logical sector -> physical
-	nmOwner []uint32 // NM slot -> logical sector
-	fmOwner []uint32 // FM slot -> logical sector
-
-	// swaps is the run's undo log: Reset unwinds it to restore the
-	// initial placement in time proportional to the swaps made.
-	swaps []swapUndo
+	remap placement.Table // logical sector -> physical slot
+	owner placement.Table // physical slot -> logical sector
 
 	nm, fm *memsys.Device
 	stats  *memtypes.MemStats
 
 	// remapTableBase addresses the in-NM remap table for metadata traffic.
 	remapTableBase memtypes.Addr
-}
-
-// swapUndo is one Swap: logical sector a moved from FM slot fmSlot into
-// NM slot nmSlot, whose occupant b took fmSlot.
-type swapUndo struct {
-	a, b           uint32
-	nmSlot, fmSlot uint32
 }
 
 // NewSpace builds the space with the paper's initial page placement:
@@ -67,41 +60,22 @@ func NewSpace(sectorBytes int, nmBytes, fmBytes uint64, nm, fm *memsys.Device, s
 		SectorBytes:    sectorBytes,
 		NMSectors:      nmSec,
 		FMSectors:      fmSec,
-		remap:          make([]Loc, total),
-		nmOwner:        make([]uint32, nmSec),
-		fmOwner:        make([]uint32, fmSec),
+		remap:          placement.NewTable(placement.Perm(seed, int(total))),
+		owner:          placement.NewTable(placement.Inverse(seed, int(total), int(total))),
 		nm:             nm,
 		fm:             fm,
 		stats:          stats,
 		remapTableBase: memtypes.Addr(nmBytes) - memtypes.Addr(total)*8,
 	}
-	perm := placement.Perm(seed, int(total))
-	remap := s.remap[:len(perm)]
-	for logical, phys := range perm {
-		if phys < nmSec {
-			remap[logical] = Loc{NM: true, Idx: phys}
-		} else {
-			remap[logical] = Loc{NM: false, Idx: phys - nmSec}
-		}
-	}
-	owners := placement.Inverse(seed, int(total))
-	copy(s.nmOwner, owners[:nmSec])
-	copy(s.fmOwner, owners[nmSec:])
 	return s
 }
 
-// Reset undoes every Swap since construction, newest first, restoring
-// the initial placement. The counters belong to the design, which
-// resets them itself.
+// Reset restores the initial placement by dropping the table pages the
+// run's swaps wrote. The counters belong to the design, which resets
+// them itself.
 func (s *Space) Reset() {
-	for i := len(s.swaps) - 1; i >= 0; i-- {
-		u := s.swaps[i]
-		s.remap[u.a] = Loc{NM: false, Idx: u.fmSlot}
-		s.fmOwner[u.fmSlot] = u.a
-		s.remap[u.b] = Loc{NM: true, Idx: u.nmSlot}
-		s.nmOwner[u.nmSlot] = u.b
-	}
-	s.swaps = s.swaps[:0]
+	s.remap.Reset()
+	s.owner.Reset()
 }
 
 // Sectors returns the number of logical sectors in the flat space.
@@ -112,17 +86,22 @@ func (s *Space) Sectors() uint32 { return s.NMSectors + s.FMSectors }
 func (s *Space) Stats() *memtypes.MemStats { return memsys.WithTraffic(s.stats, s.nm, s.fm) }
 
 // Lookup returns the physical location of a logical sector.
-func (s *Space) Lookup(logical uint32) Loc { return s.remap[logical] }
+func (s *Space) Lookup(logical uint32) Loc {
+	p := s.remap.Get(logical)
+	if p < s.NMSectors {
+		return Loc{NM: true, Idx: p}
+	}
+	return Loc{Idx: p - s.NMSectors}
+}
 
 // DataAddr returns the device byte address of a physical location.
 func (s *Space) DataAddr(l Loc) memtypes.Addr {
 	return memtypes.Addr(l.Idx) * memtypes.Addr(s.SectorBytes)
 }
 
-// AccessData performs a 64 B data access at the sector's current location
-// and returns completion time, recording served-from counters.
-func (s *Space) AccessData(now memtypes.Tick, logical uint32, offset memtypes.Addr, write bool) memtypes.Tick {
-	l := s.remap[logical]
+// AccessData performs a 64 B data access at location l, a sector's
+// Lookup, and returns completion time, recording served-from counters.
+func (s *Space) AccessData(now memtypes.Tick, l Loc, offset memtypes.Addr, write bool) memtypes.Tick {
 	addr := s.DataAddr(l) + offset
 	if l.NM {
 		s.stats.ServedNM++
@@ -149,11 +128,11 @@ func (s *Space) writeRemapEntry(now memtypes.Tick, logical uint32) {
 // fmSkipBytes reduces the FM->NM read (LGM's bandwidth economization for
 // lines already present in the LLC). Returns the displaced logical sector.
 func (s *Space) Swap(now memtypes.Tick, a uint32, nmSlot uint32, fmSkipBytes int) uint32 {
-	la := s.remap[a]
+	la := s.Lookup(a)
 	if la.NM {
 		panic("migcommon: swap source already in NM")
 	}
-	b := s.nmOwner[nmSlot]
+	b := s.owner.Get(nmSlot)
 	lb := Loc{NM: true, Idx: nmSlot}
 
 	sb := s.SectorBytes
@@ -171,11 +150,11 @@ func (s *Space) Swap(now memtypes.Tick, a uint32, nmSlot uint32, fmSkipBytes int
 	s.stats.Migrations++
 
 	// Update mappings: A takes the NM slot, B takes A's old FM slot.
-	s.swaps = append(s.swaps, swapUndo{a: a, b: b, nmSlot: nmSlot, fmSlot: la.Idx})
-	s.remap[a] = lb
-	s.nmOwner[nmSlot] = a
-	s.remap[b] = la
-	s.fmOwner[la.Idx] = b
+	pa := s.NMSectors + la.Idx
+	s.remap.Set(a, nmSlot)
+	s.owner.Set(nmSlot, a)
+	s.remap.Set(b, pa)
+	s.owner.Set(pa, b)
 	s.writeRemapEntry(end, a)
 	s.writeRemapEntry(end, b)
 	return b
@@ -183,21 +162,13 @@ func (s *Space) Swap(now memtypes.Tick, a uint32, nmSlot uint32, fmSkipBytes int
 
 // CheckInvariants verifies the remap/owner bijection; used by tests.
 func (s *Space) CheckInvariants() bool {
-	seen := make(map[Loc]bool, len(s.remap))
-	for logical, l := range s.remap {
-		if seen[l] {
+	seen := make([]bool, s.Sectors())
+	for logical := range s.Sectors() {
+		p := s.remap.Get(logical)
+		if p >= s.Sectors() || seen[p] || s.owner.Get(p) != logical {
 			return false
 		}
-		seen[l] = true
-		if l.NM {
-			if l.Idx >= s.NMSectors || s.nmOwner[l.Idx] != uint32(logical) {
-				return false
-			}
-		} else {
-			if l.Idx >= s.FMSectors || s.fmOwner[l.Idx] != uint32(logical) {
-				return false
-			}
-		}
+		seen[p] = true
 	}
 	return true
 }

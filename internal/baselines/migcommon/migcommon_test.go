@@ -156,8 +156,8 @@ func TestAccessDataServedCounters(t *testing.T) {
 			fmL, foundFM = l, true
 		}
 	}
-	s.AccessData(0, nmL, 0, false)
-	s.AccessData(0, fmL, 0, true)
+	s.AccessData(0, s.Lookup(nmL), 0, false)
+	s.AccessData(0, s.Lookup(fmL), 0, true)
 	if stats.ServedNM != 1 || stats.ServedFM != 1 {
 		t.Fatalf("served NM/FM = %d/%d, want 1/1", stats.ServedNM, stats.ServedFM)
 	}
@@ -201,28 +201,38 @@ func TestRemapCacheBadGeometryPanics(t *testing.T) {
 	}
 }
 
-// TestSpaceResetRestoresPlacement: Reset unwinds random swaps back to the
-// seeded initial placement, leaving a space deeply equal to a fresh one.
+// TestSpaceResetRestoresPlacement: Reset restores the seeded initial
+// placement after random swaps, every remap and owner entry equal to a
+// fresh space's, and a second run of the same swaps on the reset space
+// backs its table pages with the first run's: it allocates nothing.
 func TestSpaceResetRestoresPlacement(t *testing.T) {
 	s, _ := newSpace(4)
+	type swap struct{ a, nmSlot uint32 }
+	var swaps []swap
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 5000; i++ {
 		a := uint32(rng.Intn(int(s.Sectors())))
 		if !s.Lookup(a).NM {
-			s.Swap(memtypes.Tick(i), a, uint32(rng.Intn(int(s.NMSectors))), 0)
+			nmSlot := uint32(rng.Intn(int(s.NMSectors)))
+			s.Swap(memtypes.Tick(i), a, nmSlot, 0)
+			swaps = append(swaps, swap{a, nmSlot})
 		}
 	}
 	s.Reset()
-	s.nm.Reset()
-	s.fm.Reset()
-	if len(s.swaps) != 0 {
-		t.Fatal("swap log not empty after Reset")
-	}
 	fresh, _ := newSpace(4)
-	got, want := *s, *fresh
-	got.swaps, got.stats, want.stats = nil, nil, nil
-	if !reflect.DeepEqual(got, want) {
-		t.Error("reset space differs from a fresh one")
+	for i := range s.Sectors() {
+		if s.remap.Get(i) != fresh.remap.Get(i) || s.owner.Get(i) != fresh.owner.Get(i) {
+			t.Fatalf("entry %d: remap %d owner %d after Reset, %d and %d when built",
+				i, s.remap.Get(i), s.owner.Get(i), fresh.remap.Get(i), fresh.owner.Get(i))
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i, w := range swaps {
+			s.Swap(memtypes.Tick(i), w.a, w.nmSlot, 0)
+		}
+		s.Reset()
+	}); allocs != 0 {
+		t.Errorf("second run of the same swaps allocated %v times", allocs)
 	}
 }
 

@@ -25,7 +25,6 @@ package core
 
 import (
 	"math/bits"
-	"slices"
 
 	"hybridmem/internal/config"
 	"hybridmem/internal/memsys"
@@ -154,7 +153,15 @@ type Hybrid2 struct {
 	flatSectors uint32 // slots initially holding flat data
 	fmSectors   uint32
 
-	remap     []loc    // logical sector -> location
+	// remap maps each logical sector to its location, as a
+	// copy-on-write view of the shared placement permutation: an entry
+	// the run never wrote is the sector's initial physical slot. Entry v
+	// encodes, with flat = flatSectors and n = flat+fmSectors:
+	//   - v < flat:  flat NM slot cacheSlots+v;
+	//   - v < n:     FM slot v-flat;
+	//   - otherwise: NM cache slot v-n.
+	// CacheOnly keeps every sector at its FM home and has no table.
+	remap     placement.Table
 	invRemap  []uint32 // NM slot -> logical sector (invalidLogical if none)
 	slotState []uint8
 	freeNM    []uint32 // slotCacheFree slots available for 2b allocations
@@ -165,12 +172,6 @@ type Hybrid2 struct {
 	fmBudget  int64
 	nextReset memtypes.Tick
 	metaBase  memtypes.Addr
-
-	// Undo logs of the run: every overwrite of a remap entry or of an NM
-	// slot's (owner, state) pair records the value it replaces, so Reset
-	// restores the built placement in time proportional to the writes.
-	remapLog []remapUndo
-	slotLog  []slotUndo
 
 	// §3.8 free-space extension state. The hints are set-up, not run
 	// state: runs only read them, and Reset keeps them.
@@ -203,9 +204,8 @@ func (p PathStats) Frac2b() float64 {
 // PathStats returns the Fig. 7 outcome counters.
 func (h *Hybrid2) PathStats() PathStats { return h.path }
 
-// loc is a logical sector's location: an NM pool slot (top bit set) or
-// an FM slot, packed in 4 bytes. The remap table holds one per sector of
-// the whole flat space, so its size is most of a build's cost.
+// loc is a logical sector's location, decoded from its remap entry: an
+// NM pool slot (top bit set) or an FM slot.
 type loc uint32
 
 const locNM loc = 1 << 31
@@ -218,20 +218,6 @@ func (l loc) nm() bool { return l&locNM != 0 }
 
 // idx returns the sector's slot on its device.
 func (l loc) idx() uint32 { return uint32(l &^ locNM) }
-
-// remapUndo is one overwritten remap entry.
-type remapUndo struct {
-	logical uint32
-	old     loc
-}
-
-// slotUndo is one overwritten NM slot: its inverted-remap owner and its
-// state.
-type slotUndo struct {
-	slot  uint32
-	owner uint32
-	state uint8
-}
 
 // New builds Hybrid2 over the two devices.
 func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
@@ -270,7 +256,6 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 		poolSectors:    pool,
 		flatSectors:    flat,
 		fmSectors:      fmSec,
-		remap:          make([]loc, uint64(flat)+uint64(fmSec)),
 		invRemap:       make([]uint32, pool),
 		slotState:      make([]uint8, pool),
 		freeNM:         make([]uint32, 0, cacheSlots),
@@ -280,59 +265,50 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 	}
 
 	// Initial placement. Normal modes: logical sectors spread randomly
-	// over flat NM + FM proportionally to capacity (§4); flat NM slots
-	// occupy pool indices [cacheSlots, pool) and start in state slotFlat,
-	// the slice's zero value. CacheOnly: the flat NM region is unused and
-	// everything lives in FM at its home.
-	for i := range h.invRemap {
-		h.invRemap[i] = invalidLogical
+	// over flat NM + FM proportionally to capacity (§4), read through
+	// remap from the shared permutation. CacheOnly: the flat NM region
+	// is unused and everything lives in FM at its home.
+	if cfg.Mode != CacheOnly {
+		h.remap = placement.NewTable(placement.Perm(cfg.Seed, int(h.Sectors())))
 	}
-	if cfg.Mode == CacheOnly {
-		for l := range h.remap {
-			h.remap[l] = fmLoc(uint32(l) % fmSec)
-		}
-	} else {
-		perm := placement.Perm(cfg.Seed, len(h.remap))
-		remap, invRemap := h.remap[:len(perm)], h.invRemap
-		for logical, phys := range perm {
-			if phys < flat {
-				slot := cacheSlots + phys
-				remap[logical] = nmLoc(slot)
-				invRemap[slot] = uint32(logical)
-			} else {
-				remap[logical] = fmLoc(phys - flat)
-			}
-		}
-	}
-	// Cache slots start free, at pool indices [0, cacheSlots).
-	for s := uint32(0); s < cacheSlots; s++ {
-		h.slotState[s] = slotCacheFree
-		h.freeNM = append(h.freeNM, s)
-	}
+	h.placeNM()
 	if cfg.FreeSpaceAware {
-		h.unused = make([]bool, len(h.remap))
+		h.unused = make([]bool, h.Sectors())
 	}
 	return h
 }
 
-// Reset implements memtypes.Resetter: it replays the undo logs backwards
-// to restore the placement New built, then clears the XTA and the run's
-// counters and refills the cache's free-slot list.
-func (h *Hybrid2) Reset() {
-	for i := len(h.remapLog) - 1; i >= 0; i-- {
-		u := h.remapLog[i]
-		h.remap[u.logical] = u.old
+// placeNM lays out the NM pool as New builds it: the cache slots, at
+// pool indices [0, cacheSlots), free and on the free-slot list; the flat
+// slots, at [cacheSlots, pool), in state slotFlat and owned by the
+// sectors the permutation placed there (by none in CacheOnly).
+func (h *Hybrid2) placeNM() {
+	cacheSlots := uint32(len(h.entries))
+	owners := h.invRemap[cacheSlots:]
+	if h.cfg.Mode == CacheOnly {
+		for i := range owners {
+			owners[i] = invalidLogical
+		}
+	} else {
+		copy(owners, placement.Inverse(h.cfg.Seed, int(h.Sectors()), int(h.flatSectors)))
 	}
-	for i := len(h.slotLog) - 1; i >= 0; i-- {
-		u := h.slotLog[i]
-		h.invRemap[u.slot], h.slotState[u.slot] = u.owner, u.state
-	}
-	h.remapLog, h.slotLog = h.remapLog[:0], h.slotLog[:0]
-	clear(h.entries)
+	clear(h.slotState[cacheSlots:])
 	h.freeNM = h.freeNM[:0]
-	for s := uint32(0); s < uint32(len(h.entries)); s++ {
+	for s := uint32(0); s < cacheSlots; s++ {
+		h.invRemap[s] = invalidLogical
+		h.slotState[s] = slotCacheFree
 		h.freeNM = append(h.freeNM, s)
 	}
+}
+
+// Reset implements memtypes.Resetter: it drops the remap pages the run
+// wrote, restores the NM pool's owners and states, clears the XTA and
+// the run's counters. Its cost is the pages written plus the NM pool,
+// never the whole flat space.
+func (h *Hybrid2) Reset() {
+	h.remap.Reset()
+	h.placeNM()
+	clear(h.entries)
 	h.freeFM = h.freeFM[:0]
 	h.clock, h.stackOn, h.nmFIFO, h.fmBudget = 0, 0, 0, 0
 	h.nextReset = h.cfg.FMBudgetReset
@@ -340,27 +316,41 @@ func (h *Hybrid2) Reset() {
 	h.stats, h.path = memtypes.MemStats{}, PathStats{}
 }
 
-// setRemap points a logical sector at l, logging the entry it replaces.
-func (h *Hybrid2) setRemap(logical uint32, l loc) {
-	h.remapLog = append(grow(h.remapLog), remapUndo{logical, h.remap[logical]})
-	h.remap[logical] = l
-}
-
-// setSlot sets an NM slot's inverted-remap owner and state, logging the
-// pair it replaces.
-func (h *Hybrid2) setSlot(slot, owner uint32, state uint8) {
-	h.slotLog = append(grow(h.slotLog), slotUndo{slot, h.invRemap[slot], h.slotState[slot]})
-	h.invRemap[slot], h.slotState[slot] = owner, state
-}
-
-// grow doubles a full undo log. Append alone grows large slices by a
-// quarter, which allocates about five times a long run's final log; the
-// log of one long run can hold tens of thousands of entries.
-func grow[E any](log []E) []E {
-	if len(log) < cap(log) {
-		return log
+// decode returns the location a remap entry encodes (see remap).
+func (h *Hybrid2) decode(v uint32) loc {
+	if v < h.flatSectors {
+		return nmLoc(uint32(len(h.entries)) + v)
 	}
-	return slices.Grow(log, len(log)+256)
+	if v -= h.flatSectors; v < h.fmSectors {
+		return fmLoc(v)
+	}
+	return nmLoc(v - h.fmSectors)
+}
+
+// lookup returns a logical sector's location.
+func (h *Hybrid2) lookup(logical uint32) loc {
+	if h.cfg.Mode == CacheOnly {
+		return fmLoc(logical % h.fmSectors)
+	}
+	return h.decode(h.remap.Get(logical))
+}
+
+// setRemap points a logical sector at l.
+func (h *Hybrid2) setRemap(logical uint32, l loc) {
+	cacheSlots := uint32(len(h.entries))
+	switch {
+	case !l.nm():
+		h.remap.Set(logical, h.flatSectors+l.idx())
+	case l.idx() >= cacheSlots:
+		h.remap.Set(logical, l.idx()-cacheSlots)
+	default:
+		h.remap.Set(logical, h.Sectors()+l.idx())
+	}
+}
+
+// setSlot sets an NM slot's inverted-remap owner and state.
+func (h *Hybrid2) setSlot(slot, owner uint32, state uint8) {
+	h.invRemap[slot], h.slotState[slot] = owner, state
 }
 
 // Name implements MemorySystem.
@@ -370,7 +360,7 @@ func (h *Hybrid2) Name() string { return h.cfg.Mode.String() }
 func (h *Hybrid2) Stats() *memtypes.MemStats { return memsys.WithTraffic(&h.stats, h.nm, h.fm) }
 
 // Sectors returns the number of logical sectors the flat space exposes.
-func (h *Hybrid2) Sectors() uint32 { return uint32(len(h.remap)) }
+func (h *Hybrid2) Sectors() uint32 { return h.flatSectors + h.fmSectors }
 
 func (h *Hybrid2) nmAddr(slot uint32, off memtypes.Addr) memtypes.Addr {
 	return memtypes.Addr(slot)*memtypes.Addr(h.cfg.SectorBytes) + off
@@ -658,7 +648,12 @@ func (h *Hybrid2) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memt
 	// 2: XTA miss — read the remap table (critical path), allocate an
 	// entry for the sector.
 	now = h.metaRead(now, logical)
-	l := h.remap[logical]
+	var l loc // lookup, spelled out so that the table read inlines here
+	if h.cfg.Mode == CacheOnly {
+		l = fmLoc(logical % h.fmSectors)
+	} else {
+		l = h.decode(h.remap.Get(logical))
+	}
 	e := h.allocateEntry(now, set)
 	e.valid = true
 	e.logical = logical
@@ -713,7 +708,8 @@ func (h *Hybrid2) CheckInvariants() bool {
 	cacheSlots := uint32(len(h.entries))
 	seenNM := make(map[uint32]bool)
 	seenFM := make(map[uint32]bool)
-	for logical, l := range h.remap {
+	for logical := range h.Sectors() {
+		l := h.lookup(logical)
 		if l.nm() {
 			if l.idx() >= h.poolSectors || seenNM[l.idx()] {
 				return false
@@ -724,7 +720,7 @@ func (h *Hybrid2) CheckInvariants() bool {
 				if st != slotFlat && st != slotFlatRef {
 					return false
 				}
-				if h.invRemap[l.idx()] != uint32(logical) {
+				if h.invRemap[l.idx()] != logical {
 					return false
 				}
 			}

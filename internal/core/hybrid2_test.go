@@ -67,7 +67,7 @@ func TestXTAHitServesFromNM(t *testing.T) {
 	// Find a logical sector initially in FM so the first access is 2b.
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap[l].nm() {
+		if !h.lookup(l).nm() {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}
@@ -87,7 +87,7 @@ func TestSectorInNMAdoptedWithoutTraffic(t *testing.T) {
 	h := newSmall(t, Normal)
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if h.remap[l].nm() {
+		if h.lookup(l).nm() {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}
@@ -111,7 +111,7 @@ func TestLineMissFetchesOnlyOneLine(t *testing.T) {
 	h := newSmall(t, Normal)
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap[l].nm() {
+		if !h.lookup(l).nm() {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}
@@ -153,8 +153,8 @@ func TestMigrateAllMigratesOnEviction(t *testing.T) {
 	// Touch enough distinct FM sectors mapping to set 0 to overflow it.
 	touched := 0
 	for l := uint32(0); l < h.Sectors() && touched < h.cfg.Assoc+4; l++ {
-		if !h.remap[l].nm() || h.slotState[h.remap[l].idx()] != slotFlat {
-			if !h.remap[l].nm() && int(l)%h.sets == 0 {
+		if !h.lookup(l).nm() || h.slotState[h.lookup(l).idx()] != slotFlat {
+			if !h.lookup(l).nm() && int(l)%h.sets == 0 {
 				h.Access(memtypes.Tick(touched)*1000, memtypes.Addr(l)*memtypes.Addr(h.cfg.SectorBytes), false)
 				touched++
 			}
@@ -241,7 +241,7 @@ func TestDirtyWritebackOnEviction(t *testing.T) {
 	count := 0
 	var now memtypes.Tick
 	for l := uint32(0); l < h.Sectors() && count < 3*h.cfg.Assoc; l++ {
-		if !h.remap[l].nm() && int(l)%h.sets == 0 {
+		if !h.lookup(l).nm() && int(l)%h.sets == 0 {
 			now += 2000
 			h.Access(now, memtypes.Addr(l)*memtypes.Addr(h.cfg.SectorBytes), true)
 			count++
@@ -279,7 +279,7 @@ func TestAccessCounterSaturates(t *testing.T) {
 	var addr memtypes.Addr
 	var logical uint32
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap[l].nm() {
+		if !h.lookup(l).nm() {
 			logical = l
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
@@ -362,7 +362,7 @@ func TestHotDataEventuallyMigrates(t *testing.T) {
 	h := newSmall(t, Normal)
 	var hot []memtypes.Addr
 	for l := uint32(0); l < h.Sectors() && len(hot) < 64; l++ {
-		if !h.remap[l].nm() {
+		if !h.lookup(l).nm() {
 			hot = append(hot, memtypes.Addr(l)*memtypes.Addr(h.cfg.SectorBytes))
 		}
 	}
@@ -409,7 +409,7 @@ func TestPathStatsHotReuseMostly1a(t *testing.T) {
 	h := newSmall(t, Normal)
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap[l].nm() {
+		if !h.lookup(l).nm() {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}
@@ -426,8 +426,8 @@ func TestPathStatsHotReuseMostly1a(t *testing.T) {
 // TestResetRestoresBuiltState drives every mode (and the free-space
 // extension with hints set after New) through evictions, migrations and
 // NM allocations, then requires Reset to leave exactly the state of a
-// fresh build: undo logs empty, every other field, devices included,
-// deeply equal.
+// fresh build: every sector's location, every NM slot's owner and
+// state, and every other field, devices included.
 func TestResetRestoresBuiltState(t *testing.T) {
 	for _, mode := range []Mode{Normal, CacheOnly, MigrateAll, MigrateNone, NoRemapOverhead} {
 		for _, free := range []bool{false, true} {
@@ -439,31 +439,88 @@ func TestResetRestoresBuiltState(t *testing.T) {
 				return h
 			}
 			h := build()
-			rng := rand.New(rand.NewSource(int64(mode)))
-			var now memtypes.Tick
-			for i := 0; i < 20000; i++ {
-				now += memtypes.Tick(rng.Intn(40))
-				addr := memtypes.Addr(rng.Intn(64)) << 11 // a hot set of sectors
-				if i%3 == 0 {
-					addr = memtypes.Addr(rng.Int63n(int64(h.Sectors()) << 11))
-				}
-				h.Access(now, addr&^63, rng.Intn(4) == 0)
-			}
+			now := drive(h, int64(mode))
 			h.Finish(now)
-			if h.stats.Migrations+h.stats.Evictions == 0 || len(h.remapLog)+len(h.slotLog) == 0 {
-				t.Fatalf("%v free=%v: traffic moved nothing to undo", mode, free)
+			if h.stats.Migrations+h.stats.Evictions == 0 {
+				t.Fatalf("%v free=%v: traffic moved nothing to restore", mode, free)
 			}
 			h.Reset()
 			h.nm.Reset()
 			h.fm.Reset()
-			if len(h.remapLog)+len(h.slotLog) != 0 {
-				t.Fatalf("%v free=%v: undo logs not empty after Reset", mode, free)
+			want := build()
+			for l := range want.Sectors() {
+				if got, w := h.lookup(l), want.lookup(l); got != w {
+					t.Fatalf("%v free=%v: sector %d at %#x after Reset, %#x when built", mode, free, l, got, w)
+				}
 			}
-			got, want := *h, *build()
-			got.remapLog, got.slotLog = nil, nil
-			if !reflect.DeepEqual(got, want) {
+			for s := range want.poolSectors {
+				if h.invRemap[s] != want.invRemap[s] || h.slotState[s] != want.slotState[s] {
+					t.Fatalf("%v free=%v: NM slot %d (owner %d, state %d) after Reset, (%d, %d) when built",
+						mode, free, s, h.invRemap[s], h.slotState[s], want.invRemap[s], want.slotState[s])
+				}
+			}
+			got := *h
+			got.remap, got.invRemap, got.slotState = want.remap, want.invRemap, want.slotState
+			if !reflect.DeepEqual(got, *want) {
 				t.Errorf("%v free=%v: reset state differs from a fresh build", mode, free)
 			}
 		}
+	}
+}
+
+// drive sends a seeded mix of hot-set and wide accesses through h and
+// returns the time of the last one.
+func drive(h *Hybrid2, seed int64) memtypes.Tick {
+	return replay(h, traffic(h.Sectors(), seed))
+}
+
+// request is one access of a pre-generated traffic mix.
+type request struct {
+	now   memtypes.Tick
+	addr  memtypes.Addr
+	write bool
+}
+
+// traffic returns a seeded mix of hot-set and wide accesses over a flat
+// space of the given sectors.
+func traffic(sectors uint32, seed int64) []request {
+	rng := rand.New(rand.NewSource(seed))
+	reqs := make([]request, 20000)
+	var now memtypes.Tick
+	for i := range reqs {
+		now += memtypes.Tick(rng.Intn(40))
+		addr := memtypes.Addr(rng.Intn(64)) << 11 // a hot set of sectors
+		if i%3 == 0 {
+			addr = memtypes.Addr(rng.Int63n(int64(sectors) << 11))
+		}
+		reqs[i] = request{now, addr &^ 63, rng.Intn(4) == 0}
+	}
+	return reqs
+}
+
+// replay sends reqs through h and returns the time of the last one.
+func replay(h *Hybrid2, reqs []request) memtypes.Tick {
+	for _, r := range reqs {
+		h.Access(r.now, r.addr, r.write)
+	}
+	return reqs[len(reqs)-1].now
+}
+
+// TestResetReusesPages: a reset machine that runs the same traffic
+// again writes the same remap pages, and backs them with the pages the
+// first run wrote: the second run and its Reset allocate nothing.
+func TestResetReusesPages(t *testing.T) {
+	h := newSmall(t, Normal)
+	reqs := traffic(h.Sectors(), 1)
+	if allocs := testing.AllocsPerRun(1, func() {
+		h.Finish(replay(h, reqs))
+		if h.stats.Migrations == 0 {
+			t.Fatal("traffic migrated nothing")
+		}
+		h.Reset()
+		h.nm.Reset()
+		h.fm.Reset()
+	}); allocs != 0 {
+		t.Errorf("second identical run allocated %v times", allocs)
 	}
 }

@@ -141,32 +141,48 @@ func TestRunTraceRejectsWindowAboveMax(t *testing.T) {
 }
 
 // largeGapTrace is a 4-record text trace whose core-0 records each skip
-// 2^63-1 instructions, so simulated time jumps by about 2^61 cycles per
-// record. A design that steps a periodic event once per elapsed period
-// would loop ~10^14 times on it.
+// 2^63-1 instructions: its second record takes the trace past 2^64-1
+// instructions, which no core's count can hold.
 const largeGapTrace = "0 9223372036854775807 0 R\n" +
 	"0 9223372036854775807 40 R\n" +
 	"0 9223372036854775807 80 R\n" +
 	"1 1 c0 R\n"
 
-// TestRunTraceLargeGapsFinish replays largeGapTrace on every registered
+// wideGapTrace is a 4-record text trace whose core-0 records each skip
+// 2^62-1 instructions, so simulated time jumps by about 2^60 cycles per
+// record while the trace retires 3·2^62+2 instructions, below 2^64. A
+// design that steps a periodic event once per elapsed period would loop
+// ~10^14 times on it.
+const wideGapTrace = "0 4611686018427387903 0 R\n" +
+	"0 4611686018427387903 40 R\n" +
+	"0 4611686018427387903 80 R\n" +
+	"1 1 c0 R\n"
+
+// TestRunTraceLargeGapsFinish replays wideGapTrace on every registered
 // design's sample name: each must finish well within a second, so the
 // periodic work of MPOD, LGM and Hybrid2 catches up in O(1), not once
-// per elapsed period.
+// per elapsed period, and must count every instruction of the trace.
 func TestRunTraceLargeGapsFinish(t *testing.T) {
 	r := &Runner{Scale: 16, InstrPerCore: 1000, Seed: 1}
 	for _, info := range design.AllInfos() {
 		name := info.SampleName()
-		done := make(chan error, 1)
+		type outcome struct {
+			res sim.Result
+			err error
+		}
+		done := make(chan outcome, 1)
 		start := time.Now()
 		go func() {
-			_, err := r.RunTrace("gaps", strings.NewReader(largeGapTrace), name, 1, 4)
-			done <- err
+			res, err := r.RunTrace("gaps", strings.NewReader(wideGapTrace), name, 1, 4)
+			done <- outcome{res, err}
 		}()
 		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+		case o := <-done:
+			if o.err != nil {
+				t.Fatalf("%s: %v", name, o.err)
+			}
+			if want := uint64(3<<62 + 2); o.res.Instructions != want {
+				t.Errorf("%s: %d instructions, want %d", name, o.res.Instructions, want)
 			}
 			if d := time.Since(start); d > time.Second {
 				t.Errorf("%s: large-gap replay took %v", name, d)
@@ -174,5 +190,15 @@ func TestRunTraceLargeGapsFinish(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: large-gap replay still running after 10s", name)
 		}
+	}
+}
+
+// TestRunTraceInstructionOverflowFails: a trace whose instructions pass
+// 2^64-1 is rejected before any simulation, with the offending line.
+func TestRunTraceInstructionOverflowFails(t *testing.T) {
+	r := &Runner{Scale: 16, InstrPerCore: 1000, Seed: 1}
+	_, err := r.RunTrace("gaps", strings.NewReader(largeGapTrace), "Baseline", 1, 4)
+	if err == nil || !strings.Contains(err.Error(), "line 2: ") {
+		t.Fatalf("RunTrace = %v, want an error at line 2", err)
 	}
 }

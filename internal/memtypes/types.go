@@ -80,7 +80,8 @@ type MemorySystem interface {
 // Hybrid2's free-space hints), so the next run on it is
 // indistinguishable from a run on a fresh build. It undoes only what
 // Access, Finish and Stats changed, at a cost proportional to that
-// state rather than to the capacity modelled. The devices a design runs
+// state and to the design's near-memory and on-chip structures, never
+// to the whole capacity modelled. The devices a design runs
 // on are reset separately (memsys.Device.Reset) by whoever owns them.
 type Resetter interface {
 	Reset()

@@ -2,7 +2,7 @@
 // paper's initial page placement (§4, "memory pages are allocated
 // randomly"): every flat NM+FM design — Hybrid2 and the migration
 // baselines — spreads its logical sectors over the physical slots
-// through Perm and derives its remap tables from it.
+// through Perm and reads its remap tables through it.
 //
 // The permutation is a pure function of (seed, length), yet a
 // Fisher-Yates shuffle over hundreds of thousands of sectors — a random
@@ -11,7 +11,15 @@
 // budget, so designs that share a placement (design-space points that
 // differ only in line size, the Hybrid2 ablations, the runs of one seed
 // across designs) shuffle once. A memoized permutation is the very
-// slice the shuffle produced: keeping it costs no copy.
+// slice the shuffle produced: keeping it costs no copy. Inverse memoizes
+// the inverse permutation the same way, restricted to a prefix of the
+// physical slots, so a design that needs the owners of its near-memory
+// slots only keeps those.
+//
+// A machine never copies a memoized table: it reads it through a Table,
+// a copy-on-write view that materializes a private page only when the
+// run first writes into it. Building a machine costs the Table's page
+// index, and resetting one costs the pages its run wrote.
 package placement
 
 import "sync"
@@ -23,6 +31,7 @@ const budgetBytes = 16 << 20
 type key struct {
 	seed    uint64
 	n       int
+	k       int // Inverse's prefix length; 0 for the permutation
 	inverse bool
 }
 
@@ -41,18 +50,21 @@ var (
 // physical slot of logical sector logical. The slice is shared between
 // callers and must not be modified.
 func Perm(seed uint64, n int) []uint32 {
-	return memo(key{seed, n, false}, func() []uint32 { return shuffle(seed, n) })
+	return memo(key{seed: seed, n: n}, func() []uint32 { return shuffle(seed, n) })
 }
 
-// Inverse returns the inverse of Perm(seed, n): inv[phys] is the
-// logical sector at physical slot phys. Designs that keep owner tables
-// copy them from it instead of scattering writes over the permutation.
-// The slice is shared between callers and must not be modified.
-func Inverse(seed uint64, n int) []uint32 {
-	return memo(key{seed, n, true}, func() []uint32 {
-		inv := make([]uint32, n)
+// Inverse returns the inverse of Perm(seed, n) over the physical slots
+// below k (0 <= k <= n): inv[phys] is the logical sector at physical
+// slot phys. Designs restore their owner tables from it instead of
+// scattering writes over the permutation. The slice is shared between
+// callers and must not be modified.
+func Inverse(seed uint64, n, k int) []uint32 {
+	return memo(key{seed, n, k, true}, func() []uint32 {
+		inv := make([]uint32, k)
 		for logical, phys := range Perm(seed, n) {
-			inv[phys] = uint32(logical)
+			if int(phys) < k {
+				inv[phys] = uint32(logical)
+			}
 		}
 		return inv
 	})

@@ -24,10 +24,10 @@ func TestPermIsSeededPermutation(t *testing.T) {
 			}
 		}
 	}
-	p, inv := Perm(5, 1000), Inverse(5, 1000)
+	p, inv := Perm(5, 1000), Inverse(5, 1000, 1000)
 	for logical, phys := range p {
 		if inv[phys] != uint32(logical) {
-			t.Fatalf("Inverse(5, 1000)[%d] = %d, want %d", phys, inv[phys], logical)
+			t.Fatalf("Inverse(5, 1000, 1000)[%d] = %d, want %d", phys, inv[phys], logical)
 		}
 	}
 	a, b := Perm(1, 1000), Perm(2, 1000)
@@ -37,6 +37,26 @@ func TestPermIsSeededPermutation(t *testing.T) {
 	}
 	if same {
 		t.Error("seeds 1 and 2 give the same permutation")
+	}
+}
+
+// TestInversePrefix: Inverse(seed, n, k) is the first k entries of the
+// full inverse, for k from 0 to n, memoized or not.
+func TestInversePrefix(t *testing.T) {
+	const n = 3000
+	full := Inverse(11, n, n)
+	for _, k := range []int{0, 1, 17, 1024, n - 1, n} {
+		for range 2 { // computed, then memoized
+			inv := Inverse(11, n, k)
+			if len(inv) != k {
+				t.Fatalf("Inverse(11, %d, %d) has %d entries", n, k, len(inv))
+			}
+			for phys, logical := range inv {
+				if logical != full[phys] {
+					t.Fatalf("Inverse(11, %d, %d)[%d] = %d, want %d", n, k, phys, logical, full[phys])
+				}
+			}
+		}
 	}
 }
 

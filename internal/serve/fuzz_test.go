@@ -57,11 +57,20 @@ func FuzzRequestBodies(f *testing.F) {
 }
 
 // largeGapTrace is a 4-record text trace whose core-0 records each skip
-// 2^63-1 instructions. Designs that stepped their periodic work once per
-// elapsed period looped ~10^14 times on it, holding a sync slot forever.
+// 2^63-1 instructions: its second record takes the trace past 2^64-1
+// instructions, so a replay of it is a bad trace.
 const largeGapTrace = "0 9223372036854775807 0 R\n" +
 	"0 9223372036854775807 40 R\n" +
 	"0 9223372036854775807 80 R\n" +
+	"1 1 c0 R\n"
+
+// wideGapTrace is a 4-record text trace whose core-0 records each skip
+// 2^62-1 instructions, about 2^60 cycles, for 3·2^62+2 instructions in
+// all. Designs that stepped their periodic work once per elapsed period
+// looped ~10^14 times on such a trace, holding a sync slot forever.
+const wideGapTrace = "0 4611686018427387903 0 R\n" +
+	"0 4611686018427387903 40 R\n" +
+	"0 4611686018427387903 80 R\n" +
 	"1 1 c0 R\n"
 
 // FuzzReplay sends arbitrary query strings and small arbitrary bodies to
@@ -75,6 +84,9 @@ func FuzzReplay(f *testing.F) {
 		{"design=HYBRID2", largeGapTrace},
 		{"design=MPOD", largeGapTrace},
 		{"design=LGM&mlp=64", largeGapTrace},
+		{"design=HYBRID2", wideGapTrace},
+		{"design=MPOD", wideGapTrace},
+		{"design=LGM&mlp=64", wideGapTrace},
 		{"design=Baseline&window=100000000", "0 1 40 R\n"},
 		{"design=Baseline&mlp=0", "0 1 40 R\n"},
 		{"design=Baseline&mlp=65", "0 1 40 R\n"},

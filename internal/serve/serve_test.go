@@ -549,10 +549,11 @@ func TestReplayRejectsWindowAboveMax(t *testing.T) {
 	}
 }
 
-// TestReplayLargeGapsFinish replays largeGapTrace through /v1/replay on
+// TestReplayLargeGapsFinish replays wideGapTrace through /v1/replay on
 // every registered design's sample name. Each must answer 200 well
-// within a second: a design that stepped its periodic work once per
-// elapsed period would hold the sync slot for hours.
+// within a second, counting every instruction of the trace: a design
+// that stepped its periodic work once per elapsed period would hold the
+// sync slot for hours.
 func TestReplayLargeGapsFinish(t *testing.T) {
 	h := newTestServer(t, Options{}).Handler()
 	for _, info := range design.AllInfos() {
@@ -561,7 +562,7 @@ func TestReplayLargeGapsFinish(t *testing.T) {
 		start := time.Now()
 		go func() {
 			w := httptest.NewRecorder()
-			h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/replay?design="+url.QueryEscape(name), strings.NewReader(largeGapTrace)))
+			h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/replay?design="+url.QueryEscape(name), strings.NewReader(wideGapTrace)))
 			done <- w
 		}()
 		select {
@@ -569,12 +570,30 @@ func TestReplayLargeGapsFinish(t *testing.T) {
 			if w.Code != http.StatusOK {
 				t.Fatalf("%s: code %d (%s)", name, w.Code, strings.TrimSpace(w.Body.String()))
 			}
+			var doc api.Run
+			if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if want := uint64(3<<62 + 2); doc.Result.Instructions != want {
+				t.Errorf("%s: %d instructions, want %d", name, doc.Result.Instructions, want)
+			}
 			if d := time.Since(start); d > time.Second {
 				t.Errorf("%s: large-gap replay took %v", name, d)
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: large-gap replay still running after 10s", name)
 		}
+	}
+}
+
+// TestReplayInstructionOverflowIsBadRequest: a trace whose instructions
+// pass 2^64-1 is answered 400, naming the offending line.
+func TestReplayInstructionOverflowIsBadRequest(t *testing.T) {
+	h := newTestServer(t, Options{}).Handler()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/replay?design=HYBRID2", strings.NewReader(largeGapTrace)))
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "line 2: ") {
+		t.Fatalf("code %d (%s), want 400 at line 2", w.Code, strings.TrimSpace(w.Body.String()))
 	}
 }
 

@@ -42,6 +42,9 @@ func FuzzDecode(f *testing.F) {
 	for _, seed := range batchSeeds() {
 		f.Add(seed)
 	}
+	for _, format := range []Format{FormatText, FormatBinary} {
+		f.Add(encode(f, overflowRecords(), format, false))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := NewDecoder(bytes.NewReader(data), 8)

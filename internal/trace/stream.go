@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 	"sync"
 
@@ -70,6 +71,10 @@ type Decoder struct {
 	maxCores   int
 	line       int    // text only: current line for error positions
 	n          uint64 // records decoded so far
+	// instr sums gap+1, the instructions a record retires, over the
+	// records decoded so far. A record that would take it past 2^64-1
+	// is an error: no core's instruction count can wrap.
+	instr uint64
 }
 
 // NewDecoder sniffs r and returns a decoder for its format. Traces may
@@ -109,7 +114,8 @@ func (d *Decoder) Records() uint64 { return d.n }
 // Decode returns the next record and its issuing core, reading varints
 // a byte at a time and lines through bufio. It returns io.EOF at a clean
 // end of trace and a positioned error (line or record number) on
-// malformed input, including a truncated final binary record.
+// malformed input, including a truncated final binary record and a
+// record whose gap takes the trace past 2^64-1 instructions.
 // DecodeBatch is the fast path and Decode what it falls back to, so the
 // two yield the same records and errors.
 func (d *Decoder) Decode() (core int, rec memtypes.Rec, err error) {
@@ -129,7 +135,8 @@ func (d *Decoder) Decode() (core int, rec memtypes.Rec, err error) {
 // straddling the buffer's edge, and any input the fast parsers do not
 // accept (a malformed varint, an out-of-range core, a malformed line),
 // goes through Decode, so the records, Records and every positioned
-// error match a Decode loop's.
+// error match a Decode loop's. So does a record that would take the
+// instruction count past 2^64-1.
 func (d *Decoder) DecodeBatch(cores []int, recs []memtypes.Rec) (int, error) {
 	want := min(len(cores), len(recs))
 	n := 0
@@ -157,7 +164,7 @@ func (d *Decoder) DecodeBatch(cores []int, recs []memtypes.Rec) (int, error) {
 // malformed varint or an out-of-range core, leaving them to Decode.
 func (d *Decoder) scanBinary(cores []int, recs []memtypes.Rec) int {
 	buf, _ := d.br.Peek(d.br.Buffered())
-	off, n := 0, 0
+	off, n, instr := 0, 0, d.instr
 	for n < len(recs) {
 		hdr, k1 := binary.Uvarint(buf[off:])
 		if k1 <= 0 || hdr>>1 >= uint64(d.maxCores) {
@@ -171,6 +178,11 @@ func (d *Decoder) scanBinary(cores []int, recs []memtypes.Rec) int {
 		if k3 <= 0 {
 			break
 		}
+		sum, carry := bits.Add64(instr, gap, 1)
+		if carry != 0 {
+			break
+		}
+		instr = sum
 		off += k1 + k2 + k3
 		cores[n] = int(hdr >> 1)
 		recs[n] = memtypes.Rec{Gap: gap, Addr: memtypes.Addr(addr), Write: hdr&1 == 1}
@@ -178,30 +190,38 @@ func (d *Decoder) scanBinary(cores []int, recs []memtypes.Rec) int {
 	}
 	d.br.Discard(off)
 	d.n += uint64(n)
+	d.instr = instr
 	return n
 }
 
 // scanText parses the complete lines at the head of the bufio buffer
 // into cores and recs, skipping blank and comment lines. It stops at a
-// line cut by the buffer's edge or one scanLine does not accept, leaving
-// it to Decode to parse or reject.
+// line cut by the buffer's edge, one scanLine does not accept, or a
+// record past the instruction bound, leaving it to Decode to parse or
+// reject.
 func (d *Decoder) scanText(cores []int, recs []memtypes.Rec) int {
 	buf, _ := d.br.Peek(d.br.Buffered())
-	off, n := 0, 0
+	off, n, instr := 0, 0, d.instr
 	for n < len(recs) {
 		core, rec, k := d.scanLine(buf[off:])
 		if k == 0 {
 			break
 		}
-		off += k
-		d.line++
 		if core >= 0 {
+			sum, carry := bits.Add64(instr, rec.Gap, 1)
+			if carry != 0 {
+				break
+			}
+			instr = sum
 			cores[n], recs[n] = core, rec
 			n++
 		}
+		off += k
+		d.line++
 	}
 	d.br.Discard(off)
 	d.n += uint64(n)
+	d.instr = instr
 	return n
 }
 
@@ -310,8 +330,23 @@ func (d *Decoder) decodeBinary() (int, memtypes.Rec, error) {
 	if err != nil {
 		return 0, memtypes.Rec{}, err
 	}
+	if !d.count(gap) {
+		return 0, memtypes.Rec{}, errorf("record %d: gap %d takes the trace past 2^64-1 instructions", d.n+1, gap)
+	}
 	d.n++
 	return core, memtypes.Rec{Gap: gap, Addr: memtypes.Addr(addr), Write: hdr&1 == 1}, nil
+}
+
+// count adds the instructions of a record with the given gap to the
+// trace's total. It reports false, leaving the total unchanged, if the
+// total would pass 2^64-1.
+func (d *Decoder) count(gap uint64) bool {
+	sum, carry := bits.Add64(d.instr, gap, 1)
+	if carry != 0 {
+		return false
+	}
+	d.instr = sum
+	return true
 }
 
 // readField reads one non-leading varint of a binary record, where EOF
@@ -358,6 +393,9 @@ func (d *Decoder) decodeText() (int, memtypes.Rec, error) {
 		core, rec, perr := d.parseLine(s)
 		if perr != nil {
 			return 0, memtypes.Rec{}, perr
+		}
+		if !d.count(rec.Gap) {
+			return 0, memtypes.Rec{}, errorf("line %d: gap %d takes the trace past 2^64-1 instructions", d.line, rec.Gap)
 		}
 		d.n++
 		return core, rec, nil

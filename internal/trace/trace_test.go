@@ -217,3 +217,56 @@ func TestEmptyInterleaver(t *testing.T) {
 		}
 	}
 }
+
+// overflowRecords retire 2^64-1 instructions in their first two records
+// (gaps 2^63-1 and 2^63-2), so the third, even with a zero gap, takes
+// the trace past what a uint64 instruction count holds.
+func overflowRecords() []struct {
+	core int
+	rec  memtypes.Rec
+} {
+	return []struct {
+		core int
+		rec  memtypes.Rec
+	}{
+		{0, memtypes.Rec{Gap: 1<<63 - 1}},
+		{1, memtypes.Rec{Gap: 1<<63 - 2, Addr: 64}},
+		{0, memtypes.Rec{Addr: 128, Write: true}},
+	}
+}
+
+// TestDecodeInstructionOverflow: a trace may retire exactly 2^64-1
+// instructions; the record that takes it past is a positioned error,
+// from Decode and DecodeBatch alike, in either encoding. (A text trace
+// opens with the writer's header comment, so record 3 is on line 4.)
+func TestDecodeInstructionOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		format Format
+		want   string
+	}{
+		{FormatText, "line 4: gap 0 takes the trace past 2^64-1 instructions"},
+		{FormatBinary, "record 3: gap 0 takes the trace past 2^64-1 instructions"},
+	} {
+		data := encode(t, overflowRecords(), tc.format, false)
+		d, err := NewDecoder(bytes.NewReader(data), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, _, err := d.Decode(); err != nil {
+				t.Fatalf("%v: record %d: %v", tc.format, i+1, err)
+			}
+		}
+		if _, _, err := d.Decode(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: Decode = %v, want %q", tc.format, err, tc.want)
+		}
+		d, err = NewDecoder(bytes.NewReader(data), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cores, recs := make([]int, 8), make([]memtypes.Rec, 8)
+		if n, err := d.DecodeBatch(cores, recs); n != 2 || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: DecodeBatch = %d, %v; want 2, %q", tc.format, n, err, tc.want)
+		}
+	}
+}
