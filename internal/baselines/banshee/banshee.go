@@ -64,6 +64,15 @@ func New(cfg Config, nm, fm *memsys.Device) *Banshee {
 	}
 }
 
+// Reset implements memtypes.Resetter: it invalidates every cached page
+// and forgets the candidates' sampled frequencies.
+func (b *Banshee) Reset() {
+	clear(b.entries)
+	clear(b.candFreq)
+	b.tick = 0
+	b.stats = memtypes.MemStats{}
+}
+
 // Name implements MemorySystem.
 func (b *Banshee) Name() string { return "BANSHEE" }
 

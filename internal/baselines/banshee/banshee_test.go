@@ -2,6 +2,7 @@ package banshee
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hybridmem/internal/memsys"
@@ -118,5 +119,32 @@ func TestServedSumsToRequests(t *testing.T) {
 	s := b.Stats()
 	if s.ServedNM+s.ServedFM != s.Requests {
 		t.Fatalf("served %d+%d != requests %d", s.ServedNM, s.ServedFM, s.Requests)
+	}
+}
+
+// TestResetRestoresBuiltState: after traffic that fills pages and writes
+// dirty victims back, Reset (with the devices reset) leaves exactly a
+// fresh build's state.
+func TestResetRestoresBuiltState(t *testing.T) {
+	b := newSmall()
+	rng := rand.New(rand.NewSource(4))
+	var now memtypes.Tick
+	for i := 0; i < 100000; i++ {
+		now += memtypes.Tick(rng.Intn(40))
+		addr := memtypes.Addr(rng.Intn(512)) << 12 // a hot set twice the cache
+		if i%4 == 0 {
+			addr = memtypes.Addr(rng.Int63n(8 << 20))
+		}
+		b.Access(now, addr+memtypes.Addr(rng.Intn(64))*64, rng.Intn(4) == 0)
+	}
+	b.Finish(now)
+	if b.stats.Migrations == 0 || b.stats.Evictions == 0 || len(b.candFreq) == 0 {
+		t.Fatalf("traffic filled %d pages, evicted %d, tracked %d candidates", b.stats.Migrations, b.stats.Evictions, len(b.candFreq))
+	}
+	b.Reset()
+	b.nm.Reset()
+	b.fm.Reset()
+	if !reflect.DeepEqual(*b, *newSmall()) {
+		t.Error("reset state differs from a fresh build")
 	}
 }

@@ -61,8 +61,8 @@ func New(cfg Config, nm, fm *memsys.Device) *CAMEO {
 	}
 }
 
-// Reset implements memtypes.Resetter: it unwinds the run's swaps and
-// empties the remap cache.
+// Reset implements memtypes.Resetter: it restores the groups the run
+// swapped and empties the remap cache.
 func (c *CAMEO) Reset() {
 	c.g.Reset()
 	c.rc.Reset()

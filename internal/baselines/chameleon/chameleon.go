@@ -86,7 +86,9 @@ type Chameleon struct {
 	ctr     []int16
 	lastSeg uint32 // globally last-accessed sector (episode counting)
 	// countedGrps is every group whose competing counter left its
-	// initial (no candidate) state this run, for Reset.
+	// initial (no candidate) state this run, once each, for Reset. Only
+	// a swap returns a counter to that state, and a swapped group stays
+	// listed in g until Reset.
 	countedGrps []uint32
 	// swapCredit paces swaps by demand: each FM demand access earns one
 	// credit; a 2 KB swap costs 64 (it moves 64 accesses worth of FM
@@ -98,9 +100,9 @@ type Chameleon struct {
 	cacheBase memtypes.Addr
 }
 
-// Reset implements memtypes.Resetter: it unwinds the swaps newest first,
-// clears the counters of the groups the run counted in and the installed
-// cache-mode segments, and zeroes the run's state.
+// Reset implements memtypes.Resetter: it restores the groups the run
+// swapped, clears the counters of the groups the run counted in and the
+// installed cache-mode segments, and zeroes the run's state.
 func (c *Chameleon) Reset() {
 	c.g.Reset()
 	for _, g := range c.countedGrps {
@@ -270,7 +272,7 @@ func (c *Chameleon) Access(now memtypes.Tick, addr memtypes.Addr, write bool) me
 			case c.cand[g] == uint8(j):
 				c.ctr[g]++
 			case c.ctr[g] <= 0:
-				if c.cand[g] == 255 {
+				if c.cand[g] == 255 && !c.g.Moved(g) {
 					c.countedGrps = append(c.countedGrps, g)
 				}
 				c.cand[g] = uint8(j)

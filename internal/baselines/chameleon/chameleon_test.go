@@ -240,6 +240,13 @@ func TestResetRestoresBuiltState(t *testing.T) {
 	if c.stats.Migrations == 0 || len(c.cache.where) == 0 {
 		t.Fatalf("traffic swapped %d, installed %d", c.stats.Migrations, len(c.cache.where))
 	}
+	counted := map[uint32]bool{}
+	for _, g := range c.countedGrps {
+		if counted[g] {
+			t.Fatalf("group %d listed twice for Reset", g)
+		}
+		counted[g] = true
+	}
 	c.Reset()
 	c.nm.Reset()
 	c.fm.Reset()

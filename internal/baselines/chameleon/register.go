@@ -14,7 +14,7 @@ func init() {
 		Kind:    design.KindMain,
 		Order:   2,
 		NeedsNM: true,
-		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
+		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.Resetter, error) {
 			cfg := Default(sys.NMBytes, sys.FMBytes, sys.Hybrid2CacheBytes(), design.RemapEntries(sys), sys.Seed)
 			return New(cfg, nm, fm), nil
 		},
@@ -25,7 +25,7 @@ func init() {
 		Kind:    design.KindExtra,
 		Order:   2,
 		NeedsNM: true,
-		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
+		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.Resetter, error) {
 			return New(PoM(sys.NMBytes, sys.FMBytes, design.RemapEntries(sys), sys.Seed), nm, fm), nil
 		},
 	})

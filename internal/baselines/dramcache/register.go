@@ -25,7 +25,7 @@ func init() {
 		Kind:    design.KindMain,
 		Order:   4,
 		NeedsNM: true,
-		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
+		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.Resetter, error) {
 			return New(Tagless(sys.NMBytes), nm, fm), nil
 		},
 	})
@@ -35,7 +35,7 @@ func init() {
 		Kind:    design.KindExtra,
 		Order:   4,
 		NeedsNM: true,
-		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
+		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.Resetter, error) {
 			return New(Alloy(sys.NMBytes), nm, fm), nil
 		},
 	})
@@ -47,7 +47,7 @@ func init() {
 		NeedsNM: true,
 		Params:  []design.Param{lineParam("cache-line size in bytes", true, 1024)},
 		Example: "DFC-1024",
-		Build: func(spec design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
+		Build: func(spec design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.Resetter, error) {
 			return New(DFC(sys.NMBytes, spec.Int("lineB")), nm, fm), nil
 		},
 	})
@@ -59,7 +59,7 @@ func init() {
 		NeedsNM: true,
 		Params:  []design.Param{lineParam("cache-line size in bytes", false, 0)},
 		Example: "IDEAL-256",
-		Build: func(spec design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
+		Build: func(spec design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.Resetter, error) {
 			return New(Ideal(sys.NMBytes, spec.Int("lineB")), nm, fm), nil
 		},
 	})

@@ -12,7 +12,7 @@ func init() {
 		Name: "Baseline",
 		Doc:  "far memory only (the paper's normalization point)",
 		Kind: design.KindBaseline,
-		Build: func(_ design.Spec, _ config.System, _, fm *memsys.Device) (memtypes.MemorySystem, error) {
+		Build: func(_ design.Spec, _ config.System, _, fm *memsys.Device) (memtypes.Resetter, error) {
 			return NewFMOnly(fm), nil
 		},
 	})

@@ -70,6 +70,15 @@ func New(cfg Config, nm, fm *memsys.Device) *Cache {
 	}
 }
 
+// Reset implements memtypes.Resetter: it invalidates every page and
+// forgets the footprint history.
+func (c *Cache) Reset() {
+	clear(c.entries)
+	clear(c.history)
+	c.clock = 0
+	c.stats = memtypes.MemStats{}
+}
+
 // Name implements MemorySystem.
 func (c *Cache) Name() string { return "FOOTPRINT" }
 

@@ -2,6 +2,7 @@ package footprint
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hybridmem/internal/memsys"
@@ -123,5 +124,32 @@ func TestServedSumsToRequests(t *testing.T) {
 	s := c.Stats()
 	if s.ServedNM+s.ServedFM != s.Requests {
 		t.Fatalf("served %d+%d != requests %d", s.ServedNM, s.ServedFM, s.Requests)
+	}
+}
+
+// TestResetRestoresBuiltState: after traffic that allocates pages and
+// evicts them into the footprint history, Reset (with the devices reset)
+// leaves exactly a fresh build's state.
+func TestResetRestoresBuiltState(t *testing.T) {
+	c := newSmall()
+	rng := rand.New(rand.NewSource(4))
+	var now memtypes.Tick
+	for i := 0; i < 100000; i++ {
+		now += memtypes.Tick(rng.Intn(40))
+		addr := memtypes.Addr(rng.Intn(1024)) << 11 // a hot set twice the cache
+		if i%4 == 0 {
+			addr = memtypes.Addr(rng.Int63n(8 << 20))
+		}
+		c.Access(now, addr+memtypes.Addr(rng.Intn(32))*64, rng.Intn(4) == 0)
+	}
+	c.Finish(now)
+	if c.stats.Evictions == 0 || len(c.history) == 0 {
+		t.Fatalf("traffic evicted %d pages, recorded %d footprints", c.stats.Evictions, len(c.history))
+	}
+	c.Reset()
+	c.nm.Reset()
+	c.fm.Reset()
+	if !reflect.DeepEqual(*c, *newSmall()) {
+		t.Error("reset state differs from a fresh build")
 	}
 }

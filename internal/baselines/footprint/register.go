@@ -14,7 +14,7 @@ func init() {
 		Kind:    design.KindExtra,
 		Order:   5,
 		NeedsNM: true,
-		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
+		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.Resetter, error) {
 			return New(Default(sys.NMBytes), nm, fm), nil
 		},
 	})

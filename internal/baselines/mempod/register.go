@@ -14,7 +14,7 @@ func init() {
 		Kind:    design.KindMain,
 		Order:   1,
 		NeedsNM: true,
-		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
+		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.Resetter, error) {
 			cfg := Default(sys.NMBytes, sys.FMBytes, design.RemapEntries(sys), sys.Seed)
 			cfg.IntervalCycles = memtypes.Tick(sys.IntervalCycles())
 			// The cap matches the paper's per-run NM turnover: shortened

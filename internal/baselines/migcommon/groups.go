@@ -8,7 +8,9 @@ package migcommon
 // migrates: a 64 B line for CAMEO, a 2 KB segment for Chameleon.
 //
 // Logical unit l is member l/Count of group l%Count. Member j starts in
-// NM if j is 0 and in FM unit g*K+(j-1) otherwise.
+// NM if j is 0 and in FM unit g*K+(j-1) otherwise. Reset rewrites only
+// the groups swapped since the last one, so no swap is logged and the
+// reset state is at most one entry per group, however long the run.
 type Groups struct {
 	// Count, K and Pinned are fixed at construction: groups, FM members
 	// per group, and FM units outside every group.
@@ -19,19 +21,15 @@ type Groups struct {
 	slots    []uint8
 	occupant []uint8
 
-	// swaps is the run's undo log, unwound by Reset.
-	swaps []groupSwap
+	// moved lists, once each, the groups swapped since construction or
+	// the last Reset; listed holds a bit per group, set while it is on
+	// moved.
+	moved  []uint32
+	listed []uint64
 
 	// An affine map with odd multiplier is a bijection on [0, permPow2);
 	// Logical walks its cycle until it lands inside the space.
 	permPow2, permMul, permAdd uint32
-}
-
-// groupSwap is one Swap: member j of group g moved into NM from member
-// slot v, and the previous occupant occ took v.
-type groupSwap struct {
-	g         uint32
-	occ, j, v uint8
 }
 
 // NewGroups splits nmUnits NM and fmUnits FM units into one group per
@@ -52,6 +50,7 @@ func NewGroups(nmUnits, fmUnits uint32, seed uint64) Groups {
 		Pinned:   fmUnits - nmUnits*k,
 		slots:    make([]uint8, uint64(nmUnits)*uint64(k+1)),
 		occupant: make([]uint8, nmUnits),
+		listed:   make([]uint64, (nmUnits+63)/64),
 		permMul:  uint32(seed)*8 + 5,
 		permAdd:  uint32(seed>>16) | 1,
 	}
@@ -106,6 +105,10 @@ func (s *Groups) Locate(logical uint32) (inNM bool, unit uint32) {
 // Occupant returns the member of group g that lives in NM.
 func (s *Groups) Occupant(g uint32) uint32 { return uint32(s.occupant[g]) }
 
+// Moved reports whether group g was swapped since construction or the
+// last Reset.
+func (s *Groups) Moved(g uint32) bool { return s.listed[g/64]&(1<<(g%64)) != 0 }
+
 // Swap moves member j of group g, which must be in FM, into the group's
 // NM unit, and the occupant into the FM unit j leaves, whose number it
 // returns. The caller charges the data movement.
@@ -114,23 +117,27 @@ func (s *Groups) Swap(g, j uint32) (fmUnit uint32) {
 	if v == 0 {
 		panic("migcommon: swap source already in NM")
 	}
-	s.swaps = append(s.swaps, groupSwap{g: g, occ: occ, j: uint8(j), v: v})
+	if !s.Moved(g) {
+		s.listed[g/64] |= 1 << (g % 64)
+		s.moved = append(s.moved, g)
+	}
 	s.slots[uint32(occ)*s.Count+g] = v
 	s.slots[j*s.Count+g] = 0
 	s.occupant[g] = uint8(j)
 	return g*s.K + uint32(v-1)
 }
 
-// Reset undoes every Swap since construction, newest first, restoring
-// the initial layout.
+// Reset restores the initial layout of every group swapped since
+// construction or the last Reset: member j in slot j, member 0 in NM.
 func (s *Groups) Reset() {
-	for i := len(s.swaps) - 1; i >= 0; i-- {
-		u := s.swaps[i]
-		s.slots[uint32(u.j)*s.Count+u.g] = u.v
-		s.slots[uint32(u.occ)*s.Count+u.g] = 0
-		s.occupant[u.g] = u.occ
+	for _, g := range s.moved {
+		for j := uint32(0); j <= s.K; j++ {
+			s.slots[j*s.Count+g] = uint8(j)
+		}
+		s.occupant[g] = 0
+		s.listed[g/64] = 0 // every group marked in the word is listed
 	}
-	s.swaps = s.swaps[:0]
+	s.moved = s.moved[:0]
 }
 
 // CheckInvariants verifies that each group's members occupy distinct

@@ -38,8 +38,9 @@ func checkLayout(t *testing.T, s *Groups, fmUnits uint32) {
 
 // TestGroupsRandomSwapsKeepLayout drives random geometries with random
 // swap sequences: Locate stays a bijection onto the NM and FM units,
-// the invariants hold after every swap, and Reset restores exactly a
-// fresh layout.
+// the invariants hold after every swap, the groups listed for Reset are
+// exactly the swapped ones, each once, and Reset restores exactly a
+// fresh layout with an empty list.
 func TestGroupsRandomSwapsKeepLayout(t *testing.T) {
 	prop := func(seed uint64, nmRaw, kRaw, pinRaw uint8, swaps uint16) bool {
 		nm := uint32(nmRaw%48) + 1
@@ -47,6 +48,7 @@ func TestGroupsRandomSwapsKeepLayout(t *testing.T) {
 		s := NewGroups(nm, fm, seed)
 		checkLayout(t, &s, fm)
 		rng := rand.New(rand.NewSource(int64(seed)))
+		swapped := map[uint32]bool{}
 		for i := 0; i < int(swaps%400); i++ {
 			l := uint32(rng.Intn(int(s.Units())))
 			g, j, grouped := s.Member(l)
@@ -64,18 +66,44 @@ func TestGroupsRandomSwapsKeepLayout(t *testing.T) {
 			if s.Occupant(g) != j {
 				t.Fatalf("group %d occupant %d after swapping in %d", g, s.Occupant(g), j)
 			}
+			swapped[g] = true
 			checkLayout(t, &s, fm)
 		}
+		if uint32(len(s.moved)) > s.Count || len(s.moved) != len(swapped) {
+			t.Fatalf("%d groups listed for Reset, %d swapped, %d in all", len(s.moved), len(swapped), s.Count)
+		}
+		for _, g := range s.moved {
+			if !swapped[g] {
+				t.Fatalf("group %d listed for Reset but never swapped", g)
+			}
+		}
 		s.Reset()
-		if len(s.swaps) != 0 {
-			t.Fatal("swap log not empty after Reset")
+		if len(s.moved) != 0 {
+			t.Fatal("groups still listed after Reset")
 		}
 		got, want := s, NewGroups(nm, fm, seed)
-		got.swaps = nil
+		got.moved = nil
 		return reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGroupsListEachSwappedGroupOnce: swapping one group back and forth
+// 10,000 times lists it for Reset once, so the reset state does not grow
+// with the run.
+func TestGroupsListEachSwappedGroupOnce(t *testing.T) {
+	s := NewGroups(64, 256, 1)
+	for i := range 10_000 {
+		s.Swap(5, uint32(i%int(s.K))+1)
+	}
+	if len(s.moved) != 1 || s.moved[0] != 5 {
+		t.Fatalf("listed %v after 10,000 swaps of group 5, want [5]", s.moved)
+	}
+	s.Reset()
+	if len(s.moved) != 0 || !s.CheckInvariants() || s.Occupant(5) != 0 {
+		t.Fatal("Reset left group 5 listed or out of its initial layout")
 	}
 }
 

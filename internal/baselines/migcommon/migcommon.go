@@ -9,7 +9,9 @@
 //     swaps wrote; no swap is logged.
 //   - Groups, used by CAMEO, Chameleon and POM: a congruence-group
 //     layout in which each NM unit holds one member of its group, and
-//     the swap that exchanges a member with the NM occupant.
+//     the swap that exchanges a member with the NM occupant. No swap
+//     is logged either: Reset rewrites the groups that moved, each
+//     listed once, to their closed-form initial layout.
 //   - RemapCache, used by all five and by SILC-FM: the on-chip cache of
 //     remap entries, sized equal to Hybrid2's XTA for the paper's fair
 //     comparison.

@@ -89,6 +89,16 @@ func New(cfg Config, nm, fm *memsys.Device) *SILCFM {
 	return s
 }
 
+// Reset implements memtypes.Resetter: it unclaims every way, forgets the
+// reuse episodes and empties the remap cache.
+func (s *SILCFM) Reset() {
+	clear(s.ways)
+	clear(s.episodes)
+	s.clock, s.lastSeg = 0, ^uint32(0)
+	s.rc.Reset()
+	s.stats = memtypes.MemStats{}
+}
+
 // Name implements MemorySystem.
 func (s *SILCFM) Name() string { return "SILC-FM" }
 

@@ -2,6 +2,7 @@ package silcfm
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hybridmem/internal/memsys"
@@ -118,5 +119,32 @@ func TestInvariantsUnderTraffic(t *testing.T) {
 	st := s.Stats()
 	if st.ServedNM+st.ServedFM != st.Requests {
 		t.Fatalf("served %d+%d != requests %d", st.ServedNM, st.ServedFM, st.Requests)
+	}
+}
+
+// TestResetRestoresBuiltState: after traffic that claims ways and evicts
+// dirty ones, Reset (with the devices reset) leaves exactly a fresh
+// build's state.
+func TestResetRestoresBuiltState(t *testing.T) {
+	s := newSmall(4)
+	rng := rand.New(rand.NewSource(4))
+	var now memtypes.Tick
+	for i := 0; i < 100000; i++ {
+		now += memtypes.Tick(rng.Intn(40))
+		addr := memtypes.Addr(rng.Intn(1024)) << 11 // a hot set twice the ways
+		if i%4 == 0 {
+			addr = memtypes.Addr(rng.Int63n(8 << 20))
+		}
+		s.Access(now, addr+memtypes.Addr(rng.Intn(32))*64, rng.Intn(4) == 0)
+	}
+	s.Finish(now)
+	if s.stats.Migrations == 0 || s.stats.Evictions == 0 || len(s.episodes) == 0 {
+		t.Fatalf("traffic claimed %d ways, evicted %d, counted %d segments", s.stats.Migrations, s.stats.Evictions, len(s.episodes))
+	}
+	s.Reset()
+	s.nm.Reset()
+	s.fm.Reset()
+	if !reflect.DeepEqual(*s, *newSmall(4)) {
+		t.Error("reset state differs from a fresh build")
 	}
 }

@@ -76,13 +76,12 @@ func ValidateRun(scale, nmRatio16 int, instrPerCore uint64) error {
 }
 
 // Scaled returns the system at the given scale with nmRatio16 sixteenths
-// of FM as NM (1, 2 or 4 in the paper: NM:FM of 1:16, 2:16, 4:16).
+// of FM as NM (1, 2 or 4 in the paper: NM:FM of 1:16, 2:16, 4:16). It
+// panics on a scale or ratio below 1; entry points reject those first
+// through ValidateRun.
 func Scaled(scale, nmRatio16 int) System {
-	if scale < 1 {
-		scale = 1
-	}
-	if nmRatio16 < 1 {
-		nmRatio16 = 1
+	if scale < 1 || nmRatio16 < 1 {
+		panic(fmt.Sprintf("config: scale %d and NM ratio %d/16 must both be at least 1", scale, nmRatio16))
 	}
 	return System{
 		Scale:        scale,

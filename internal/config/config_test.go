@@ -40,17 +40,16 @@ func TestScaledNMRatio(t *testing.T) {
 	}
 }
 
-func TestScaledClampsInvalidInputs(t *testing.T) {
-	sys := Scaled(0, 0)
-	if sys.Scale != 1 {
-		t.Errorf("scale clamped to %d, want 1", sys.Scale)
-	}
-	if sys.NMBytes != PaperNM1GB {
-		t.Errorf("NM %d, want unscaled %d", sys.NMBytes, uint64(PaperNM1GB))
-	}
-	neg := Scaled(-3, -1)
-	if neg.Scale != 1 || neg.NMBytes != PaperNM1GB {
-		t.Errorf("negative inputs not clamped: %+v", neg)
+func TestScaledPanicsOnInvalidInputs(t *testing.T) {
+	for _, in := range [][2]int{{0, 0}, {-3, -1}, {0, 1}, {16, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Scaled(%d, %d) did not panic", in[0], in[1])
+				}
+			}()
+			Scaled(in[0], in[1])
+		}()
 	}
 }
 

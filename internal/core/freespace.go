@@ -6,60 +6,14 @@
 // NM-to-FM copy when the displaced sector holds no live data.
 //
 // This file implements that extension. It is off by default (the paper
-// evaluates the base design); enable it with Config.FreeSpaceAware and
-// deliver hints through MarkFree/MarkUsed.
+// evaluates the base design); Config.FreeSectors hints a suffix of the
+// logical space free for the whole run.
 
 package core
-
-import "hybridmem/internal/memtypes"
-
-// MarkFree records an ISA-Free hint: the logical sectors fully covered by
-// [addr, addr+bytes) hold no live data. Displacing an unused sector from
-// NM needs no data copy, and evicting one from the DRAM cache needs no
-// write-back. The hint is ignored unless Config.FreeSpaceAware is set.
-func (h *Hybrid2) MarkFree(addr memtypes.Addr, bytes uint64) {
-	if !h.cfg.FreeSpaceAware {
-		return
-	}
-	h.forEachSector(addr, bytes, func(l uint32) { h.unused[l] = true })
-}
-
-// MarkUsed records an ISA-Alloc hint: the sectors overlapping
-// [addr, addr+bytes) hold (or are about to hold) live data again.
-func (h *Hybrid2) MarkUsed(addr memtypes.Addr, bytes uint64) {
-	if !h.cfg.FreeSpaceAware {
-		return
-	}
-	h.forEachSector(addr, bytes, func(l uint32) { h.unused[l] = false })
-}
-
-// UnusedSectors returns how many logical sectors are currently hinted
-// free (0 when the extension is disabled).
-func (h *Hybrid2) UnusedSectors() uint64 {
-	var n uint64
-	for _, u := range h.unused {
-		if u {
-			n++
-		}
-	}
-	return n
-}
 
 // SavedCopies reports how many sector copies the free-space extension
 // elided (allocation copies plus eviction write-backs).
 func (h *Hybrid2) SavedCopies() uint64 { return h.savedCopies }
 
-func (h *Hybrid2) forEachSector(addr memtypes.Addr, bytes uint64, f func(uint32)) {
-	sb := uint64(h.cfg.SectorBytes)
-	first := (uint64(addr) + sb - 1) / sb // only fully covered sectors
-	last := (uint64(addr) + bytes) / sb
-	n := uint64(h.Sectors())
-	for s := first; s < last && s < n; s++ {
-		f(uint32(s))
-	}
-}
-
 // sectorUnused reports whether a logical sector is hinted free.
-func (h *Hybrid2) sectorUnused(logical uint32) bool {
-	return h.cfg.FreeSpaceAware && h.unused[logical]
-}
+func (h *Hybrid2) sectorUnused(logical uint32) bool { return logical >= h.freeFrom }

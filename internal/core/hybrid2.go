@@ -85,11 +85,11 @@ type Config struct {
 	FMBudgetReset    memtypes.Tick
 	FreeStackOnChip  int
 	Mode             Mode
-	// FreeSpaceAware enables the §3.8 extension: ISA-Alloc/ISA-Free
-	// hints delivered through MarkFree/MarkUsed let the allocator and
-	// eviction paths skip copies of sectors holding no live data.
-	FreeSpaceAware bool
-	Seed           uint64
+	// FreeSectors enables the §3.8 extension: the last FreeSectors
+	// logical sectors are hinted free (ISA-Free), so the allocator and
+	// eviction paths skip copies of them. 0 turns the extension off.
+	FreeSectors uint32
+	Seed        uint64
 }
 
 // Default returns the paper's Hybrid2 configuration for the given
@@ -173,9 +173,9 @@ type Hybrid2 struct {
 	nextReset memtypes.Tick
 	metaBase  memtypes.Addr
 
-	// §3.8 free-space extension state. The hints are set-up, not run
-	// state: runs only read them, and Reset keeps them.
-	unused      []bool
+	// §3.8 free-space extension: logical sectors from freeFrom on are
+	// hinted free (none when it equals Sectors()).
+	freeFrom    uint32
 	savedCopies uint64
 
 	stats memtypes.MemStats
@@ -219,6 +219,21 @@ func (l loc) nm() bool { return l&locNM != 0 }
 // idx returns the sector's slot on its device.
 func (l loc) idx() uint32 { return uint32(l &^ locNM) }
 
+// slots returns the sector slots of the NM pool (NM less the metadata
+// reservation), of its cache slice, and of FM.
+func (c Config) slots() (pool, cache, fm uint32) {
+	meta := c.NMBytes * uint64(c.MetaFracPermille) / 1000
+	sb := uint64(c.SectorBytes)
+	return uint32((c.NMBytes - meta) / sb), uint32(c.CacheBytes / sb), uint32(c.FMBytes / sb)
+}
+
+// Sectors returns the size of the logical space New builds for c: the
+// flat NM slots plus FM.
+func (c Config) Sectors() uint32 {
+	pool, cache, fm := c.slots()
+	return pool - cache + fm
+}
+
 // New builds Hybrid2 over the two devices.
 func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 	if cfg.SectorBytes <= 0 || cfg.LineBytes <= 0 || cfg.SectorBytes%cfg.LineBytes != 0 {
@@ -228,9 +243,7 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 	if lps > 64 {
 		panic("core: more than 64 lines per sector unsupported")
 	}
-	metaBytes := cfg.NMBytes * uint64(cfg.MetaFracPermille) / 1000
-	pool := uint32((cfg.NMBytes - metaBytes) / uint64(cfg.SectorBytes))
-	cacheSlots := uint32(cfg.CacheBytes / uint64(cfg.SectorBytes))
+	pool, cacheSlots, fmSec := cfg.slots()
 	if cacheSlots == 0 || cacheSlots >= pool {
 		panic("core: cache slice must be a non-zero strict subset of NM")
 	}
@@ -239,9 +252,11 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 		panic("core: XTA set count must be a positive power of two")
 	}
 	flat := pool - cacheSlots
-	fmSec := uint32(cfg.FMBytes / uint64(cfg.SectorBytes))
 	if uint64(flat)+uint64(fmSec) >= uint64(locNM) {
 		panic("core: flat space exceeds 2^31 sectors")
+	}
+	if cfg.FreeSectors > flat+fmSec {
+		panic("core: more sectors hinted free than the flat space holds")
 	}
 
 	h := &Hybrid2{
@@ -262,6 +277,7 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 		freeFM:         make([]uint32, 0, cacheSlots),
 		nextReset:      cfg.FMBudgetReset,
 		metaBase:       memtypes.Addr(pool) * memtypes.Addr(cfg.SectorBytes),
+		freeFrom:       flat + fmSec - cfg.FreeSectors,
 	}
 
 	// Initial placement. Normal modes: logical sectors spread randomly
@@ -272,9 +288,6 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 		h.remap = placement.NewTable(placement.Perm(cfg.Seed, int(h.Sectors())))
 	}
 	h.placeNM()
-	if cfg.FreeSpaceAware {
-		h.unused = make([]bool, h.Sectors())
-	}
 	return h
 }
 

@@ -33,8 +33,8 @@ func TestGeometry(t *testing.T) {
 	if h.sets != 2 {
 		t.Fatalf("sets %d, want 2", h.sets)
 	}
-	if got := h.Sectors(); got == 0 {
-		t.Fatal("no logical sectors")
+	if got := h.Sectors(); got == 0 || got != h.cfg.Sectors() {
+		t.Fatalf("%d logical sectors built, Config.Sectors says %d", got, h.cfg.Sectors())
 	}
 	if !h.CheckInvariants() {
 		t.Fatal("invariants violated at construction")
@@ -43,10 +43,11 @@ func TestGeometry(t *testing.T) {
 
 func TestBadConfigPanics(t *testing.T) {
 	cases := []func(*Config){
-		func(c *Config) { c.LineBytes = 192 },            // not dividing sector
-		func(c *Config) { c.CacheBytes = 0 },             // no cache
-		func(c *Config) { c.CacheBytes = c.NMBytes * 2 }, // cache > NM
-		func(c *Config) { c.LineBytes = 16 },             // >64 lines/sector
+		func(c *Config) { c.LineBytes = 192 },               // not dividing sector
+		func(c *Config) { c.CacheBytes = 0 },                // no cache
+		func(c *Config) { c.CacheBytes = c.NMBytes * 2 },    // cache > NM
+		func(c *Config) { c.LineBytes = 16 },                // >64 lines/sector
+		func(c *Config) { c.FreeSectors = c.Sectors() + 1 }, // more free than flat
 	}
 	for i, mutate := range cases {
 		func() {
@@ -423,8 +424,8 @@ func TestPathStatsHotReuseMostly1a(t *testing.T) {
 	}
 }
 
-// TestResetRestoresBuiltState drives every mode (and the free-space
-// extension with hints set after New) through evictions, migrations and
+// TestResetRestoresBuiltState drives every mode (with and without a
+// free-hinted suffix of 1024 sectors) through evictions, migrations and
 // NM allocations, then requires Reset to leave exactly the state of a
 // fresh build: every sector's location, every NM slot's owner and
 // state, and every other field, devices included.
@@ -433,10 +434,11 @@ func TestResetRestoresBuiltState(t *testing.T) {
 		for _, free := range []bool{false, true} {
 			build := func() *Hybrid2 {
 				cfg := smallConfig()
-				cfg.Mode, cfg.FreeSpaceAware = mode, free
-				h := New(cfg, memsys.New(memsys.HBM2Config()), memsys.New(memsys.DDR4Config()))
-				h.MarkFree(1<<20, 2<<20)
-				return h
+				cfg.Mode = mode
+				if free {
+					cfg.FreeSectors = 1024
+				}
+				return New(cfg, memsys.New(memsys.HBM2Config()), memsys.New(memsys.DDR4Config()))
 			}
 			h := build()
 			now := drive(h, int64(mode))

@@ -32,7 +32,7 @@ func init() {
 		Kind:    design.KindMain,
 		Order:   6,
 		NeedsNM: true,
-		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
+		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.Resetter, error) {
 			return New(h2cfg(sys), nm, fm), nil
 		},
 	})
@@ -53,7 +53,7 @@ func init() {
 			Kind:    design.KindVariant,
 			Order:   2 + i,
 			NeedsNM: true,
-			Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
+			Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.Resetter, error) {
 				cfg := h2cfg(sys)
 				cfg.Mode = mode
 				return New(cfg, nm, fm), nil
@@ -94,7 +94,7 @@ func init() {
 			}
 			return nil
 		},
-		Build: func(spec design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
+		Build: func(spec design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.Resetter, error) {
 			cfg := h2cfg(sys)
 			val := spec.Int("val")
 			switch spec.Raw("knob") {
@@ -106,13 +106,8 @@ func init() {
 				cfg.FreeStackOnChip = val
 			case "assoc": // XTA associativity (paper: 16)
 				cfg.Assoc = val
-			case "free": // §3.8 extension with val/1000 of memory hinted free
-				cfg.FreeSpaceAware = true
-				h := New(cfg, nm, fm)
-				total := uint64(h.Sectors()) * uint64(cfg.SectorBytes)
-				freeBytes := total * uint64(val) / 1000
-				h.MarkFree(memtypes.Addr(total-freeBytes), freeBytes)
-				return h, nil
+			case "free": // §3.8 extension with the last val/1000 of memory hinted free
+				cfg.FreeSectors = uint32(uint64(cfg.Sectors()) * uint64(val) / 1000)
 			}
 			return New(cfg, nm, fm), nil
 		},
@@ -140,7 +135,7 @@ func init() {
 			}
 			return nil
 		},
-		Build: func(spec design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
+		Build: func(spec design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.Resetter, error) {
 			cacheBytes := uint64(spec.Int("cacheMB")) << 20 / uint64(sys.Scale)
 			cfg := Default(sys.NMBytes, sys.FMBytes, cacheBytes, sys.Seed)
 			cfg.FMBudgetReset = clampTick(sys.FMBudgetResetCycles())

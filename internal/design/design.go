@@ -105,8 +105,9 @@ type Value struct {
 }
 
 // Builder constructs a registered organization from a validated Spec.
-// nm is nil when the design's NeedsNM is false.
-type Builder func(spec Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error)
+// nm is nil when the design's NeedsNM is false. The organization must
+// reset (memtypes.Resetter), so the engine can reuse every machine.
+type Builder func(spec Spec, sys config.System, nm, fm *memsys.Device) (memtypes.Resetter, error)
 
 // Info describes one registered design family.
 type Info struct {
@@ -383,7 +384,7 @@ func parseValue(info *Info, p Param, raw string) (Value, error) {
 
 // Build parses a design name and constructs it over fresh devices; the
 // one-call form of Parse followed by Spec.Build.
-func Build(name string, sys config.System) (memtypes.MemorySystem, *memsys.Device, *memsys.Device, error) {
+func Build(name string, sys config.System) (memtypes.Resetter, *memsys.Device, *memsys.Device, error) {
 	spec, err := Parse(name)
 	if err != nil {
 		return nil, nil, nil, err
@@ -396,7 +397,7 @@ func Build(name string, sys config.System) (memtypes.MemorySystem, *memsys.Devic
 // escaping the constructor — a residual capacity constraint the parse
 // could not check without the system size — is converted into an error,
 // so no caller needs panic containment around construction.
-func (s Spec) Build(sys config.System) (ms memtypes.MemorySystem, nm, fm *memsys.Device, err error) {
+func (s Spec) Build(sys config.System) (ms memtypes.Resetter, nm, fm *memsys.Device, err error) {
 	if s.Info == nil {
 		return nil, nil, nil, errors.New("design: Build on a zero Spec")
 	}

@@ -127,7 +127,7 @@ func TestNeighborsOffLadderBrackets(t *testing.T) {
 // an integer parameter without a finite range fails at registration,
 // before any enumeration could attempt an infinite space.
 func TestRegisterRejectsUnboundedParam(t *testing.T) {
-	build := func(Spec, config.System, *memsys.Device, *memsys.Device) (memtypes.MemorySystem, error) {
+	build := func(Spec, config.System, *memsys.Device, *memsys.Device) (memtypes.Resetter, error) {
 		return nil, nil
 	}
 	for _, p := range []Param{

@@ -191,12 +191,7 @@ func legacyBuild(name string, sys config.System) (memtypes.MemorySystem, *memsys
 		case "assoc":
 			cfg.Assoc = val
 		case "free":
-			cfg.FreeSpaceAware = true
-			h := core.New(cfg, nm, fm)
-			total := uint64(h.Sectors()) * uint64(cfg.SectorBytes)
-			freeBytes := total * uint64(val) / 1000
-			h.MarkFree(memtypes.Addr(total-freeBytes), freeBytes)
-			return h, nm, fm, nil
+			cfg.FreeSectors = uint32(uint64(cfg.Sectors()) * uint64(val) / 1000)
 		default:
 			return nil, nil, nil, errors.New("unknown ablation knob " + knob)
 		}

@@ -90,6 +90,33 @@ func TestFailedRunDropsMachine(t *testing.T) {
 	}
 }
 
+// TestEveryDesignReusesItsMachine: SILC-FM, Banshee and Footprint, once
+// rebuilt for every run, now run a workload sweep on one machine too.
+func TestEveryDesignReusesItsMachine(t *testing.T) {
+	for _, d := range []string{"SILC-FM", "BANSHEE", "FOOTPRINT"} {
+		r := tiny()
+		r.Parallelism = 1
+		for _, wl := range r.Workloads() {
+			if _, err := r.ResultErr(wl, d, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := r.builds.Load(); n != 1 {
+			t.Errorf("%s: %d runs built %d machines, want 1", d, len(r.Workloads()), n)
+		}
+	}
+}
+
+// TestInvalidScaleIsARunError: config.Scaled panics on a scale below 1,
+// and a run that reaches it settles the panic as its error.
+func TestInvalidScaleIsARunError(t *testing.T) {
+	r := tiny()
+	r.Scale = 0
+	if _, err := r.ResultErr(r.Workloads()[0], "HYBRID2", 1); err == nil {
+		t.Fatal("a run at scale 0 reported no error")
+	}
+}
+
 // TestCloneCopiesKnobsSharesNoState: a clone copies every exported
 // field and starts with none of the original's unexported state — its
 // own memo, singleflight group and idle machines.

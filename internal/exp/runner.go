@@ -333,7 +333,7 @@ func (r *Runner) result(wl workload.Spec, designName string, ratio16, run int) (
 // its built state. smp is the run's sampler, nil when telemetry is off.
 type machine struct {
 	spec   design.Spec
-	ms     memtypes.MemorySystem
+	ms     memtypes.Resetter
 	nm, fm *memsys.Device
 	sys    config.System
 	smp    *telemetry.Sampler
@@ -346,7 +346,7 @@ func (m *machine) matches(spec design.Spec, sys config.System) bool {
 
 // reset returns m's design and devices to their built state.
 func (m *machine) reset() {
-	m.ms.(memtypes.Resetter).Reset()
+	m.ms.Reset()
 	if m.nm != nil {
 		m.nm.Reset()
 	}
@@ -372,12 +372,9 @@ func (r *Runner) takeIdle(spec design.Spec, sys config.System) *machine {
 	return nil
 }
 
-// putIdle keeps the machine of a successful run for reuse, if its design
-// can reset, dropping the oldest idle machine beyond one per worker.
+// putIdle keeps the machine of a successful run for reuse, dropping the
+// oldest idle machine beyond one per worker.
 func (r *Runner) putIdle(m *machine) {
-	if _, ok := m.ms.(memtypes.Resetter); !ok {
-		return
-	}
 	m.smp = nil // the sampler belongs to the finished run
 	r.idleMu.Lock()
 	defer r.idleMu.Unlock()
@@ -397,15 +394,15 @@ func workloadRun(wl workload.Spec) func(*machine) (sim.Result, error) {
 // execute runs simulate on a machine of spec's design at ratio16: the
 // one machine-and-simulate path behind every run method. The machine is
 // the previous run's when that run built the same design for the same
-// system and its design implements memtypes.Resetter — reset instead of
-// rebuilt, with identical results — and freshly built otherwise. A
-// candidate-major batch (one design's workloads back to back) thus
-// builds each design once per worker. With Telemetry set a sampler
-// rides along and the settled series goes to OnSeries, tagged with run.
-// A panic from the simulation settles as this run's error instead of
-// killing a worker goroutine or poisoning the memo with a zero result,
-// and the machine of a failed run is dropped; construction-time panics
-// are already errors from Spec.Build. The run carries pprof labels
+// system — reset instead of rebuilt, with identical results — and
+// freshly built otherwise. A candidate-major batch (one design's
+// workloads back to back) thus builds each design once per worker. With
+// Telemetry set a sampler rides along and the settled series goes to
+// OnSeries, tagged with run. A panic from the simulation, or from
+// config.Scaled on a scale or ratio below 1, settles as this run's error
+// instead of killing a worker goroutine or poisoning the memo with a
+// zero result, and the machine of a failed run is dropped;
+// construction-time panics are already errors from Spec.Build. The run carries pprof labels
 // design, workload and phase (build or reset, then simulate), so CPU
 // profiles attribute its samples.
 func (r *Runner) execute(name, designName string, spec design.Spec, ratio16, run int, simulate func(*machine) (sim.Result, error)) (res sim.Result, err error) {

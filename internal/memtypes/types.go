@@ -74,16 +74,17 @@ type MemorySystem interface {
 	Stats() *MemStats
 }
 
-// Resetter is the optional reuse contract of a MemorySystem. Reset
-// returns the instance to exactly the state its registered Build
-// function returned, post-construction set-up included (such as
-// Hybrid2's free-space hints), so the next run on it is
+// Resetter is a MemorySystem that can be reused: every registered
+// design builds one. Reset returns the instance to exactly the state its
+// registered Build function returned, so the next run on it is
 // indistinguishable from a run on a fresh build. It undoes only what
 // Access, Finish and Stats changed, at a cost proportional to that
 // state and to the design's near-memory and on-chip structures, never
-// to the whole capacity modelled. The devices a design runs
-// on are reset separately (memsys.Device.Reset) by whoever owns them.
+// to the whole capacity modelled or to the length of the run. The
+// devices a design runs on are reset separately (memsys.Device.Reset)
+// by whoever owns them.
 type Resetter interface {
+	MemorySystem
 	Reset()
 }
 

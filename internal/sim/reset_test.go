@@ -2,7 +2,7 @@ package sim_test
 
 // Reset equivalence: a machine reset after a run must simulate the next
 // run exactly like a fresh build — same Result, same telemetry series —
-// for every registered design that implements memtypes.Resetter.
+// for every registered design.
 
 import (
 	"reflect"
@@ -53,7 +53,6 @@ func TestResetMatchesFreshBuild(t *testing.T) {
 		wl, _ := workload.ByName(n)
 		wls = append(wls, wl)
 	}
-	resettable := map[string]bool{}
 	for _, name := range resetNames() {
 		spec, err := design.Parse(name)
 		if err != nil {
@@ -63,14 +62,9 @@ func TestResetMatchesFreshBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, ok := ms.(memtypes.Resetter)
-		if !ok {
-			continue
-		}
-		resettable[spec.Info.Name] = true
 		for i, wl := range wls {
 			if i > 0 {
-				rs.Reset()
+				ms.Reset()
 				if nm != nil {
 					nm.Reset()
 				}
@@ -91,11 +85,6 @@ func TestResetMatchesFreshBuild(t *testing.T) {
 			if !reflect.DeepEqual(gotSer, wantSer) {
 				t.Errorf("%s: run %d (%s): series on a reset machine differs from a fresh build's", name, i, wl.Name)
 			}
-		}
-	}
-	for _, base := range []string{"Baseline", "MPOD", "CHA", "POM", "CAMEO", "LGM", "TAGLESS", "DFC", "HYBRID2", "H2ABL", "H2DSE", "IDEAL", "ALLOY"} {
-		if !resettable[base] {
-			t.Errorf("%s does not implement memtypes.Resetter", base)
 		}
 	}
 }
