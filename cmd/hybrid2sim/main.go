@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -132,11 +133,18 @@ func run() error {
 	if err := writeSeries(*seriesJSON, *seriesCSV, sr, ser); err != nil {
 		return err
 	}
-	res := api.FromSim(sr)
-	speedup, err := hybridmem.Speedup(*design, *wl, cfg)
+	if sr.Cycles == 0 {
+		return errors.New("zero-cycle run")
+	}
+	// The speedup's baseline runs on the same runner, unsampled, so it
+	// neither costs a second design run nor replaces the design's series.
+	r.Telemetry = nil
+	base, err := r.ResultErr(spec, "Baseline", *ratio)
 	if err != nil {
 		return err
 	}
+	res := api.FromSim(sr)
+	speedup := float64(base.Cycles) / float64(sr.Cycles)
 
 	fmt.Printf("workload        %s\n", res.Workload)
 	fmt.Printf("design          %s\n", res.Design)

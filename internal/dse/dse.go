@@ -40,33 +40,40 @@
 //
 // # Multi-fidelity screening
 //
-// With Options.ScreenInstrPerCore set, the search runs in two phases.
-// A screening phase first explores up to ScreenBudget candidates at the
-// truncated instruction budget, using the same round machinery
-// (exploration then hill-climbing) against a screening-fidelity
-// baseline. When screening completes, the survivors — the screening
-// frontier plus its screened feasible ladder neighbors, in a
-// deterministic name-sorted order — are promoted to full fidelity and
-// evaluated in checkpointed rounds up to Budget. Screening runs are an
-// order of magnitude cheaper than full runs, so for the same total
-// instruction budget the search covers several times more of the space;
-// only the promoted survivors pay full price. The screening fidelity is
-// part of the checkpoint fingerprint, and the screened points are
-// checkpointed alongside the full evaluations, so interrupted
-// multi-fidelity searches resume byte-identically in either phase.
+// A search keeps its state in phases: one fidelity each, with its own
+// instruction budget, evaluation budget, baseline, trail and frontier.
+// Every search has a full-fidelity phase; Options.ScreenInstrPerCore
+// adds a screening phase, which runs first. Both go through the same
+// baseline, evaluation and restore paths. The screening phase explores
+// up to ScreenBudget candidates at the truncated instruction budget
+// with the round machinery above. When it is exhausted, its survivors
+// — the screening frontier plus its screened feasible ladder neighbors,
+// name-sorted — are promoted to the full phase and evaluated in
+// checkpointed rounds up to Budget. Screening runs are an order of
+// magnitude cheaper than full runs, so for the same total instruction
+// budget the search covers several times more of the space. The
+// screening fidelity is part of the checkpoint fingerprint, and the
+// screened points are checkpointed alongside the full evaluations, so
+// interrupted multi-fidelity searches resume byte-identically in
+// either phase.
 //
 // # Checkpointing
 //
 // With Options.Checkpoint set, the search atomically rewrites a JSON
 // state file after every completed round: schema version, an options
 // fingerprint (everything the round sequence depends on, budget
-// included), the RNG state, the baseline cycles, and the evaluated
-// points in order. Options.Resume loads that file, rebuilds the
-// frontier by folding the evaluated points, and continues the round
+// included), the RNG state, and each phase's baseline cycles and
+// evaluated points in order. Options.Resume loads that file, rebuilds
+// each phase's frontier by folding its points, and continues the round
 // sequence exactly where the interrupted run left off: a search
 // interrupted at any round boundary — by cancellation or by the
 // MaxRounds pause — and resumed yields byte-identical results to an
-// uninterrupted run at the same seed.
+// uninterrupted run at the same seed. Resume accepts only a state the
+// search can reach and returns an error for any other: screening state
+// without a screening phase, a baseline that is not one nonzero cycle
+// count per workload, a design outside the space or twice in a trail,
+// a feasible point with objectives no evaluation yields, a round count
+// the trails cannot fill, or a full evaluation of an unpromoted design.
 package dse
 
 import (
@@ -74,6 +81,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -114,7 +122,9 @@ type Options struct {
 	Seed uint64
 	// Scale, InstrPerCore, SimSeed and Ratio16 configure the underlying
 	// simulations (see exp.Runner); zero values mean the defaults
-	// (config.DefaultScale, 200k instructions, seed 1, 1:16 NM:FM).
+	// (config.DefaultScale, 200k instructions, seed 1, 1:16 NM:FM), and
+	// values config.ValidateRun rejects, negative ones included, are
+	// errors.
 	Scale        int
 	InstrPerCore uint64
 	SimSeed      uint64
@@ -232,15 +242,14 @@ func Search(ctx context.Context, opts Options) (Result, error) {
 		if err := s.restore(ck); err != nil {
 			return Result{}, err
 		}
-	}
-	if s.baseline == nil {
-		if err := s.evalBaseline(ctx, false); err != nil {
-			return s.result(), err
-		}
-	}
-	if s.screening() && s.screenBaseline == nil {
-		if err := s.evalBaseline(ctx, true); err != nil {
-			return s.result(), err
+	} else {
+		for _, ph := range []*phase{&s.full, s.screen} {
+			if ph == nil {
+				continue
+			}
+			if err := s.evalBaseline(ctx, ph); err != nil {
+				return s.result(), err
+			}
 		}
 	}
 	roundsBefore := s.rounds
@@ -249,12 +258,12 @@ func Search(ctx context.Context, opts Options) (Result, error) {
 			return s.result(), nil // paused; Complete stays false
 		}
 		rngBefore := s.rng.state
-		screen := s.screening() && !s.screenDone()
-		batch := s.nextBatch(screen)
+		ph := s.current()
+		batch := s.nextBatch(ph)
 		if len(batch) == 0 {
 			break
 		}
-		pts, err := s.evalBatch(ctx, batch, screen)
+		pts, err := s.evalBatch(ctx, ph, batch)
 		if err != nil {
 			// The aborted round never happened: restore the RNG so the
 			// flushed checkpoint reflects the last completed round, from
@@ -266,7 +275,8 @@ func Search(ctx context.Context, opts Options) (Result, error) {
 			return s.result(), err
 		}
 		foldStart := time.Now()
-		s.merge(pts, screen)
+		ph.record(pts)
+		s.rounds++
 		if s.opts.Phase != nil {
 			s.opts.Phase("frontier_fold", time.Since(foldStart))
 		}
@@ -281,32 +291,52 @@ func Search(ctx context.Context, opts Options) (Result, error) {
 	return res, nil
 }
 
-// searcher is the in-flight state of one search.
+// phase is the state of one fidelity of a search. A budget <= 0 means
+// the whole space; baseline holds cycles per workload in option order.
+type phase struct {
+	instr    uint64
+	budget   int
+	runner   *exp.Runner
+	baseline []uint64
+	pts      []Point
+	seen     map[string]bool
+	front    frontier
+}
+
+// exhausted reports whether the phase has spent its budget or
+// evaluated the whole space.
+func (p *phase) exhausted(space int) bool {
+	return (p.budget > 0 && len(p.pts) >= p.budget) || len(p.pts) >= space
+}
+
+// record folds evaluated points into the phase's trail and frontier.
+// Rounds never re-evaluate a design and restore rejects a trail that
+// lists one twice, so every point is new.
+func (p *phase) record(pts []Point) {
+	for _, q := range pts {
+		p.seen[q.Design] = true
+		p.front.add(q)
+	}
+	p.pts = append(p.pts, pts...)
+}
+
+// searcher is the in-flight state of one search: the full-fidelity
+// phase, and the screening phase of a multi-fidelity search (nil
+// otherwise).
 type searcher struct {
 	opts     Options
 	families []*design.Info
 	wls      []workload.Spec
 	enumOpts design.EnumOptions
-	runner   *exp.Runner
 
 	space    []design.Spec
 	spaceIdx map[string]int
 
-	rng      rng
-	rounds   int
-	baseline []uint64 // baseline cycles per workload, option order
-	evald    []Point
-	seen     map[string]bool
-	front    frontier
-	resumed  bool
-
-	// Screening (multi-fidelity) state, populated only when
-	// Options.ScreenInstrPerCore is set.
-	screenRunner   *exp.Runner
-	screenBaseline []uint64
-	screened       []Point
-	screenSeen     map[string]bool
-	screenFront    frontier
+	rng     rng
+	rounds  int
+	full    phase
+	screen  *phase
+	resumed bool
 }
 
 // newSearcher validates and normalizes the options and enumerates the
@@ -318,7 +348,7 @@ func newSearcher(opts Options) (*searcher, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.Scale <= 0 {
+	if opts.Scale == 0 {
 		opts.Scale = config.DefaultScale
 	}
 	if opts.InstrPerCore == 0 {
@@ -327,7 +357,7 @@ func newSearcher(opts Options) (*searcher, error) {
 	if opts.SimSeed == 0 {
 		opts.SimSeed = 1
 	}
-	if opts.Ratio16 <= 0 {
+	if opts.Ratio16 == 0 {
 		opts.Ratio16 = 1
 	}
 	if err := config.ValidateRun(opts.Scale, opts.Ratio16, opts.InstrPerCore); err != nil {
@@ -345,8 +375,6 @@ func newSearcher(opts Options) (*searcher, error) {
 		if opts.ScreenBudget <= 0 {
 			opts.ScreenBudget = 4 * opts.Budget
 		}
-	} else {
-		opts.ScreenBudget = 0
 	}
 	// Normalize the enumeration bounds the same way EnumOptions resolves
 	// them, so the checkpoint fingerprint — which embeds them — matches
@@ -359,7 +387,6 @@ func newSearcher(opts Options) (*searcher, error) {
 	s := &searcher{
 		opts:     opts,
 		enumOpts: design.EnumOptions{MaxPerParam: opts.MaxPerParam},
-		seen:     map[string]bool{},
 		rng:      rng{state: opts.Seed},
 	}
 	if opts.Families == nil {
@@ -411,42 +438,40 @@ func newSearcher(opts Options) (*searcher, error) {
 	if len(s.space) == 0 {
 		return nil, errors.New("dse: the selected families enumerate to an empty space")
 	}
-	s.runner = &exp.Runner{
-		Scale:        opts.Scale,
-		InstrPerCore: opts.InstrPerCore,
-		Seed:         opts.SimSeed,
-		Parallelism:  opts.Parallelism,
-		Store:        opts.Store,
-		SimCounter:   opts.SimCounter,
+	runner := func(instr uint64) *exp.Runner {
+		return &exp.Runner{Scale: opts.Scale, InstrPerCore: instr, Seed: opts.SimSeed,
+			Parallelism: opts.Parallelism, Store: opts.Store, SimCounter: opts.SimCounter}
 	}
-	if s.screening() {
-		s.screenSeen = map[string]bool{}
-		s.screenRunner = &exp.Runner{
-			Scale:        opts.Scale,
-			InstrPerCore: opts.ScreenInstrPerCore,
-			Seed:         opts.SimSeed,
-			Parallelism:  opts.Parallelism,
-			Store:        opts.Store,
-			SimCounter:   opts.SimCounter,
+	s.full = phase{instr: opts.InstrPerCore, budget: opts.Budget, runner: runner(opts.InstrPerCore), seen: map[string]bool{}}
+	if opts.ScreenInstrPerCore > 0 {
+		// At equal fidelities the phases share one runner, so screened
+		// runs are memo hits in the full phase.
+		s.screen = &phase{instr: opts.ScreenInstrPerCore, budget: opts.ScreenBudget, runner: s.full.runner, seen: map[string]bool{}}
+		if opts.ScreenInstrPerCore != opts.InstrPerCore {
+			s.screen.runner = runner(opts.ScreenInstrPerCore)
 		}
-	}
-	if s.opts.Eval == nil {
-		s.opts.Eval = s.localEval
 	}
 	return s, nil
 }
 
-// screening reports whether this is a multi-fidelity search.
-func (s *searcher) screening() bool { return s.opts.ScreenInstrPerCore > 0 }
+// current returns the phase the next round belongs to: the screening
+// phase until it is exhausted, then the full-fidelity one.
+func (s *searcher) current() *phase {
+	if s.screen != nil && !s.screen.exhausted(len(s.space)) {
+		return s.screen
+	}
+	return &s.full
+}
 
-// screenDone reports whether the screening phase has finished: the
-// screening budget is spent or the whole space has been screened.
-func (s *searcher) screenDone() bool {
-	return len(s.screened) >= s.opts.ScreenBudget || len(s.screened) >= len(s.space)
+// done reports whether the search has nothing left to do: the current
+// phase is the full-fidelity one and it is exhausted.
+func (s *searcher) done() bool {
+	ph := s.current()
+	return ph == &s.full && ph.exhausted(len(s.space))
 }
 
 // fingerprint encodes every option the round sequence depends on —
-// including the budget, which sets the exploration/hill-climb phase
+// including the budget, which sets the exploration/hill-climb
 // boundary. Pausing and resuming therefore happens at a fixed budget
 // (interrupt via MaxRounds or cancellation), never by growing it.
 func (s *searcher) fingerprint() string {
@@ -468,13 +493,14 @@ func (s *searcher) fingerprint() string {
 	// The screening fidelity changes the round sequence, so it is part of
 	// the fingerprint — but only when enabled, so checkpoints written by
 	// single-fidelity searches (including pre-screening ones) stay valid.
-	if s.screening() {
+	if s.screen != nil {
 		fp += fmt.Sprintf("|screen=%d|sbudget=%d", s.opts.ScreenInstrPerCore, s.opts.ScreenBudget)
 	}
 	return fp
 }
 
-// restore loads a checkpoint into the searcher.
+// restore loads a checkpoint into the searcher, one phase at a time,
+// and rejects a state the search cannot reach (see Checkpointing).
 func (s *searcher) restore(ck *checkpoint) error {
 	if want := s.fingerprint(); ck.Fingerprint != want {
 		return fmt.Errorf("dse: resume: checkpoint was written by a different search\n  checkpoint: %s\n  options:    %s", ck.Fingerprint, want)
@@ -482,41 +508,70 @@ func (s *searcher) restore(ck *checkpoint) error {
 	if ck.SpaceSize != len(s.space) {
 		return fmt.Errorf("dse: resume: checkpoint space size %d, options enumerate %d", ck.SpaceSize, len(s.space))
 	}
-	if len(ck.BaselineCycles) != len(s.wls) {
-		return fmt.Errorf("dse: resume: checkpoint has %d baseline runs for %d workloads", len(ck.BaselineCycles), len(s.wls))
-	}
-	for _, p := range ck.Evaluated {
-		if _, ok := s.spaceIdx[p.Design]; !ok {
-			return fmt.Errorf("dse: resume: checkpointed design %q is outside the search space", p.Design)
+	n := 0
+	for _, l := range []struct {
+		ph       *phase
+		name     string
+		baseline []uint64
+		pts      []Point
+	}{
+		{s.screen, "screening", ck.ScreenBaselineCycles, ck.Screened},
+		{&s.full, "full", ck.BaselineCycles, ck.Evaluated},
+	} {
+		if l.ph == nil {
+			if len(l.baseline) > 0 || len(l.pts) > 0 {
+				return errors.New("dse: resume: a single-fidelity checkpoint carries screening state")
+			}
+			continue
 		}
-	}
-	for _, p := range ck.Screened {
-		if _, ok := s.spaceIdx[p.Design]; !ok {
-			return fmt.Errorf("dse: resume: checkpointed screened design %q is outside the search space", p.Design)
+		if len(l.baseline) != len(s.wls) || slices.Contains(l.baseline, 0) {
+			return fmt.Errorf("dse: resume: checkpoint %s baseline %v is not one nonzero cycle count per workload (%d)", l.name, l.baseline, len(s.wls))
 		}
+		l.ph.baseline = l.baseline
+		for _, p := range l.pts {
+			i, ok := s.spaceIdx[p.Design]
+			switch {
+			case !ok:
+				return fmt.Errorf("dse: resume: checkpointed %s design %q is outside the search space", l.name, p.Design)
+			case l.ph.seen[p.Design]:
+				return fmt.Errorf("dse: resume: checkpointed %s trail lists %q twice", l.name, p.Design)
+			case !p.Infeasible && (!(p.Speedup > 0) || p.TrafficGB < 0 || p.CapacityMB != capacityMB(s.space[i], s.opts.Ratio16)):
+				return fmt.Errorf("dse: resume: checkpointed %s point %q has objectives no evaluation yields: %+v", l.name, p.Design, p.Objectives)
+			}
+			l.ph.record([]Point{p})
+		}
+		n += len(l.pts)
 	}
-	if s.screening() && ck.ScreenBaselineCycles != nil && len(ck.ScreenBaselineCycles) != len(s.wls) {
-		return fmt.Errorf("dse: resume: checkpoint has %d screening baseline runs for %d workloads", len(ck.ScreenBaselineCycles), len(s.wls))
+	if ck.Rounds < 0 || n < ck.Rounds || n > ck.Rounds*s.opts.BatchSize {
+		return fmt.Errorf("dse: resume: %d checkpointed points cannot fill %d rounds of at most %d", n, ck.Rounds, s.opts.BatchSize)
+	}
+	if s.screen != nil && len(s.full.pts) > 0 {
+		promoted := map[string]bool{}
+		if s.screen.exhausted(len(s.space)) {
+			for _, c := range s.promoted() {
+				promoted[c.Name] = true
+			}
+		}
+		for _, p := range s.full.pts {
+			if !promoted[p.Design] {
+				return fmt.Errorf("dse: resume: checkpointed full evaluation of %q was never promoted", p.Design)
+			}
+		}
 	}
 	s.rng.state = ck.RNG
 	s.rounds = ck.Rounds
-	s.baseline = ck.BaselineCycles
-	s.screenBaseline = ck.ScreenBaselineCycles
-	s.record(ck.Screened, true)
-	s.record(ck.Evaluated, false)
 	s.resumed = true
 	return nil
 }
 
-// evalBaseline runs the no-NM baseline once per workload — the
-// normalization point of every candidate's speedup — at full or
-// screening fidelity.
-func (s *searcher) evalBaseline(ctx context.Context, screen bool) error {
+// evalBaseline runs the no-NM baseline once per workload at the phase's
+// fidelity — the normalization point of its candidates' speedups.
+func (s *searcher) evalBaseline(ctx context.Context, ph *phase) error {
 	runs := make([]exp.Run, len(s.wls))
 	for i, wl := range s.wls {
 		runs[i] = exp.Run{Design: "Baseline", Workload: wl.Name, Ratio16: 1}
 	}
-	res, err := s.runBatch(ctx, runs, screen)
+	res, err := s.runBatch(ctx, ph, runs)
 	if err != nil {
 		return fmt.Errorf("dse: baseline: %w", err)
 	}
@@ -530,67 +585,47 @@ func (s *searcher) evalBaseline(ctx context.Context, screen bool) error {
 		}
 		cycles[i] = r.Cycles
 	}
-	if screen {
-		s.screenBaseline = cycles
-	} else {
-		s.baseline = cycles
-	}
+	ph.baseline = cycles
 	return nil
 }
 
-// done reports whether the search has nothing left to do.
-func (s *searcher) done() bool {
-	if s.screening() && !s.screenDone() {
-		return false // the screening phase is still running
-	}
-	if s.opts.Budget > 0 && len(s.evald) >= s.opts.Budget {
-		return true
-	}
-	return len(s.evald) >= len(s.space)
-}
-
-// nextBatch generates the next round of candidates for the given phase.
-// Only random picks advance the RNG, so exhaustive searches are
-// RNG-independent.
-func (s *searcher) nextBatch(screen bool) []design.Spec {
-	if screen {
-		return s.generateBatch(s.screenSeen, len(s.screened), s.opts.ScreenBudget, &s.screenFront)
-	}
-	if s.screening() {
+// nextBatch generates the next round of candidates for the given phase:
+// the promotion list for the full phase of a multi-fidelity search, the
+// round generator otherwise. Only random picks advance the RNG, so
+// exhaustive searches are RNG-independent.
+func (s *searcher) nextBatch(ph *phase) []design.Spec {
+	if ph == &s.full && s.screen != nil {
 		return s.nextPromoted()
 	}
-	return s.generateBatch(s.seen, len(s.evald), s.opts.Budget, &s.front)
+	return s.generateBatch(ph)
 }
 
-// generateBatch is the phase-independent round generator: exhaustive
-// enumeration when the space fits the budget, else seeded exploration
-// for the first half of the budget, then hill-climbing on the given
-// frontier's ladder neighborhoods.
-func (s *searcher) generateBatch(seen map[string]bool, evaluated, budget int, front *frontier) []design.Spec {
+// generateBatch is the round generator: exhaustive enumeration when the
+// space fits the phase's budget, else seeded exploration for the first
+// half of the budget, then hill-climbing on the phase's frontier's
+// ladder neighborhoods.
+func (s *searcher) generateBatch(ph *phase) []design.Spec {
 	var unseen []design.Spec
 	for _, c := range s.space {
-		if !seen[c.Name] {
+		if !ph.seen[c.Name] {
 			unseen = append(unseen, c)
 		}
 	}
 	if len(unseen) == 0 {
 		return nil
 	}
-	b := s.opts.BatchSize
-	if b > len(unseen) {
-		b = len(unseen)
-	}
-	if budget <= 0 || len(s.space) <= budget {
+	b := min(s.opts.BatchSize, len(unseen))
+	if ph.budget <= 0 || len(s.space) <= ph.budget {
 		return unseen[:b] // exhaustive: enumeration order
 	}
-	if evaluated < budget/2 {
-		return s.randomPick(unseen, b) // exploration phase
+	if len(ph.pts) < ph.budget/2 {
+		return s.randomPick(unseen, b) // exploration
 	}
 	// Hill-climb: the unseen ladder neighbors of the frontier,
 	// name-sorted, topped up randomly when the neighborhood runs dry.
 	var nbrs []design.Spec
 	inBatch := map[string]bool{}
-	for _, p := range front.sortedByName() {
+	for _, p := range ph.front.sortedByName() {
 		spec := s.space[s.spaceIdx[p.Design]]
 		ns, err := spec.Info.Neighbors(spec, s.enumOpts)
 		if err != nil {
@@ -600,7 +635,7 @@ func (s *searcher) generateBatch(seen map[string]bool, evaluated, budget int, fr
 			if _, ok := s.spaceIdx[n.Name]; !ok {
 				continue
 			}
-			if seen[n.Name] || inBatch[n.Name] {
+			if ph.seen[n.Name] || inBatch[n.Name] {
 				continue
 			}
 			inBatch[n.Name] = true
@@ -629,8 +664,8 @@ func (s *searcher) generateBatch(seen map[string]bool, evaluated, budget int, fr
 // It is a pure function of the screened points, so a resumed search
 // recomputes the identical list.
 func (s *searcher) promoted() []design.Spec {
-	feasible := make(map[string]bool, len(s.screened))
-	for _, p := range s.screened {
+	feasible := make(map[string]bool, len(s.screen.pts))
+	for _, p := range s.screen.pts {
 		if !p.Infeasible {
 			feasible[p.Design] = true
 		}
@@ -644,7 +679,7 @@ func (s *searcher) promoted() []design.Spec {
 		inSet[name] = true
 		out = append(out, s.space[s.spaceIdx[name]])
 	}
-	front := s.screenFront.sortedByName()
+	front := s.screen.front.sortedByName()
 	for _, p := range front {
 		add(p.Design)
 	}
@@ -677,7 +712,7 @@ func (s *searcher) promoted() []design.Spec {
 func (s *searcher) nextPromoted() []design.Spec {
 	var out []design.Spec
 	for _, c := range s.promoted() {
-		if s.seen[c.Name] {
+		if s.full.seen[c.Name] {
 			continue
 		}
 		out = append(out, c)
@@ -692,9 +727,7 @@ func (s *searcher) nextPromoted() []design.Spec {
 // checkpointed RNG (swap-remove sampling without replacement).
 func (s *searcher) randomPick(pool []design.Spec, k int) []design.Spec {
 	pool = append([]design.Spec(nil), pool...)
-	if k > len(pool) {
-		k = len(pool)
-	}
+	k = min(k, len(pool))
 	out := make([]design.Spec, 0, k)
 	for range k {
 		i := s.rng.intn(len(pool))
@@ -705,30 +738,25 @@ func (s *searcher) randomPick(pool []design.Spec, k int) []design.Spec {
 	return out
 }
 
-// evalBatch evaluates one round: every (candidate, workload) run fans
-// out through one runBatch call — the parallel in-process runner, or
-// the external evaluator of a distributed search. A canceled context
+// evalBatch evaluates one round of the given phase: every (candidate,
+// workload) run fans out through one runBatch call. A canceled context
 // (or evaluator failure) aborts the whole round — nothing of it is
 // recorded; a candidate whose runs fail for any other reason becomes an
 // infeasible point.
-func (s *searcher) evalBatch(ctx context.Context, batch []design.Spec, screen bool) ([]Point, error) {
-	baseline := s.baseline
-	if screen {
-		baseline = s.screenBaseline
-	}
+func (s *searcher) evalBatch(ctx context.Context, ph *phase, batch []design.Spec) ([]Point, error) {
 	runs := make([]exp.Run, 0, len(batch)*len(s.wls))
 	for _, c := range batch {
 		for _, wl := range s.wls {
 			runs = append(runs, exp.Run{Design: c.Name, Workload: wl.Name, Ratio16: s.opts.Ratio16})
 		}
 	}
-	res, err := s.runBatch(ctx, runs, screen)
+	res, err := s.runBatch(ctx, ph, runs)
 	if err != nil {
 		return nil, err
 	}
 	pts := make([]Point, len(batch))
 	for i, c := range batch {
-		pts[i] = s.score(c, res[i*len(s.wls):(i+1)*len(s.wls)], baseline)
+		pts[i] = s.score(c, res[i*len(s.wls):(i+1)*len(s.wls)], ph.baseline)
 	}
 	return pts, nil
 }
@@ -775,52 +803,33 @@ func capacityMB(c design.Spec, ratio16 int) float64 {
 	return 0
 }
 
-// merge folds a completed round into the search state.
-func (s *searcher) merge(pts []Point, screen bool) {
-	s.record(pts, screen)
-	s.rounds++
-}
-
-// record folds evaluated points into the evaluation trail and frontier
-// of the given phase.
-func (s *searcher) record(pts []Point, screen bool) {
-	if screen {
-		for _, p := range pts {
-			if s.screenSeen[p.Design] {
-				continue
-			}
-			s.screenSeen[p.Design] = true
-			s.screened = append(s.screened, p)
-			s.screenFront.add(p)
-		}
-		return
-	}
-	for _, p := range pts {
-		if s.seen[p.Design] {
-			continue
-		}
-		s.seen[p.Design] = true
-		s.evald = append(s.evald, p)
-		s.front.add(p)
-	}
-}
-
 // flush rewrites the checkpoint, if one is configured.
 func (s *searcher) flush() error {
 	if s.opts.Checkpoint == "" {
 		return nil
 	}
-	return saveCheckpoint(s.opts.Checkpoint, &checkpoint{
-		Version:              checkpointVersion,
-		Fingerprint:          s.fingerprint(),
-		RNG:                  s.rng.state,
-		Rounds:               s.rounds,
-		SpaceSize:            len(s.space),
-		BaselineCycles:       s.baseline,
-		ScreenBaselineCycles: s.screenBaseline,
-		Evaluated:            s.evald,
-		Screened:             s.screened,
-	})
+	ck := &checkpoint{
+		Version:        checkpointVersion,
+		Fingerprint:    s.fingerprint(),
+		RNG:            s.rng.state,
+		Rounds:         s.rounds,
+		SpaceSize:      len(s.space),
+		BaselineCycles: s.full.baseline,
+		Evaluated:      s.full.pts,
+	}
+	if s.screen != nil {
+		ck.ScreenBaselineCycles, ck.Screened = s.screen.baseline, s.screen.pts
+	}
+	return saveCheckpoint(s.opts.Checkpoint, ck)
+}
+
+// screened returns the screening trail; nil for a single-fidelity
+// search.
+func (s *searcher) screened() []Point {
+	if s.screen == nil {
+		return nil
+	}
+	return s.screen.pts
 }
 
 // emit streams a progress event.
@@ -830,11 +839,11 @@ func (s *searcher) emit(done bool) {
 	}
 	s.opts.Progress(Event{
 		Round:        s.rounds,
-		Evaluated:    len(s.evald),
+		Evaluated:    len(s.full.pts),
 		Budget:       s.opts.Budget,
 		SpaceSize:    len(s.space),
-		FrontierSize: len(s.front.pts),
-		Screened:     len(s.screened),
+		FrontierSize: len(s.full.front.pts),
+		Screened:     len(s.screened()),
 		Done:         done,
 	})
 }
@@ -842,9 +851,9 @@ func (s *searcher) emit(done bool) {
 // result assembles the (possibly partial) outcome.
 func (s *searcher) result() Result {
 	return Result{
-		Frontier:  s.front.sorted(),
-		Evaluated: append([]Point(nil), s.evald...),
-		Screened:  append([]Point(nil), s.screened...),
+		Frontier:  s.full.front.sorted(),
+		Evaluated: append([]Point(nil), s.full.pts...),
+		Screened:  append([]Point(nil), s.screened()...),
 		SpaceSize: len(s.space),
 		Rounds:    s.rounds,
 		Resumed:   s.resumed,

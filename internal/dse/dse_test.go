@@ -279,6 +279,18 @@ func TestSearchOptionValidation(t *testing.T) {
 	if _, err := Search(context.Background(), bad); err == nil {
 		t.Error("Resume from a missing checkpoint accepted")
 	}
+	// Zero means the default; a negative scale or ratio is an error, not
+	// the default.
+	bad = tinyOpts()
+	bad.Scale = -1
+	if _, err := Search(context.Background(), bad); err == nil {
+		t.Error("negative Scale accepted")
+	}
+	bad = tinyOpts()
+	bad.Ratio16 = -1
+	if _, err := Search(context.Background(), bad); err == nil {
+		t.Error("negative Ratio16 accepted")
+	}
 }
 
 // screenOpts is tinyOpts with multi-fidelity screening enabled: screen
@@ -484,5 +496,26 @@ func TestFingerprintPinned(t *testing.T) {
 	const want = "v1|fam=H2DSE|wl=mcf|budget=6|seed=7|simseed=1|scale=16|instr=20000|ratio=1|batch=2|maxvals=3|ubound=0"
 	if got := s.fingerprint(); got != want {
 		t.Fatalf("fingerprint\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestEqualFidelitiesShareARunner pins that a screening phase at the
+// full fidelity runs on the full phase's runner, so a promoted
+// candidate's full runs are memo hits of its screened ones.
+func TestEqualFidelitiesShareARunner(t *testing.T) {
+	opts := screenOpts()
+	opts.ScreenInstrPerCore = opts.InstrPerCore
+	s, err := newSearcher(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.screen.runner != s.full.runner {
+		t.Error("equal fidelities run on two runners")
+	}
+	if s, err = newSearcher(screenOpts()); err != nil {
+		t.Fatal(err)
+	}
+	if s.screen.runner == s.full.runner {
+		t.Error("different fidelities share a runner")
 	}
 }

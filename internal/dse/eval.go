@@ -52,15 +52,17 @@ func Measure(r sim.Result) EvalResult {
 // (in-process, loopback, distributed) yields byte-identical searches.
 type Evaluator func(ctx context.Context, cfg EvalConfig, runs []exp.Run) ([]EvalResult, error)
 
-// runBatch executes one batch of runs at the given fidelity through
-// the search's evaluator (see localEval) and checks that the outcomes
-// come back one per run.
-func (s *searcher) runBatch(ctx context.Context, runs []exp.Run, screen bool) ([]EvalResult, error) {
-	cfg := EvalConfig{Scale: s.opts.Scale, InstrPerCore: s.opts.InstrPerCore, SimSeed: s.opts.SimSeed}
-	if screen {
-		cfg.InstrPerCore = s.opts.ScreenInstrPerCore
+// runBatch executes one batch of runs at the phase's fidelity —
+// through Options.Eval when it is set, on the phase's runner otherwise
+// — and checks that the outcomes come back one per run.
+func (s *searcher) runBatch(ctx context.Context, ph *phase, runs []exp.Run) ([]EvalResult, error) {
+	var out []EvalResult
+	var err error
+	if s.opts.Eval != nil {
+		out, err = s.opts.Eval(ctx, EvalConfig{Scale: s.opts.Scale, InstrPerCore: ph.instr, SimSeed: s.opts.SimSeed}, runs)
+	} else {
+		out, err = localEval(ctx, ph.runner, runs)
 	}
-	out, err := s.opts.Eval(ctx, cfg, runs)
 	if err != nil {
 		return nil, err
 	}
@@ -70,13 +72,8 @@ func (s *searcher) runBatch(ctx context.Context, runs []exp.Run, screen bool) ([
 	return out, nil
 }
 
-// localEval is the Evaluator a search without Options.Eval installs: it
-// runs each batch in-process on the runner of the batch's fidelity.
-func (s *searcher) localEval(ctx context.Context, cfg EvalConfig, runs []exp.Run) ([]EvalResult, error) {
-	runner := s.runner
-	if cfg.InstrPerCore != runner.InstrPerCore {
-		runner = s.screenRunner
-	}
+// localEval runs a batch in-process on the given runner.
+func localEval(ctx context.Context, runner *exp.Runner, runs []exp.Run) ([]EvalResult, error) {
 	res, errs := runner.ResultsByName(ctx, runs)
 	if err := ctx.Err(); err != nil {
 		return nil, err

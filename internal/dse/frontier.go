@@ -95,13 +95,7 @@ func (f *frontier) sorted() []Point {
 // transitive, so every dominated point is rejected or evicted no matter
 // when its dominator arrives — which is what lets a distributed search
 // shard its evaluations freely.
-func FrontierOf(pts []Point) []Point {
-	var f frontier
-	for _, p := range pts {
-		f.add(p)
-	}
-	return f.sorted()
-}
+func FrontierOf(pts []Point) []Point { return MergeFrontiers(pts) }
 
 // MergeFrontiers folds per-shard frontiers into the frontier of their
 // union: MergeFrontiers(FrontierOf(s) for every shard s of S) is

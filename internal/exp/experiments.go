@@ -157,36 +157,37 @@ func Fig11(r *Runner) (Table, map[string]float64) {
 // classesAndAll is the row layout of Figures 12 and 15-18.
 var classesAndAll = []string{"High", "Medium", "Low", "All"}
 
-// classValues evaluates metric per workload and aggregates it with
-// geomean per MPKI class plus the overall geomean.
-func (r *Runner) classValues(metric func(wl workload.Spec) float64) []float64 {
-	byClass := map[string][]float64{}
-	var all []float64
-	for _, wl := range r.Workloads() {
-		v := metric(wl)
-		byClass[wl.Class.String()] = append(byClass[wl.Class.String()], v)
-		all = append(all, v)
+// classTable sweeps the given designs at ratio16, then tabulates for
+// each main design the geomean of metric per MPKI class and over every
+// workload, each cell formatted by cell: the layout of Figures 12 and
+// 15-18.
+func (r *Runner) classTable(title string, sweep []string, ratio16 int, cell func(float64) string, metric func(wl workload.Spec, d string) float64) (Table, map[string][]float64) {
+	t := Table{Title: title, Header: append([]string{"Design"}, classesAndAll...)}
+	r.mustSweep(sweep, []int{ratio16})
+	out := make(map[string][]float64)
+	for _, d := range MainDesigns {
+		byClass := map[string][]float64{}
+		for _, wl := range r.Workloads() {
+			v := metric(wl, d)
+			byClass[wl.Class.String()] = append(byClass[wl.Class.String()], v)
+			byClass["All"] = append(byClass["All"], v)
+		}
+		row := []string{d}
+		for _, c := range classesAndAll {
+			g := stats.Geomean(byClass[c])
+			out[d] = append(out[d], g)
+			row = append(row, cell(g))
+		}
+		t.AddRow(row...)
 	}
-	out := make([]float64, 0, 4)
-	for _, c := range classesAndAll[:3] {
-		out = append(out, stats.Geomean(byClass[c]))
-	}
-	return append(out, stats.Geomean(all))
+	return t, out
 }
 
 // Fig12 reproduces Figure 12: geomean speedup per MPKI class for each
 // design at NM:FM ratios 1:16, 2:16 and 4:16.
 func Fig12(r *Runner, ratio16 int) (Table, map[string][]float64) {
-	t := Table{Title: fmt.Sprintf("Figure 12 (%d GB-scale NM, %d:16): geomean speedup by MPKI class", ratio16, ratio16),
-		Header: append([]string{"Design"}, classesAndAll...)}
-	r.mustSweep(withBaseline(MainDesigns), []int{ratio16})
-	out := make(map[string][]float64)
-	for _, d := range MainDesigns {
-		vals := r.classValues(func(wl workload.Spec) float64 { return r.Speedup(wl, d, ratio16) })
-		out[d] = vals
-		t.AddRow(d, f3(vals[0]), f3(vals[1]), f3(vals[2]), f3(vals[3]))
-	}
-	return t, out
+	return r.classTable(fmt.Sprintf("Figure 12 (%d GB-scale NM, %d:16): geomean speedup by MPKI class", ratio16, ratio16),
+		withBaseline(MainDesigns), ratio16, f3, func(wl workload.Spec, d string) float64 { return r.Speedup(wl, d, ratio16) })
 }
 
 // Fig13 reproduces Figure 13: per-benchmark speedup at the 1:16 ratio.
@@ -230,72 +231,32 @@ func Fig14(r *Runner) (Table, map[string]float64) {
 // Fig15 reproduces Figure 15: fraction of processor requests served from
 // NM, geomean per MPKI class (1:16 NM).
 func Fig15(r *Runner) (Table, map[string][]float64) {
-	t := Table{Title: "Figure 15: requests served from NM (1:16 NM)",
-		Header: append([]string{"Design"}, classesAndAll...)}
-	r.mustSweep(MainDesigns, []int{1})
-	out := make(map[string][]float64)
-	for _, d := range MainDesigns {
-		vals := r.classValues(func(wl workload.Spec) float64 {
-			return r.Result(wl, d, 1).ServedNMFrac()
-		})
-		out[d] = vals
-		t.AddRow(d, pct(vals[0]), pct(vals[1]), pct(vals[2]), pct(vals[3]))
-	}
-	return t, out
+	return r.classTable("Figure 15: requests served from NM (1:16 NM)", MainDesigns, 1, pct,
+		func(wl workload.Spec, d string) float64 { return r.Result(wl, d, 1).ServedNMFrac() })
 }
 
 // Fig16 reproduces Figure 16: FM traffic normalized to the baseline.
 func Fig16(r *Runner) (Table, map[string][]float64) {
-	t := Table{Title: "Figure 16: normalized FM traffic (1:16 NM)",
-		Header: append([]string{"Design"}, classesAndAll...)}
-	r.mustSweep(withBaseline(MainDesigns), []int{1})
-	out := make(map[string][]float64)
-	for _, d := range MainDesigns {
-		vals := r.classValues(func(wl workload.Spec) float64 {
-			base := r.Result(wl, "Baseline", 1)
-			res := r.Result(wl, d, 1)
-			return stats.Ratio(float64(res.Mem.FMTraffic()), float64(base.Mem.FMTraffic()))
-		})
-		out[d] = vals
-		t.AddRow(d, f2(vals[0]), f2(vals[1]), f2(vals[2]), f2(vals[3]))
-	}
-	return t, out
+	return r.classTable("Figure 16: normalized FM traffic (1:16 NM)", withBaseline(MainDesigns), 1, f2, func(wl workload.Spec, d string) float64 {
+		base, res := r.Result(wl, "Baseline", 1), r.Result(wl, d, 1)
+		return stats.Ratio(float64(res.Mem.FMTraffic()), float64(base.Mem.FMTraffic()))
+	})
 }
 
 // Fig17 reproduces Figure 17: NM traffic normalized to the baseline's
 // total memory traffic.
 func Fig17(r *Runner) (Table, map[string][]float64) {
-	t := Table{Title: "Figure 17: normalized NM traffic (1:16 NM)",
-		Header: append([]string{"Design"}, classesAndAll...)}
-	r.mustSweep(withBaseline(MainDesigns), []int{1})
-	out := make(map[string][]float64)
-	for _, d := range MainDesigns {
-		vals := r.classValues(func(wl workload.Spec) float64 {
-			base := r.Result(wl, "Baseline", 1)
-			res := r.Result(wl, d, 1)
-			return stats.Ratio(float64(res.Mem.NMTraffic()), float64(base.Mem.FMTraffic()))
-		})
-		out[d] = vals
-		t.AddRow(d, f2(vals[0]), f2(vals[1]), f2(vals[2]), f2(vals[3]))
-	}
-	return t, out
+	return r.classTable("Figure 17: normalized NM traffic (1:16 NM)", withBaseline(MainDesigns), 1, f2, func(wl workload.Spec, d string) float64 {
+		base, res := r.Result(wl, "Baseline", 1), r.Result(wl, d, 1)
+		return stats.Ratio(float64(res.Mem.NMTraffic()), float64(base.Mem.FMTraffic()))
+	})
 }
 
 // Fig18 reproduces Figure 18: dynamic memory energy normalized to the
 // baseline.
 func Fig18(r *Runner) (Table, map[string][]float64) {
-	t := Table{Title: "Figure 18: normalized dynamic memory energy (1:16 NM)",
-		Header: append([]string{"Design"}, classesAndAll...)}
-	r.mustSweep(withBaseline(MainDesigns), []int{1})
-	out := make(map[string][]float64)
-	for _, d := range MainDesigns {
-		vals := r.classValues(func(wl workload.Spec) float64 {
-			base := r.Result(wl, "Baseline", 1)
-			res := r.Result(wl, d, 1)
-			return stats.Ratio(res.DynamicEnergyNJ(), base.DynamicEnergyNJ())
-		})
-		out[d] = vals
-		t.AddRow(d, f2(vals[0]), f2(vals[1]), f2(vals[2]), f2(vals[3]))
-	}
-	return t, out
+	return r.classTable("Figure 18: normalized dynamic memory energy (1:16 NM)", withBaseline(MainDesigns), 1, f2, func(wl workload.Spec, d string) float64 {
+		base, res := r.Result(wl, "Baseline", 1), r.Result(wl, d, 1)
+		return stats.Ratio(res.DynamicEnergyNJ(), base.DynamicEnergyNJ())
+	})
 }
