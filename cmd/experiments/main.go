@@ -135,6 +135,10 @@ func run() int {
 	r.Seed = *seed
 	r.Parallelism = *parallel
 	r.Store = st
+	if err := (hybridmem.Config{Scale: r.Scale, NMRatio16: 1, InstrPerCore: r.InstrPerCore}).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		return 2
+	}
 
 	want := map[string]bool{}
 	for _, s := range strings.Split(*runSel, ",") {

@@ -76,11 +76,9 @@ func run() error {
 		fmt.Println("Workloads:", hybridmem.Workloads())
 		return nil
 	}
-	if *scale < 1 {
-		return fmt.Errorf("-scale must be >= 1, got %d", *scale)
-	}
-	if *ratio != 1 && *ratio != 2 && *ratio != 4 {
-		return fmt.Errorf("-ratio must be 1, 2 or 4, got %d", *ratio)
+	cfg := hybridmem.Config{Scale: *scale, NMRatio16: *ratio, InstrPerCore: *instr, Seed: *seed}
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 
 	// Telemetry is passive: the printed measurements are identical with
@@ -118,10 +116,6 @@ func run() error {
 		return nil
 	}
 
-	cfg := hybridmem.Config{Scale: *scale, NMRatio16: *ratio, InstrPerCore: *instr, Seed: *seed}
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
 	spec, ok := workload.ByName(*wl)
 	if !ok {
 		return fmt.Errorf("unknown workload %q", *wl)

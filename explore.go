@@ -105,25 +105,10 @@ type ExploreProgress struct {
 	Done     bool
 }
 
-// ExplorePoint is one evaluated candidate design of an exploration.
-type ExplorePoint struct {
-	Design string `json:"design"`
-	// Speedup is the geometric-mean speedup over the no-NM baseline
-	// across the evaluated workloads (maximized by the search).
-	Speedup float64 `json:"speedup"`
-	// CapacityMB is the paper-scale DRAM capacity the design spends:
-	// its cacheMB parameter when the family has one, the full near
-	// memory otherwise (minimized).
-	CapacityMB float64 `json:"capacity_mb"`
-	// TrafficGB is the mean write traffic per run — all NM and FM
-	// write bytes combined, including demand writes, fills, migrations,
-	// writebacks and metadata — in GB (minimized).
-	TrafficGB float64 `json:"traffic_gb"`
-	// Infeasible marks a candidate that failed to build or run at the
-	// simulated scale; Err carries the reason.
-	Infeasible bool   `json:"infeasible,omitempty"`
-	Err        string `json:"error,omitempty"`
-}
+// ExplorePoint is one evaluated candidate design of an exploration: the
+// engine's wire type, so ExploreResult and the served explore document
+// carry the same fields under the same JSON tags.
+type ExplorePoint = api.ExplorePoint
 
 // ExploreResult is the outcome of an exploration.
 type ExploreResult struct {
@@ -259,14 +244,8 @@ func Explore(ctx context.Context, opts ExploreOptions) (ExploreResult, error) {
 	return out, nil
 }
 
-// fromPoints converts internal search points to the public form
-// through dse's wire projection (the points of APIDoc), so ExplorePoint
-// converts from api.ExplorePoint and cannot drift from it.
+// fromPoints projects internal search points through dse's wire
+// mapping, the one that builds the served explore document.
 func fromPoints(pts []dse.Point) []ExplorePoint {
-	wire := dse.Result{Evaluated: pts}.APIDoc().Evaluated
-	out := make([]ExplorePoint, len(wire))
-	for i, p := range wire {
-		out[i] = ExplorePoint(p)
-	}
-	return out
+	return dse.Result{Evaluated: pts}.APIDoc().Evaluated
 }

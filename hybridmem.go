@@ -129,21 +129,11 @@ func Designs() []string {
 	return append([]string{"Baseline"}, exp.MainDesigns...)
 }
 
-// DesignParam describes one typed parameter of a design-name grammar.
-type DesignParam struct {
-	Name string
-	Doc  string
-	// Min and Max bound integer values inclusively. Ignored when Enum
-	// is set.
-	Min, Max int
-	// Pow2 additionally requires a positive power of two.
-	Pow2 bool
-	// Enum non-nil lists the admissible tokens of a textual parameter.
-	Enum []string
-	// Optional parameters may be omitted and then take Default.
-	Optional bool
-	Default  int
-}
+// DesignParam describes one typed parameter of a design-name grammar:
+// an integer bounded by Min and Max (and a power of two when Pow2 is
+// set), or a token from Enum; an Optional parameter may be omitted and
+// then takes Default. It is the registry's own type.
+type DesignParam = design.Param
 
 // DesignInfo describes one registered memory-organization family.
 type DesignInfo struct {
@@ -171,7 +161,7 @@ func AllDesigns() []DesignInfo {
 	for i, info := range infos {
 		params := make([]DesignParam, len(info.Params))
 		for j, p := range info.Params {
-			params[j] = DesignParam(p)
+			params[j] = p
 			params[j].Enum = append([]string(nil), p.Enum...)
 		}
 		out[i] = DesignInfo{

@@ -106,12 +106,22 @@ func NewSweep(srs []sim.Result) Sweep {
 // ExplorePoint is the wire form of one evaluated candidate of a
 // design-space exploration (see internal/dse.Point).
 type ExplorePoint struct {
-	Design     string  `json:"design"`
-	Speedup    float64 `json:"speedup"`
+	Design string `json:"design"`
+	// Speedup is the geometric-mean speedup over the no-NM baseline
+	// across the evaluated workloads (maximized by the search).
+	Speedup float64 `json:"speedup"`
+	// CapacityMB is the paper-scale DRAM capacity the design spends:
+	// its cacheMB parameter when the family has one, the full near
+	// memory otherwise (minimized).
 	CapacityMB float64 `json:"capacity_mb"`
-	TrafficGB  float64 `json:"traffic_gb"`
-	Infeasible bool    `json:"infeasible,omitempty"`
-	Err        string  `json:"error,omitempty"`
+	// TrafficGB is the mean write traffic per run — all NM and FM
+	// write bytes combined, including demand writes, fills, migrations,
+	// writebacks and metadata — in GB (minimized).
+	TrafficGB float64 `json:"traffic_gb"`
+	// Infeasible marks a candidate that failed to build or run at the
+	// simulated scale; Err carries the reason.
+	Infeasible bool   `json:"infeasible,omitempty"`
+	Err        string `json:"error,omitempty"`
 }
 
 // Explore is the top-level document of a design-space exploration:

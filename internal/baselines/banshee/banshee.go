@@ -119,9 +119,7 @@ func (b *Banshee) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memt
 	// update candidate counters and can trigger a page fill.
 	if sampled {
 		if len(b.candFreq) >= 8192 {
-			for k := range b.candFreq {
-				delete(b.candFreq, k)
-			}
+			clear(b.candFreq)
 		}
 		b.candFreq[page]++
 		victim := &ways[minWay]

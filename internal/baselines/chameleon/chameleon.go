@@ -205,9 +205,7 @@ func (c *Chameleon) cacheAccess(now memtypes.Tick, addr memtypes.Addr, fmAddr me
 	// Miss: serve from FM, track reuse, install on the threshold touch.
 	done := c.fm.Access(now, fmAddr, 64, write)
 	if len(sc.touches) >= 8192 {
-		for k := range sc.touches {
-			delete(sc.touches, k)
-		}
+		clear(sc.touches)
 	}
 	if !repeat {
 		sc.touches[seg]++

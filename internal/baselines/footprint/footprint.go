@@ -179,9 +179,7 @@ func (c *Cache) evict(now memtypes.Tick, set, way int) {
 	c.stats.UsedBytes += uint64(bits.OnesCount32(w.usedVec)) * 64
 	c.stats.Evictions++
 	if len(c.history) >= c.cfg.HistoryMax {
-		for k := range c.history {
-			delete(c.history, k)
-		}
+		clear(c.history)
 	}
 	c.history[page] = w.usedVec
 	w.valid = false

@@ -126,9 +126,7 @@ func (l *LGM) interval(now memtypes.Tick) {
 	l.fmDemand = 0
 	// Bound the tracking structures (they model finite SRAM tables).
 	if len(l.touched) > 32768 {
-		for k := range l.touched {
-			delete(l.touched, k)
-		}
+		clear(l.touched)
 		l.candQ = l.candQ[:0]
 	}
 }

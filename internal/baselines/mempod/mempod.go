@@ -60,8 +60,7 @@ type MemPod struct {
 	rc    *migcommon.RemapCache
 	stats memtypes.MemStats
 
-	mea      []meaEntry
-	meaIdx   map[uint32]int
+	mea      []meaEntry // at most MEACounters entries, each segment once
 	debt     uint32
 	fmDemand int // FM demand accesses this interval (migration pacing)
 	nmFIFO   uint32
@@ -72,7 +71,6 @@ type MemPod struct {
 func New(cfg Config, nm, fm *memsys.Device) *MemPod {
 	m := &MemPod{
 		cfg:     cfg,
-		meaIdx:  make(map[uint32]int, cfg.MEACounters),
 		nextInt: cfg.IntervalCycles,
 	}
 	m.space = migcommon.NewSpace(cfg.SectorBytes, cfg.NMBytes, cfg.FMBytes, nm, fm, &m.stats, cfg.Seed)
@@ -86,7 +84,6 @@ func (m *MemPod) Reset() {
 	m.rc.Reset()
 	m.stats = memtypes.MemStats{}
 	m.mea = m.mea[:0]
-	clear(m.meaIdx)
 	m.debt, m.fmDemand, m.nmFIFO = 0, 0, 0
 	m.nextInt = m.cfg.IntervalCycles
 }
@@ -101,20 +98,19 @@ func (m *MemPod) Stats() *memtypes.MemStats { return m.space.Stats() }
 // incremented; untracked ones claim an expired slot or, if none, charge
 // the global decrement (the classic decrement-all, done lazily via debt).
 func (m *MemPod) observe(seg uint32) {
-	if i, ok := m.meaIdx[seg]; ok {
-		m.mea[i].count++
-		return
+	for i := range m.mea {
+		if m.mea[i].seg == seg {
+			m.mea[i].count++
+			return
+		}
 	}
 	if len(m.mea) < m.cfg.MEACounters {
-		m.meaIdx[seg] = len(m.mea)
 		m.mea = append(m.mea, meaEntry{seg: seg, count: m.debt + 1})
 		return
 	}
 	for i := range m.mea {
 		if m.mea[i].count <= m.debt {
-			delete(m.meaIdx, m.mea[i].seg)
 			m.mea[i] = meaEntry{seg: seg, count: m.debt + 1}
-			m.meaIdx[seg] = i
 			return
 		}
 	}
@@ -153,9 +149,6 @@ func (m *MemPod) interval(now memtypes.Tick) {
 		migrated++
 	}
 	m.mea = m.mea[:0]
-	for k := range m.meaIdx {
-		delete(m.meaIdx, k)
-	}
 	m.debt = 0
 	m.fmDemand = 0
 }

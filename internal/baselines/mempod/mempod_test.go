@@ -60,9 +60,12 @@ func TestMEAMajorityElementSurvives(t *testing.T) {
 			m.observe(uint32(1000 + i)) // unique noise
 		}
 	}
-	if i, ok := m.meaIdx[42]; !ok || m.mea[i].count <= m.debt {
-		t.Fatal("majority element lost by MEA")
+	for _, e := range m.mea {
+		if e.seg == 42 && e.count > m.debt {
+			return
+		}
 	}
+	t.Fatal("majority element lost by MEA")
 }
 
 func TestInvariantsUnderTraffic(t *testing.T) {

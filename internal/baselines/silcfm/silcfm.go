@@ -175,9 +175,7 @@ func (s *SILCFM) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memty
 	done := s.fm.Access(now, fmHome, 64, write)
 	if !repeat {
 		if len(s.episodes) >= 8192 {
-			for k := range s.episodes {
-				delete(s.episodes, k)
-			}
+			clear(s.episodes)
 		}
 		s.episodes[seg]++
 		if int(s.episodes[seg]) >= s.cfg.ClaimEpisodes {

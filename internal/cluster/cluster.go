@@ -38,10 +38,10 @@
 // requeues the shard (with backoff) and counts against its attempt
 // budget; a runner that fails several RPCs in a row — or misses
 // heartbeats past HeartbeatTimeout — is dropped from the pool and its
-// in-flight shards are re-dispatched to the survivors. With
-// LocalFallback set the coordinator itself executes shards whenever no
-// runner is live, so a cluster that loses every node degrades to exactly
-// the single-process behaviour instead of stalling.
+// in-flight shards are re-dispatched to the survivors. The coordinator
+// itself executes shards whenever no runner is live, so a cluster that
+// has no node, or loses every node, degrades to exactly the
+// single-process behaviour instead of stalling.
 //
 // # Persistence
 //
@@ -118,10 +118,6 @@ type CoordinatorOptions struct {
 	// FailuresToDrop is how many consecutive RPC failures expel a runner
 	// from the pool; <= 0 means 3.
 	FailuresToDrop int
-	// LocalFallback lets the coordinator execute shards in-process
-	// whenever no runner is live, so a runnerless (or fully failed)
-	// cluster degrades to single-process execution instead of stalling.
-	LocalFallback bool
 	// LocalParallelism bounds the in-process fallback executor's
 	// concurrent simulations; <= 0 means GOMAXPROCS.
 	LocalParallelism int

@@ -136,12 +136,12 @@ func TestEmptyBatch(t *testing.T) {
 }
 
 // TestLocalFallback runs a batch on a coordinator with no runners at
-// all: LocalFallback must execute everything in-process, byte-identical
-// to a plain local sweep.
+// all: the coordinator must execute everything in-process,
+// byte-identical to a plain local sweep, without waiting for a join.
 func TestLocalFallback(t *testing.T) {
 	cfg, runs := testConfig(), testRuns()[:6]
 	want := localSweepBytes(t, cfg, runs)
-	c := NewCoordinator(CoordinatorOptions{ShardSize: 2, LocalFallback: true, LocalParallelism: 2})
+	c := NewCoordinator(CoordinatorOptions{ShardSize: 2, LocalParallelism: 2})
 	outs, err := c.Run(context.Background(), cfg, runs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -359,6 +359,110 @@ func TestRunWaitsForLosingSteals(t *testing.T) {
 	}
 }
 
+// rejoinProbe counts the shard calls in flight across every handle of
+// one runner ID, by handle generation. Each handle's transport is a
+// rejoinTransport carrying its generation; gen is the live one.
+type rejoinProbe struct {
+	mu      sync.Mutex
+	gen     int
+	active  map[int]int
+	cur     int
+	peak    int
+	retired int // calls started by a handle older than gen
+}
+
+type rejoinTransport struct {
+	p   *rejoinProbe
+	gen int
+}
+
+// runShard holds each call 20 ms and answers with empty outcomes.
+func (r rejoinTransport) runShard(ctx context.Context, req ShardRequest) (ShardResponse, error) {
+	p := r.p
+	p.mu.Lock()
+	if r.gen < p.gen {
+		p.retired++
+	}
+	p.active[r.gen]++
+	p.cur++
+	p.peak = max(p.peak, p.cur)
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.active[r.gen]--
+		p.cur--
+		p.mu.Unlock()
+	}()
+	select {
+	case <-time.After(20 * time.Millisecond):
+	case <-ctx.Done():
+		return ShardResponse{}, ctx.Err()
+	}
+	return ShardResponse{Runs: make([]RunOutcome, len(req.Runs))}, nil
+}
+
+// TestRejoinRetiresOldHandle re-registers a runner five times during one
+// batch. Each re-join replaces the pool's handle, so the old handle's
+// worker finishes its in-flight call and takes no further shard: calls
+// on the runner never overlap by more than the old handle's last call
+// plus the new handle's one slot.
+func TestRejoinRetiresOldHandle(t *testing.T) {
+	p := &rejoinProbe{active: make(map[int]int)}
+	c := NewCoordinator(CoordinatorOptions{ShardSize: 1, MaxInFlight: 1, MaxSteals: -1})
+	handle := func(gen int) *runnerHandle {
+		return &runnerHandle{id: "r", addr: "loopback", transport: rejoinTransport{p: p, gen: gen}, loopback: true}
+	}
+	c.join(handle(0))
+	runs := append(testRuns(), testRuns()...)
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Run(context.Background(), testConfig(), runs, nil)
+		done <- err
+	}()
+	for gen := 1; gen <= 5; gen++ {
+		// Re-join while the live handle's call is held, with the probe
+		// locked so that call cannot settle first: the retired worker's
+		// next pick comes strictly after the join.
+		deadline := time.Now().Add(10 * time.Second)
+		for joined := false; !joined; {
+			p.mu.Lock()
+			if p.active[gen-1] > 0 {
+				p.gen = gen
+				c.join(handle(gen))
+				joined = true
+			}
+			p.mu.Unlock()
+			if !joined {
+				select {
+				case err := <-done:
+					t.Fatalf("batch ended after %d re-joins (err %v)", gen-1, err)
+				default:
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("generation %d never took a shard", gen-1)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		// Space re-joins past the hold, so the retired call has settled.
+		time.Sleep(30 * time.Millisecond)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.retired != 0 {
+		t.Errorf("retired handles started %d shard calls, want 0", p.retired)
+	}
+	if p.peak > 2 {
+		t.Errorf("peak concurrent calls on the runner = %d, want <= 2", p.peak)
+	}
+	if st := c.Stats(); st.RunnersLive != 1 || st.RunnersJoined != 6 {
+		t.Errorf("stats %+v, want 1 live runner after 6 joins", st)
+	}
+}
+
 // failTransport refuses every call — a runner whose process died.
 type failTransport struct{}
 
@@ -481,8 +585,8 @@ func TestDroppedResponsesRetry(t *testing.T) {
 }
 
 // TestShardExhaustsAttempts pins the give-up path: with every runner
-// broken and no fallback, the batch must fail with a shard-attribution
-// error instead of hanging.
+// broken (the local fallback stands down while they are live), the
+// batch must fail with a shard-attribution error instead of hanging.
 func TestShardExhaustsAttempts(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{
 		ShardSize: 2, MaxAttempts: 2, FailuresToDrop: 100, RetryBackoff: time.Millisecond,

@@ -23,7 +23,11 @@ type transport interface {
 	runShard(ctx context.Context, req ShardRequest) (ShardResponse, error)
 }
 
-// runnerHandle is the coordinator's view of one registered runner.
+// runnerHandle is the coordinator's view of one registered runner. A
+// registered handle is live exactly while the pool maps its ID to it: a
+// drop deletes the entry, and a re-join under the same ID replaces it,
+// retiring the old handle. The per-batch local handle is never
+// registered and is live for its batch.
 type runnerHandle struct {
 	id        string
 	addr      string
@@ -33,7 +37,6 @@ type runnerHandle struct {
 
 	// Guarded by the coordinator's mu.
 	lastBeat   time.Time
-	dead       bool
 	inFlight   int
 	dispatched uint64
 }
@@ -96,7 +99,8 @@ type RunnerStat struct {
 }
 
 // NewCoordinator returns a coordinator with no runners; runners join
-// via HandleJoin/Join, AttachLoopback, or not at all (LocalFallback).
+// via HandleJoin/Join or AttachLoopback. Until one does, and whenever
+// the pool is empty, the coordinator executes shards in-process.
 func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	return &Coordinator{
 		opts:    opts.withDefaults(),
@@ -180,6 +184,8 @@ func (c *Coordinator) Join(id, addr string) time.Duration {
 
 // join installs a handle into the pool, replacing any previous
 // registration under the same ID, and offers it to active dispatchers.
+// A replaced handle is retired: its workers take no further shard, and
+// its in-flight calls still settle.
 func (c *Coordinator) join(h *runnerHandle) {
 	c.mu.Lock()
 	h.lastBeat = time.Now()
@@ -199,7 +205,7 @@ func (c *Coordinator) Heartbeat(id string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	h, ok := c.runners[id]
-	if !ok || h.dead {
+	if !ok {
 		return false
 	}
 	h.lastBeat = time.Now()
@@ -223,14 +229,14 @@ func (c *Coordinator) AttachLoopback(n, parallelism int) {
 
 // dropRunner expels a runner from the pool (RPC failures or heartbeat
 // expiry); its in-flight shards are requeued by their workers' fail
-// paths.
+// paths. A handle the pool no longer holds — already dropped, or
+// replaced by a re-join — is left alone.
 func (c *Coordinator) dropRunner(h *runnerHandle, reason string) {
 	c.mu.Lock()
-	if h.dead {
+	if c.runners[h.id] != h {
 		c.mu.Unlock()
 		return
 	}
-	h.dead = true
 	delete(c.runners, h.id)
 	c.stats.RunnersDropped++
 	active := append([]*dispatcher(nil), c.active...)
@@ -321,9 +327,10 @@ func (c *Coordinator) HandleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // settle without dispatch; the rest are sharded, and each successful
 // outcome is persisted under its run key. progress (optional) is called
 // with completed and total run counts, first for the warm runs and then
-// as shards finish. Run fails only on cancellation, a shard exhausting
-// its attempt budget, or an empty pool with LocalFallback off; per-run
-// failures ride the outcome Err slots.
+// as shards finish. Run fails only on cancellation or a shard exhausting
+// its attempt budget; per-run failures ride the outcome Err slots. With
+// no live runner the coordinator executes shards itself, so Run never
+// waits for a join.
 func (c *Coordinator) Run(ctx context.Context, cfg Config, runs []exp.Run, progress func(done, total int)) ([]RunOutcome, error) {
 	if len(runs) == 0 {
 		return nil, nil
@@ -365,11 +372,12 @@ func (c *Coordinator) Evaluator() dse.Evaluator {
 	}
 }
 
-// isDead reports whether a handle has been expelled from the pool.
+// isDead reports whether a registered handle has left the pool,
+// dropped or replaced by a re-join.
 func (c *Coordinator) isDead(h *runnerHandle) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return h.dead
+	return !h.local && c.runners[h.id] != h
 }
 
 // liveCount counts registered runners (the local fallback handle is

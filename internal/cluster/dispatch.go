@@ -104,11 +104,11 @@ func newDispatcher(c *Coordinator, cfg Config, runs []exp.Run, progress func(don
 	return d
 }
 
-// run executes the batch: workers for every current runner (plus the
-// local fallback, when enabled), a monitor for liveness and late
-// joiners, and a wait for the last shard. With an empty pool and no
-// fallback it blocks until a runner joins or ctx cancels — queued work
-// waits for capacity, it is not an error. Once the batch settles its
+// run executes the batch: workers for every current runner plus the
+// local fallback, a monitor for liveness and late joiners, and a wait
+// for the last shard. The fallback takes shards only while the pool is
+// empty, so a runnerless (or fully failed) cluster degrades to
+// in-process execution instead of stalling. Once the batch settles its
 // context is canceled and run waits for its own goroutines, so no
 // losing steal is still simulating (or writing to the store) after run
 // returns.
@@ -146,15 +146,13 @@ func (d *dispatcher) run(parent context.Context) ([]RunOutcome, error) {
 	for _, h := range c.liveRunners() {
 		d.addRunner(h)
 	}
-	if c.opts.LocalFallback {
-		d.addRunner(&runnerHandle{
-			id:        "local",
-			addr:      "local",
-			transport: c.exec(c.localParallelism()),
-			loopback:  true,
-			local:     true,
-		})
-	}
+	d.addRunner(&runnerHandle{
+		id:        "local",
+		addr:      "local",
+		transport: c.exec(c.localParallelism()),
+		loopback:  true,
+		local:     true,
+	})
 
 	d.mu.Lock()
 	for d.fatal == nil && d.remaining > 0 && ctx.Err() == nil {

@@ -41,9 +41,9 @@ func (r *recordingTransport) runShard(ctx context.Context, req ShardRequest) (Sh
 // the result store: a batch leaves exactly one record per run — the
 // record exp.Runner keys by store.RunKey — and an identical later batch
 // is served from those records, across a coordinator restart, without
-// any dispatch at all. The warm coordinator has no runners and no local
-// fallback, so the test would time out rather than pass if anything
-// were dispatched.
+// any dispatch at all. The warm coordinator has no runners, so anything
+// dispatched would run on its local fallback and show in
+// ShardsDispatched, which must stay 0.
 func TestWarmStoreServesRunsWithoutDispatch(t *testing.T) {
 	dir := t.TempDir()
 	cfg, runs := testConfig(), testRuns()
@@ -147,9 +147,9 @@ func TestWarmStoreDispatchesOnlyColdRuns(t *testing.T) {
 
 // TestWarmStoreSettlesLocalRuns: the coordinator and exp.Runner address
 // one set of records, so runs a local runner persisted settle a
-// clustered batch. The coordinator has no runners and no local
-// fallback: the test would time out rather than pass if anything were
-// dispatched.
+// clustered batch. The coordinator has no runners: anything dispatched
+// would run on its local fallback and show in ShardsDispatched, which
+// must stay 0.
 func TestWarmStoreSettlesLocalRuns(t *testing.T) {
 	dir := t.TempDir()
 	cfg, runs := testConfig(), testRuns()[:4]

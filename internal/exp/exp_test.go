@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"hybridmem/internal/obs"
 	"hybridmem/internal/workload"
 )
 
@@ -63,6 +65,35 @@ func TestUnknownDesignPanics(t *testing.T) {
 	}()
 	r := tiny()
 	r.Result(r.Workloads()[0], "BOGUS", 1)
+}
+
+// TestRunnerRejectsBadConfig: a run whose configuration
+// config.ValidateRun rejects fails before anything simulates, and the
+// ratio is checked as passed, also for a design that ignores near
+// memory.
+func TestRunnerRejectsBadConfig(t *testing.T) {
+	var sims obs.Counter
+	r := tiny()
+	r.InstrPerCore = 0
+	r.SimCounter = &sims
+	wl := r.Workloads()[0]
+	if _, err := r.ResultErr(wl, "Baseline", 1); err == nil {
+		t.Error("zero-instruction run accepted")
+	}
+	if _, err := r.RunTrace("t", strings.NewReader("0 10 1000 R\n"), "Baseline", 1, 2); err == nil {
+		t.Error("zero-instruction trace run accepted")
+	}
+	if n := sims.Value(); n != 0 {
+		t.Errorf("rejected runs simulated %d times", n)
+	}
+
+	r = tiny()
+	if _, err := r.ResultErr(wl, "Baseline", 3); err == nil {
+		t.Error("ResultErr accepted NM ratio 3")
+	}
+	if _, errs := r.ResultsByName(context.Background(), []Run{{Design: "Baseline", Workload: wl.Name, Ratio16: 3}}); errs[0] == nil {
+		t.Error("ResultsByName accepted NM ratio 3")
+	}
 }
 
 func TestFig11PointsWithinBudget(t *testing.T) {

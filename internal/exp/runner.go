@@ -280,15 +280,17 @@ func (r *Runner) Persist(key string, res sim.Result) {
 }
 
 // ResultErr runs (or recalls) one workload on one design at an NM ratio.
-// The design name resolves through the registry before anything is
-// cached or simulated, so malformed names and out-of-range parameters
-// fail here as parse errors. Duplicate in-flight runs coalesce:
-// concurrent callers of the same (workload, design, ratio) block on one
-// simulation and share its result. With a Store attached, a run found
-// (and verified) in the store's disk tier is decoded instead of
-// simulated, and completed simulations are persisted for every future
-// runner sharing the store. With Telemetry set the run is sampled
-// instead: it always executes and its series goes to OnSeries.
+// The runner's scale and instruction budget and the ratio as passed must
+// pass config.ValidateRun, and the design name resolves through the
+// registry, before anything is cached or simulated: a bad configuration,
+// a malformed name or an out-of-range parameter fails here. Duplicate
+// in-flight runs coalesce: concurrent callers of the same (workload,
+// design, ratio) block on one simulation and share its result. With a
+// Store attached, a run found (and verified) in the store's disk tier is
+// decoded instead of simulated, and completed simulations are persisted
+// for every future runner sharing the store. With Telemetry set the run
+// is sampled instead: it always executes and its series goes to
+// OnSeries.
 func (r *Runner) ResultErr(wl workload.Spec, designName string, ratio16 int) (sim.Result, error) {
 	return r.result(wl, designName, ratio16, 0)
 }
@@ -296,6 +298,9 @@ func (r *Runner) ResultErr(wl workload.Spec, designName string, ratio16 int) (si
 // result is ResultErr for the run'th spec of a call, the index that
 // tags its telemetry.
 func (r *Runner) result(wl workload.Spec, designName string, ratio16, run int) (sim.Result, error) {
+	if err := config.ValidateRun(r.Scale, ratio16, r.InstrPerCore); err != nil {
+		return sim.Result{}, fmt.Errorf("exp: run %s/%s: %w", wl.Name, designName, err)
+	}
 	spec, ratio16, err := resolve(designName, ratio16)
 	if err != nil {
 		return sim.Result{}, err
@@ -398,13 +403,12 @@ func workloadRun(wl workload.Spec) func(*machine) (sim.Result, error) {
 // freshly built otherwise. A candidate-major batch (one design's
 // workloads back to back) thus builds each design once per worker. With
 // Telemetry set a sampler rides along and the settled series goes to
-// OnSeries, tagged with run. A panic from the simulation, or from
-// config.Scaled on a scale or ratio below 1, settles as this run's error
-// instead of killing a worker goroutine or poisoning the memo with a
-// zero result, and the machine of a failed run is dropped;
-// construction-time panics are already errors from Spec.Build. The run carries pprof labels
-// design, workload and phase (build or reset, then simulate), so CPU
-// profiles attribute its samples.
+// OnSeries, tagged with run. A panic from the simulation settles as this
+// run's error instead of killing a worker goroutine or poisoning the
+// memo with a zero result, and the machine of a failed run is dropped;
+// construction-time panics are already errors from Spec.Build. The run
+// carries pprof labels design, workload and phase (build or reset, then
+// simulate), so CPU profiles attribute its samples.
 func (r *Runner) execute(name, designName string, spec design.Spec, ratio16, run int, simulate func(*machine) (sim.Result, error)) (res sim.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -587,9 +591,6 @@ func (r *Runner) ResultsByName(ctx context.Context, runs []Run) ([]sim.Result, [
 	out := make([]sim.Result, len(runs))
 	errs := r.parallelForEach(ctx, len(runs), func(i int) error {
 		run := runs[i]
-		if err := config.ValidateRun(r.Scale, run.Ratio16, r.InstrPerCore); err != nil {
-			return fmt.Errorf("exp: run %s/%s: %w", run.Design, run.Workload, err)
-		}
 		wl, ok := workload.ByName(run.Workload)
 		if !ok {
 			return fmt.Errorf("exp: unknown workload %q", run.Workload)
@@ -669,12 +670,16 @@ const MaxMLP = 64
 // auto-detected) is never materialized, so arbitrarily large captures
 // replay in memory bounded by the runner's TraceWindow. mlp bounds
 // per-core overlapped misses and must lie in [1, MaxMLP]; the window may
-// not exceed trace.MaxWindow. A trace with
+// not exceed trace.MaxWindow, and the runner's configuration with
+// ratio16 must pass config.ValidateRun. A trace with
 // no records (empty or whitespace/comments only) is an error, not a
 // zero-cycle result, as is a decode error or a core interleaving more
 // skewed than the lookahead window. Trace runs are not memoized; with Telemetry set
 // they are sampled like ResultErr's runs.
 func (r *Runner) RunTrace(name string, rd io.Reader, designName string, ratio16, mlp int) (sim.Result, error) {
+	if err := config.ValidateRun(r.Scale, ratio16, r.InstrPerCore); err != nil {
+		return sim.Result{}, fmt.Errorf("exp: trace %s: %w", name, err)
+	}
 	spec, err := design.Parse(designName)
 	if err != nil {
 		return sim.Result{}, err

@@ -92,11 +92,9 @@ type Device struct {
 	cfg      Config
 	channels []channel
 
-	// Address-mapping fast path: every shipped config has power-of-two
-	// channel count, interleave granularity, row size and bank count, so
-	// the four divisions per access reduce to shifts and masks. pow2
-	// false falls back to the general divide (custom configs).
-	pow2     bool
+	// Address mapping: New requires power-of-two channel count,
+	// interleave granularity, row size and bank count, so the four
+	// divisions per access are shifts and masks.
 	ilvShift uint
 	chMask   uint64
 	rowShift uint
@@ -113,23 +111,27 @@ type Device struct {
 	Writes      uint64
 }
 
-// New creates a device with all banks closed and idle.
+// New creates a device with all banks closed and idle. It panics unless
+// the channel count, bank count, row size and interleave granularity are
+// all positive powers of two.
 func New(cfg Config) *Device {
-	d := &Device{cfg: cfg}
+	pow2 := func(v int) bool { return v > 0 && v&(v-1) == 0 }
+	if !pow2(cfg.InterleaveBytes) || !pow2(cfg.Channels) || !pow2(cfg.RowBytes) || !pow2(cfg.BanksPerChannel) {
+		panic("memsys: channels, banks, row size and interleave must be positive powers of two")
+	}
+	d := &Device{
+		cfg:      cfg,
+		ilvShift: uint(bits.TrailingZeros(uint(cfg.InterleaveBytes))),
+		chMask:   uint64(cfg.Channels - 1),
+		rowShift: uint(bits.TrailingZeros(uint(cfg.RowBytes))),
+		bankMask: uint64(cfg.BanksPerChannel - 1),
+	}
 	d.channels = make([]channel, cfg.Channels)
 	for i := range d.channels {
 		d.channels[i].banks = make([]bank, cfg.BanksPerChannel)
 		for b := range d.channels[i].banks {
 			d.channels[i].banks[b].openRow = -1
 		}
-	}
-	pow2 := func(v int) bool { return v > 0 && v&(v-1) == 0 }
-	if pow2(cfg.InterleaveBytes) && pow2(cfg.Channels) && pow2(cfg.RowBytes) && pow2(cfg.BanksPerChannel) {
-		d.pow2 = true
-		d.ilvShift = uint(bits.TrailingZeros(uint(cfg.InterleaveBytes)))
-		d.chMask = uint64(cfg.Channels - 1)
-		d.rowShift = uint(bits.TrailingZeros(uint(cfg.RowBytes)))
-		d.bankMask = uint64(cfg.BanksPerChannel - 1)
 	}
 	d.burst64 = memtypes.Tick(float64(64)/cfg.BytesPerCycle + 0.999)
 	return d
@@ -153,14 +155,9 @@ func (d *Device) Reset() {
 // locate resolves an address to its channel, bank and row.
 func (d *Device) locate(addr memtypes.Addr) (*channel, *bank, int64) {
 	a := uint64(addr)
-	if d.pow2 {
-		ch := &d.channels[(a>>d.ilvShift)&d.chMask]
-		row := int64(a >> d.rowShift)
-		return ch, &ch.banks[uint64(row)&d.bankMask], row
-	}
-	ch := &d.channels[(a/uint64(d.cfg.InterleaveBytes))%uint64(d.cfg.Channels)]
-	row := int64(a / uint64(d.cfg.RowBytes))
-	return ch, &ch.banks[uint64(row)%uint64(d.cfg.BanksPerChannel)], row
+	ch := &d.channels[(a>>d.ilvShift)&d.chMask]
+	row := int64(a >> d.rowShift)
+	return ch, &ch.banks[uint64(row)&d.bankMask], row
 }
 
 // burst returns the data-bus occupancy of a transfer, memoized for the

@@ -8,6 +8,33 @@ import (
 	"hybridmem/internal/memtypes"
 )
 
+// TestNewRejectsNonPow2Geometry: the address mapping is shifts and
+// masks, so New refuses any geometry field that is not a positive power
+// of two instead of mapping addresses wrongly.
+func TestNewRejectsNonPow2Geometry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"channels", func(c *Config) { c.Channels = 3 }},
+		{"banks", func(c *Config) { c.BanksPerChannel = 6 }},
+		{"row", func(c *Config) { c.RowBytes = 3000 }},
+		{"interleave", func(c *Config) { c.InterleaveBytes = 192 }},
+		{"zero channels", func(c *Config) { c.Channels = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := HBM2Config()
+			tc.edit(&cfg)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New accepted %+v", cfg)
+				}
+			}()
+			New(cfg)
+		})
+	}
+}
+
 func TestRowHitFasterThanRowMiss(t *testing.T) {
 	d := New(HBM2Config())
 	first := d.Access(0, 0, 64, false)       // row miss: activate

@@ -20,7 +20,6 @@ func clusterTestServer(t *testing.T, n int) (*Server, *cluster.Coordinator) {
 	c := cluster.NewCoordinator(cluster.CoordinatorOptions{
 		ShardSize:        2,
 		MaxInFlight:      1,
-		LocalFallback:    true,
 		LocalParallelism: 2,
 	})
 	c.AttachLoopback(n, 1)

@@ -170,9 +170,8 @@ type Options struct {
 	// explorations shard across the coordinator's runner pool (see
 	// internal/cluster), and the mux gains the cluster join/heartbeat
 	// endpoints plus /metrics dispatch counters. Results are
-	// byte-identical to local execution; with the coordinator's
-	// LocalFallback set, a pool with no live runners degrades to exactly
-	// the local path.
+	// byte-identical to local execution, and a pool with no live
+	// runners degrades to exactly the local path.
 	Cluster *cluster.Coordinator
 	// Obs is the server's observability plane: its registry backs
 	// /metrics (and, when Cluster is set, receives the coordinator's

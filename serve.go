@@ -165,7 +165,6 @@ func Serve(ctx context.Context, opts ServeOptions) error {
 			MaxInFlight:      opts.ClusterMaxInFlight,
 			HeartbeatTimeout: opts.ClusterHeartbeatTimeout,
 			RPCTimeout:       opts.ClusterRPCTimeout,
-			LocalFallback:    true,
 			LocalParallelism: opts.Parallelism,
 			Store:            st,
 			Log:              opts.Log,
