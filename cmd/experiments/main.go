@@ -6,6 +6,7 @@
 //	experiments                  # everything (minutes of CPU time)
 //	experiments -run fig12,fig13 # selected artifacts
 //	experiments -quick           # subsampled workloads, shorter streams
+//	                             # (an explicit -instr still sets their length)
 //	experiments -parallel 1      # force serial execution
 //	experiments -designs         # the design registry as a Markdown table
 //	experiments -cpuprofile cpu.pprof -memprofile mem.pprof -run fig12
@@ -49,7 +50,7 @@ func main() {
 func run() int {
 	runSel := flag.String("run", "all",
 		"comma-separated subset of: tab1,tab2,fig1,fig2,fig11,fig12,fig13,fig14,fig15,fig16,fig17,fig18,ablation,seeds,extras,paths,prefetch,detail")
-	quick := flag.Bool("quick", false, "subsample workloads and shorten streams")
+	quick := flag.Bool("quick", false, "subsample workloads and shorten streams to 250k instructions per core, unless -instr is set")
 	scale := flag.Int("scale", 16, "capacity scale divisor")
 	instr := flag.Uint64("instr", 1_000_000, "instructions per core")
 	seed := flag.Uint64("seed", 1, "simulation seed")
@@ -124,12 +125,16 @@ func run() int {
 		return 2
 	}
 
-	var r *exp.Runner
+	r := exp.NewRunner()
+	r.InstrPerCore = *instr
 	if *quick {
+		// -quick shortens the streams unless -instr is set explicitly.
 		r = exp.NewQuickRunner()
-	} else {
-		r = exp.NewRunner()
-		r.InstrPerCore = *instr
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "instr" {
+				r.InstrPerCore = *instr
+			}
+		})
 	}
 	r.Scale = *scale
 	r.Seed = *seed

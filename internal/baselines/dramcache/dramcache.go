@@ -67,51 +67,68 @@ func Alloy(nmBytes uint64) Config {
 	return Config{Name: "ALLOY", NMBytes: nmBytes, LineBytes: 64, Assoc: 1, TADBytes: 72}
 }
 
-// Entry state is struct-of-arrays: one tag word and one use mask per
-// way, plus an LRU stamp array left out for direct-mapped configs. The
-// valid/dirty/listed flags live in spare high bits of the tag word —
-// physical addresses fit well below 2^58 line-granularity tags — so a
-// probe walks a compact tag vector and construction zeroes roughly half
-// the memory of the old 32-byte array-of-structs entries. That zeroing
-// is a first-order cost: a 64 B-line cache over scaled NM has millions
-// of entries and sweeps construct one per (design, workload) run.
+// The tag store is paged: a page holds the tag, use and LRU words of a
+// block of consecutive sets, and is allocated the first time one of its
+// sets is accessed. A 64 B-line cache over scaled NM has millions of
+// ways, and a short run touches a few thousand of them, so building a
+// cache costs its page index and a run pays for the pages it touches.
+// The valid and dirty flags live in spare high bits of the tag word:
+// physical addresses fit well below 2^58 line-granularity tags.
 const (
-	tagValid  = 1 << 63
-	tagDirty  = 1 << 62
-	tagListed = 1 << 61
-	tagMask   = tagListed - 1
+	tagValid = 1 << 63
+	tagDirty = 1 << 62
+	tagMask  = tagDirty - 1
 )
+
+// pageWays is the number of ways a page holds: the ways of the largest
+// power-of-two count of whole sets that fits, 4 sets of a 16-way cache.
+// A run's misses land on random sets, so the bytes it allocates grow
+// with the page size while the page index shrinks. Measured on the DSE
+// screening search, pages of 32, 64, 128, 256 and 512 ways allocated
+// 57.8, 58.2, 59.8, 61.8 and 64.5 MB per search; the long sweeps and
+// trace replays moved by under 1%.
+const pageWays = 64
+
+// page is the entry state of one block of sets, indexed by
+// (set within the page)*assoc + way.
+type page struct {
+	tags [pageWays]uint64 // flags in the high bits
+	used [pageWays]uint64 // per-64B chunk touch bits (lines up to 4 KB)
+	lrus [pageWays]uint64 // LRU stamps; unread when assoc == 1
+}
 
 // Cache is a DRAM cache over the NM device backed by the FM device.
 type Cache struct {
 	cfg    Config
 	nm, fm *memsys.Device
 
-	tags []uint64 // sets*assoc, indexed set*assoc+way; flags in high bits
-	lrus []uint64 // nil when assoc == 1: no replacement choice to order
-	used []uint64 // per-64B chunk touch bits (lines up to 4 KB)
+	// pages indexes the tag store by set>>pageShift; a nil page's sets
+	// are empty. active lists the pages allocated since the last Reset,
+	// so Finish and Reset visit only those, and spare holds the zeroed
+	// pages Reset detached, which back the next run's first touches.
+	pages  []*page
+	active []int32
+	spare  []*page
 
-	// touched lists every slot that ever held a line, in first-fill
-	// order, so Finish credits resident use masks and Reset empties the
-	// cache without scanning the whole (potentially tens of millions of
-	// entries) array.
-	touched []int32
-
-	sets     int
-	assoc    int
-	shift    uint
-	setBits  uint
-	setMask  uint64
-	lineMask uint64
-	chunks   int // 64 B chunks per line
-	clock    uint64
-	stats    memtypes.MemStats
-	metaBase memtypes.Addr // NM address region used for DFC metadata
+	sets        int
+	assoc       int
+	shift       uint
+	setBits     uint
+	setMask     uint64
+	pageShift   uint // log2 of the sets per page
+	pageSetMask int  // sets per page - 1, masking a set's place in its page
+	lineMask    uint64
+	clock       uint64
+	stats       memtypes.MemStats
+	metaBase    memtypes.Addr // NM address region used for DFC metadata
 }
 
 // New builds the cache. NMBytes must be a multiple of Assoc*LineBytes
-// with a power-of-two set count.
+// with a power-of-two set count, and Assoc at most 64.
 func New(cfg Config, nm, fm *memsys.Device) *Cache {
+	if cfg.Assoc < 1 || cfg.Assoc > pageWays {
+		panic("dramcache: associativity must be in [1, 64]")
+	}
 	sets := int(cfg.NMBytes) / (cfg.Assoc * cfg.LineBytes)
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("dramcache: set count must be a positive power of two")
@@ -120,38 +137,59 @@ func New(cfg Config, nm, fm *memsys.Device) *Cache {
 	if 1<<shift != cfg.LineBytes || cfg.LineBytes < 64 {
 		panic("dramcache: line size must be a power of two >= 64")
 	}
-	c := &Cache{
-		cfg:      cfg,
-		nm:       nm,
-		fm:       fm,
-		tags:     make([]uint64, sets*cfg.Assoc),
-		used:     make([]uint64, sets*cfg.Assoc),
-		touched:  make([]int32, 0, 1024),
-		sets:     sets,
-		assoc:    cfg.Assoc,
-		shift:    shift,
-		setBits:  uint(bits.TrailingZeros(uint(sets))),
-		setMask:  uint64(sets - 1),
-		lineMask: uint64(cfg.LineBytes - 1),
-		chunks:   cfg.LineBytes / 64,
-		metaBase: memtypes.Addr(cfg.NMBytes),
+	pageShift := uint(bits.Len(uint(pageWays/cfg.Assoc))) - 1
+	return &Cache{
+		cfg:         cfg,
+		nm:          nm,
+		fm:          fm,
+		pages:       make([]*page, (sets+1<<pageShift-1)>>pageShift),
+		active:      []int32{},
+		sets:        sets,
+		assoc:       cfg.Assoc,
+		shift:       shift,
+		setBits:     uint(bits.TrailingZeros(uint(sets))),
+		setMask:     uint64(sets - 1),
+		pageShift:   pageShift,
+		pageSetMask: 1<<pageShift - 1,
+		lineMask:    uint64(cfg.LineBytes - 1),
+		metaBase:    memtypes.Addr(cfg.NMBytes),
 	}
-	if cfg.Assoc > 1 {
-		c.lrus = make([]uint64, sets*cfg.Assoc)
-	}
-	return c
 }
 
-// Reset implements memtypes.Resetter: only the slots on the touched list
-// ever held a line, so clearing them empties the cache.
-func (c *Cache) Reset() {
-	for _, idx := range c.touched {
-		c.tags[idx], c.used[idx] = 0, 0
-		if c.lrus != nil {
-			c.lrus[idx] = 0
-		}
+// page returns the page of set, allocating it on the first access to
+// one of its sets since the last Reset. The set's way 0 is at index
+// (set & c.pageSetMask) * c.assoc of the page.
+func (c *Cache) page(set int) *page {
+	if p := c.pages[set>>c.pageShift]; p != nil {
+		return p
 	}
-	c.touched = c.touched[:0]
+	return c.allocPage(set >> c.pageShift)
+}
+
+// allocPage maps page pi to a spare page, or a new one if none is left.
+func (c *Cache) allocPage(pi int) *page {
+	var p *page
+	if n := len(c.spare); n > 0 {
+		p, c.spare = c.spare[n-1], c.spare[:n-1]
+	} else {
+		p = new(page)
+	}
+	c.pages[pi] = p
+	c.active = append(c.active, int32(pi))
+	return p
+}
+
+// Reset implements memtypes.Resetter: only the pages allocated since the
+// last Reset ever held a line, so zeroing and unmapping them empties the
+// cache. They are kept to back the next run's pages.
+func (c *Cache) Reset() {
+	for _, pi := range c.active {
+		p := c.pages[pi]
+		*p = page{}
+		c.spare = append(c.spare, p)
+		c.pages[pi] = nil
+	}
+	c.active = c.active[:0]
 	c.clock = 0
 	c.stats = memtypes.MemStats{}
 }
@@ -177,17 +215,17 @@ func (c *Cache) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtyp
 	set := int(blk & c.setMask)
 	tag := blk >> c.setBits
 	chunk := uint(uint64(addr) & c.lineMask >> 6)
-	base := set * c.assoc
+	p, base := c.page(set), set&c.pageSetMask*c.assoc
 
 	for i := 0; i < c.assoc; i++ {
-		w := c.tags[base+i]
+		w := p.tags[base+i]
 		if w&tagValid != 0 && w&tagMask == tag {
 			if c.assoc > 1 {
-				c.lrus[base+i] = c.clock
+				p.lrus[base+i] = c.clock
 			}
-			c.used[base+i] |= 1 << chunk
+			p.used[base+i] |= 1 << chunk
 			if write {
-				c.tags[base+i] = w | tagDirty
+				p.tags[base+i] = w | tagDirty
 			}
 			c.stats.ServedNM++
 			sz := 64
@@ -208,11 +246,11 @@ func (c *Cache) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtyp
 		victim = -1
 		minI := 0
 		for i := 0; i < c.assoc; i++ {
-			if c.tags[base+i]&tagValid == 0 {
+			if p.tags[base+i]&tagValid == 0 {
 				victim = i
 				break
 			}
-			if c.lrus[base+i] < c.lrus[base+minI] {
+			if p.lrus[base+i] < p.lrus[base+minI] {
 				minI = i
 			}
 		}
@@ -221,8 +259,9 @@ func (c *Cache) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtyp
 		}
 	}
 	slot := c.nmAddr(set, victim)
-	if c.tags[base+victim]&tagValid != 0 {
-		c.evict(now, set, victim)
+	idx := base + victim
+	if p.tags[idx]&tagValid != 0 {
+		c.evict(now, p, idx, set, slot)
 	}
 
 	if c.cfg.TADBytes > 0 {
@@ -244,44 +283,44 @@ func (c *Cache) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtyp
 	// Fill into NM in the background.
 	c.nm.AccessBG(memtypes.Fill, fullDone, slot, c.cfg.LineBytes, true)
 
-	newTag := tag | tagValid | tagListed
+	newTag := tag | tagValid
 	if write {
 		newTag |= tagDirty
 	}
-	if c.tags[base+victim]&tagListed == 0 {
-		c.touched = append(c.touched, int32(base+victim))
-	}
-	c.tags[base+victim] = newTag
-	c.used[base+victim] = 1 << chunk
+	p.tags[idx] = newTag
+	p.used[idx] = 1 << chunk
 	if c.assoc > 1 {
-		c.lrus[base+victim] = c.clock
+		p.lrus[idx] = c.clock
 	}
 	return fetchDone
 }
 
-// evict writes a dirty victim back to FM and accounts its used chunks.
-func (c *Cache) evict(now memtypes.Tick, set, way int) {
-	idx := set*c.assoc + way
-	w := c.tags[idx]
-	c.stats.UsedBytes += uint64(bits.OnesCount64(c.used[idx])) * 64
+// evict writes the dirty victim at index idx of p, a way of set whose
+// data sits at slot in NM, back to FM and accounts its used chunks.
+func (c *Cache) evict(now memtypes.Tick, p *page, idx, set int, slot memtypes.Addr) {
+	w := p.tags[idx]
+	c.stats.UsedBytes += uint64(bits.OnesCount64(p.used[idx])) * 64
 	c.stats.Evictions++
 	if w&tagDirty != 0 {
-		rd := c.nm.AccessBG(memtypes.Writeback, now, c.nmAddr(set, way), c.cfg.LineBytes, false)
+		rd := c.nm.AccessBG(memtypes.Writeback, now, slot, c.cfg.LineBytes, false)
 		victimAddr := memtypes.Addr(((w&tagMask)<<c.setBits | uint64(set)) << c.shift)
 		c.fm.AccessBG(memtypes.Writeback, rd, victimAddr, c.cfg.LineBytes, true)
 	}
-	c.tags[idx] = w &^ tagValid
+	p.tags[idx] = w &^ tagValid
 }
 
 // Finish credits the use masks of still-resident lines so the wasted-data
-// fraction is not overstated at simulation end. Only slots that ever held
-// a line are visited; the accumulation is commutative, so the first-fill
-// visit order matches the old full scan's result exactly.
+// fraction is not overstated at simulation end. Only the pages allocated
+// since the last Reset can hold a line; the accumulation is commutative,
+// so the page order matches a full scan's result exactly.
 func (c *Cache) Finish(memtypes.Tick) {
-	for _, idx := range c.touched {
-		if c.tags[idx]&tagValid != 0 {
-			c.stats.UsedBytes += uint64(bits.OnesCount64(c.used[idx])) * 64
-			c.used[idx] = 0
+	for _, pi := range c.active {
+		p := c.pages[pi]
+		for i, w := range p.tags {
+			if w&tagValid != 0 {
+				c.stats.UsedBytes += uint64(bits.OnesCount64(p.used[i])) * 64
+				p.used[i] = 0
+			}
 		}
 	}
 }

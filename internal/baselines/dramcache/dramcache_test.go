@@ -159,7 +159,9 @@ func TestCapacityConservation(t *testing.T) {
 
 // TestResetRestoresBuiltState: after traffic that fills, hits and
 // evicts, Reset (with the devices reset) leaves exactly a fresh build's
-// state, for set-associative and direct-mapped caches alike.
+// state, for set-associative and direct-mapped caches alike: every way
+// reads as a fresh build's, and the struct differs only in the spare
+// pages Reset keeps for the next run.
 func TestResetRestoresBuiltState(t *testing.T) {
 	for _, cfg := range []Config{DFC(1<<20, 256), Alloy(1 << 20), Tagless(1 << 20)} {
 		build := func() *Cache {
@@ -180,13 +182,34 @@ func TestResetRestoresBuiltState(t *testing.T) {
 		c.Reset()
 		c.nm.Reset()
 		c.fm.Reset()
-		if len(c.touched) != 0 {
-			t.Fatalf("%s: touched list not empty after Reset", cfg.Name)
+		if len(c.active) != 0 || len(c.spare) == 0 {
+			t.Fatalf("%s: %d pages active, %d spare after Reset", cfg.Name, len(c.active), len(c.spare))
 		}
-		got, want := *c, *build()
-		got.touched, want.touched = nil, nil
+		fresh := build()
+		for set := 0; set < c.sets; set++ {
+			for way := 0; way < c.assoc; way++ {
+				if got, want := readWay(c, set, way), readWay(fresh, set, way); got != want {
+					t.Fatalf("%s: set %d way %d reads %+v after Reset, want %+v", cfg.Name, set, way, got, want)
+				}
+			}
+		}
+		got, want := *c, *fresh
+		got.spare, want.spare = nil, nil
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: reset state differs from a fresh build", cfg.Name)
 		}
 	}
+}
+
+// wayState is one way's entry words; an unallocated page reads zero.
+type wayState struct{ tag, used, lru uint64 }
+
+// readWay reads a way through the page index without allocating.
+func readWay(c *Cache, set, way int) wayState {
+	p := c.pages[set>>c.pageShift]
+	if p == nil {
+		return wayState{}
+	}
+	i := set&c.pageSetMask*c.assoc + way
+	return wayState{p.tags[i], p.used[i], p.lrus[i]}
 }

@@ -111,19 +111,28 @@ func New(sizeBytes, assoc, lineBytes int) *Cache {
 	if lineBytes < 4 || lineBytes&(lineBytes-1) != 0 {
 		panic("cachesim: line size must be a power of two of at least 4 bytes")
 	}
-	order := make([]Order, sets)
-	init := NewOrder(assoc)
-	for i := range order {
-		order[i] = init
-	}
-	return &Cache{
+	c := &Cache{
 		tags:     make([]uint64, sets*assoc),
-		order:    order,
+		order:    make([]Order, sets),
 		assoc:    assoc,
 		setShift: uint(bits.TrailingZeros(uint(lineBytes))),
 		setBits:  uint(bits.TrailingZeros(uint(sets))),
 		setMask:  uint64(sets - 1),
 	}
+	c.Reset()
+	return c
+}
+
+// Reset returns the cache to New's state: every way invalid, every set
+// in NewOrder's order and the counters zero. It clears the whole tag
+// array, as New's allocation does, but allocates nothing.
+func (c *Cache) Reset() {
+	clear(c.tags)
+	init := NewOrder(c.assoc)
+	for i := range c.order {
+		c.order[i] = init
+	}
+	c.Accesses, c.Misses, c.Evicts = 0, 0, 0
 }
 
 // Access looks up addr, allocating on a miss. It returns whether the

@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -118,5 +119,34 @@ func TestEvictionConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResetRestoresNew: after traffic that fills, dirties and evicts,
+// Reset leaves exactly New's state, and the reset cache then behaves
+// access for access like a new one.
+func TestResetRestoresNew(t *testing.T) {
+	for _, assoc := range []int{1, 4, 16} {
+		c := New(1<<14, assoc, 64)
+		rng := rand.New(rand.NewSource(int64(assoc)))
+		for i := 0; i < 5000; i++ {
+			c.Access(memtypes.Addr(rng.Intn(1<<18)), rng.Intn(3) == 0)
+		}
+		if c.Evicts == 0 {
+			t.Fatalf("assoc %d: no evictions", assoc)
+		}
+		c.Reset()
+		fresh := New(1<<14, assoc, 64)
+		if !reflect.DeepEqual(c, fresh) {
+			t.Fatalf("assoc %d: reset state differs from New's", assoc)
+		}
+		for i := 0; i < 5000; i++ {
+			addr, write := memtypes.Addr(rng.Intn(1<<18)), rng.Intn(3) == 0
+			h1, v1, e1 := c.Access(addr, write)
+			h2, v2, e2 := fresh.Access(addr, write)
+			if h1 != h2 || v1 != v2 || e1 != e2 {
+				t.Fatalf("assoc %d: access %d diverges after Reset", assoc, i)
+			}
+		}
 	}
 }

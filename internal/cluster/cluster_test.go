@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -451,15 +452,52 @@ func TestRejoinRetiresOldHandle(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.retired != 0 {
 		t.Errorf("retired handles started %d shard calls, want 0", p.retired)
 	}
 	if p.peak > 2 {
 		t.Errorf("peak concurrent calls on the runner = %d, want <= 2", p.peak)
 	}
+	p.mu.Unlock()
 	if st := c.Stats(); st.RunnersLive != 1 || st.RunnersJoined != 6 {
 		t.Errorf("stats %+v, want 1 live runner after 6 joins", st)
+	}
+
+	// The gauge belongs to the runner ID: a call held across a re-join
+	// still counts in flight until it settles, and the dispatch count
+	// carries on. A one-shard batch leaves the new handle nothing to
+	// dispatch, so the held call is the only one.
+	go func() {
+		_, err := c.Run(context.Background(), testConfig(), testRuns()[:1], nil)
+		done <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		p.mu.Lock()
+		if p.active[5] > 0 {
+			break
+		}
+		p.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("the one-shard batch never reached the runner")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p.gen = 6
+	c.join(handle(6))
+	held := c.Stats()
+	p.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	settled := c.Stats()
+	want := []RunnerStat{{ID: "r", InFlight: 1, Dispatched: settled.ShardsDispatched}}
+	if !reflect.DeepEqual(held.Runners, want) {
+		t.Errorf("runner gauges right after a re-join with one call held: %+v, want %+v", held.Runners, want)
+	}
+	want[0].InFlight = 0
+	if !reflect.DeepEqual(settled.Runners, want) {
+		t.Errorf("runner gauges once the held call settled: %+v, want %+v", settled.Runners, want)
 	}
 }
 

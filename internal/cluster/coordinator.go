@@ -36,7 +36,14 @@ type runnerHandle struct {
 	local     bool // the coordinator's own fallback executor
 
 	// Guarded by the coordinator's mu.
-	lastBeat   time.Time
+	lastBeat time.Time
+	gauge    *runnerGauge
+}
+
+// runnerGauge is a runner ID's dispatch gauge. A re-join hands it to the
+// new handle, so the retired handle's in-flight calls keep counting
+// under the ID until they settle, and Dispatched keeps counting up.
+type runnerGauge struct {
 	inFlight   int
 	dispatched uint64
 }
@@ -189,6 +196,11 @@ func (c *Coordinator) Join(id, addr string) time.Duration {
 func (c *Coordinator) join(h *runnerHandle) {
 	c.mu.Lock()
 	h.lastBeat = time.Now()
+	if old := c.runners[h.id]; old != nil {
+		h.gauge = old.gauge
+	} else {
+		h.gauge = new(runnerGauge)
+	}
 	c.runners[h.id] = h
 	c.stats.RunnersJoined++
 	active := append([]*dispatcher(nil), c.active...)
@@ -285,7 +297,7 @@ func (c *Coordinator) Stats() Stats {
 	s.RunnersLive = len(c.runners)
 	s.Runners = make([]RunnerStat, 0, len(c.runners))
 	for _, h := range c.runners {
-		s.Runners = append(s.Runners, RunnerStat{ID: h.id, InFlight: h.inFlight, Dispatched: h.dispatched})
+		s.Runners = append(s.Runners, RunnerStat{ID: h.id, InFlight: h.gauge.inFlight, Dispatched: h.gauge.dispatched})
 	}
 	sort.Slice(s.Runners, func(i, j int) bool { return s.Runners[i].ID < s.Runners[j].ID })
 	return s
@@ -393,8 +405,8 @@ func (c *Coordinator) liveCount() int {
 func (c *Coordinator) noteDispatch(h *runnerHandle, stolen, local bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h.inFlight++
-	h.dispatched++
+	h.gauge.inFlight++
+	h.gauge.dispatched++
 	c.stats.ShardsDispatched++
 	if stolen {
 		c.stats.ShardsStolen++
@@ -407,7 +419,7 @@ func (c *Coordinator) noteDispatch(h *runnerHandle, stolen, local bool) {
 func (c *Coordinator) noteSettled(h *runnerHandle, duplicate bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h.inFlight--
+	h.gauge.inFlight--
 	if duplicate {
 		c.stats.DuplicatesDropped++
 	} else {
@@ -424,7 +436,7 @@ func (c *Coordinator) noteWarmRuns(n int) {
 func (c *Coordinator) noteFailed(h *runnerHandle, retried bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h.inFlight--
+	h.gauge.inFlight--
 	if retried {
 		c.stats.ShardsRetried++
 	}

@@ -152,6 +152,7 @@ func (d *dispatcher) run(parent context.Context) ([]RunOutcome, error) {
 		transport: c.exec(c.localParallelism()),
 		loopback:  true,
 		local:     true,
+		gauge:     new(runnerGauge),
 	})
 
 	d.mu.Lock()

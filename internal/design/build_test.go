@@ -38,6 +38,27 @@ func TestBuildAllocatesLessThanItsSectors(t *testing.T) {
 	}
 }
 
+// TestDRAMCacheBuildAllocatesLessThanItsLines pins that a DRAM cache
+// allocates its tag store in pages on first touch instead of at build:
+// building DFC-64 (1M lines of 64 B) allocates less than one byte per
+// line.
+func TestDRAMCacheBuildAllocatesLessThanItsLines(t *testing.T) {
+	spec, err := design.Parse("DFC-64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := buildSys.NMBytes / 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, _, err := spec.Build(buildSys); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= lines {
+		t.Errorf("building %s allocated %d bytes, want under %d (one per line)", spec.Name, got, lines)
+	}
+}
+
 // BenchmarkBuild measures constructing designs of very different
 // construction cost over fresh devices, with the placement memo warm:
 // the Hybrid2 design-space corners, the migration baselines and a DRAM

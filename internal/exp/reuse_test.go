@@ -6,8 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"hybridmem/internal/cachesim"
+	"hybridmem/internal/config"
 	"hybridmem/internal/design"
 	"hybridmem/internal/sim"
+	"hybridmem/internal/trace"
 )
 
 // batch returns the runs of designs over r's workloads, candidate-major
@@ -59,6 +62,76 @@ func TestCandidateMajorBatchBuildsEachDesignOnce(t *testing.T) {
 	for i, s := range batch(reuse, designs, false) {
 		if got[i] != byRun[s] {
 			t.Errorf("%s/%s: reused machine's result differs from a fresh build's", s.Design, s.Workload.Name)
+		}
+	}
+}
+
+// TestLLCStaysWithTheWorker: a machine built for a new design inherits
+// the LLC of the idle machine it replaces when both are for one system,
+// so a serial runner that changes design on every run, synthetic runs
+// and trace replays alike, builds one LLC per system. A ratio change and
+// a fidelity change each make a new system. Every result equals a fresh
+// runner's.
+func TestLLCStaysWithTheWorker(t *testing.T) {
+	r := tiny()
+	r.Parallelism = 1
+	llcs := map[config.System]map[*cachesim.Cache]bool{}
+	noteLLC := func() {
+		m := r.idle[len(r.idle)-1]
+		if llcs[m.sys] == nil {
+			llcs[m.sys] = map[*cachesim.Cache]bool{}
+		}
+		llcs[m.sys][m.llc] = true
+	}
+	for _, step := range []struct {
+		ratio16 int
+		instr   uint64
+	}{{1, 20_000}, {2, 20_000}, {2, 10_000}} {
+		r.InstrPerCore = step.instr
+		fresh := func() *Runner {
+			f := tiny()
+			f.InstrPerCore = step.instr
+			return f
+		}
+		for _, wl := range r.Workloads() {
+			for _, d := range []string{"HYBRID2", "DFC", "MPOD", "TAGLESS"} {
+				got, err := r.ResultErr(wl, d, step.ratio16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				noteLLC()
+				want, err := fresh().ResultErr(wl, d, step.ratio16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s/%s at ratio %d, %d instr: result on a handed-down LLC differs from a fresh runner's",
+						d, wl.Name, step.ratio16, step.instr)
+				}
+			}
+			sys := r.system(step.ratio16)
+			replay := func(rr *Runner) sim.Result {
+				res, err := rr.RunTrace(wl.Name, writeSyntheticTrace(t, wl, sys, trace.FormatBinary, false), "DFC-256", step.ratio16, sim.MLPFor(wl))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			got := replay(r)
+			noteLLC()
+			if want := replay(fresh()); got != want {
+				t.Errorf("%s trace replay at ratio %d, %d instr: result on a handed-down LLC differs from a fresh runner's",
+					wl.Name, step.ratio16, step.instr)
+			}
+		}
+	}
+	if len(llcs) != 3 {
+		t.Fatalf("runs covered %d systems, want 3", len(llcs))
+	}
+	for sys, set := range llcs {
+		if len(set) != 1 {
+			t.Errorf("system with %d NM bytes and %d instr/core: one worker built %d LLCs, want 1",
+				sys.NMBytes, sys.InstrPerCore, len(set))
 		}
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hybridmem/internal/cachesim"
 	"hybridmem/internal/config"
 	"hybridmem/internal/design"
 	_ "hybridmem/internal/design/all" // link every built-in organization into the registry
@@ -335,11 +336,16 @@ func (r *Runner) result(wl workload.Spec, designName string, ratio16, run int) (
 
 // machine is the system one run simulates on: spec's design built over
 // its devices for sys, either fresh or a previous run's machine reset to
-// its built state. smp is the run's sampler, nil when telemetry is off.
+// its built state, and the LLC in front of them. The LLC's geometry
+// depends on sys alone, so a machine built for another design inherits
+// the LLC of the idle machine it replaces when both are for the same
+// system (see takeIdle). smp is the run's sampler, nil when telemetry is
+// off.
 type machine struct {
 	spec   design.Spec
 	ms     memtypes.Resetter
 	nm, fm *memsys.Device
+	llc    *cachesim.Cache
 	sys    config.System
 	smp    *telemetry.Sampler
 }
@@ -349,32 +355,39 @@ func (m *machine) matches(spec design.Spec, sys config.System) bool {
 	return m.sys == sys && m.spec.Info == spec.Info && slices.Equal(m.spec.Values, spec.Values)
 }
 
-// reset returns m's design and devices to their built state.
+// reset returns m's design, devices and LLC to their built state.
 func (m *machine) reset() {
 	m.ms.Reset()
 	if m.nm != nil {
 		m.nm.Reset()
 	}
 	m.fm.Reset()
+	m.llc.Reset()
 }
 
 // takeIdle hands out the idle machine that builds spec for sys, if there
 // is one. A run that finds none takes over the slot of the oldest idle
 // machine instead, dropping it, so the runner's machines — idle plus in
-// use — never outnumber its workers.
-func (r *Runner) takeIdle(spec design.Spec, sys config.System) *machine {
+// use — never outnumber its workers; when the dropped machine is for
+// sys, its LLC is returned for the new machine to keep.
+func (r *Runner) takeIdle(spec design.Spec, sys config.System) (*machine, *cachesim.Cache) {
 	r.idleMu.Lock()
 	defer r.idleMu.Unlock()
 	for i, m := range r.idle {
 		if m.matches(spec, sys) {
 			r.idle = slices.Delete(r.idle, i, i+1)
-			return m
+			return m, nil
 		}
 	}
-	if len(r.idle) > 0 {
-		r.idle = slices.Delete(r.idle, 0, 1)
+	if len(r.idle) == 0 {
+		return nil, nil
 	}
-	return nil
+	old := r.idle[0]
+	r.idle = slices.Delete(r.idle, 0, 1)
+	if old.sys != sys {
+		return nil, nil
+	}
+	return nil, old.llc
 }
 
 // putIdle keeps the machine of a successful run for reuse, dropping the
@@ -392,7 +405,7 @@ func (r *Runner) putIdle(m *machine) {
 // workloadRun simulates a synthetic workload on a machine.
 func workloadRun(wl workload.Spec) func(*machine) (sim.Result, error) {
 	return func(m *machine) (sim.Result, error) {
-		return sim.RunSampled(wl, m.ms, m.nm, m.fm, m.sys, m.smp), nil
+		return sim.RunOn(m.llc, wl, m.ms, m.nm, m.fm, m.sys, m.smp), nil
 	}
 }
 
@@ -420,12 +433,17 @@ func (r *Runner) execute(name, designName string, spec design.Spec, ratio16, run
 		return pprof.Labels("design", designName, "workload", name, "phase", phase)
 	}
 	ctx := context.Background()
-	m := r.takeIdle(spec, sys)
+	m, llc := r.takeIdle(spec, sys)
 	if m != nil {
 		pprof.Do(ctx, labels("reset"), func(context.Context) { m.reset() })
 	} else {
-		m = &machine{spec: spec, sys: sys}
+		m = &machine{spec: spec, sys: sys, llc: llc}
 		pprof.Do(ctx, labels("build"), func(context.Context) {
+			if m.llc != nil {
+				m.llc.Reset()
+			} else {
+				m.llc = sim.NewLLC(sys)
+			}
 			m.ms, m.nm, m.fm, err = spec.Build(sys)
 		})
 		if err != nil {
@@ -707,7 +725,7 @@ func (r *Runner) RunTrace(name string, rd io.Reader, designName string, ratio16,
 		srcs[i] = sr.Source(i)
 	}
 	return r.execute(name, designName, spec, ratio16, 0, func(m *machine) (sim.Result, error) {
-		res := sim.RunSourcesSampled(name, srcs, mlp, m.ms, m.nm, m.fm, m.sys, m.smp)
+		res := sim.RunSourcesOn(m.llc, name, srcs, mlp, m.ms, m.nm, m.fm, m.sys, m.smp)
 		// Per-core sources signal stream problems only as an early end of
 		// records; surface the real cause now that replay has drained.
 		return res, sr.Err()

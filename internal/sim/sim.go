@@ -4,7 +4,9 @@
 // the organization only through memtypes.MemorySystem and imports no
 // design package. The run loop always advances the earliest core, the
 // lowest-indexed on ties, so the organization sees requests in time
-// order; a branch-free scan over the live cores' times finds it.
+// order; a branch-free scan over the live cores' times finds it. The
+// LLC belongs to the machine rather than the run: RunOn and RunSourcesOn
+// take one that the caller keeps, and resets, across runs.
 package sim
 
 import (
@@ -93,24 +95,38 @@ func Run(spec workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Device, sy
 // internal/telemetry). A nil smp is exactly Run — the sampler is
 // passive and never changes the Result.
 func RunSampled(spec workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
-	srcs := make([]Source, config.Cores)
-	for i := range srcs {
-		srcs[i] = workload.NewStream(spec, i, sys.Scale, sys.InstrPerCore, sys.Seed)
-	}
-	return RunSourcesSampled(spec.Name, srcs, MLPFor(spec), ms, nm, fm, sys, smp)
+	return RunOn(NewLLC(sys), spec, ms, nm, fm, sys, smp)
 }
 
 // RunSources executes one explicit trace source per core — the entry
 // point for replaying captured traces. mlp bounds each core's overlapped
 // misses.
 func RunSources(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System) Result {
-	return RunSourcesSampled(name, srcs, mlp, ms, nm, fm, sys, nil)
+	return RunSourcesOn(NewLLC(sys), name, srcs, mlp, ms, nm, fm, sys, nil)
 }
 
-// RunSourcesSampled is RunSources with an optional telemetry sampler;
-// nil smp is exactly RunSources.
-func RunSourcesSampled(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
-	return runLoop(name, srcs, mlp, ms, nm, fm, sys, smp)
+// NewLLC builds the shared last-level cache of sys; its geometry depends
+// on sys alone. Run, RunSampled and RunSources build one per run.
+func NewLLC(sys config.System) *cachesim.Cache {
+	return cachesim.New(sys.LLCBytes, config.LLCAssoc, memtypes.CPULineBytes)
+}
+
+// RunOn is RunSampled on llc, a cache NewLLC(sys) built and no run has
+// used since it was built or Reset. The LLC belongs to the machine, not
+// to the run: a caller that runs many designs on one system keeps one
+// LLC and resets it between runs, with the results a new LLC gives.
+func RunOn(llc *cachesim.Cache, spec workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
+	srcs := make([]Source, config.Cores)
+	for i := range srcs {
+		srcs[i] = workload.NewStream(spec, i, sys.Scale, sys.InstrPerCore, sys.Seed)
+	}
+	return RunSourcesOn(llc, spec.Name, srcs, MLPFor(spec), ms, nm, fm, sys, smp)
+}
+
+// RunSourcesOn is RunSources on llc, under RunOn's conditions, with an
+// optional telemetry sampler; nil smp is exactly RunSources.
+func RunSourcesOn(llc *cachesim.Cache, name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
+	return runLoop(llc, name, srcs, mlp, ms, nm, fm, sys, smp)
 }
 
 // coreState is one core's slot in the run loop: the core model, its
@@ -168,8 +184,8 @@ func maxCoreTime(cores []coreState) memtypes.Tick {
 // and times are preallocated, and the histogram is a fixed array. The
 // telemetry sampler is optional and passive: with smp nil the per-record
 // cost is one predictable branch and the Result is unchanged either way.
-func runLoop(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
-	llc := cachesim.New(sys.LLCBytes, config.LLCAssoc, memtypes.CPULineBytes)
+// The caller owns llc and hands it over in New's state.
+func runLoop(llc *cachesim.Cache, name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
 	var lat stats.Histogram
 
 	// Telemetry boundary state: retired instructions mirror the cores'
