@@ -41,13 +41,27 @@ const writeBufLen = 16
 // New creates a core with the given maximum number of overlapping
 // outstanding misses (MSHRs / effective MLP), which must be at least 1.
 func New(mlp int) *Core {
+	c := new(Core)
+	c.Reset(mlp)
+	return c
+}
+
+// Reset returns c to New(mlp)'s state in place, keeping its MSHR heap
+// when it has room for mlp misses.
+func (c *Core) Reset(mlp int) {
 	if mlp < 1 {
 		panic("cpu: MLP must be at least 1")
 	}
-	c := &Core{outstanding: make([]memtypes.Tick, mlp+1)}
-	c.outstanding[mlp] = ^memtypes.Tick(0)
+	out := c.outstanding
+	if cap(out) > mlp {
+		out = out[:mlp+1]
+		clear(out)
+	} else {
+		out = make([]memtypes.Tick, mlp+1)
+	}
+	*c = Core{outstanding: out}
+	out[mlp] = ^memtypes.Tick(0)
 	c.writeBuf[writeBufLen] = ^memtypes.Tick(0)
-	return c
 }
 
 // AdvanceCompute retires gap non-memory instructions at the issue width.

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -81,7 +82,7 @@ func TestLLCStaysWithTheWorker(t *testing.T) {
 		if llcs[m.sys] == nil {
 			llcs[m.sys] = map[*cachesim.Cache]bool{}
 		}
-		llcs[m.sys][m.llc] = true
+		llcs[m.sys][m.host.LLC] = true
 	}
 	for _, step := range []struct {
 		ratio16 int
@@ -133,6 +134,50 @@ func TestLLCStaysWithTheWorker(t *testing.T) {
 			t.Errorf("system with %d NM bytes and %d instr/core: one worker built %d LLCs, want 1",
 				sys.NMBytes, sys.InstrPerCore, len(set))
 		}
+	}
+}
+
+// TestCoreStateStaysWithTheWorker: the cores' slots ride with the host
+// a serial runner hands from machine to machine, so runs that change
+// design, workload and memory-level parallelism on one system — trace
+// replays at 8, 1, MaxMLP and 3 overlapped misses between synthetic runs
+// — all run on one host, and every result equals a fresh runner's.
+func TestCoreStateStaysWithTheWorker(t *testing.T) {
+	r := tiny()
+	r.Parallelism = 1
+	sys := r.system(1)
+	hosts := map[*sim.Host]bool{}
+	check := func(what string, got, want sim.Result) {
+		t.Helper()
+		hosts[r.idle[len(r.idle)-1].host] = true
+		if got != want {
+			t.Errorf("%s: result on a handed-down host differs from a fresh runner's", what)
+		}
+	}
+	wls := r.Workloads()
+	for i, mlp := range []int{8, 1, MaxMLP, 3} {
+		wl := wls[i%len(wls)]
+		d := []string{"HYBRID2", "MPOD", "DFC", "LGM"}[i]
+		got, err := r.ResultErr(wl, d, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tiny().ResultErr(wl, d, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(d+"/"+wl.Name, got, want)
+		replay := func(rr *Runner) sim.Result {
+			res, err := rr.RunTrace(wl.Name, writeSyntheticTrace(t, wl, sys, trace.FormatBinary, false), d, 1, mlp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		check(fmt.Sprintf("%s/%s replay at mlp %d", d, wl.Name, mlp), replay(r), replay(tiny()))
+	}
+	if len(hosts) != 1 {
+		t.Errorf("one worker on one system ran on %d hosts, want 1", len(hosts))
 	}
 }
 

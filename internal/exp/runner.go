@@ -29,7 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hybridmem/internal/cachesim"
 	"hybridmem/internal/config"
 	"hybridmem/internal/design"
 	_ "hybridmem/internal/design/all" // link every built-in organization into the registry
@@ -336,16 +335,16 @@ func (r *Runner) result(wl workload.Spec, designName string, ratio16, run int) (
 
 // machine is the system one run simulates on: spec's design built over
 // its devices for sys, either fresh or a previous run's machine reset to
-// its built state, and the LLC in front of them. The LLC's geometry
-// depends on sys alone, so a machine built for another design inherits
-// the LLC of the idle machine it replaces when both are for the same
-// system (see takeIdle). smp is the run's sampler, nil when telemetry is
-// off.
+// its built state, and the host (LLC and cores) in front of them. The
+// host depends on sys alone, so a machine built for another design
+// inherits the host of the idle machine it replaces when both are for
+// the same system (see takeIdle). smp is the run's sampler, nil when
+// telemetry is off.
 type machine struct {
 	spec   design.Spec
 	ms     memtypes.Resetter
 	nm, fm *memsys.Device
-	llc    *cachesim.Cache
+	host   *sim.Host
 	sys    config.System
 	smp    *telemetry.Sampler
 }
@@ -355,22 +354,22 @@ func (m *machine) matches(spec design.Spec, sys config.System) bool {
 	return m.sys == sys && m.spec.Info == spec.Info && slices.Equal(m.spec.Values, spec.Values)
 }
 
-// reset returns m's design, devices and LLC to their built state.
+// reset returns m's design, devices and host to their built state.
 func (m *machine) reset() {
 	m.ms.Reset()
 	if m.nm != nil {
 		m.nm.Reset()
 	}
 	m.fm.Reset()
-	m.llc.Reset()
+	m.host.Reset()
 }
 
 // takeIdle hands out the idle machine that builds spec for sys, if there
 // is one. A run that finds none takes over the slot of the oldest idle
 // machine instead, dropping it, so the runner's machines — idle plus in
 // use — never outnumber its workers; when the dropped machine is for
-// sys, its LLC is returned for the new machine to keep.
-func (r *Runner) takeIdle(spec design.Spec, sys config.System) (*machine, *cachesim.Cache) {
+// sys, its host is returned for the new machine to keep.
+func (r *Runner) takeIdle(spec design.Spec, sys config.System) (*machine, *sim.Host) {
 	r.idleMu.Lock()
 	defer r.idleMu.Unlock()
 	for i, m := range r.idle {
@@ -387,7 +386,7 @@ func (r *Runner) takeIdle(spec design.Spec, sys config.System) (*machine, *cache
 	if old.sys != sys {
 		return nil, nil
 	}
-	return nil, old.llc
+	return nil, old.host
 }
 
 // putIdle keeps the machine of a successful run for reuse, dropping the
@@ -405,7 +404,7 @@ func (r *Runner) putIdle(m *machine) {
 // workloadRun simulates a synthetic workload on a machine.
 func workloadRun(wl workload.Spec) func(*machine) (sim.Result, error) {
 	return func(m *machine) (sim.Result, error) {
-		return sim.RunOn(m.llc, wl, m.ms, m.nm, m.fm, m.sys, m.smp), nil
+		return sim.RunOn(m.host, wl, m.ms, m.nm, m.fm, m.sys, m.smp), nil
 	}
 }
 
@@ -433,16 +432,16 @@ func (r *Runner) execute(name, designName string, spec design.Spec, ratio16, run
 		return pprof.Labels("design", designName, "workload", name, "phase", phase)
 	}
 	ctx := context.Background()
-	m, llc := r.takeIdle(spec, sys)
+	m, host := r.takeIdle(spec, sys)
 	if m != nil {
 		pprof.Do(ctx, labels("reset"), func(context.Context) { m.reset() })
 	} else {
-		m = &machine{spec: spec, sys: sys, llc: llc}
+		m = &machine{spec: spec, sys: sys, host: host}
 		pprof.Do(ctx, labels("build"), func(context.Context) {
-			if m.llc != nil {
-				m.llc.Reset()
+			if m.host != nil {
+				m.host.Reset()
 			} else {
-				m.llc = sim.NewLLC(sys)
+				m.host = sim.NewHost(sys)
 			}
 			m.ms, m.nm, m.fm, err = spec.Build(sys)
 		})
@@ -725,7 +724,7 @@ func (r *Runner) RunTrace(name string, rd io.Reader, designName string, ratio16,
 		srcs[i] = sr.Source(i)
 	}
 	return r.execute(name, designName, spec, ratio16, 0, func(m *machine) (sim.Result, error) {
-		res := sim.RunSourcesOn(m.llc, name, srcs, mlp, m.ms, m.nm, m.fm, m.sys, m.smp)
+		res := sim.RunSourcesOn(m.host, name, srcs, mlp, m.ms, m.nm, m.fm, m.sys, m.smp)
 		// Per-core sources signal stream problems only as an early end of
 		// records; surface the real cause now that replay has drained.
 		return res, sr.Err()

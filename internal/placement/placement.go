@@ -7,14 +7,24 @@
 // The permutation is a pure function of (seed, length), yet a
 // Fisher-Yates shuffle over hundreds of thousands of sectors — a random
 // memory access and a division per sector — costs more than a short
-// run's whole simulation. Perm memoizes recent permutations under a byte
+// run's whole simulation. Perm memoizes permutations under a byte
 // budget, so designs that share a placement (design-space points that
 // differ only in line size, the Hybrid2 ablations, the runs of one seed
-// across designs) shuffle once. A memoized permutation is the very
+// across designs) shuffle once, and callers that miss on one placement
+// together wait for a single shuffle. A memoized permutation is the very
 // slice the shuffle produced: keeping it costs no copy. Inverse memoizes
 // the inverse permutation the same way, restricted to a prefix of the
 // physical slots, so a design that needs the owners of its near-memory
 // slots only keeps those.
+//
+// The budget does not hold every placement of a design-space search:
+// its screening phase walks one seed's placements of many lengths in
+// one order, and its full-fidelity phase comes back to them in the same
+// order. On that loop least-recently-used eviction always drops the
+// entry needed next. So a full memo evicts the entries of other seeds
+// first, least recently used first, and otherwise the most recently
+// used entry of another length: the search's first placements stay
+// resident and the rest stream through one slot.
 //
 // A machine never copies a memoized table: it reads it through a Table,
 // a copy-on-write view that materializes a private page only when the
@@ -22,10 +32,14 @@
 // index, and resetting one costs the pages its run wrote.
 package placement
 
-import "sync"
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sync"
+)
 
-// budgetBytes bounds the memoized permutations and inverses; the least
-// recently used go first.
+// budgetBytes bounds the memoized permutations and inverses.
 const budgetBytes = 16 << 20
 
 type key struct {
@@ -40,16 +54,28 @@ type entry struct {
 	v   []uint32
 }
 
+// call is a miss being computed: callers of its key wait on done and
+// then read v, which is nil if the computation panicked.
+type call struct {
+	done chan struct{}
+	v    []uint32
+}
+
 var (
-	mu    sync.Mutex
-	lru   []entry // least recently used first
-	bytes int
+	mu       sync.Mutex
+	lru      []entry // least recently used first
+	bytes    int
+	inflight = map[key]*call{}
 )
 
+// observe, when set, sees every shuffle; tests count shuffles with it.
+var observe func(seed uint64, n int)
+
 // Perm returns the seeded permutation of [0, n): perm[logical] is the
-// physical slot of logical sector logical. The slice is shared between
-// callers and must not be modified.
+// physical slot of logical sector logical. n must lie in [0, 2^32). The
+// slice is shared between callers and must not be modified.
 func Perm(seed uint64, n int) []uint32 {
+	checkLen(n)
 	return memo(key{seed: seed, n: n}, func() []uint32 { return shuffle(seed, n) })
 }
 
@@ -59,6 +85,10 @@ func Perm(seed uint64, n int) []uint32 {
 // scattering writes over the permutation. The slice is shared between
 // callers and must not be modified.
 func Inverse(seed uint64, n, k int) []uint32 {
+	checkLen(n)
+	if k < 0 || k > n {
+		panic(fmt.Sprintf("placement: inverse prefix %d outside [0, %d]", k, n))
+	}
 	return memo(key{seed, n, k, true}, func() []uint32 {
 		inv := make([]uint32, k)
 		for logical, phys := range Perm(seed, n) {
@@ -70,7 +100,17 @@ func Inverse(seed uint64, n, k int) []uint32 {
 	})
 }
 
-// memo returns the memoized value of k, computing it on a miss.
+// checkLen panics unless a permutation of n entries fits uint32 slots.
+func checkLen(n int) {
+	if n < 0 || uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("placement: length %d outside [0, 2^32)", n))
+	}
+}
+
+// memo returns the memoized value of k, computing it on a miss. The
+// first caller to miss computes outside the lock, so parallel workers
+// never serialize on a shuffle, and later callers of the same key wait
+// for its result instead of shuffling again.
 func memo(k key, compute func() []uint32) []uint32 {
 	mu.Lock()
 	for i, e := range lru {
@@ -81,29 +121,75 @@ func memo(k key, compute func() []uint32) []uint32 {
 			return e.v
 		}
 	}
+	if c, ok := inflight[k]; ok {
+		mu.Unlock()
+		<-c.done
+		if c.v == nil { // the first caller panicked: fail the same way
+			return memo(k, compute)
+		}
+		return c.v
+	}
+	c := &call{done: make(chan struct{})}
+	inflight[k] = c
 	mu.Unlock()
+	defer func() {
+		mu.Lock()
+		delete(inflight, k)
+		if c.v != nil {
+			keep(k, c.v)
+		}
+		mu.Unlock()
+		close(c.done)
+	}()
+	c.v = compute()
+	return c.v
+}
 
-	// Computed outside the lock: concurrent misses may duplicate the
-	// work, but parallel workers never serialize on a shuffle.
-	v := compute()
-
-	mu.Lock()
-	defer mu.Unlock()
+// keep memoizes v under k, evicting victims until it fits the budget;
+// a value larger than the whole budget is not kept. The caller holds mu.
+func keep(k key, v []uint32) {
 	size := 4 * len(v)
 	if size > budgetBytes {
-		return v
+		return
 	}
 	for bytes+size > budgetBytes {
-		bytes -= 4 * len(lru[0].v)
-		lru = lru[1:]
+		i := victim(k)
+		bytes -= 4 * len(lru[i].v)
+		lru = slices.Delete(lru, i, i+1) // zeroes the vacated slot
 	}
 	lru = append(lru, entry{k, v})
 	bytes += size
-	return v
+}
+
+// victim returns the position in lru of the entry to evict so that k
+// can be kept. Entries of another seed go first, the least recently
+// used first: they belong to a finished search or another request.
+// When every entry has k's seed, the most recently used entry of
+// another length goes. A search walks its placements in one order
+// during screening and returns to them in the same order at full
+// fidelity; under least-recently-used eviction that loop evicts the
+// entry needed next every time, while this rule keeps the first
+// placements resident and streams the rest through one slot. With no
+// entry of another length either, the least recently used goes.
+func victim(k key) int {
+	for i, e := range lru {
+		if e.key.seed != k.seed {
+			return i
+		}
+	}
+	for i := len(lru) - 1; i >= 0; i-- {
+		if lru[i].key.n != k.n {
+			return i
+		}
+	}
+	return 0
 }
 
 // shuffle runs the seeded Fisher-Yates over [0, n).
 func shuffle(seed uint64, n int) []uint32 {
+	if observe != nil {
+		observe(seed, n)
+	}
 	perm := make([]uint32, n)
 	for i := range perm {
 		perm[i] = uint32(i)

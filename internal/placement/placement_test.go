@@ -1,8 +1,12 @@
 package placement
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestPermIsSeededPermutation: Perm is a permutation of [0, n), a pure
@@ -98,4 +102,154 @@ func TestPermConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentMissesShuffleOnce: goroutines that miss on one cold key
+// together wait for the first one's shuffle instead of shuffling again
+// (run with -race).
+func TestConcurrentMissesShuffleOnce(t *testing.T) {
+	const callers, n = 8, 1 << 16
+	want := shuffle(42, n)
+	var started sync.WaitGroup
+	started.Add(callers)
+	stop := CountShuffles()
+	inner := observe
+	observe = func(seed uint64, n int) {
+		// Hold the first shuffle until every caller has started, and a
+		// little longer so they reach the memo: the test passes however
+		// late they come, but only a memo without in-flight entries
+		// lets an early one shuffle again.
+		started.Wait()
+		time.Sleep(10 * time.Millisecond)
+		inner(seed, n)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			started.Done()
+			if !equal(Perm(42, n), want) {
+				t.Error("a waiting caller got another permutation")
+			}
+		}()
+	}
+	wg.Wait()
+	if shuffled, _ := stop(); shuffled != n {
+		t.Errorf("%d callers of one cold key shuffled %d entries, want one shuffle of %d", callers, shuffled, n)
+	}
+}
+
+// TestBadArgumentsPanic: a prefix outside [0, n] or a length outside
+// [0, 2^32) panics with a placement: message instead of returning a
+// table whose slots silently claim sector 0 or dying in makeslice.
+func TestBadArgumentsPanic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Inverse(3, 10, 12)", func() { Inverse(3, 10, 12) }},
+		{"Inverse(3, 10, -1)", func() { Inverse(3, 10, -1) }},
+		{"Inverse(3, -1, 0)", func() { Inverse(3, -1, 0) }},
+		{"Perm(1, -1)", func() { Perm(1, -1) }},
+		{"Perm(1, MaxInt)", func() { Perm(1, math.MaxInt) }},
+		{"Perm(1, 2^32)", func() { Perm(1, int(uint64(math.MaxUint32)+1)) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "placement: ") {
+					t.Errorf("%s: panicked with %q, want a placement: message", tc.name, msg)
+				}
+			}()
+			tc.call()
+		}()
+	}
+}
+
+// shuffles counts the shuffles of one goroutine, without emptying the
+// memo, until the returned stop is called.
+func shuffles() (stop func() int) {
+	calls := 0
+	observe = func(uint64, int) { calls++ }
+	return func() int {
+		observe = nil
+		return calls
+	}
+}
+
+// TestMemoKeepsAPrefixOfASeedsLoop: a seed's keys that together exceed
+// the budget, asked for twice in one order, reshuffle on the second
+// pass only the keys that did not fit. Least-recently-used eviction
+// would reshuffle every one of them: each miss evicts the key the loop
+// asks for next.
+func TestMemoKeepsAPrefixOfASeedsLoop(t *testing.T) {
+	const keys = 6
+	n := budgetBytes / 4 * 2 / 7 // three fit the budget, four do not
+	fit := budgetBytes / (4 * n)
+	resetMemo()
+	for pass := range 3 {
+		stop := shuffles()
+		for i := range keys {
+			Perm(7, n-i)
+		}
+		got, want := stop(), keys-fit
+		if pass == 0 {
+			want = keys
+		}
+		if got != want {
+			t.Errorf("pass %d over %d keys of which %d fit: %d shuffles, want %d", pass, keys, fit, got, want)
+		}
+	}
+}
+
+// TestMemoEvictsAnotherSeedFirst: a key evicts the entries of other
+// seeds, least recently used first, before any entry of its own seed,
+// even one used longer ago.
+func TestMemoEvictsAnotherSeedFirst(t *testing.T) {
+	n := budgetBytes / 4 * 2 / 7 // three fit the budget
+	resetMemo()
+	own := []key{{seed: 2, n: n}, {seed: 2, n: n - 1}, {seed: 2, n: n - 2}}
+	other := []key{{seed: 1, n: n}, {seed: 1, n: n - 1}}
+	for _, k := range []key{own[0], other[0], other[1]} {
+		Perm(k.seed, k.n)
+	}
+	resident := func() []key {
+		mu.Lock()
+		defer mu.Unlock()
+		var ks []key
+		for _, e := range lru {
+			ks = append(ks, e.key)
+		}
+		return ks
+	}
+	for i, want := range [][]key{
+		{own[0], other[1], own[1]},
+		{own[0], own[1], own[2]},
+	} {
+		Perm(2, own[i+1].n)
+		if got := resident(); !slices.Equal(got, want) {
+			t.Fatalf("after %+v the memo holds %+v, want %+v", own[i+1], got, want)
+		}
+	}
+}
+
+// TestEvictedEntriesAreReleased: no slot of the memo's backing array
+// past its length still holds an evicted permutation, which would keep
+// it reachable. Dropping the front entry by reslicing did, and held
+// serve-mixed's peak RSS about 27 MB higher.
+func TestEvictedEntriesAreReleased(t *testing.T) {
+	n := budgetBytes / 4 / 5
+	resetMemo()
+	for seed := uint64(0); seed < 6; seed++ {
+		Perm(seed, n)
+	}
+	Perm(9, 3*n) // evicts three entries at once
+	mu.Lock()
+	defer mu.Unlock()
+	for i, e := range lru[len(lru):cap(lru)] {
+		if e.v != nil {
+			t.Errorf("slot %d past the memo's %d entries holds a permutation of seed %d", len(lru)+i, len(lru), e.key.seed)
+		}
+	}
 }

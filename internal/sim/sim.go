@@ -5,8 +5,9 @@
 // design package. The run loop always advances the earliest core, the
 // lowest-indexed on ties, so the organization sees requests in time
 // order; a branch-free scan over the live cores' times finds it. The
-// LLC belongs to the machine rather than the run: RunOn and RunSourcesOn
-// take one that the caller keeps, and resets, across runs.
+// LLC and the cores' slots belong to the machine rather than the run:
+// RunOn and RunSourcesOn take a Host that the caller keeps, and resets,
+// across runs.
 package sim
 
 import (
@@ -95,38 +96,73 @@ func Run(spec workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Device, sy
 // internal/telemetry). A nil smp is exactly Run — the sampler is
 // passive and never changes the Result.
 func RunSampled(spec workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
-	return RunOn(NewLLC(sys), spec, ms, nm, fm, sys, smp)
+	return RunOn(NewHost(sys), spec, ms, nm, fm, sys, smp)
 }
 
 // RunSources executes one explicit trace source per core — the entry
 // point for replaying captured traces. mlp bounds each core's overlapped
 // misses.
 func RunSources(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System) Result {
-	return RunSourcesOn(NewLLC(sys), name, srcs, mlp, ms, nm, fm, sys, nil)
+	return RunSourcesOn(NewHost(sys), name, srcs, mlp, ms, nm, fm, sys, nil)
 }
 
-// NewLLC builds the shared last-level cache of sys; its geometry depends
-// on sys alone. Run, RunSampled and RunSources build one per run.
-func NewLLC(sys config.System) *cachesim.Cache {
-	return cachesim.New(sys.LLCBytes, config.LLCAssoc, memtypes.CPULineBytes)
+// Host is the processor side of a machine: the shared last-level cache
+// and the run loop's per-core slots (core model, MSHR heap and record
+// buffer). Its state depends on the system alone, so a caller that runs
+// many designs on one system keeps one Host and resets it between runs,
+// with the results a new Host gives. Run, RunSampled and RunSources
+// build one per run.
+type Host struct {
+	LLC   *cachesim.Cache
+	cores []coreState
+	times []memtypes.Tick
 }
 
-// RunOn is RunSampled on llc, a cache NewLLC(sys) built and no run has
-// used since it was built or Reset. The LLC belongs to the machine, not
-// to the run: a caller that runs many designs on one system keeps one
-// LLC and resets it between runs, with the results a new LLC gives.
-func RunOn(llc *cachesim.Cache, spec workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
+// NewHost builds the host of sys; the cores' slots are allocated by the
+// first run.
+func NewHost(sys config.System) *Host {
+	return &Host{LLC: cachesim.New(sys.LLCBytes, config.LLCAssoc, memtypes.CPULineBytes)}
+}
+
+// Reset returns h to NewHost's state, keeping the memory of its LLC and
+// of its cores' slots. The cores themselves are reset by each run.
+func (h *Host) Reset() { h.LLC.Reset() }
+
+// start resets h's core slots and their times in place for a run of
+// srcs at mlp and returns the slots; those allocated by an earlier run
+// are reused, MSHR heaps included.
+func (h *Host) start(srcs []Source, mlp int) []coreState {
+	if cap(h.cores) < len(srcs) {
+		h.cores = make([]coreState, len(srcs))
+		h.times = make([]memtypes.Tick, len(srcs))
+	}
+	h.cores, h.times = h.cores[:len(srcs)], h.times[:len(srcs)]
+	for i := range h.cores {
+		cs := &h.cores[i]
+		cs.Reset(mlp)
+		cs.src, cs.head, cs.n = srcs[i], 0, 0
+	}
+	clear(h.times)
+	return h.cores
+}
+
+// RunOn is RunSampled on h, a host NewHost(sys) built and no run has
+// used since it was built or Reset. The host belongs to the machine,
+// not to the run: a caller that runs many designs on one system keeps
+// one host and resets it between runs, with the results a new host
+// gives.
+func RunOn(h *Host, spec workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
 	srcs := make([]Source, config.Cores)
 	for i := range srcs {
 		srcs[i] = workload.NewStream(spec, i, sys.Scale, sys.InstrPerCore, sys.Seed)
 	}
-	return RunSourcesOn(llc, spec.Name, srcs, MLPFor(spec), ms, nm, fm, sys, smp)
+	return RunSourcesOn(h, spec.Name, srcs, MLPFor(spec), ms, nm, fm, sys, smp)
 }
 
-// RunSourcesOn is RunSources on llc, under RunOn's conditions, with an
+// RunSourcesOn is RunSources on h, under RunOn's conditions, with an
 // optional telemetry sampler; nil smp is exactly RunSources.
-func RunSourcesOn(llc *cachesim.Cache, name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
-	return runLoop(llc, name, srcs, mlp, ms, nm, fm, sys, smp)
+func RunSourcesOn(h *Host, name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
+	return runLoop(h, name, srcs, mlp, ms, nm, fm, sys, smp)
 }
 
 // coreState is one core's slot in the run loop: the core model, its
@@ -181,11 +217,11 @@ func maxCoreTime(cores []coreState) memtypes.Tick {
 // records arrive batchLen at a time through its Source; a source's
 // records do not depend on pull granularity, so the batching moves no
 // result. The steady state allocates nothing: record buffers, core state
-// and times are preallocated, and the histogram is a fixed array. The
+// and times are the host's, and the histogram is a fixed array. The
 // telemetry sampler is optional and passive: with smp nil the per-record
 // cost is one predictable branch and the Result is unchanged either way.
-// The caller owns llc and hands it over in New's state.
-func runLoop(llc *cachesim.Cache, name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
+// The caller owns h and hands it over in NewHost's state.
+func runLoop(h *Host, name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
 	var lat stats.Histogram
 
 	// Telemetry boundary state: retired instructions mirror the cores'
@@ -196,12 +232,9 @@ func runLoop(llc *cachesim.Cache, name string, srcs []Source, mlp int, ms memtyp
 		sNext = smp.WindowInstr()
 	}
 
-	cores := make([]coreState, len(srcs))
-	for i := range cores {
-		cores[i].Core = *cpu.New(mlp)
-		cores[i].src = srcs[i]
-	}
-	times := make([]memtypes.Tick, len(cores))
+	llc := h.LLC
+	cores := h.start(srcs, mlp)
+	times := h.times[:len(cores)] // a length the compiler ties to cores'
 
 	for live := len(cores); live > 0; {
 		// Advance the earliest core: keeps memory-system calls in
@@ -273,6 +306,7 @@ func runLoop(llc *cachesim.Cache, name string, srcs []Source, mlp int, ms memtyp
 	var instr uint64
 	for i := range cores {
 		instr += cores[i].Instructions
+		cores[i].src = nil // the host outlives the run's sources
 	}
 	ms.Finish(cycles)
 	// Close the final (possibly partial) epoch after Finish so flushed
