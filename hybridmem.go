@@ -312,22 +312,6 @@ func RunCustom(design string, w Workload, cfg Config) (Result, error) {
 	return fromSim(sr), nil
 }
 
-// RunTrace replays a captured memory trace on a design. Both trace
-// formats (text and varint binary, plain or gzip-compressed) are
-// documented in internal/trace and auto-detected; cmd/tracegen produces
-// compatible files from the built-in workloads. mlp bounds each core's
-// overlapped misses (traces carry no dependence information) and must
-// lie in [1, 64].
-//
-// RunTrace is ReplayTrace with default streaming options.
-func RunTrace(design, name string, trace io.Reader, mlp int, cfg Config) (Result, error) {
-	if mlp < 1 {
-		// ReplayTrace would read 0 as its default of 4.
-		return Result{}, fmt.Errorf("hybridmem: mlp must be >= 1, got %d", mlp)
-	}
-	return ReplayTrace(design, name, trace, ReplayOptions{MLP: mlp}, cfg)
-}
-
 // ReplayOptions tunes streaming trace replay beyond the per-run Config.
 // The zero value picks sensible defaults.
 type ReplayOptions struct {

@@ -110,11 +110,11 @@ func TestRunAllRejectsMalformedDesignUpfront(t *testing.T) {
 	}
 }
 
-// TestRunTraceEmptyTracePublic pins the empty-trace error through the
+// TestReplayTraceEmptyTracePublic pins the empty-trace error through the
 // public API.
-func TestRunTraceEmptyTracePublic(t *testing.T) {
+func TestReplayTraceEmptyTracePublic(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, err := RunTrace("HYBRID2", "empty", strings.NewReader("  \n# nothing\n"), 2, cfg); err == nil {
+	if _, err := ReplayTrace("HYBRID2", "empty", strings.NewReader("  \n# nothing\n"), ReplayOptions{MLP: 2}, cfg); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }

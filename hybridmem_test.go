@@ -194,9 +194,9 @@ func TestBaselineServesNothingFromNM(t *testing.T) {
 	}
 }
 
-func TestRunTracePublicAPI(t *testing.T) {
+func TestReplayTracePublicAPI(t *testing.T) {
 	trace := strings.NewReader("0 10 1000 R\n0 5 1040 W\n1 20 2000 R\n")
-	res, err := RunTrace("HYBRID2", "unit", trace, 2, quickCfg())
+	res, err := ReplayTrace("HYBRID2", "unit", trace, ReplayOptions{MLP: 2}, quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,27 +242,34 @@ func TestReplayTraceWindowError(t *testing.T) {
 	}
 }
 
-func TestRunTraceErrors(t *testing.T) {
-	if _, err := RunTrace("HYBRID2", "x", strings.NewReader("bogus line"), 2, quickCfg()); err == nil {
+func TestReplayTraceErrors(t *testing.T) {
+	if _, err := ReplayTrace("HYBRID2", "x", strings.NewReader("bogus line"), ReplayOptions{MLP: 2}, quickCfg()); err == nil {
 		t.Fatal("malformed trace accepted")
 	}
-	if _, err := RunTrace("NOSUCH", "x", strings.NewReader("0 1 40 R\n"), 2, quickCfg()); err == nil {
+	if _, err := ReplayTrace("NOSUCH", "x", strings.NewReader("0 1 40 R\n"), ReplayOptions{MLP: 2}, quickCfg()); err == nil {
 		t.Fatal("unknown design accepted")
 	}
 }
 
-// TestRunTraceRejectsBadMLP: RunTrace refuses an mlp below 1 instead of
-// running at some other value (ReplayTrace would read 0 as its default
-// of 4), and both entry points refuse an mlp above 64 before allocating
-// per-core state for it.
-func TestRunTraceRejectsBadMLP(t *testing.T) {
-	for _, mlp := range []int{0, -1, 65, 1 << 30} {
-		if _, err := RunTrace("HYBRID2", "x", strings.NewReader("0 1 40 R\n"), mlp, quickCfg()); err == nil {
-			t.Errorf("RunTrace accepted mlp %d", mlp)
+// TestReplayTraceRejectsBadMLP: ReplayTrace refuses an mlp above 64
+// before allocating per-core state for it, and reads one below 1 as its
+// default of 4.
+func TestReplayTraceRejectsBadMLP(t *testing.T) {
+	const text = "0 1 40 R\n1 2 80 W\n"
+	for _, mlp := range []int{65, 1 << 20, 1 << 30} {
+		if _, err := ReplayTrace("HYBRID2", "x", strings.NewReader(text), ReplayOptions{MLP: mlp}, quickCfg()); err == nil {
+			t.Errorf("ReplayTrace accepted mlp %d", mlp)
 		}
 	}
-	if _, err := ReplayTrace("HYBRID2", "x", strings.NewReader("0 1 40 R\n"), ReplayOptions{MLP: 1 << 20}, quickCfg()); err == nil {
-		t.Error("ReplayTrace accepted mlp 1<<20")
+	want, err := ReplayTrace("HYBRID2", "x", strings.NewReader(text), ReplayOptions{MLP: 4}, quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mlp := range []int{0, -1} {
+		got, err := ReplayTrace("HYBRID2", "x", strings.NewReader(text), ReplayOptions{MLP: mlp}, quickCfg())
+		if err != nil || got != want {
+			t.Errorf("mlp %d: %v, %+v; want the mlp 4 result %+v", mlp, err, got, want)
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func TestAccountingIdentities(t *testing.T) {
 				t.Fatal(err)
 			}
 			smp := telemetry.New(telemetry.Options{WindowInstr: 32768})
-			res := sim.RunSampled(wspec, ms, nm, fm, sys, smp)
+			res := sim.RunOn(sim.NewHost(sys), wspec, ms, nm, fm, sys, smp)
 			checkAccounting(t, name+"/"+wl, res, smp.Series())
 		}
 	}

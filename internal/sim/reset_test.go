@@ -41,7 +41,7 @@ func invariantsHold(ms memtypes.MemorySystem) bool {
 
 func sampledRun(wl workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System) (sim.Result, *telemetry.Series) {
 	smp := telemetry.New(telemetry.Options{WindowInstr: 16384})
-	return sim.RunSampled(wl, ms, nm, fm, sys, smp), smp.Series()
+	return sim.RunOn(sim.NewHost(sys), wl, ms, nm, fm, sys, smp), smp.Series()
 }
 
 func TestResetMatchesFreshBuild(t *testing.T) {

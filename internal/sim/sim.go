@@ -88,15 +88,7 @@ func MLPFor(spec workload.Spec) int {
 // the design was built over (nm may be nil for the no-NM baseline); they
 // are only read for energy accounting.
 func Run(spec workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System) Result {
-	return RunSampled(spec, ms, nm, fm, sys, nil)
-}
-
-// RunSampled is Run with an optional telemetry sampler attached: smp
-// observes the run as a series of windowed epochs (see
-// internal/telemetry). A nil smp is exactly Run — the sampler is
-// passive and never changes the Result.
-func RunSampled(spec workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
-	return RunOn(NewHost(sys), spec, ms, nm, fm, sys, smp)
+	return RunOn(NewHost(sys), spec, ms, nm, fm, sys, nil)
 }
 
 // RunSources executes one explicit trace source per core — the entry
@@ -110,8 +102,8 @@ func RunSources(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, n
 // and the run loop's per-core slots (core model, MSHR heap and record
 // buffer). Its state depends on the system alone, so a caller that runs
 // many designs on one system keeps one Host and resets it between runs,
-// with the results a new Host gives. Run, RunSampled and RunSources
-// build one per run.
+// with the results a new Host gives. Run and RunSources build one per
+// run.
 type Host struct {
 	LLC   *cachesim.Cache
 	cores []coreState
@@ -146,23 +138,19 @@ func (h *Host) start(srcs []Source, mlp int) []coreState {
 	return h.cores
 }
 
-// RunOn is RunSampled on h, a host NewHost(sys) built and no run has
-// used since it was built or Reset. The host belongs to the machine,
-// not to the run: a caller that runs many designs on one system keeps
-// one host and resets it between runs, with the results a new host
-// gives.
+// RunOn is Run on h, a host NewHost(sys) built and no run has used
+// since it was built or Reset, with an optional telemetry sampler: smp
+// observes the run as a series of windowed epochs (see
+// internal/telemetry). A nil smp is exactly Run — the sampler is passive
+// and never changes the Result. The host belongs to the machine, not to
+// the run: a caller that runs many designs on one system keeps one host
+// and resets it between runs, with the results a new host gives.
 func RunOn(h *Host, spec workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
 	srcs := make([]Source, config.Cores)
 	for i := range srcs {
 		srcs[i] = workload.NewStream(spec, i, sys.Scale, sys.InstrPerCore, sys.Seed)
 	}
 	return RunSourcesOn(h, spec.Name, srcs, MLPFor(spec), ms, nm, fm, sys, smp)
-}
-
-// RunSourcesOn is RunSources on h, under RunOn's conditions, with an
-// optional telemetry sampler; nil smp is exactly RunSources.
-func RunSourcesOn(h *Host, name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
-	return runLoop(h, name, srcs, mlp, ms, nm, fm, sys, smp)
 }
 
 // coreState is one core's slot in the run loop: the core model, its
@@ -203,8 +191,11 @@ func maxCoreTime(cores []coreState) memtypes.Tick {
 	return t
 }
 
-// runLoop is the per-record simulation loop; every design runs through
-// it behind the memtypes.MemorySystem interface, one dynamic call per
+// RunSourcesOn is RunSources on h, under RunOn's conditions, with an
+// optional telemetry sampler; nil smp is exactly RunSources.
+//
+// It is the per-record simulation loop; every design runs through it
+// behind the memtypes.MemorySystem interface, one dynamic call per
 // memory access. The scheduler keeps the cores whose sources still have
 // records as a live prefix of cores, in index order, with their times
 // mirrored in the dense array times; each record goes to earliest(times),
@@ -221,7 +212,7 @@ func maxCoreTime(cores []coreState) memtypes.Tick {
 // telemetry sampler is optional and passive: with smp nil the per-record
 // cost is one predictable branch and the Result is unchanged either way.
 // The caller owns h and hands it over in NewHost's state.
-func runLoop(h *Host, name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
+func RunSourcesOn(h *Host, name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
 	var lat stats.Histogram
 
 	// Telemetry boundary state: retired instructions mirror the cores'

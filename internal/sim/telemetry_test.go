@@ -41,7 +41,7 @@ func TestTelemetryPassivity(t *testing.T) {
 				t.Fatalf("rebuild: %v", err)
 			}
 			smp := telemetry.New(telemetry.Options{WindowInstr: 8192, MaxEpochs: 64})
-			got := sim.RunSampled(spec, ms2, nm2, fm2, sys, smp)
+			got := sim.RunOn(sim.NewHost(sys), spec, ms2, nm2, fm2, sys, smp)
 			if got != want {
 				t.Errorf("sampled run diverges from unsampled:\n got %+v\nwant %+v", got, want)
 			}
@@ -86,7 +86,7 @@ func TestTelemetrySeriesDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		smp := telemetry.New(telemetry.Options{WindowInstr: 4096, MaxEpochs: 128})
-		sim.RunSampled(spec, ms, nm, fm, sys, smp)
+		sim.RunOn(sim.NewHost(sys), spec, ms, nm, fm, sys, smp)
 		return smp.Series()
 	}
 	a, b := run(), run()
@@ -108,7 +108,7 @@ func TestTelemetrySeriesDeterministic(t *testing.T) {
 	}
 }
 
-// TestTelemetryNilSamplerRunPath: RunSampled with a nil sampler is
+// TestTelemetryNilSamplerRunPath: RunOn with a nil sampler is
 // exactly Run, on the same built design.
 func TestTelemetryNilSamplerRunPath(t *testing.T) {
 	spec, _ := workload.ByName("lbm")
@@ -119,8 +119,8 @@ func TestTelemetryNilSamplerRunPath(t *testing.T) {
 	}
 	want := sim.Run(spec, ms, nm, fm, sys)
 	ms2, nm2, fm2, _ := design.Build("HYBRID2", sys)
-	got := sim.RunSampled(spec, ms2, nm2, fm2, sys, nil)
+	got := sim.RunOn(sim.NewHost(sys), spec, ms2, nm2, fm2, sys, nil)
 	if got != want {
-		t.Fatalf("nil-sampler RunSampled diverges:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("nil-sampler RunOn diverges:\n got %+v\nwant %+v", got, want)
 	}
 }

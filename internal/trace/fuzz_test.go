@@ -15,10 +15,12 @@ import (
 
 // FuzzDecode feeds arbitrary bytes to the auto-detecting decoder. Every
 // input either decodes or fails with an error, never a panic; the
-// decoder's only input buffer stays at its 64 KB line cap; DecodeBatch
-// and a StreamReader, also over one-byte and half-size reads, yield the
-// Decode loop's records, record count and error; and whatever records it
-// yields, re-encoded as binary, decode back to the same records.
+// decoder's only input buffer stays at its 64 KB line cap; Decode,
+// DecodeBatch and a StreamReader, however the input arrives (one byte
+// at a time, half-size reads, the last bytes together with io.EOF),
+// yield the byte-at-a-time reference's records, record count and exact
+// error over a plain reader; and whatever records they yield,
+// re-encoded as binary, decode back to the same records.
 func FuzzDecode(f *testing.F) {
 	recs := sampleRecords(40, 8)
 	for _, tc := range []struct {
@@ -39,6 +41,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("HMT\x02"))
 	f.Add([]byte{0x1f, 0x8b})
 	f.Add(append([]byte("HMT\x01"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
+	f.Add(append([]byte("HMT\x01"), bytes.Repeat([]byte{0x80}, 10)...)) // overflows at the end of input
 	for _, seed := range batchSeeds() {
 		f.Add(seed)
 	}
@@ -47,29 +50,25 @@ func FuzzDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := NewDecoder(bytes.NewReader(data), 8)
+		ref, err := NewDecoder(bytes.NewReader(data), 8)
 		if err != nil {
 			return
 		}
 		var got []coreRec
 		var end error
 		for {
-			core, rec, err := d.Decode()
+			core, rec, err := ref.byteDecode()
 			if err != nil {
 				end = err
 				break
 			}
-			if core < 0 || core >= 8 {
-				t.Fatalf("record %d: core %d out of range", len(got), core)
-			}
 			got = append(got, coreRec{core, rec})
 		}
-		if n := d.br.Size(); n > 1<<16 {
-			t.Fatalf("decoder buffer grew to %d bytes", n)
-		}
 
-		// Every other path must yield the byte path's records, count and
-		// error, whatever the batch size and however the input arrives.
+		// Every path must yield the reference's records, count and error,
+		// whatever the batch size and however the input arrives.
+		recs, n, err := drainDecode(t, bytes.NewReader(data))
+		checkSame(t, "Decode", got, ref.Records(), end, recs, n, err)
 		for _, tc := range []struct {
 			name string
 			r    io.Reader
@@ -77,9 +76,10 @@ func FuzzDecode(f *testing.F) {
 		}{
 			{"DecodeBatch", bytes.NewReader(data), 3},
 			{"DecodeBatch/OneByteReader", iotest.OneByteReader(bytes.NewReader(data)), batchRecs},
+			{"DecodeBatch/DataErrReader", iotest.DataErrReader(bytes.NewReader(data)), batchRecs},
 		} {
 			recs, n, err := drainBatches(tc.r, tc.size)
-			checkSame(t, tc.name, got, d.Records(), end, recs, n, err)
+			checkSame(t, tc.name, got, ref.Records(), end, recs, n, err)
 		}
 		for _, tc := range []struct {
 			name string
@@ -92,7 +92,7 @@ func FuzzDecode(f *testing.F) {
 			if err == nil {
 				err = io.EOF
 			}
-			checkSame(t, tc.name, got, d.Records(), end, recs, n, err)
+			checkSame(t, tc.name, got, ref.Records(), end, recs, n, err)
 		}
 
 		var buf bytes.Buffer
@@ -129,10 +129,11 @@ type coreRec struct {
 	rec  memtypes.Rec
 }
 
-// batchSeeds are inputs at the edges of DecodeBatch's fast paths: a
-// binary record and a text line straddling the 64 KB bufio buffer, an
-// 11-byte varint and an out-of-range core amid valid records, and CRLF
-// line ends.
+// batchSeeds are inputs at the edges of DecodeBatch's parsers: a binary
+// record and a text line straddling the 64 KB bufio buffer, an 11-byte
+// varint and an out-of-range core amid valid records, CRLF line ends,
+// and an unterminated only line of one byte less than, exactly and one
+// byte more than the buffer.
 func batchSeeds() [][]byte {
 	// 7-byte records from offset 4: record 9361 spans bytes 65531-65537.
 	straddle := append([]byte(nil), binaryMagic...)
@@ -159,6 +160,38 @@ func batchSeeds() [][]byte {
 		// 9-byte lines: line 7282 spans bytes 65529-65537.
 		[]byte(strings.Repeat("0 1 40 R\n", 7300)),
 		[]byte("0 1 40 R\r\n# c\r\n\r\n1 2 0x80 W \r\n7 3 ff r\r\n"),
+		unterminatedLine(1<<16 - 1),
+		unterminatedLine(1 << 16),
+		unterminatedLine(1<<16 + 1),
+	}
+}
+
+// unterminatedLine is a text trace of size bytes: one record line,
+// padded with spaces and without a '\n'.
+func unterminatedLine(size int) []byte {
+	line := "0 1 40 R"
+	return []byte(line + strings.Repeat(" ", size-len(line)))
+}
+
+// drainDecode decodes r a record at a time through Decode.
+func drainDecode(t *testing.T, r io.Reader) ([]coreRec, uint64, error) {
+	d, err := NewDecoder(r, 8)
+	if err != nil {
+		return nil, 0, err
+	}
+	var out []coreRec
+	for {
+		core, rec, err := d.Decode()
+		if err != nil {
+			if n := d.br.Size(); n > 1<<16 {
+				t.Fatalf("decoder buffer grew to %d bytes", n)
+			}
+			return out, d.Records(), err
+		}
+		if core < 0 || core >= 8 {
+			t.Fatalf("record %d: core %d out of range", len(out), core)
+		}
+		out = append(out, coreRec{core, rec})
 	}
 }
 
@@ -208,16 +241,16 @@ func drainStream(r io.Reader, want []coreRec) ([]coreRec, uint64, error) {
 }
 
 // checkSame fails t unless a path's records, record count and final
-// error match the byte path's.
+// error match the reference's.
 func checkSame(t *testing.T, name string, want []coreRec, wantN uint64, wantErr error, got []coreRec, n uint64, err error) {
 	t.Helper()
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: %d records differ from the byte path's %d", name, len(got), len(want))
+		t.Fatalf("%s: %d records differ from the reference's %d", name, len(got), len(want))
 	}
 	if n != wantN {
-		t.Fatalf("%s: Records() = %d, byte path %d", name, n, wantN)
+		t.Fatalf("%s: Records() = %d, reference %d", name, n, wantN)
 	}
 	if err == nil || err.Error() != wantErr.Error() {
-		t.Fatalf("%s: error %v, byte path %v", name, err, wantErr)
+		t.Fatalf("%s: error %v, reference %v", name, err, wantErr)
 	}
 }

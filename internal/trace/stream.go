@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -71,6 +72,7 @@ type Decoder struct {
 	maxCores   int
 	line       int    // text only: current line for error positions
 	n          uint64 // records decoded so far
+	end        error  // io.EOF or the read error once the input has ended
 	// instr sums gap+1, the instructions a record retires, over the
 	// records decoded so far. A record that would take it past 2^64-1
 	// is an error: no core's instruction count can wrap.
@@ -111,406 +113,282 @@ func (d *Decoder) Compressed() bool { return d.compressed }
 // Records returns how many records have been decoded so far.
 func (d *Decoder) Records() uint64 { return d.n }
 
-// Decode returns the next record and its issuing core, reading varints
-// a byte at a time and lines through bufio. It returns io.EOF at a clean
-// end of trace and a positioned error (line or record number) on
-// malformed input, including a truncated final binary record and a
-// record whose gap takes the trace past 2^64-1 instructions.
-// DecodeBatch is the fast path and Decode what it falls back to, so the
-// two yield the same records and errors.
+// Decode returns the next record and its issuing core: it is DecodeBatch
+// of one record. It returns io.EOF at a clean end of trace and a
+// positioned error (line or record number) on malformed input,
+// including a truncated final binary record and a record whose gap
+// takes the trace past 2^64-1 instructions.
 func (d *Decoder) Decode() (core int, rec memtypes.Rec, err error) {
-	if d.format == FormatBinary {
-		return d.decodeBinary()
+	var cores [1]int
+	var recs [1]memtypes.Rec
+	if _, err := d.DecodeBatch(cores[:], recs[:]); err != nil {
+		return 0, memtypes.Rec{}, err
 	}
-	return d.decodeText()
+	return cores[0], recs[0], nil
 }
 
 // DecodeBatch decodes up to min(len(cores), len(recs)) records into recs,
 // each with its issuing core at the same index of cores, and returns how
 // many it decoded. It returns fewer only with a non-nil error: io.EOF at
-// a clean end of trace, or the error Decode returns for the record after
-// the n decoded ones.
+// a clean end of trace, or the positioned error of the record after the
+// n decoded ones.
 //
-// Records are parsed straight from the bufio buffer. A record or line
-// straddling the buffer's edge, and any input the fast parsers do not
-// accept (a malformed varint, an out-of-range core, a malformed line),
-// goes through Decode, so the records, Records and every positioned
-// error match a Decode loop's. So does a record that would take the
-// instruction count past 2^64-1.
+// Records are parsed straight from the bufio buffer, by one parser per
+// encoding. A record or line cut by the buffer's edge is parsed again
+// once fill has read more input behind it, so neither the records nor
+// the errors depend on how the input is split into reads.
 func (d *Decoder) DecodeBatch(cores []int, recs []memtypes.Rec) (int, error) {
 	want := min(len(cores), len(recs))
+	if d.format == FormatBinary {
+		return d.scanBinary(cores[:want], recs[:want])
+	}
+	return d.scanText(cores[:want], recs[:want])
+}
+
+// fill reads more input behind the buffered bytes, which hold no
+// complete record or line. It returns nil once at least one more byte is
+// buffered, and bufio.ErrBufferFull if the buffer is already full.
+// Otherwise the input has ended, and it returns io.EOF or the read
+// error, as every later call does.
+func (d *Decoder) fill() error {
+	if d.end != nil {
+		return d.end
+	}
+	_, err := d.br.Peek(d.br.Buffered() + 1)
+	if err != bufio.ErrBufferFull {
+		d.end = err
+	}
+	return err
+}
+
+// errVarintOverflow is the error of a varint longer than 64 bits, worded
+// as encoding/binary words it.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// scanBinary parses binary records from the bufio buffer into cores and
+// recs until both are full or it returns an error. A record cut by the
+// buffer's edge waits for fill; one cut by the end of input is
+// truncated.
+func (d *Decoder) scanBinary(cores []int, recs []memtypes.Rec) (int, error) {
 	n := 0
-	for n < want {
-		if d.format == FormatBinary {
-			n += d.scanBinary(cores[n:want], recs[n:want])
-		} else {
-			n += d.scanText(cores[n:want], recs[n:want])
-		}
-		if n == want {
-			break
-		}
-		core, rec, err := d.Decode()
-		if err != nil {
-			return n, err
-		}
-		cores[n], recs[n] = core, rec
-		n++
-	}
-	return n, nil
-}
-
-// scanBinary parses the complete records at the head of the bufio buffer
-// into cores and recs. It stops at a record cut by the buffer's edge, a
-// malformed varint or an out-of-range core, leaving them to Decode.
-func (d *Decoder) scanBinary(cores []int, recs []memtypes.Rec) int {
-	buf, _ := d.br.Peek(d.br.Buffered())
-	off, n, instr := 0, 0, d.instr
-	for n < len(recs) {
-		hdr, k1 := binary.Uvarint(buf[off:])
-		if k1 <= 0 || hdr>>1 >= uint64(d.maxCores) {
-			break
-		}
-		gap, k2 := binary.Uvarint(buf[off+k1:])
-		if k2 <= 0 {
-			break
-		}
-		addr, k3 := binary.Uvarint(buf[off+k1+k2:])
-		if k3 <= 0 {
-			break
-		}
-		sum, carry := bits.Add64(instr, gap, 1)
-		if carry != 0 {
-			break
-		}
-		instr = sum
-		off += k1 + k2 + k3
-		cores[n] = int(hdr >> 1)
-		recs[n] = memtypes.Rec{Gap: gap, Addr: memtypes.Addr(addr), Write: hdr&1 == 1}
-		n++
-	}
-	d.br.Discard(off)
-	d.n += uint64(n)
-	d.instr = instr
-	return n
-}
-
-// scanText parses the complete lines at the head of the bufio buffer
-// into cores and recs, skipping blank and comment lines. It stops at a
-// line cut by the buffer's edge, one scanLine does not accept, or a
-// record past the instruction bound, leaving it to Decode to parse or
-// reject.
-func (d *Decoder) scanText(cores []int, recs []memtypes.Rec) int {
-	buf, _ := d.br.Peek(d.br.Buffered())
-	off, n, instr := 0, 0, d.instr
-	for n < len(recs) {
-		core, rec, k := d.scanLine(buf[off:])
-		if k == 0 {
-			break
-		}
-		if core >= 0 {
-			sum, carry := bits.Add64(instr, rec.Gap, 1)
+	for {
+		buf, _ := d.br.Peek(d.br.Buffered())
+		off, instr, start := 0, d.instr, n
+		// The loop only stops at a record it cannot take; the values
+		// of that record's fields then say why.
+		var hdr, gap, addr uint64
+		var k1, k2, k3 int
+		for n < len(recs) {
+			hdr, k1 = binary.Uvarint(buf[off:])
+			// Range-check before the int conversion: a corrupt header
+			// varint must be a positioned error on every platform, not a
+			// 32-bit truncation that mis-attributes the record.
+			if k1 <= 0 || hdr>>1 >= uint64(d.maxCores) {
+				break
+			}
+			if gap, k2 = binary.Uvarint(buf[off+k1:]); k2 <= 0 {
+				break
+			}
+			if addr, k3 = binary.Uvarint(buf[off+k1+k2:]); k3 <= 0 {
+				break
+			}
+			sum, carry := bits.Add64(instr, gap, 1)
 			if carry != 0 {
 				break
 			}
 			instr = sum
-			cores[n], recs[n] = core, rec
+			off += k1 + k2 + k3
+			cores[n] = int(hdr >> 1)
+			recs[n] = memtypes.Rec{Gap: gap, Addr: memtypes.Addr(addr), Write: hdr&1 == 1}
 			n++
 		}
-		off += k
-		d.line++
+		d.br.Discard(off)
+		d.n += uint64(n - start)
+		d.instr = instr
+		// field is the varint (0 header, 1 gap, 2 address) that did not
+		// decode, at is where it starts in buf and k is binary.Uvarint's
+		// length for it.
+		var field, at, k int
+		switch {
+		case n == len(recs):
+			return n, nil
+		case k1 <= 0:
+			field, at, k = 0, off, k1
+		case hdr>>1 >= uint64(d.maxCores):
+			return n, errorf("record %d: core %d out of range [0,%d)", d.n+1, hdr>>1, d.maxCores)
+		case k2 <= 0:
+			field, at, k = 1, off+k1, k2
+		case k3 <= 0:
+			field, at, k = 2, off+k1+k2, k3
+		default:
+			return n, errorf("record %d: gap %d takes the trace past 2^64-1 instructions", d.n+1, gap)
+		}
+		var err error
+		if k < 0 || len(buf)-at >= binary.MaxVarintLen64 {
+			// Ten continuation bytes overflow whatever follows, as
+			// binary.ReadUvarint has it.
+			err = errVarintOverflow
+		} else if err = d.fill(); err == nil {
+			continue // the record was cut by the buffer's edge
+		} else if err == io.EOF {
+			if off == len(buf) {
+				return n, io.EOF
+			}
+			err = io.ErrUnexpectedEOF
+		}
+		if field > 0 {
+			return n, errorf("record %d: truncated: %w", d.n+1, err)
+		}
+		return n, errorf("record %d: %w", d.n+1, err)
 	}
-	d.br.Discard(off)
-	d.n += uint64(n)
-	d.instr = instr
-	return n
 }
 
-// scanLine parses the text line at the head of s in one pass over its
-// bytes and returns the length of the line through its '\n'. core is -1
-// for a blank or comment line. A length of 0 means s holds no complete
-// line or the line is not a plain well-formed record (four fields, a
-// core below maxCores, no overflow); Decode then judges it.
-func (d *Decoder) scanLine(s []byte) (core int, rec memtypes.Rec, k int) {
-	i := skipBlanks(s, 0)
-	if i == len(s) {
-		return 0, rec, 0
-	}
-	if s[i] == '\n' || s[i] == '#' {
-		j := bytes.IndexByte(s[i:], '\n')
-		if j < 0 {
-			return 0, rec, 0
+// scanText parses text lines from the bufio buffer into cores and recs,
+// skipping blank and comment lines, until both are full or it returns
+// an error. A line cut by the buffer's edge waits for fill; at the end
+// of input the bytes after the last '\n' are the final line.
+func (d *Decoder) scanText(cores []int, recs []memtypes.Rec) (int, error) {
+	n := 0
+	buf, _ := d.br.Peek(d.br.Buffered())
+	off := 0
+	for n < len(recs) {
+		line, next := buf[off:], 0
+		if j := bytes.IndexByte(line, '\n'); j >= 0 {
+			line, next = line[:j], off+j+1
+		} else {
+			d.br.Discard(off)
+			err := d.fill()
+			buf, _ = d.br.Peek(d.br.Buffered())
+			off = 0
+			if err == nil {
+				continue
+			}
+			if err == bufio.ErrBufferFull {
+				// A valid record line is tens of bytes; one outgrowing
+				// the 64 KB buffer is garbage input (e.g. a newline-free
+				// blob misdetected as text) that fails fast instead of
+				// being buffered in full, so the decoder's memory stays
+				// bounded.
+				return n, errorf("line %d: longer than %d bytes", d.line+1, d.br.Size())
+			}
+			if err != io.EOF {
+				// A transport failure (e.g. a corrupt gzip stream)
+				// surfaces as itself, not as a parse error on the
+				// fragment read before it.
+				return n, errorf("%w", err)
+			}
+			if len(buf) == 0 {
+				return n, io.EOF
+			}
+			line, next = buf, len(buf)
 		}
-		return -1, rec, i + j + 1
+		d.line++
+		core, rec, err := d.parseLine(line)
+		if err != nil {
+			return n, err
+		}
+		off = next
+		if core < 0 {
+			continue
+		}
+		sum, carry := bits.Add64(d.instr, rec.Gap, 1)
+		if carry != 0 {
+			return n, errorf("line %d: gap %d takes the trace past 2^64-1 instructions", d.line, rec.Gap)
+		}
+		d.instr = sum
+		d.n++
+		cores[n], recs[n] = core, rec
+		n++
+	}
+	d.br.Discard(off)
+	return n, nil
+}
+
+// parseLine parses the text line s, without its '\n', in one pass over
+// its bytes and without converting them to a string, so decoding text
+// allocates nothing. core is -1 for a blank or comment line.
+func (d *Decoder) parseLine(s []byte) (core int, rec memtypes.Rec, err error) {
+	i := skipSpaces(s, 0)
+	if i == len(s) || s[i] == '#' {
+		return -1, rec, nil
 	}
 	if s[i] == '+' {
 		i++
 	}
 	cv, i, ok := scanDecimal(s, i)
-	if !ok || cv >= uint64(d.maxCores) {
-		return 0, rec, 0
+	if !ok || cv >= uint64(d.maxCores) || !fieldEnd(s, i) {
+		return 0, rec, d.lineError(s, 0)
 	}
-	if i = nextFieldStart(s, i); i < 0 {
-		return 0, rec, 0
+	if rec.Gap, i, ok = scanDecimal(s, skipSpaces(s, i)); !ok || !fieldEnd(s, i) {
+		return 0, rec, d.lineError(s, 1)
 	}
-	if rec.Gap, i, ok = scanDecimal(s, i); !ok {
-		return 0, rec, 0
-	}
-	if i = nextFieldStart(s, i); i < 0 {
-		return 0, rec, 0
-	}
+	i = skipSpaces(s, i)
 	if i+1 < len(s) && s[i] == '0' && s[i+1] == 'x' {
 		i += 2
 	}
 	addr, i, ok := scanHex(s, i)
-	if !ok {
-		return 0, rec, 0
+	if !ok || !fieldEnd(s, i) {
+		return 0, rec, d.lineError(s, 2)
 	}
 	rec.Addr = memtypes.Addr(addr)
-	if i = nextFieldStart(s, i); i < 0 {
-		return 0, rec, 0
+	if i = skipSpaces(s, i); i == len(s) || !fieldEnd(s, i+1) {
+		return 0, rec, d.lineError(s, 3)
 	}
 	switch s[i] {
 	case 'R', 'r':
 	case 'W', 'w':
 		rec.Write = true
 	default:
-		return 0, rec, 0
+		return 0, rec, d.lineError(s, 3)
 	}
-	if i++; i == len(s) || !isSpaceByte(s[i]) {
-		return 0, rec, 0
+	if skipSpaces(s, i+1) != len(s) {
+		return 0, rec, d.lineError(s, 4)
 	}
-	if i = skipBlanks(s, i); i == len(s) || s[i] != '\n' {
-		return 0, rec, 0
-	}
-	return int(cv), rec, i + 1
+	return int(cv), rec, nil
 }
 
-// skipBlanks returns the index of the first byte at or after i in s that
-// is not a space other than '\n'.
-func skipBlanks(s []byte, i int) int {
-	for i < len(s) && s[i] != '\n' && isSpaceByte(s[i]) {
-		i++
-	}
-	return i
-}
+// fieldNames names a text line's fields in errors.
+var fieldNames = [4]string{"core", "gap", "address", "access type"}
 
-// nextFieldStart checks that the field ending at s[i] is followed by
-// spaces and another field on the same line, and returns where that
-// field starts, or -1.
-func nextFieldStart(s []byte, i int) int {
-	if i == len(s) || !isSpaceByte(s[i]) {
-		return -1
-	}
-	if i = skipBlanks(s, i); i == len(s) || s[i] == '\n' {
-		return -1
-	}
-	return i
-}
-
-func (d *Decoder) decodeBinary() (int, memtypes.Rec, error) {
-	hdr, err := binary.ReadUvarint(d.br)
-	if err == io.EOF {
-		return 0, memtypes.Rec{}, io.EOF
-	}
-	if err != nil {
-		return 0, memtypes.Rec{}, errorf("record %d: %w", d.n+1, err)
-	}
-	// Range-check before the int conversion: a corrupt header varint
-	// must be a positioned error on every platform, not a 32-bit
-	// truncation that mis-attributes the record or indexes out of range.
-	if hdr>>1 >= uint64(d.maxCores) {
-		return 0, memtypes.Rec{}, errorf("record %d: core %d out of range [0,%d)", d.n+1, hdr>>1, d.maxCores)
-	}
-	core := int(hdr >> 1)
-	gap, err := d.readField()
-	if err != nil {
-		return 0, memtypes.Rec{}, err
-	}
-	addr, err := d.readField()
-	if err != nil {
-		return 0, memtypes.Rec{}, err
-	}
-	if !d.count(gap) {
-		return 0, memtypes.Rec{}, errorf("record %d: gap %d takes the trace past 2^64-1 instructions", d.n+1, gap)
-	}
-	d.n++
-	return core, memtypes.Rec{Gap: gap, Addr: memtypes.Addr(addr), Write: hdr&1 == 1}, nil
-}
-
-// count adds the instructions of a record with the given gap to the
-// trace's total. It reports false, leaving the total unchanged, if the
-// total would pass 2^64-1.
-func (d *Decoder) count(gap uint64) bool {
-	sum, carry := bits.Add64(d.instr, gap, 1)
-	if carry != 0 {
-		return false
-	}
-	d.instr = sum
-	return true
-}
-
-// readField reads one non-leading varint of a binary record, where EOF
-// means the record was cut short.
-func (d *Decoder) readField() (uint64, error) {
-	v, err := binary.ReadUvarint(d.br)
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	if err != nil {
-		return 0, errorf("record %d: truncated: %w", d.n+1, err)
-	}
-	return v, nil
-}
-
-func (d *Decoder) decodeText() (int, memtypes.Rec, error) {
-	for {
-		line, err := d.br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			// A valid record line is tens of bytes; anything outgrowing
-			// bufio's 64 KB buffer is garbage input (e.g. a newline-free
-			// blob misdetected as text) that must fail fast instead of
-			// being buffered in full — the decoder's memory stays
-			// bounded on arbitrary inputs.
-			return 0, memtypes.Rec{}, errorf("line %d: longer than %d bytes", d.line+1, d.br.Size())
-		}
-		if err != nil && err != io.EOF {
-			// A transport failure (e.g. a corrupt gzip stream) must
-			// surface as itself, not as a parse error on the fragment
-			// read so far.
-			return 0, memtypes.Rec{}, errorf("%w", err)
-		}
-		if len(line) == 0 && err == io.EOF {
-			return 0, memtypes.Rec{}, io.EOF
-		}
-		d.line++
-		s := trimSpaceBytes(line)
-		if len(s) == 0 || s[0] == '#' {
-			if err == io.EOF {
-				return 0, memtypes.Rec{}, io.EOF
-			}
-			continue
-		}
-		core, rec, perr := d.parseLine(s)
-		if perr != nil {
-			return 0, memtypes.Rec{}, perr
-		}
-		if !d.count(rec.Gap) {
-			return 0, memtypes.Rec{}, errorf("line %d: gap %d takes the trace past 2^64-1 instructions", d.line, rec.Gap)
-		}
-		d.n++
-		return core, rec, nil
-	}
-}
-
-// parseLine parses one non-comment trace line in place. It works on the
-// bufio-owned byte slice without converting to string, so steady-state
-// text decoding is allocation-free.
-func (d *Decoder) parseLine(s []byte) (int, memtypes.Rec, error) {
-	var f [4][]byte
+// lineError is the error of the line s whose field f (4 for a fifth)
+// does not parse: the field count if it is not four, else field f.
+func (d *Decoder) lineError(s []byte, f int) error {
+	var fields [4][]byte
 	nf := 0
-	for rest := s; ; {
-		field, r := nextField(rest)
-		if len(field) == 0 {
-			break
+	for i := skipSpaces(s, 0); i < len(s); i = skipSpaces(s, i) {
+		j := i
+		for j < len(s) && !isSpaceByte(s[j]) {
+			j++
 		}
-		if nf == len(f) {
-			return 0, memtypes.Rec{}, errorf("line %d: want 4 fields, got %d", d.line, countFields(s))
+		if nf < len(fields) {
+			fields[nf] = s[i:j]
 		}
-		f[nf] = field
 		nf++
-		rest = r
+		i = j
 	}
-	if nf != 4 {
-		return 0, memtypes.Rec{}, errorf("line %d: want 4 fields, got %d", d.line, nf)
+	if nf != len(fields) {
+		return errorf("line %d: want 4 fields, got %d", d.line, nf)
 	}
-	cv, ok := parseDecimal(trimPlus(f[0]))
-	if !ok || cv >= uint64(d.maxCores) {
-		return 0, memtypes.Rec{}, errorf("line %d: bad core %q", d.line, f[0])
-	}
-	core := int(cv)
-	gap, ok := parseDecimal(f[1])
-	if !ok {
-		return 0, memtypes.Rec{}, errorf("line %d: bad gap %q", d.line, f[1])
-	}
-	addr, ok := parseHex(f[2])
-	if !ok {
-		return 0, memtypes.Rec{}, errorf("line %d: bad address %q", d.line, f[2])
-	}
-	var write bool
-	if len(f[3]) != 1 {
-		return 0, memtypes.Rec{}, errorf("line %d: bad access type %q", d.line, f[3])
-	}
-	switch f[3][0] {
-	case 'R', 'r':
-		write = false
-	case 'W', 'w':
-		write = true
-	default:
-		return 0, memtypes.Rec{}, errorf("line %d: bad access type %q", d.line, f[3])
-	}
-	return core, memtypes.Rec{Gap: gap, Addr: memtypes.Addr(addr), Write: write}, nil
+	return errorf("line %d: bad %s %q", d.line, fieldNames[f], fields[f])
 }
 
 func isSpaceByte(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }
 
-func trimSpaceBytes(s []byte) []byte {
-	for len(s) > 0 && isSpaceByte(s[0]) {
-		s = s[1:]
-	}
-	for len(s) > 0 && isSpaceByte(s[len(s)-1]) {
-		s = s[:len(s)-1]
-	}
-	return s
-}
-
-// nextField skips leading spaces and returns the next space-delimited
-// field and the remainder of s after it.
-func nextField(s []byte) (field, rest []byte) {
-	i := 0
+// skipSpaces returns the index of the first byte at or after i in s that
+// is not a space.
+func skipSpaces(s []byte, i int) int {
 	for i < len(s) && isSpaceByte(s[i]) {
 		i++
 	}
-	j := i
-	for j < len(s) && !isSpaceByte(s[j]) {
-		j++
-	}
-	return s[i:j], s[j:]
+	return i
 }
 
-func countFields(s []byte) int {
-	n := 0
-	for {
-		var field []byte
-		field, s = nextField(s)
-		if len(field) == 0 {
-			return n
-		}
-		n++
-	}
-}
-
-// trimPlus drops one leading '+' so the core field accepts the same
-// explicitly-signed spellings strconv.Atoi did.
-func trimPlus(b []byte) []byte {
-	if len(b) > 1 && b[0] == '+' {
-		return b[1:]
-	}
-	return b
-}
-
-func parseDecimal(b []byte) (uint64, bool) {
-	v, i, ok := scanDecimal(b, 0)
-	return v, ok && i == len(b)
-}
-
-func parseHex(b []byte) (uint64, bool) {
-	if len(b) >= 2 && b[0] == '0' && b[1] == 'x' {
-		b = b[2:]
-	}
-	v, i, ok := scanHex(b, 0)
-	return v, ok && i == len(b)
+// fieldEnd reports whether a field ends at s[i]: at a space or the end
+// of the line.
+func fieldEnd(s []byte, i int) bool {
+	return i == len(s) || isSpaceByte(s[i])
 }
 
 // scanDecimal parses the decimal digits at s[i:] up to the first
@@ -828,11 +706,11 @@ func (sr *StreamReader) pump() bool {
 	}
 	core, rec := sr.cur.cores[sr.pos], sr.cur.recs[sr.pos]
 	sr.pos++
-	sr.n++
 	if sr.queued(core) >= sr.window {
-		sr.err = errorf("record %d: interleave skew exceeds the lookahead window: %d records of core %d buffered while other cores replay; rerun with a larger window", sr.n, sr.window, core)
+		sr.err = errorf("record %d: interleave skew exceeds the lookahead window: %d records of core %d buffered while other cores replay; rerun with a larger window", sr.n+1, sr.window, core)
 		return false
 	}
+	sr.n++
 	q := sr.queues[core]
 	// Reclaim the drained prefix once it dominates the backing array, so
 	// the queue's footprint stays proportional to the window, not to the

@@ -210,6 +210,91 @@ func TestTextDecodeSurfacesTransportErrors(t *testing.T) {
 	}
 }
 
+// TestBinaryDecodeSurfacesTransportErrors: a read failure inside a
+// binary record surfaces as itself, positioned at the record it cut, from
+// Decode and from the byte-at-a-time reference alike. FuzzDecode's
+// inputs only ever end in io.EOF, so it cannot reach this path.
+func TestBinaryDecodeSurfacesTransportErrors(t *testing.T) {
+	errBroken := errors.New("broken transport")
+	// One whole record, then a record whose gap varint is cut after a
+	// continuation byte.
+	data := append(append([]byte(nil), binaryMagic...), 2, 1, 0x40, 4, 0x80)
+	var msgs []string
+	for _, tc := range []struct {
+		name   string
+		decode func(*Decoder) (int, memtypes.Rec, error)
+	}{
+		{"Decode", (*Decoder).Decode},
+		{"reference", (*Decoder).byteDecode},
+	} {
+		d, err := NewDecoder(io.MultiReader(bytes.NewReader(data), iotest.ErrReader(errBroken)), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := tc.decode(d); err != nil {
+			t.Fatalf("%s: record 1: %v", tc.name, err)
+		}
+		_, _, err = tc.decode(d)
+		if !errors.Is(err, errBroken) || !strings.Contains(err.Error(), "record 2:") {
+			t.Fatalf("%s: want the transport error at record 2, got %v", tc.name, err)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] {
+		t.Fatalf("Decode reports %q, the reference %q", msgs[0], msgs[1])
+	}
+}
+
+// endOnce is an io.Reader that fails t if it is read again after it
+// returned an error.
+type endOnce struct {
+	t    *testing.T
+	r    io.Reader
+	done bool
+}
+
+func (e *endOnce) Read(p []byte) (int, error) {
+	if e.done {
+		e.t.Fatal("input read again after it ended")
+	}
+	n, err := e.r.Read(p)
+	e.done = err != nil
+	return n, err
+}
+
+// TestDecodeReadsNothingAfterTheEnd: once the input has returned io.EOF
+// or a read error, the decoder reports it again without reading more,
+// also after an unterminated final text line.
+func TestDecodeReadsNothingAfterTheEnd(t *testing.T) {
+	errBroken := errors.New("broken transport")
+	bin := encode(t, sampleRecords(3, 2), FormatBinary, false)
+	for _, tc := range []struct {
+		name string
+		r    io.Reader
+		want error
+	}{
+		{"text", strings.NewReader("0 1 40 R\n1 2 80 W"), io.EOF},
+		{"binary", bytes.NewReader(bin), io.EOF},
+		{"text/broken", io.MultiReader(strings.NewReader("0 1 40 R\n"), iotest.ErrReader(errBroken)), errBroken},
+		{"binary/broken", io.MultiReader(bytes.NewReader(bin), iotest.ErrReader(errBroken)), errBroken},
+	} {
+		d, err := NewDecoder(&endOnce{t: t, r: iotest.OneByteReader(tc.r)}, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 3 {
+			for {
+				if _, _, err = d.Decode(); err != nil {
+					break
+				}
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("%s: got %v, want %v", tc.name, err, tc.want)
+			}
+		}
+	}
+}
+
 func TestStreamReaderServesPerCore(t *testing.T) {
 	recs := sampleRecords(400, 4)
 	data := encode(t, recs, FormatBinary, true)
@@ -271,6 +356,14 @@ func TestStreamReaderWindowSkewError(t *testing.T) {
 	}
 	if sr.MaxQueued() > 8 {
 		t.Fatalf("buffered %d records past the window", sr.MaxQueued())
+	}
+	// Records counts only the records queued, not the one the error
+	// names.
+	if n := sr.Records(); n != 8 {
+		t.Fatalf("Records() = %d after the skew error, want the 8 queued", n)
+	}
+	if err := sr.Err(); !strings.Contains(err.Error(), "record 9:") {
+		t.Fatalf("skew error %v does not name record 9", err)
 	}
 	// The error also poisons the buffered core's stream: replay must not
 	// continue on partial data.

@@ -55,7 +55,11 @@
 // # Streaming replay
 //
 // Decoder.DecodeBatch decodes records in batches straight from its
-// input buffer. A StreamReader runs it on a producer goroutine that
+// input buffer, with one parser per encoding; Decode is DecodeBatch of
+// one record. A record or line cut by the buffer's edge is parsed again
+// once more input has been read behind it, so neither the records nor
+// the positioned errors depend on how the input arrives in reads. A
+// StreamReader runs it on a producer goroutine that
 // decodes up to a fixed ring of batches (4 × 1024 records) ahead of the
 // simulation, so decoding and inflating overlap the simulated work. The
 // reader's memory is the per-core window queues plus that fixed ring,
