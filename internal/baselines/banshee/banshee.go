@@ -121,9 +121,13 @@ func (b *Banshee) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memt
 		if len(b.candFreq) >= 8192 {
 			clear(b.candFreq)
 		}
-		b.candFreq[page]++
-		victim := &ways[minWay]
-		if b.candFreq[page] >= victim.freq+b.cfg.ReplaceThreshold {
+		f := b.candFreq[page]
+		if f < 255 { // an 8-bit counter saturates
+			f++
+			b.candFreq[page] = f
+		}
+		// In int, not uint8, so that a victim near 255 does not wrap.
+		if int(f) >= int(ways[minWay].freq)+int(b.cfg.ReplaceThreshold) {
 			b.fill(now, set, minWay, page, write)
 			delete(b.candFreq, page)
 		}

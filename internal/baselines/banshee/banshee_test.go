@@ -148,3 +148,38 @@ func TestResetRestoresBuiltState(t *testing.T) {
 		t.Error("reset state differs from a fresh build")
 	}
 }
+
+// TestHotSetResistsColdPage pins the replacement test at the top of the
+// 8-bit counters: with every resident page at frequency 255, a page seen
+// once must not replace one (computed in uint8, the victim's 255 plus the
+// threshold wrapped to 1), and a page missing ever more often stays at a
+// sampled frequency of 255, 2 short of replacing one, instead of wrapping.
+func TestHotSetResistsColdPage(t *testing.T) {
+	b := New(Default(4*4096), memsys.New(memsys.HBM2Config()), memsys.New(memsys.DDR4Config()))
+	var now memtypes.Tick
+	for p := memtypes.Addr(0); p < 4; p++ {
+		for range 4000 {
+			now += 10
+			b.Access(now, p*4096, false)
+		}
+	}
+	for i := range b.entries {
+		if b.entries[i].freq != 255 {
+			t.Fatalf("way %d at frequency %d after 4000 hits, want 255", i, b.entries[i].freq)
+		}
+	}
+	before := b.Stats().Migrations
+	if before != 4 {
+		t.Fatalf("%d pages cached, want 4", before)
+	}
+	for n := range 4 * 300 {
+		now += 10
+		b.Access(now, 4*4096, false)
+		if got := b.Stats().Migrations; got != before {
+			t.Fatalf("access %d: migrations %d -> %d, a colder page replaced one at frequency 255", n, before, got)
+		}
+	}
+	if got := b.candFreq[4]; got != 255 {
+		t.Fatalf("candidate frequency %d after 300 sampled misses, want 255", got)
+	}
+}

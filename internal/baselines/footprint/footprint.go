@@ -11,6 +11,7 @@ package footprint
 import (
 	"math/bits"
 
+	"hybridmem/internal/cachesim"
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
 )
@@ -28,23 +29,21 @@ func Default(nmBytes uint64) Config {
 	return Config{NMBytes: nmBytes, PageBytes: 2048, Assoc: 16, HistoryMax: 1 << 16}
 }
 
+// entry is a page's line state; its tag, valid bit and recency live in
+// the cache's cachesim.Sets. An invalid way's vectors are all zero.
 type entry struct {
-	tag      uint64
-	valid    bool
 	validVec uint32 // per-64B-line presence
 	dirtyVec uint32
 	usedVec  uint32 // footprint observed this residency
-	lru      uint64
 }
 
 // Cache implements memtypes.MemorySystem.
 type Cache struct {
 	cfg     Config
 	nm, fm  *memsys.Device
-	entries []entry
+	tags    cachesim.Sets // page tag +1 per way, LRU order per set
+	entries []entry       // indexed set*Assoc+way, as tags' ways
 	sets    int
-	lines   int // 64 B lines per page
-	clock   uint64
 	history map[uint64]uint32 // page -> footprint of last residency
 	stats   memtypes.MemStats
 }
@@ -55,17 +54,16 @@ func New(cfg Config, nm, fm *memsys.Device) *Cache {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("footprint: set count must be a positive power of two")
 	}
-	lines := cfg.PageBytes / memtypes.CPULineBytes
-	if lines > 32 {
+	if cfg.PageBytes/memtypes.CPULineBytes > 32 {
 		panic("footprint: pages larger than 32 lines unsupported")
 	}
 	return &Cache{
 		cfg:     cfg,
 		nm:      nm,
 		fm:      fm,
+		tags:    cachesim.NewSets(sets, cfg.Assoc),
 		entries: make([]entry, sets*cfg.Assoc),
 		sets:    sets,
-		lines:   lines,
 		history: make(map[uint64]uint32, 4096),
 	}
 }
@@ -73,9 +71,9 @@ func New(cfg Config, nm, fm *memsys.Device) *Cache {
 // Reset implements memtypes.Resetter: it invalidates every page and
 // forgets the footprint history.
 func (c *Cache) Reset() {
+	c.tags.Reset()
 	clear(c.entries)
 	clear(c.history)
-	c.clock = 0
 	c.stats = memtypes.MemStats{}
 }
 
@@ -92,84 +90,69 @@ func (c *Cache) nmAddr(set, way int, line uint) memtypes.Addr {
 // Access implements MemorySystem.
 func (c *Cache) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtypes.Tick {
 	c.stats.Requests++
-	c.clock++
 	page := uint64(addr) / uint64(c.cfg.PageBytes)
 	set := int(page % uint64(c.sets))
-	tag := page / uint64(c.sets)
 	line := uint(uint64(addr) % uint64(c.cfg.PageBytes) / 64)
-	ways := c.entries[set*c.cfg.Assoc : (set+1)*c.cfg.Assoc]
+	way, old, hit := c.tags.Access(set, page/uint64(c.sets)+1)
+	w := &c.entries[set*c.cfg.Assoc+way]
 
-	victim := 0
-	for i := range ways {
-		w := &ways[i]
-		if w.valid && w.tag == tag {
-			w.lru = c.clock
-			w.usedVec |= 1 << line
-			if w.validVec&(1<<line) != 0 { // line present
-				c.stats.ServedNM++
-				if write {
-					w.dirtyVec |= 1 << line
-				}
-				return c.nm.Access(now, c.nmAddr(set, i, line), 64, write)
-			}
-			// Page present, line outside the predicted footprint:
-			// demand-fetch just this line.
-			c.stats.ServedFM++
-			done := c.fm.Access(now, memtypes.Addr(page*uint64(c.cfg.PageBytes))+memtypes.Addr(line)*64, 64, false)
-			c.nm.AccessBG(memtypes.Fill, done, c.nmAddr(set, i, line), 64, true)
-			c.stats.FetchedBytes += 64
-			w.validVec |= 1 << line
+	if hit {
+		w.usedVec |= 1 << line
+		if w.validVec&(1<<line) != 0 { // line present
+			c.stats.ServedNM++
 			if write {
 				w.dirtyVec |= 1 << line
 			}
-			return done
+			return c.nm.Access(now, c.nmAddr(set, way, line), 64, write)
 		}
-		if !ways[victim].valid {
-			continue
+		// Page present, line outside the predicted footprint:
+		// demand-fetch just this line.
+		c.stats.ServedFM++
+		done := c.fm.Access(now, memtypes.Addr(page*uint64(c.cfg.PageBytes))+memtypes.Addr(line)*64, 64, false)
+		c.nm.AccessBG(memtypes.Fill, done, c.nmAddr(set, way, line), 64, true)
+		c.stats.FetchedBytes += 64
+		w.validVec |= 1 << line
+		if write {
+			w.dirtyVec |= 1 << line
 		}
-		if !w.valid || w.lru < ways[victim].lru {
-			victim = i
-		}
+		return done
 	}
 
-	// Page miss: evict the victim, allocate, fetch the predicted
+	// Page miss: evict the LRU way's page, allocate, fetch the predicted
 	// footprint (or just the demanded line on a cold page).
 	c.stats.ServedFM++
-	w := &ways[victim]
-	if w.valid {
-		c.evict(now, set, victim)
+	if old != 0 {
+		c.evict(now, set, way, old-1)
 	}
 	fp := c.history[page] | 1<<line
 	pageBase := memtypes.Addr(page * uint64(c.cfg.PageBytes))
 
 	// Demanded line first (critical), predicted lines in the background.
 	done := c.fm.Access(now, pageBase+memtypes.Addr(line)*64, 64, false)
-	c.nm.AccessBG(memtypes.Fill, done, c.nmAddr(set, victim, line), 64, true)
+	c.nm.AccessBG(memtypes.Fill, done, c.nmAddr(set, way, line), 64, true)
 	fetched := uint64(64)
 	for m := fp &^ (1 << line); m != 0; m &= m - 1 {
 		l := uint(bits.TrailingZeros32(m))
 		rd := c.fm.AccessBG(memtypes.Fill, now, pageBase+memtypes.Addr(l)*64, 64, false)
-		c.nm.AccessBG(memtypes.Fill, rd, c.nmAddr(set, victim, l), 64, true)
+		c.nm.AccessBG(memtypes.Fill, rd, c.nmAddr(set, way, l), 64, true)
 		fetched += 64
 	}
 	c.stats.FetchedBytes += fetched
 
-	w.valid = true
-	w.tag = tag
 	w.validVec = fp
 	w.usedVec = 1 << line
 	w.dirtyVec = 0
 	if write {
 		w.dirtyVec = 1 << line
 	}
-	w.lru = c.clock
 	return done
 }
 
-// evict writes dirty lines back and records the observed footprint.
-func (c *Cache) evict(now memtypes.Tick, set, way int) {
+// evict writes dirty lines back and records the observed footprint of
+// the page whose tag a way held.
+func (c *Cache) evict(now memtypes.Tick, set, way int, tag uint64) {
 	w := &c.entries[set*c.cfg.Assoc+way]
-	page := w.tag*uint64(c.sets) + uint64(set)
+	page := tag*uint64(c.sets) + uint64(set)
 	pageBase := memtypes.Addr(page * uint64(c.cfg.PageBytes))
 	for m := w.dirtyVec; m != 0; m &= m - 1 {
 		l := uint(bits.TrailingZeros32(m))
@@ -182,19 +165,14 @@ func (c *Cache) evict(now memtypes.Tick, set, way int) {
 		clear(c.history)
 	}
 	c.history[page] = w.usedVec
-	w.valid = false
 }
 
-// Finish credits resident pages' use vectors (wasted-fetch accounting).
+// Finish credits resident pages' use vectors (wasted-fetch accounting);
+// an invalid way's vector is zero.
 func (c *Cache) Finish(memtypes.Tick) {
 	for i := range c.entries {
 		w := &c.entries[i]
-		if w.valid {
-			c.stats.UsedBytes += uint64(bits.OnesCount32(w.usedVec)) * 64
-			w.usedVec = 0
-		}
+		c.stats.UsedBytes += uint64(bits.OnesCount32(w.usedVec)) * 64
+		w.usedVec = 0
 	}
 }
-
-// HistoryLen exposes the footprint-table size for tests.
-func (c *Cache) HistoryLen() int { return len(c.history) }

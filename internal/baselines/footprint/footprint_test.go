@@ -36,7 +36,7 @@ func TestFootprintSeedsNextResidency(t *testing.T) {
 		now += 1000
 		c.Access(now, memtypes.Addr(i)*stride, false)
 	}
-	if c.HistoryLen() == 0 {
+	if len(c.history) == 0 {
 		t.Fatal("no footprint recorded on eviction")
 	}
 	// Second residency: the recorded 4-line footprint is prefetched, so
@@ -92,8 +92,8 @@ func TestHistoryBounded(t *testing.T) {
 		now += 50
 		c.Access(now, memtypes.Addr(rng.Intn(1<<26))&^63, false)
 	}
-	if c.HistoryLen() > cfg.HistoryMax {
-		t.Fatalf("history grew to %d entries, cap %d", c.HistoryLen(), cfg.HistoryMax)
+	if len(c.history) > cfg.HistoryMax {
+		t.Fatalf("history grew to %d entries, cap %d", len(c.history), cfg.HistoryMax)
 	}
 }
 

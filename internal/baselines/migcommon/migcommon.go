@@ -14,7 +14,8 @@
 //     listed once, to their closed-form initial layout.
 //   - RemapCache, used by all five and by SILC-FM: the on-chip cache of
 //     remap entries, sized equal to Hybrid2's XTA for the paper's fair
-//     comparison.
+//     comparison. It is a few lines over cachesim.Sets, the tag store
+//     and true-LRU policy the LLC and the XTA use too.
 package migcommon
 
 import (
@@ -178,15 +179,11 @@ func (s *Space) CheckInvariants() bool {
 // RemapCache is the on-chip cache of remap-table entries. Its capacity is
 // set equal to Hybrid2's XTA in the paper's comparisons (§5, 512 KB).
 // Every design with a set-associative remap cache (MemPod, LGM,
-// Chameleon, CAMEO, SILC-FM) uses this one. Its true-LRU recency is the
-// LLC's packed cachesim.Order word, one per set.
+// Chameleon, CAMEO, SILC-FM) uses this one: a cachesim.Sets keyed by
+// the entry's key +1, so it replaces as the LLC and the XTA do.
 type RemapCache struct {
-	tags    []uint64 // key +1, 0 = invalid
-	order   []cachesim.Order
+	sets    cachesim.Sets
 	setMask uint32
-	assoc   int
-
-	Hits, Misses uint64
 }
 
 // NewRemapCache builds a remap cache of the given entry count; assoc must
@@ -199,45 +196,16 @@ func NewRemapCache(entries, assoc int) *RemapCache {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("migcommon: remap cache sets must be a positive power of two")
 	}
-	r := &RemapCache{
-		tags:    make([]uint64, entries),
-		order:   make([]cachesim.Order, sets),
-		setMask: uint32(sets - 1),
-		assoc:   assoc,
-	}
-	r.Reset()
-	return r
+	return &RemapCache{sets: cachesim.NewSets(sets, assoc), setMask: uint32(sets - 1)}
 }
 
-// Reset empties the cache and zeroes its counters.
-func (r *RemapCache) Reset() {
-	clear(r.tags)
-	init := cachesim.NewOrder(r.assoc)
-	for i := range r.order {
-		r.order[i] = init
-	}
-	r.Hits, r.Misses = 0, 0
-}
+// Reset empties the cache.
+func (r *RemapCache) Reset() { r.sets.Reset() }
 
 // Lookup returns whether the entry of key (a logical sector, or the
 // group or set number a design keys its remap entries by) is cached,
-// inserting it on a miss. The victim is the set's least recently used
-// way; ways are never invalidated, so an untouched way goes first.
-func (r *RemapCache) Lookup(logical uint32) bool {
-	set := logical & r.setMask
-	base := int(set) * r.assoc
-	key := uint64(logical) + 1
-	ways := r.tags[base : base+r.assoc : base+r.assoc]
-	for i, t := range ways {
-		if t == key {
-			r.order[set] = r.order[set].Touch(i)
-			r.Hits++
-			return true
-		}
-	}
-	r.Misses++
-	i, o := r.order[set].Replace(r.assoc)
-	r.order[set] = o
-	ways[i] = key
-	return false
+// inserting it in the set's least recently used way on a miss.
+func (r *RemapCache) Lookup(key uint32) bool {
+	_, _, hit := r.sets.Access(int(key&r.setMask), uint64(key)+1)
+	return hit
 }

@@ -1,8 +1,8 @@
 package migcommon
 
-// Differential test of the packed-recency remap cache against the stamp
-// model it replaced. Both choose the same victim way, so their tag arrays
-// must stay identical access by access.
+// Differential test of the remap cache, a cachesim.Sets, against the
+// stamp model it replaced. Both choose the same victim way, so their tag
+// arrays must stay identical access by access.
 
 import (
 	"math/rand"
@@ -21,8 +21,6 @@ type stampRemapCache struct {
 	setMask uint32
 	assoc   int
 	clock   uint64
-
-	Hits, Misses uint64
 }
 
 func newStampRemapCache(entries, assoc int) *stampRemapCache {
@@ -37,7 +35,7 @@ func newStampRemapCache(entries, assoc int) *stampRemapCache {
 func (r *stampRemapCache) Reset() {
 	clear(r.tags)
 	clear(r.lru)
-	r.clock, r.Hits, r.Misses = 0, 0, 0
+	r.clock = 0
 }
 
 func (r *stampRemapCache) Lookup(logical uint32) bool {
@@ -48,7 +46,6 @@ func (r *stampRemapCache) Lookup(logical uint32) bool {
 	for i := base; i < base+r.assoc; i++ {
 		if r.tags[i] == key {
 			r.lru[i] = r.clock
-			r.Hits++
 			return true
 		}
 		if r.tags[victim] == 0 {
@@ -58,7 +55,6 @@ func (r *stampRemapCache) Lookup(logical uint32) bool {
 			victim = i
 		}
 	}
-	r.Misses++
 	r.tags[victim] = key
 	r.lru[victim] = r.clock
 	return false
@@ -66,8 +62,8 @@ func (r *stampRemapCache) Lookup(logical uint32) bool {
 
 // TestRemapCacheMatchesStampModel drives both models with over a million
 // random lookups over key ranges from 1x to 64x the capacity, resetting
-// both halfway through every run, and compares each result, the counters
-// and the touched set's ways.
+// both halfway through every run, and compares each result and the
+// touched set's ways.
 func TestRemapCacheMatchesStampModel(t *testing.T) {
 	const sets, perRun = 32, 30_000
 	rng := rand.New(rand.NewSource(1))
@@ -85,12 +81,12 @@ func TestRemapCacheMatchesStampModel(t *testing.T) {
 				if g, w := got.Lookup(key), want.Lookup(key); g != w {
 					t.Fatalf("assoc %d keys %dx lookup %d (%d): hit %v, want %v", assoc, f, n, key, g, w)
 				}
-				if got.Hits != want.Hits || got.Misses != want.Misses {
-					t.Fatalf("assoc %d keys %dx lookup %d: hits/misses %d/%d, want %d/%d",
-						assoc, f, n, got.Hits, got.Misses, want.Hits, want.Misses)
+				set := int(key % sets)
+				g := make([]uint64, assoc)
+				for w := range g {
+					g[w] = got.sets.Tag(set, w)
 				}
-				base := int(key%sets) * assoc
-				if g, w := got.tags[base:base+assoc], want.tags[base:base+assoc]; !slices.Equal(g, w) {
+				if w := want.tags[set*assoc : (set+1)*assoc]; !slices.Equal(g, w) {
 					t.Fatalf("assoc %d keys %dx lookup %d: set holds %v, want %v", assoc, f, n, g, w)
 				}
 			}

@@ -17,6 +17,7 @@ import (
 	"math/bits"
 
 	"hybridmem/internal/baselines/migcommon"
+	"hybridmem/internal/cachesim"
 	"hybridmem/internal/config"
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
@@ -45,11 +46,11 @@ func Default(nmBytes, fmBytes uint64, remapEntries int, seed uint64) Config {
 	}
 }
 
+// way is a claimed way's sub-block state; its owner (FM segment +1, 0
+// when unclaimed) and recency live in the SILC-FM's cachesim.Sets.
 type way struct {
-	owner    uint32 // FM segment +1; 0 = unclaimed
 	validVec uint32
 	dirtyVec uint32
-	lru      uint64
 }
 
 // SILCFM implements memtypes.MemorySystem.
@@ -59,9 +60,9 @@ type SILCFM struct {
 	fm    *memsys.Device
 	stats memtypes.MemStats
 
-	sets  uint32
-	ways  []way
-	clock uint64 // way LRU stamps
+	sets   uint32
+	owners cachesim.Sets // FM segment +1 per way, LRU order per set
+	ways   []way         // indexed set*Assoc+way, as owners' ways
 
 	episodes map[uint32]uint8 // FM segment -> reuse episodes (bounded)
 	lastSeg  uint32
@@ -81,7 +82,8 @@ func New(cfg Config, nm, fm *memsys.Device) *SILCFM {
 		nm:       nm,
 		fm:       fm,
 		sets:     sets,
-		ways:     make([]way, nmSectors),
+		owners:   cachesim.NewSets(int(sets), cfg.Assoc),
+		ways:     make([]way, sets*uint32(cfg.Assoc)),
 		episodes: make(map[uint32]uint8, 4096),
 		lastSeg:  ^uint32(0),
 		rc:       migcommon.NewRemapCache(cfg.RemapCacheEntries, 16),
@@ -92,9 +94,10 @@ func New(cfg Config, nm, fm *memsys.Device) *SILCFM {
 // Reset implements memtypes.Resetter: it unclaims every way, forgets the
 // reuse episodes and empties the remap cache.
 func (s *SILCFM) Reset() {
+	s.owners.Reset()
 	clear(s.ways)
 	clear(s.episodes)
-	s.clock, s.lastSeg = 0, ^uint32(0)
+	s.lastSeg = ^uint32(0)
 	s.rc.Reset()
 	s.stats = memtypes.MemStats{}
 }
@@ -107,23 +110,6 @@ func (s *SILCFM) Stats() *memtypes.MemStats { return memsys.WithTraffic(&s.stats
 
 func (s *SILCFM) nmAddr(wayIdx uint32, off memtypes.Addr) memtypes.Addr {
 	return memtypes.Addr(wayIdx)*memtypes.Addr(s.cfg.SectorBytes) + off
-}
-
-// findWay returns the index of the way owned by seg in its set, or the
-// LRU way index with found=false.
-func (s *SILCFM) findWay(seg uint32) (idx uint32, found bool) {
-	set := seg % s.sets
-	base := set * uint32(s.cfg.Assoc)
-	lru := base
-	for i := base; i < base+uint32(s.cfg.Assoc); i++ {
-		if s.ways[i].owner == seg+1 {
-			return i, true
-		}
-		if s.ways[i].lru < s.ways[lru].lru {
-			lru = i
-		}
-	}
-	return lru, false
 }
 
 // Access implements MemorySystem.
@@ -146,11 +132,10 @@ func (s *SILCFM) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memty
 	repeat := seg == s.lastSeg
 	s.lastSeg = seg
 
-	idx, found := s.findWay(seg)
-	w := &s.ways[idx]
-	if found {
-		s.clock++
-		w.lru = s.clock
+	set := int(seg % s.sets)
+	if i, found := s.owners.Lookup(set, uint64(seg)+1); found {
+		idx := uint32(set*s.cfg.Assoc + i)
+		w := &s.ways[idx]
 		if w.validVec&(1<<sub) != 0 {
 			s.stats.ServedNM++
 			if write {
@@ -180,27 +165,28 @@ func (s *SILCFM) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memty
 		s.episodes[seg]++
 		if int(s.episodes[seg]) >= s.cfg.ClaimEpisodes {
 			delete(s.episodes, seg)
-			s.claim(now, idx, seg, sub, write)
+			s.claim(now, set, seg, sub, write)
 		}
 	}
 	return done
 }
 
-// claim evicts the LRU way (writing dirty sub-blocks back to the old
-// owner's FM home) and assigns it to seg with the demanded sub-block.
-func (s *SILCFM) claim(now memtypes.Tick, idx, seg uint32, sub uint, write bool) {
+// claim evicts the LRU way of set (writing dirty sub-blocks back to the
+// old owner's FM home) and assigns it to seg with the demanded sub-block.
+func (s *SILCFM) claim(now memtypes.Tick, set int, seg uint32, sub uint, write bool) {
+	i, owner := s.owners.Fill(set, uint64(seg)+1)
+	idx := uint32(set*s.cfg.Assoc + i)
 	w := &s.ways[idx]
-	if w.owner != 0 && w.dirtyVec != 0 {
+	if w.dirtyVec != 0 { // an unclaimed way has none
 		n := bits.OnesCount32(w.dirtyVec)
 		rd := s.nm.AccessBG(memtypes.Migration, now, s.nmAddr(idx, 0), n*64, false)
-		s.fm.AccessBG(memtypes.Migration, rd, memtypes.Addr(w.owner-1)*memtypes.Addr(s.cfg.SectorBytes), n*64, true)
+		s.fm.AccessBG(memtypes.Migration, rd, memtypes.Addr(owner-1)*memtypes.Addr(s.cfg.SectorBytes), n*64, true)
 		s.stats.Evictions++
 	}
 	// The demanded sub-block was just read from FM; stage it in the way.
 	s.nm.AccessBG(memtypes.Migration, now, s.nmAddr(idx, memtypes.Addr(sub)*64), 64, true)
 	s.stats.Migrations++
-	s.clock++
-	*w = way{owner: seg + 1, validVec: 1 << sub, lru: s.clock}
+	*w = way{validVec: 1 << sub}
 	if write {
 		w.dirtyVec = 1 << sub
 	}
@@ -211,11 +197,10 @@ func (s *SILCFM) Finish(memtypes.Tick) {}
 
 // CheckInvariants verifies no segment owns two ways of a set.
 func (s *SILCFM) CheckInvariants() bool {
-	for set := uint32(0); set < s.sets; set++ {
-		base := set * uint32(s.cfg.Assoc)
-		seen := make(map[uint32]bool, s.cfg.Assoc)
-		for i := base; i < base+uint32(s.cfg.Assoc); i++ {
-			o := s.ways[i].owner
+	for set := range int(s.sets) {
+		seen := make(map[uint64]bool, s.cfg.Assoc)
+		for i := range s.cfg.Assoc {
+			o := s.owners.Tag(set, i)
 			if o == 0 {
 				continue
 			}

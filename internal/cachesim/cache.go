@@ -1,6 +1,8 @@
 // Package cachesim provides the set-associative write-back SRAM cache used
 // as the shared last-level cache in front of the hybrid memory system
-// (Table 1: 8 MB, 16-way, 14-cycle access, non-inclusive non-exclusive).
+// (Table 1: 8 MB, 16-way, 14-cycle access, non-inclusive non-exclusive),
+// and Sets, the true-LRU tag store it shares with the designs' on-chip
+// set-associative structures.
 package cachesim
 
 import (
@@ -64,27 +66,110 @@ func (o Order) moveFront(pos uint) Order {
 	return Order(above | below<<4 | w)
 }
 
+// Dirty is a caller's flag in a tag word. Lookups ignore it, and a hit
+// keeps it; a fill replaces the whole word.
+const Dirty = 1 << 63
+
+// Sets is a set-associative tag store with true-LRU replacement: one tag
+// word per way (a non-zero key below Dirty, 0 meaning invalid) and one
+// Order word per set. It is the one replacement policy of the LLC, the
+// remap caches, Hybrid2's XTA, Footprint and SILC-FM. A way is emptied
+// only by the fill that reuses it, so the valid ways of a set are always
+// a prefix, and the LRU way is the first invalid one while one exists.
+type Sets struct {
+	tags  []uint64 // sets*assoc, indexed set*assoc+way
+	order []Order  // per-set recency
+	assoc int
+}
+
+// NewSets builds an empty store of sets sets of assoc ways; assoc must be
+// 1 to MaxAssoc.
+func NewSets(sets, assoc int) Sets {
+	if sets <= 0 || assoc <= 0 || assoc > MaxAssoc {
+		panic("cachesim: a tag store needs sets > 0 and 1 to 16 ways")
+	}
+	s := Sets{tags: make([]uint64, sets*assoc), order: make([]Order, sets), assoc: assoc}
+	s.Reset()
+	return s
+}
+
+// Reset empties every way and puts every set in NewOrder's order,
+// allocating nothing.
+func (s *Sets) Reset() {
+	clear(s.tags)
+	init := NewOrder(s.assoc)
+	for i := range s.order {
+		s.order[i] = init
+	}
+}
+
+// Tag returns the tag word of a way; 0 means the way is invalid.
+func (s *Sets) Tag(set, way int) uint64 { return s.tags[set*s.assoc+way] }
+
+// MarkDirty sets the Dirty flag of a valid way.
+func (s *Sets) MarkDirty(set, way int) { s.tags[set*s.assoc+way] |= Dirty }
+
+// find returns the way of set holding key, or -1: the store's one scan.
+func (s *Sets) find(set int, key uint64) int {
+	base := set * s.assoc
+	for i, t := range s.tags[base : base+s.assoc : base+s.assoc] {
+		if t&^Dirty == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// Lookup returns the way of set holding key, made the most recently
+// used, or hit false without changing the set.
+func (s *Sets) Lookup(set int, key uint64) (way int, hit bool) {
+	if way = s.find(set, key); way < 0 {
+		return 0, false
+	}
+	s.order[set] = s.order[set].Touch(way)
+	return way, true
+}
+
+// Fill puts key in the least recently used way of set, made the most
+// recently used, and returns that way and the tag word it held (0 when
+// it was invalid). The caller makes sure key is not in the set.
+func (s *Sets) Fill(set int, key uint64) (way int, old uint64) {
+	o := &s.order[set]
+	way, *o = o.Replace(s.assoc)
+	t := &s.tags[set*s.assoc+way]
+	old, *t = *t, key
+	return way, old
+}
+
+// Access is Lookup, then Fill on a miss: it returns the way now holding
+// key, whether it hit, and on a miss the tag word the fill displaced.
+// Fill is spelled out so that a miss makes no second call.
+func (s *Sets) Access(set int, key uint64) (way int, old uint64, hit bool) {
+	o := &s.order[set]
+	if way = s.find(set, key); way >= 0 {
+		*o = o.Touch(way)
+		return way, 0, true
+	}
+	way, *o = o.Replace(s.assoc)
+	t := &s.tags[set*s.assoc+way]
+	old, *t = *t, key
+	return way, old, false
+}
+
 // Victim describes a line evicted by an allocation.
 type Victim struct {
 	Addr  memtypes.Addr // base address of the evicted line
 	Dirty bool
 }
 
-// dirtyBit marks a dirty line in its tag word. Lines are at least 4 B,
-// so a tag is below 2^62 and tag+1 never reaches it.
-const dirtyBit = 1 << 63
-
 // Cache is a single-level set-associative cache with true-LRU replacement
 // and write-allocate/write-back policy. It is a functional model: timing
 // is the caller's concern (the driver adds the fixed access latency).
 //
-// Each way is one tag word (tag+1, so 0 means invalid, with the dirty
-// flag in bit 63) and each set one Order word, so a lookup compares the
-// set's tags and a hit or a victim choice costs O(1) word operations.
+// Its Sets key is a line's tag +1 (lines are at least 4 B, so the key
+// stays below Dirty), and Dirty marks a written line.
 type Cache struct {
-	tags     []uint64 // sets*assoc, indexed set*assoc+way
-	order    []Order  // per-set recency
-	assoc    int
+	sets     Sets
 	setShift uint
 	setBits  uint
 	setMask  uint64
@@ -111,27 +196,18 @@ func New(sizeBytes, assoc, lineBytes int) *Cache {
 	if lineBytes < 4 || lineBytes&(lineBytes-1) != 0 {
 		panic("cachesim: line size must be a power of two of at least 4 bytes")
 	}
-	c := &Cache{
-		tags:     make([]uint64, sets*assoc),
-		order:    make([]Order, sets),
-		assoc:    assoc,
+	return &Cache{
+		sets:     NewSets(sets, assoc),
 		setShift: uint(bits.TrailingZeros(uint(lineBytes))),
 		setBits:  uint(bits.TrailingZeros(uint(sets))),
 		setMask:  uint64(sets - 1),
 	}
-	c.Reset()
-	return c
 }
 
 // Reset returns the cache to New's state: every way invalid, every set
-// in NewOrder's order and the counters zero. It clears the whole tag
-// array, as New's allocation does, but allocates nothing.
+// in NewOrder's order and the counters zero, allocating nothing.
 func (c *Cache) Reset() {
-	clear(c.tags)
-	init := NewOrder(c.assoc)
-	for i := range c.order {
-		c.order[i] = init
-	}
+	c.sets.Reset()
 	c.Accesses, c.Misses, c.Evicts = 0, 0, 0
 }
 
@@ -140,32 +216,20 @@ func (c *Cache) Reset() {
 func (c *Cache) Access(addr memtypes.Addr, write bool) (hit bool, victim Victim, evicted bool) {
 	c.Accesses++
 	blk := uint64(addr) >> c.setShift
-	set := blk & c.setMask
-	key := blk>>c.setBits + 1
-	base := int(set) * c.assoc
-	ways := c.tags[base : base+c.assoc : base+c.assoc]
-	for i, t := range ways {
-		if t&^dirtyBit == key {
-			if write {
-				ways[i] = t | dirtyBit
-			}
-			c.order[set] = c.order[set].Touch(i)
-			return true, Victim{}, false
-		}
+	set := int(blk & c.setMask)
+	way, old, hit := c.sets.Access(set, blk>>c.setBits+1)
+	if write {
+		c.sets.MarkDirty(set, way)
 	}
-
+	if hit {
+		return true, Victim{}, false
+	}
 	c.Misses++
-	i, o := c.order[set].Replace(c.assoc)
-	c.order[set] = o
-	if t := ways[i]; t != 0 {
+	if old != 0 {
 		c.Evicts++
-		victimBlk := ((t&^dirtyBit-1)<<c.setBits | set) << c.setShift
-		victim = Victim{Addr: memtypes.Addr(victimBlk), Dirty: t&dirtyBit != 0}
+		victimBlk := ((old&^Dirty-1)<<c.setBits | uint64(set)) << c.setShift
+		victim = Victim{Addr: memtypes.Addr(victimBlk), Dirty: old&Dirty != 0}
 		evicted = true
 	}
-	if write {
-		key |= dirtyBit
-	}
-	ways[i] = key
 	return false, victim, evicted
 }

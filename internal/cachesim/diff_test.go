@@ -118,10 +118,10 @@ func TestMatchesStampModel(t *testing.T) {
 				}
 				set := int(uint64(addr) / line % sets)
 				for w := 0; w < assoc; w++ {
-					g, i := got.tags[set*assoc+w], set*assoc+w
+					g, i := got.sets.Tag(set, w), set*assoc+w
 					valid := want.valid[set]>>uint(w)&1 != 0
 					dirty := want.dirty[set]>>uint(w)&1 != 0
-					if (g != 0) != valid || valid && (g&^dirtyBit != want.tags[i]+1 || (g&dirtyBit != 0) != dirty) {
+					if (g != 0) != valid || valid && (g&^Dirty != want.tags[i]+1 || (g&Dirty != 0) != dirty) {
 						t.Fatalf("assoc %d footprint %dx access %d: set %d way %d holds %#x, want valid %v tag %#x dirty %v",
 							assoc, f, n, set, w, g, valid, want.tags[i], dirty)
 					}

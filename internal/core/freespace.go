@@ -11,9 +11,5 @@
 
 package core
 
-// SavedCopies reports how many sector copies the free-space extension
-// elided (allocation copies plus eviction write-backs).
-func (h *Hybrid2) SavedCopies() uint64 { return h.savedCopies }
-
 // sectorUnused reports whether a logical sector is hinted free.
 func (h *Hybrid2) sectorUnused(logical uint32) bool { return logical >= h.freeFrom }

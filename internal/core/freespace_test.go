@@ -34,7 +34,7 @@ func TestFreeSectorsSkipAllocationCopies(t *testing.T) {
 		if !h.CheckInvariants() {
 			t.Fatal("invariants violated")
 		}
-		return h.fm.Traffic.Total().Write, h.SavedCopies()
+		return h.fm.Traffic.Total().Write, h.savedCopies
 	}
 	base, _ := run(false)
 	aware, saved := run(true)
@@ -61,7 +61,7 @@ func TestFreeSectorEvictionSkipsWriteback(t *testing.T) {
 	if h.fm.Traffic.Total().Write != 0 {
 		t.Fatalf("evictions of hinted-free sectors wrote %d bytes back", h.fm.Traffic.Total().Write)
 	}
-	if h.SavedCopies() == 0 {
+	if h.savedCopies == 0 {
 		t.Fatal("no copies saved")
 	}
 }

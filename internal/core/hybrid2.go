@@ -26,6 +26,7 @@ package core
 import (
 	"math/bits"
 
+	"hybridmem/internal/cachesim"
 	"hybridmem/internal/config"
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
@@ -122,17 +123,15 @@ const (
 
 const invalidLogical = ^uint32(0)
 
-// xtaEntry is one eXtended Tag Array entry (Fig. 4).
+// xtaEntry is the payload of one eXtended Tag Array entry (Fig. 4); its
+// sector tag, valid bit and recency live in the XTA's cachesim.Sets.
 type xtaEntry struct {
-	logical  uint32 // sector tag (full logical sector number)
-	valid    bool
 	migrated bool   // sector lives in NM (FM pointer unused)
 	nmPtr    uint32 // NM slot holding the sector's cached lines / data
 	fmPtr    uint32 // FM slot of the sector while not migrated
 	ctr      uint16 // saturating access counter (§3.7.1)
 	validVec uint64 // per-line valid flags
 	dirtyVec uint64 // per-line dirty flags
-	lru      uint64
 }
 
 // Hybrid2 implements memtypes.MemorySystem.
@@ -146,8 +145,8 @@ type Hybrid2 struct {
 	ctrMax         uint16
 
 	sets    int
-	entries []xtaEntry
-	clock   uint64
+	xta     cachesim.Sets // sector tags (logical sector +1) and LRU order
+	entries []xtaEntry    // indexed set*Assoc+way, as xta's ways
 
 	poolSectors uint32 // NM slots (cache + flat)
 	flatSectors uint32 // slots initially holding flat data
@@ -267,6 +266,7 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 		fullMask:       (uint64(1) << lps) - 1,
 		ctrMax:         uint16(1)<<cfg.CounterBits - 1,
 		sets:           sets,
+		xta:            cachesim.NewSets(sets, cfg.Assoc),
 		entries:        make([]xtaEntry, int(cacheSlots)),
 		poolSectors:    pool,
 		flatSectors:    flat,
@@ -321,9 +321,10 @@ func (h *Hybrid2) placeNM() {
 func (h *Hybrid2) Reset() {
 	h.remap.Reset()
 	h.placeNM()
+	h.xta.Reset()
 	clear(h.entries)
 	h.freeFM = h.freeFM[:0]
-	h.clock, h.stackOn, h.nmFIFO, h.fmBudget = 0, 0, 0, 0
+	h.stackOn, h.nmFIFO, h.fmBudget = 0, 0, 0
 	h.nextReset = h.cfg.FMBudgetReset
 	h.savedCopies = 0
 	h.stats, h.path = memtypes.MemStats{}, PathStats{}
@@ -498,11 +499,12 @@ func (h *Hybrid2) takeSlot(now memtypes.Tick) uint32 {
 // is considered for migration only if its counter is >= every other
 // non-saturated counter in the set (saturated counters are ignored to
 // avoid starvation; migrated sectors' counters are never incremented).
+// Only a full set evicts, so every other way is valid.
 func (h *Hybrid2) rankWins(set int, victim *xtaEntry) bool {
 	base := set * h.cfg.Assoc
 	for i := base; i < base+h.cfg.Assoc; i++ {
 		e := &h.entries[i]
-		if !e.valid || e == victim || e.ctr >= h.ctrMax {
+		if e == victim || e.ctr >= h.ctrMax {
 			continue
 		}
 		if e.ctr > victim.ctr {
@@ -512,15 +514,15 @@ func (h *Hybrid2) rankWins(set int, victim *xtaEntry) bool {
 	return true
 }
 
-// evictEntry implements Fig. 9 and Fig. 10 for the LRU victim of a set.
-func (h *Hybrid2) evictEntry(now memtypes.Tick, set int, e *xtaEntry) {
+// evictEntry implements Fig. 9 and Fig. 10 for e, the LRU victim of a
+// set, which held sector logical.
+func (h *Hybrid2) evictEntry(now memtypes.Tick, set int, e *xtaEntry, logical uint32) {
 	if e.migrated {
 		// Case 1: all lines already in NM, remap already points there.
 		// Release the reference; the slot keeps the flat data.
 		if h.slotState[e.nmPtr] == slotFlatRef {
 			h.setSlot(e.nmPtr, h.invRemap[e.nmPtr], slotFlat)
 		}
-		e.valid = false
 		return
 	}
 
@@ -553,12 +555,12 @@ func (h *Hybrid2) evictEntry(now memtypes.Tick, set int, e *xtaEntry) {
 			rd := h.fm.AccessBG(memtypes.Migration, now, h.fmAddr(e.fmPtr, off), lb, false)
 			h.nm.AccessBG(memtypes.Migration, rd, h.nmAddr(e.nmPtr, off), lb, true)
 		}
-		h.setRemap(e.logical, nmLoc(e.nmPtr))
-		h.metaWrite(now, e.logical)
+		h.setRemap(logical, nmLoc(e.nmPtr))
+		h.metaWrite(now, logical)
 		h.pushFreeFM(now, e.fmPtr)
-		h.setSlot(e.nmPtr, e.logical, slotFlat)
+		h.setSlot(e.nmPtr, logical, slotFlat)
 		h.stats.Migrations++
-	} else if h.sectorUnused(e.logical) {
+	} else if h.sectorUnused(logical) {
 		// §3.8: the sector holds no live data — drop it without
 		// write-backs.
 		h.savedCopies++
@@ -578,38 +580,6 @@ func (h *Hybrid2) evictEntry(now memtypes.Tick, set int, e *xtaEntry) {
 		h.freeNM = append(h.freeNM, e.nmPtr)
 		h.stats.Evictions++
 	}
-	e.valid = false
-}
-
-// lookupXTA returns the matching entry, or nil on a miss.
-func (h *Hybrid2) lookupXTA(set int, logical uint32) *xtaEntry {
-	base := set * h.cfg.Assoc
-	for i := base; i < base+h.cfg.Assoc; i++ {
-		e := &h.entries[i]
-		if e.valid && e.logical == logical {
-			return e
-		}
-	}
-	return nil
-}
-
-// allocateEntry makes room in a set (evicting the LRU entry if needed)
-// and returns a free entry.
-func (h *Hybrid2) allocateEntry(now memtypes.Tick, set int) *xtaEntry {
-	base := set * h.cfg.Assoc
-	victim := base
-	for i := base; i < base+h.cfg.Assoc; i++ {
-		e := &h.entries[i]
-		if !e.valid {
-			return e
-		}
-		if e.lru < h.entries[victim].lru {
-			victim = i
-		}
-	}
-	e := &h.entries[victim]
-	h.evictEntry(now, set, e)
-	return e
 }
 
 // Access implements the memory access path of Fig. 7.
@@ -627,12 +597,13 @@ func (h *Hybrid2) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memt
 	lb := h.cfg.LineBytes
 	lineOff := memtypes.Addr(line) * memtypes.Addr(lb)
 
-	// Every request goes through the on-chip XTA (§3.2).
+	// Every request goes through the on-chip XTA (§3.2). A miss takes
+	// the set's LRU way at once; its old entry is evicted below.
 	now += h.cfg.XTALatency
-	h.clock++
+	way, old, hit := h.xta.Access(set, uint64(logical)+1)
+	e := &h.entries[set*h.cfg.Assoc+way]
 
-	if e := h.lookupXTA(set, logical); e != nil { // 1: XTA hit
-		e.lru = h.clock
+	if hit { // 1: XTA hit
 		if !e.migrated && e.ctr < h.ctrMax {
 			e.ctr++
 		}
@@ -658,8 +629,8 @@ func (h *Hybrid2) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memt
 		return done
 	}
 
-	// 2: XTA miss — read the remap table (critical path), allocate an
-	// entry for the sector.
+	// 2: XTA miss — read the remap table (critical path), evict the
+	// way's old entry, if any, and fill it for the sector.
 	now = h.metaRead(now, logical)
 	var l loc // lookup, spelled out so that the table read inlines here
 	if h.cfg.Mode == CacheOnly {
@@ -667,10 +638,9 @@ func (h *Hybrid2) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memt
 	} else {
 		l = h.decode(h.remap.Get(logical))
 	}
-	e := h.allocateEntry(now, set)
-	e.valid = true
-	e.logical = logical
-	e.lru = h.clock
+	if old != 0 {
+		h.evictEntry(now, set, e, uint32(old-1))
+	}
 	e.ctr = 0
 
 	if l.nm() { // 2a: sector already in NM

@@ -289,10 +289,12 @@ func TestAccessCounterSaturates(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		h.Access(memtypes.Tick(i)*10, addr, false)
 	}
-	e := h.lookupXTA(int(logical%uint32(h.sets)), logical)
-	if e == nil {
+	set := int(logical % uint32(h.sets))
+	way, ok := h.xta.Lookup(set, uint64(logical)+1)
+	if !ok {
 		t.Fatal("entry evicted unexpectedly")
 	}
+	e := &h.entries[set*h.cfg.Assoc+way]
 	if e.ctr != h.ctrMax {
 		t.Fatalf("counter %d after 2000 accesses, want saturation at %d", e.ctr, h.ctrMax)
 	}

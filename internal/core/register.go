@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"hybridmem/internal/cachesim"
 	"hybridmem/internal/config"
 	"hybridmem/internal/design"
 	"hybridmem/internal/memsys"
@@ -69,7 +70,7 @@ func init() {
 		NeedsNM: true,
 		Params: []design.Param{
 			{Name: "knob", Doc: "constant to vary", Enum: []string{"ctr", "reset", "stack", "assoc", "free"}},
-			{Name: "val", Doc: "knob value: counter bits, reset cycles, stack entries, XTA ways, or free per-mille", Min: 1, Max: 100_000_000},
+			{Name: "val", Doc: "knob value: counter bits, reset cycles, stack entries, XTA ways ≤ 16, or free per-mille", Min: 1, Max: 100_000_000},
 		},
 		Example: "H2ABL-ctr-9",
 		Check: func(vals []design.Value) error {
@@ -84,8 +85,8 @@ func init() {
 					return fmt.Errorf("H2ABL: %d on-chip stack entries exceed 65536", v)
 				}
 			case "assoc":
-				if v&(v-1) != 0 || v > 1024 {
-					return fmt.Errorf("H2ABL: XTA associativity %d must be a power of two <= 1024", v)
+				if v&(v-1) != 0 || v > cachesim.MaxAssoc {
+					return fmt.Errorf("H2ABL: XTA associativity %d must be a power of two <= %d (the tag store's way limit)", v, cachesim.MaxAssoc)
 				}
 			case "free":
 				if v > 1000 {

@@ -97,6 +97,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"H2ABL-ctr-0",       // below range
 		"H2ABL-ctr-40",      // counter too wide
 		"H2ABL-assoc-3",     // associativity not a power of two
+		"H2ABL-assoc-32",    // more ways than the XTA's tag store tracks
 		"H2ABL-free-2000",   // more than 1000 per-mille
 		"H2ABL-ctr",         // missing value
 		"H2DSE-64-2-256-64", // trailing junk
@@ -107,6 +108,18 @@ func TestParseRejectsMalformed(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "design:") {
 			t.Errorf("Parse(%q) error %q is not a design error", name, err)
 		}
+	}
+}
+
+// TestH2ABLAssocLimit pins that the XTA's 16-way limit is a parse error
+// that names the limit, not a panic when the design is built.
+func TestH2ABLAssocLimit(t *testing.T) {
+	if _, err := design.Parse("H2ABL-assoc-16"); err != nil {
+		t.Fatalf("Parse(H2ABL-assoc-16): %v", err)
+	}
+	_, err := design.Parse("H2ABL-assoc-32")
+	if err == nil || !strings.Contains(err.Error(), "<= 16") {
+		t.Fatalf("Parse(H2ABL-assoc-32) error %v, want one naming the 16-way limit", err)
 	}
 }
 

@@ -7,6 +7,29 @@ import (
 	"testing"
 )
 
+// FrontierOf computes the Pareto frontier of a set of evaluated points
+// in the canonical reporting order (see frontier.sorted). Infeasible
+// points never join. The fold is order-independent — dominance is
+// transitive, so every dominated point is rejected or evicted no matter
+// when its dominator arrives — which is what lets a distributed search
+// shard its evaluations freely.
+func FrontierOf(pts []Point) []Point { return MergeFrontiers(pts) }
+
+// MergeFrontiers folds per-shard frontiers into the frontier of their
+// union with frontier.add: MergeFrontiers(FrontierOf(s) for every shard
+// s of S) is identical to FrontierOf(S) for any partition and any shard
+// order — points dominated within a shard are also dominated in the
+// union, and cross-shard dominance resolves during the merge fold.
+func MergeFrontiers(shards ...[]Point) []Point {
+	var f frontier
+	for _, s := range shards {
+		for _, p := range s {
+			f.add(p)
+		}
+	}
+	return f.sorted()
+}
+
 // randomTrail generates an evaluated-candidate trail with deliberate
 // collisions: objectives drawn from small discrete sets so duplicates,
 // ties and dominance chains all occur, plus a sprinkle of infeasible

@@ -285,8 +285,3 @@ func (d *Device) DynamicEnergyNanoJ() float64 {
 	bits := float64(t.Read+t.Write) * 8
 	return bits*d.cfg.RWPicoJPerBit/1000 + float64(d.Activations)*d.cfg.ActPreNanoJ
 }
-
-// PeakBandwidthBytesPerCycle returns the aggregate peak bandwidth.
-func (d *Device) PeakBandwidthBytesPerCycle() float64 {
-	return d.cfg.BytesPerCycle * float64(d.cfg.Channels)
-}

@@ -173,7 +173,7 @@ func TestSustainedBandwidthBounded(t *testing.T) {
 	}
 	bytes := float64(n * 256)
 	bw := bytes / float64(now)
-	if peak := d.PeakBandwidthBytesPerCycle(); bw > peak {
+	if peak := d.cfg.BytesPerCycle * float64(d.cfg.Channels); bw > peak {
 		t.Fatalf("achieved bandwidth %f exceeds peak %f", bw, peak)
 	}
 }

@@ -147,17 +147,6 @@ func Specs() []Spec {
 	return out
 }
 
-// ByClass returns the workloads of one MPKI class.
-func ByClass(c Class) []Spec {
-	var out []Spec
-	for _, s := range specs {
-		if s.Class == c {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // ByName looks a workload up by its Table 2 name.
 func ByName(name string) (Spec, bool) {
 	for _, s := range specs {

@@ -224,6 +224,3 @@ func (s *Stream) NextBatch(dst []memtypes.Rec) int {
 
 // Footprint returns the total bytes this stream can touch (its region).
 func (s *Stream) Footprint() uint64 { return s.regionLen }
-
-// RegionBase returns the base address of this core's region.
-func (s *Stream) RegionBase() memtypes.Addr { return s.regionBase }

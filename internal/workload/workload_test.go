@@ -7,13 +7,24 @@ import (
 	"hybridmem/internal/memtypes"
 )
 
+// byClass returns the workloads of one MPKI class.
+func byClass(c Class) []Spec {
+	var out []Spec
+	for _, s := range specs {
+		if s.Class == c {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 func TestThirtySpecsTenPerClass(t *testing.T) {
 	all := Specs()
 	if len(all) != 30 {
 		t.Fatalf("got %d specs, want 30", len(all))
 	}
 	for _, c := range []Class{High, Medium, Low} {
-		if n := len(ByClass(c)); n != 10 {
+		if n := len(byClass(c)); n != 10 {
 			t.Fatalf("class %v has %d workloads, want 10", c, n)
 		}
 	}
@@ -77,7 +88,7 @@ func TestAddressesWithinRegion(t *testing.T) {
 		core := int(coreRaw % 8)
 		spec, _ := ByName("lbm")
 		s := NewStream(spec, core, 16, 50000, seed)
-		base, size := s.RegionBase(), s.Footprint()
+		base, size := s.regionBase, s.Footprint()
 		for {
 			_, addr, _, ok := s.next()
 			if !ok {
@@ -101,7 +112,7 @@ func TestMPRegionsDisjoint(t *testing.T) {
 	var regions [8][2]uint64
 	for c := 0; c < 8; c++ {
 		s := NewStream(spec, c, 16, 1000, 1)
-		regions[c] = [2]uint64{uint64(s.RegionBase()), uint64(s.RegionBase()) + s.Footprint()}
+		regions[c] = [2]uint64{uint64(s.regionBase), uint64(s.regionBase) + s.Footprint()}
 	}
 	for i := 0; i < 8; i++ {
 		for j := i + 1; j < 8; j++ {
@@ -116,7 +127,7 @@ func TestMTRegionsShared(t *testing.T) {
 	spec, _ := ByName("cg.D")
 	a := NewStream(spec, 0, 16, 1000, 1)
 	b := NewStream(spec, 7, 16, 1000, 1)
-	if a.RegionBase() != b.RegionBase() || a.Footprint() != b.Footprint() {
+	if a.regionBase != b.regionBase || a.Footprint() != b.Footprint() {
 		t.Fatal("MT cores should share one region")
 	}
 }
