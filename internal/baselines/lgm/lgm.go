@@ -9,6 +9,7 @@
 package lgm
 
 import (
+	"fmt"
 	"math/bits"
 
 	"hybridmem/internal/baselines/migcommon"
@@ -61,13 +62,21 @@ type LGM struct {
 // (spatial locality) and the number of access episodes (reuse;
 // consecutive accesses count once).
 type segInfo struct {
-	mask     uint32
+	mask     uint32 // one bit per 64 B line
 	episodes uint16
 	queued   bool
 }
 
-// New builds LGM over the two devices.
+// maxLines is the most lines a segment can have: one bit each in
+// segInfo.mask.
+const maxLines = 32
+
+// New builds LGM over the two devices. It panics on a sector of more
+// than maxLines lines, whose upper lines the line mask would drop.
 func New(cfg Config, nm, fm *memsys.Device) *LGM {
+	if lines := (cfg.SectorBytes + memtypes.CPULineBytes - 1) / memtypes.CPULineBytes; lines > maxLines {
+		panic(fmt.Sprintf("lgm: a %d-byte sector has %d lines, more than the %d the line mask tracks", cfg.SectorBytes, lines, maxLines))
+	}
 	l := &LGM{
 		cfg:     cfg,
 		touched: make(map[uint32]segInfo, 1024),

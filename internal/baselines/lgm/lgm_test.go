@@ -1,8 +1,10 @@
 package lgm
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hybridmem/internal/memsys"
@@ -159,7 +161,7 @@ func TestInvariantsUnderTraffic(t *testing.T) {
 
 // TestResetRestoresBuiltState: after traffic that swaps sectors across
 // several intervals, Reset leaves exactly a fresh build's state: every
-// sector's initial location, owner tables that invert it, and every
+// sector's initial location, NM owners that match it, and every
 // other field of the design.
 func TestResetRestoresBuiltState(t *testing.T) {
 	x := newSmall(3)
@@ -185,12 +187,30 @@ func TestResetRestoresBuiltState(t *testing.T) {
 		}
 	}
 	if !x.space.CheckInvariants() {
-		t.Fatal("owner table does not invert the restored placement")
+		t.Fatal("NM owners do not match the restored placement")
 	}
 	got, want := *x, *fresh
 	got.space, want.space = nil, nil
 	got.candQ, want.candQ = nil, nil
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("reset state differs from a fresh build:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSectorPastLineMaskPanics: a sector of more lines than the line
+// mask has bits fails at build instead of silently undercounting the
+// lines a segment's misses touched.
+func TestSectorPastLineMaskPanics(t *testing.T) {
+	for _, sb := range []int{2048 + 64, 4096} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), "lgm: ") {
+					t.Errorf("%d-byte sectors: recovered %v, want an lgm: panic", sb, r)
+				}
+			}()
+			cfg := Default(1<<20, 8<<20, 512, 1)
+			cfg.SectorBytes = sb
+			New(cfg, memsys.New(memsys.HBM2Config()), memsys.New(memsys.DDR4Config()))
+		}()
 	}
 }

@@ -104,7 +104,7 @@ func TestRemapCacheMissesChargeNMMeta(t *testing.T) {
 
 // TestResetRestoresBuiltState: after traffic that swaps sectors across
 // several intervals, Reset leaves exactly a fresh build's state: every
-// sector's initial location, owner tables that invert it, and every
+// sector's initial location, NM owners that match it, and every
 // other field of the design.
 func TestResetRestoresBuiltState(t *testing.T) {
 	x := newSmall(3)
@@ -130,7 +130,7 @@ func TestResetRestoresBuiltState(t *testing.T) {
 		}
 	}
 	if !x.space.CheckInvariants() {
-		t.Fatal("owner table does not invert the restored placement")
+		t.Fatal("NM owners do not match the restored placement")
 	}
 	got, want := *x, *fresh
 	got.space, want.space = nil, nil

@@ -2,11 +2,13 @@
 // migration schemes:
 //
 //   - Space, used by MemPod and LGM: an all-to-all sector remap table
-//     over NM+FM with its inverse, and the swap that exchanges an FM
-//     sector with an NM victim. Both tables are copy-on-write views of
-//     the shared placement permutation (placement.Table), so building
-//     a space costs their page indexes and Reset the pages the run's
-//     swaps wrote; no swap is logged.
+//     over NM+FM with the owners of the NM slots, and the swap that
+//     exchanges an FM sector with an NM victim. An FM slot's occupant
+//     is implied by the remap table and kept nowhere else. Both tables
+//     are copy-on-write views (placement.Table) of the shared
+//     placement: the permutation and the NM prefix of its inverse. So
+//     building a space costs their page indexes and Reset the pages
+//     the run's swaps wrote; no swap is logged.
 //   - Groups, used by CAMEO, Chameleon and POM: a congruence-group
 //     layout in which each NM unit holds one member of its group, and
 //     the swap that exchanges a member with the NM occupant. No swap
@@ -19,6 +21,8 @@
 package migcommon
 
 import (
+	"fmt"
+
 	"hybridmem/internal/cachesim"
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
@@ -35,14 +39,15 @@ type Loc struct {
 // Physical slots are numbered NM first: slot p < NMSectors is NM slot p,
 // and slot NMSectors+i is FM slot i. Logical sector s of the processor
 // physical address space lives at physical slot remap[s]; owner maps
-// physical slots back to logical sectors.
+// each NM slot back to the logical sector in it, the only direction a
+// swap reads. An FM slot's occupant is the sector remap sends there.
 type Space struct {
 	SectorBytes int
 	NMSectors   uint32
 	FMSectors   uint32
 
 	remap placement.Table // logical sector -> physical slot
-	owner placement.Table // physical slot -> logical sector
+	owner placement.Table // NM slot -> logical sector
 
 	nm, fm *memsys.Device
 	stats  *memtypes.MemStats
@@ -64,7 +69,7 @@ func NewSpace(sectorBytes int, nmBytes, fmBytes uint64, nm, fm *memsys.Device, s
 		NMSectors:      nmSec,
 		FMSectors:      fmSec,
 		remap:          placement.NewTable(placement.Perm(seed, int(total))),
-		owner:          placement.NewTable(placement.Inverse(seed, int(total), int(total))),
+		owner:          placement.NewTable(placement.Inverse(seed, int(total), int(nmSec))),
 		nm:             nm,
 		fm:             fm,
 		stats:          stats,
@@ -126,23 +131,26 @@ func (s *Space) writeRemapEntry(now memtypes.Tick, logical uint32) {
 }
 
 // Swap exchanges logical sector a (currently in FM) with the occupant of
-// NM slot nmSlot. It charges the full data movement — read both sectors,
-// write both sectors — plus the two remap-table updates, starting at now.
-// fmSkipBytes reduces the FM->NM read (LGM's bandwidth economization for
-// lines already present in the LLC). Returns the displaced logical sector.
+// NM slot nmSlot (below NMSectors). It charges the full data movement —
+// read both sectors, write both sectors — plus the two remap-table
+// updates, starting at now. fmSkipBytes, in [0, SectorBytes], reduces
+// the FM->NM read (LGM's bandwidth economization for lines already
+// present in the LLC). Returns the displaced logical sector.
 func (s *Space) Swap(now memtypes.Tick, a uint32, nmSlot uint32, fmSkipBytes int) uint32 {
 	la := s.Lookup(a)
 	if la.NM {
 		panic("migcommon: swap source already in NM")
 	}
+	if nmSlot >= s.NMSectors {
+		panic(fmt.Sprintf("migcommon: swap into NM slot %d of %d", nmSlot, s.NMSectors))
+	}
+	sb := s.SectorBytes
+	if fmSkipBytes < 0 || fmSkipBytes > sb {
+		panic(fmt.Sprintf("migcommon: swap skips %d bytes of a %d-byte sector", fmSkipBytes, sb))
+	}
 	b := s.owner.Get(nmSlot)
 	lb := Loc{NM: true, Idx: nmSlot}
-
-	sb := s.SectorBytes
 	rdA := sb - fmSkipBytes
-	if rdA < 0 {
-		rdA = 0
-	}
 	// Read A from FM, read B from NM (can overlap), then write A to NM
 	// and B to FM.
 	tA := s.nm.AccessBG(memtypes.Migration, now, s.DataAddr(lb), sb, false) // read victim B from NM
@@ -152,23 +160,24 @@ func (s *Space) Swap(now memtypes.Tick, a uint32, nmSlot uint32, fmSkipBytes int
 	s.fm.AccessBG(memtypes.Migration, end, s.DataAddr(la), sb, true) // B into A's old FM slot
 	s.stats.Migrations++
 
-	// Update mappings: A takes the NM slot, B takes A's old FM slot.
-	pa := s.NMSectors + la.Idx
+	// Update mappings: A takes the NM slot, B takes A's old FM slot,
+	// which the remap entry alone records.
 	s.remap.Set(a, nmSlot)
 	s.owner.Set(nmSlot, a)
-	s.remap.Set(b, pa)
-	s.owner.Set(pa, b)
+	s.remap.Set(b, s.NMSectors+la.Idx)
 	s.writeRemapEntry(end, a)
 	s.writeRemapEntry(end, b)
 	return b
 }
 
-// CheckInvariants verifies the remap/owner bijection; used by tests.
+// CheckInvariants verifies that remap is a bijection onto the physical
+// slots and that owner names the sector remap places at every NM slot;
+// used by tests.
 func (s *Space) CheckInvariants() bool {
 	seen := make([]bool, s.Sectors())
 	for logical := range s.Sectors() {
 		p := s.remap.Get(logical)
-		if p >= s.Sectors() || seen[p] || s.owner.Get(p) != logical {
+		if p >= s.Sectors() || seen[p] || p < s.NMSectors && s.owner.Get(p) != logical {
 			return false
 		}
 		seen[p] = true

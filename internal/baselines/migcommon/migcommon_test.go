@@ -1,8 +1,10 @@
 package migcommon
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -108,6 +110,30 @@ func TestSwapSkipBytesReducesFMRead(t *testing.T) {
 	}
 }
 
+// TestSwapOutsideSpacePanics: a swap that would skip fewer than 0 or
+// more than all of the sector's bytes fails loudly instead of clamping
+// the FM read, and so does a swap into a slot past the NM slots.
+func TestSwapOutsideSpacePanics(t *testing.T) {
+	for _, tc := range []struct{ nmSlot, skip int }{{0, -1}, {0, 2049}, {512, 0}} {
+		s, _ := newSpace(12)
+		var fmSector uint32
+		for l := uint32(0); l < s.Sectors(); l++ {
+			if !s.Lookup(l).NM {
+				fmSector = l
+				break
+			}
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), "migcommon: ") {
+					t.Errorf("%+v: recovered %v, want a migcommon: panic", tc, r)
+				}
+			}()
+			s.Swap(0, fmSector, uint32(tc.nmSlot), tc.skip)
+		}()
+	}
+}
+
 func TestSwapFromNMPanics(t *testing.T) {
 	s, _ := newSpace(13)
 	var nmSector uint32
@@ -136,6 +162,11 @@ func TestRandomSwapsKeepBijection(t *testing.T) {
 			}
 			slot := uint32(rng.Intn(int(s.NMSectors)))
 			s.Swap(memtypes.Tick(i*100), l, slot, 0)
+		}
+		for p := range s.NMSectors {
+			if s.remap.Get(s.owner.Get(p)) != p {
+				return false
+			}
 		}
 		return s.CheckInvariants()
 	}
@@ -202,9 +233,10 @@ func TestRemapCacheBadGeometryPanics(t *testing.T) {
 }
 
 // TestSpaceResetRestoresPlacement: Reset restores the seeded initial
-// placement after random swaps, every remap and owner entry equal to a
-// fresh space's, and a second run of the same swaps on the reset space
-// backs its table pages with the first run's: it allocates nothing.
+// placement after random swaps, every remap entry and every NM slot's
+// owner equal to a fresh space's, and a second run of the same swaps on
+// the reset space backs its table pages with the first run's: it
+// allocates nothing.
 func TestSpaceResetRestoresPlacement(t *testing.T) {
 	s, _ := newSpace(4)
 	type swap struct{ a, nmSlot uint32 }
@@ -221,9 +253,13 @@ func TestSpaceResetRestoresPlacement(t *testing.T) {
 	s.Reset()
 	fresh, _ := newSpace(4)
 	for i := range s.Sectors() {
-		if s.remap.Get(i) != fresh.remap.Get(i) || s.owner.Get(i) != fresh.owner.Get(i) {
-			t.Fatalf("entry %d: remap %d owner %d after Reset, %d and %d when built",
-				i, s.remap.Get(i), s.owner.Get(i), fresh.remap.Get(i), fresh.owner.Get(i))
+		if s.remap.Get(i) != fresh.remap.Get(i) {
+			t.Fatalf("sector %d: remap %d after Reset, %d when built", i, s.remap.Get(i), fresh.remap.Get(i))
+		}
+	}
+	for p := range s.NMSectors {
+		if s.owner.Get(p) != fresh.owner.Get(p) {
+			t.Fatalf("NM slot %d: owner %d after Reset, %d when built", p, s.owner.Get(p), fresh.owner.Get(p))
 		}
 	}
 	if allocs := testing.AllocsPerRun(1, func() {
@@ -233,6 +269,27 @@ func TestSpaceResetRestoresPlacement(t *testing.T) {
 		s.Reset()
 	}); allocs != 0 {
 		t.Errorf("second run of the same swaps allocated %v times", allocs)
+	}
+}
+
+// TestSpaceCheckInvariantsDetectsCorruption: a remap entry shared by
+// two sectors, a remap entry past the last slot and an NM owner that is
+// not the sector remap places there each fail the check.
+func TestSpaceCheckInvariantsDetectsCorruption(t *testing.T) {
+	s, _ := newSpace(6)
+	s.remap.Set(1, s.remap.Get(2)) // sectors 1 and 2 in one slot
+	if s.CheckInvariants() {
+		t.Error("duplicated remap slot passed")
+	}
+	s, _ = newSpace(6)
+	s.remap.Set(3, s.Sectors())
+	if s.CheckInvariants() {
+		t.Error("remap entry past the last slot passed")
+	}
+	s, _ = newSpace(6)
+	s.owner.Set(0, s.owner.Get(0)+1)
+	if s.CheckInvariants() {
+		t.Error("wrong NM owner passed")
 	}
 }
 

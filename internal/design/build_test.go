@@ -2,8 +2,10 @@ package design_test
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"hybridmem/internal/baselines/migcommon"
 	"hybridmem/internal/config"
 	"hybridmem/internal/design"
 )
@@ -59,10 +61,49 @@ func TestDRAMCacheBuildAllocatesLessThanItsLines(t *testing.T) {
 	}
 }
 
+// coldSeeds counts the placement seeds handed out by coldSeed.
+var coldSeeds atomic.Uint64
+
+// coldSeed returns a placement seed that no other test or benchmark in
+// this binary uses, so a build at it finds its placement absent from
+// the memo.
+func coldSeed() uint64 { return 1<<48 + coldSeeds.Add(1) }
+
+// TestColdMigrationBuildAllocatesOnePermutation pins that MemPod and
+// LGM memoize the owners of their NM slots only: a build at a seed the
+// memo has not seen allocates one permutation of all sectors (4 bytes
+// each), a 4-byte owner for each NM slot (1/17 of the sectors at the
+// 1:16 ratio) and the machine, under 5 bytes per NM+FM sector. With an
+// owner for every slot it would be over 8.
+func TestColdMigrationBuildAllocatesOnePermutation(t *testing.T) {
+	for _, name := range []string{"MPOD", "LGM"} {
+		spec, err := design.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := buildSys
+		sys.Seed = coldSeed()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ms, _, _, err := spec.Build(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		sectors := float64(ms.(interface{ Space() *migcommon.Space }).Space().Sectors())
+		got := float64(after.TotalAlloc-before.TotalAlloc) / sectors
+		t.Logf("cold build of %s: %.2f bytes per sector", name, got)
+		if got >= 5 {
+			t.Errorf("cold build of %s allocated %.2f bytes per sector, want under 5", name, got)
+		}
+	}
+}
+
 // BenchmarkBuild measures constructing designs of very different
-// construction cost over fresh devices, with the placement memo warm:
+// construction cost over fresh devices: with the placement memo warm,
 // the Hybrid2 design-space corners, the migration baselines and a DRAM
-// cache.
+// cache; cold (cold-<design>, a fresh seed per build, so each build
+// shuffles its placement), the flat-space designs.
 func BenchmarkBuild(b *testing.B) {
 	for _, name := range []string{"H2DSE-1-1-64", "H2DSE-256-16-1024", "MPOD", "LGM", "DFC-64"} {
 		b.Run(name, func(b *testing.B) {
@@ -76,6 +117,22 @@ func BenchmarkBuild(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				if _, _, _, err := spec.Build(buildSys); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, name := range []string{"MPOD", "LGM", "HYBRID2"} {
+		b.Run("cold-"+name, func(b *testing.B) {
+			spec, err := design.Parse(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys := buildSys
+			b.ReportAllocs()
+			for b.Loop() {
+				sys.Seed = coldSeed()
+				if _, _, _, err := spec.Build(sys); err != nil {
 					b.Fatal(err)
 				}
 			}

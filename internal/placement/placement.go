@@ -14,8 +14,11 @@
 // together wait for a single shuffle. A memoized permutation is the very
 // slice the shuffle produced: keeping it costs no copy. Inverse memoizes
 // the inverse permutation the same way, restricted to a prefix of the
-// physical slots, so a design that needs the owners of its near-memory
-// slots only keeps those.
+// physical slots. Its callers want the owners of their near-memory
+// slots only, which come first: migcommon.Space (MemPod, LGM) asks for
+// its NMSectors slots and Hybrid2 for its flat NM slots. No caller asks
+// for the owners of far-memory slots; a far-memory slot's occupant is
+// read from the remap table.
 //
 // The budget does not hold every placement of a design-space search:
 // its screening phase walks one seed's placements of many lengths in
@@ -81,22 +84,23 @@ func Perm(seed uint64, n int) []uint32 {
 
 // Inverse returns the inverse of Perm(seed, n) over the physical slots
 // below k (0 <= k <= n): inv[phys] is the logical sector at physical
-// slot phys. Designs restore their owner tables from it instead of
-// scattering writes over the permutation. The slice is shared between
-// callers and must not be modified.
+// slot phys. Designs read the owners of their near-memory slots from it
+// instead of scattering writes over the permutation. The slice is
+// shared between callers and must not be modified.
 func Inverse(seed uint64, n, k int) []uint32 {
 	checkLen(n)
 	if k < 0 || k > n {
 		panic(fmt.Sprintf("placement: inverse prefix %d outside [0, %d]", k, n))
 	}
 	return memo(key{seed, n, k, true}, func() []uint32 {
-		inv := make([]uint32, k)
+		// One pass with no data-dependent branch: a slot at or past k
+		// lands in the sentinel entry inv[k], which the returned slice
+		// cannot reach.
+		inv := make([]uint32, k+1)
 		for logical, phys := range Perm(seed, n) {
-			if int(phys) < k {
-				inv[phys] = uint32(logical)
-			}
+			inv[min(int(phys), k)] = uint32(logical)
 		}
-		return inv
+		return inv[:k:k]
 	})
 }
 

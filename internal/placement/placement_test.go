@@ -45,15 +45,20 @@ func TestPermIsSeededPermutation(t *testing.T) {
 }
 
 // TestInversePrefix: Inverse(seed, n, k) is the first k entries of the
-// full inverse, for k from 0 to n, memoized or not.
+// inverse of Perm(seed, n), built here by scattering the permutation,
+// for k from 0 to n, memoized or not; the shared slice has no room past
+// its k entries.
 func TestInversePrefix(t *testing.T) {
 	const n = 3000
-	full := Inverse(11, n, n)
+	full := make([]uint32, n)
+	for logical, phys := range Perm(11, n) {
+		full[phys] = uint32(logical)
+	}
 	for _, k := range []int{0, 1, 17, 1024, n - 1, n} {
 		for range 2 { // computed, then memoized
 			inv := Inverse(11, n, k)
-			if len(inv) != k {
-				t.Fatalf("Inverse(11, %d, %d) has %d entries", n, k, len(inv))
+			if len(inv) != k || cap(inv) != k {
+				t.Fatalf("Inverse(11, %d, %d) has len %d cap %d, want %d", n, k, len(inv), cap(inv), k)
 			}
 			for phys, logical := range inv {
 				if logical != full[phys] {
