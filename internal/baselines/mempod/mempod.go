@@ -8,7 +8,8 @@
 package mempod
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"hybridmem/internal/baselines/migcommon"
 	"hybridmem/internal/config"
@@ -61,6 +62,7 @@ type MemPod struct {
 	stats memtypes.MemStats
 
 	mea      []meaEntry // at most MEACounters entries, each segment once
+	live     []meaEntry // interval's scratch: the entries above the debt
 	debt     uint32
 	fmDemand int // FM demand accesses this interval (migration pacing)
 	nmFIFO   uint32
@@ -83,7 +85,7 @@ func (m *MemPod) Reset() {
 	m.space.Reset()
 	m.rc.Reset()
 	m.stats = memtypes.MemStats{}
-	m.mea = m.mea[:0]
+	m.mea, m.live = m.mea[:0], m.live[:0]
 	m.debt, m.fmDemand, m.nmFIFO = 0, 0, 0
 	m.nextInt = m.cfg.IntervalCycles
 }
@@ -117,16 +119,25 @@ func (m *MemPod) observe(seg uint32) {
 	m.debt++
 }
 
+// sortHottest orders MEA entries by count, hottest first, in place. It
+// runs the same pdqsort as sort.Slice with count >, so entries of equal
+// count end in the order they always did, without sort.Slice's
+// allocations.
+func sortHottest(live []meaEntry) {
+	slices.SortFunc(live, func(a, b meaEntry) int { return cmp.Compare(b.count, a.count) })
+}
+
 // interval performs the end-of-interval migrations: hot tracked segments
 // currently in FM swap with FIFO-selected NM victims.
 func (m *MemPod) interval(now memtypes.Tick) {
-	live := make([]meaEntry, 0, len(m.mea))
+	live := m.live[:0]
 	for _, e := range m.mea {
 		if e.count > m.debt {
 			live = append(live, meaEntry{seg: e.seg, count: e.count - m.debt})
 		}
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].count > live[j].count })
+	m.live = live
+	sortHottest(live)
 	// Pace migrations by the demand the interval actually sent to FM so
 	// swap traffic cannot swamp demand traffic: one 2 KB swap moves as
 	// many FM bytes as 64 demand accesses. The MEA survivors are already

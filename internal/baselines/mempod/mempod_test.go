@@ -3,6 +3,8 @@ package mempod
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"hybridmem/internal/memsys"
@@ -132,10 +134,55 @@ func TestResetRestoresBuiltState(t *testing.T) {
 	if !x.space.CheckInvariants() {
 		t.Fatal("NM owners do not match the restored placement")
 	}
+	if len(x.live) != 0 {
+		t.Fatalf("Reset kept %d interval scratch entries", len(x.live))
+	}
 	got, want := *x, *fresh
 	got.space, want.space = nil, nil
 	got.mea, want.mea = nil, nil
+	got.live, want.live = nil, nil
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("reset state differs from a fresh build:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSortMatchesSortSlice: the interval's sort puts MEA entries in the
+// order sort.Slice with count > gave them, ties included, so the
+// segments a budget-capped interval migrates stay the same.
+func TestSortMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(80)
+		counts := 1 + rng.Intn(6) // few distinct counts: many ties
+		got := make([]meaEntry, n)
+		for i := range got {
+			got[i] = meaEntry{seg: uint32(i), count: uint32(rng.Intn(counts))}
+		}
+		want := slices.Clone(got)
+		sort.Slice(want, func(i, j int) bool { return want[i].count > want[j].count })
+		sortHottest(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d):\n got %v\nwant %v", trial, n, got, want)
+		}
+	}
+}
+
+// TestIntervalAllocatesNothing: an interval over a full MEA sorts its
+// survivors in scratch the design keeps.
+func TestIntervalAllocatesNothing(t *testing.T) {
+	m := newSmall(5)
+	fill := func() {
+		for seg := uint32(0); seg < uint32(m.cfg.MEACounters); seg++ {
+			for range 1 + seg%5 {
+				m.observe(seg)
+			}
+		}
+	}
+	fill()
+	if len(m.mea) != m.cfg.MEACounters {
+		t.Fatalf("MEA holds %d entries, want %d", len(m.mea), m.cfg.MEACounters)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { fill(); m.interval(0) }); allocs != 0 {
+		t.Errorf("an interval allocated %v times", allocs)
 	}
 }

@@ -5,10 +5,11 @@
 //     over NM+FM with the owners of the NM slots, and the swap that
 //     exchanges an FM sector with an NM victim. An FM slot's occupant
 //     is implied by the remap table and kept nowhere else. Both tables
-//     are copy-on-write views (placement.Table) of the shared
-//     placement: the permutation and the NM prefix of its inverse. So
-//     building a space costs their page indexes and Reset the pages
-//     the run's swaps wrote; no swap is logged.
+//     are write overlays (placement.Table) on the shared placement: the
+//     permutation and the NM prefix of its inverse. So building a space
+//     allocates no table memory, a run allocates for the entries its
+//     swaps write, and Reset empties the overlays and keeps them; no
+//     swap is logged.
 //   - Groups, used by CAMEO, Chameleon and POM: a congruence-group
 //     layout in which each NM unit holds one member of its group, and
 //     the swap that exchanges a member with the NM occupant. No swap
@@ -78,9 +79,9 @@ func NewSpace(sectorBytes int, nmBytes, fmBytes uint64, nm, fm *memsys.Device, s
 	return s
 }
 
-// Reset restores the initial placement by dropping the table pages the
-// run's swaps wrote. The counters belong to the design, which resets
-// them itself.
+// Reset restores the initial placement by emptying the tables' overlays
+// of the entries the run's swaps wrote. The counters belong to the
+// design, which resets them itself.
 func (s *Space) Reset() {
 	s.remap.Reset()
 	s.owner.Reset()

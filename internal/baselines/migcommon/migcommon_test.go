@@ -235,7 +235,7 @@ func TestRemapCacheBadGeometryPanics(t *testing.T) {
 // TestSpaceResetRestoresPlacement: Reset restores the seeded initial
 // placement after random swaps, every remap entry and every NM slot's
 // owner equal to a fresh space's, and a second run of the same swaps on
-// the reset space backs its table pages with the first run's: it
+// the reset space writes into the table memory the first run left: it
 // allocates nothing.
 func TestSpaceResetRestoresPlacement(t *testing.T) {
 	s, _ := newSpace(4)

@@ -152,9 +152,9 @@ type Hybrid2 struct {
 	flatSectors uint32 // slots initially holding flat data
 	fmSectors   uint32
 
-	// remap maps each logical sector to its location, as a
-	// copy-on-write view of the shared placement permutation: an entry
-	// the run never wrote is the sector's initial physical slot. Entry v
+	// remap maps each logical sector to its location, as a write
+	// overlay on the shared placement permutation: an entry the run
+	// never wrote is the sector's initial physical slot. Entry v
 	// encodes, with flat = flatSectors and n = flat+fmSectors:
 	//   - v < flat:  flat NM slot cacheSlots+v;
 	//   - v < n:     FM slot v-flat;
@@ -314,10 +314,11 @@ func (h *Hybrid2) placeNM() {
 	}
 }
 
-// Reset implements memtypes.Resetter: it drops the remap pages the run
-// wrote, restores the NM pool's owners and states, clears the XTA and
-// the run's counters. Its cost is the pages written plus the NM pool,
-// never the whole flat space.
+// Reset implements memtypes.Resetter: it empties the remap table of the
+// entries the run wrote, restores the NM pool's owners and states, and
+// clears the XTA and the run's counters. Its cost is the remap overlay,
+// sized to the entries written, plus the NM pool, never the whole flat
+// space.
 func (h *Hybrid2) Reset() {
 	h.remap.Reset()
 	h.placeNM()

@@ -511,8 +511,8 @@ func replay(h *Hybrid2, reqs []request) memtypes.Tick {
 }
 
 // TestResetReusesPages: a reset machine that runs the same traffic
-// again writes the same remap pages, and backs them with the pages the
-// first run wrote: the second run and its Reset allocate nothing.
+// again writes the same remap entries into the table memory the first
+// run left: the second run and its Reset allocate nothing.
 func TestResetReusesPages(t *testing.T) {
 	h := newSmall(t, Normal)
 	reqs := traffic(h.Sectors(), 1)

@@ -30,9 +30,12 @@
 // resident and the rest stream through one slot.
 //
 // A machine never copies a memoized table: it reads it through a Table,
-// a copy-on-write view that materializes a private page only when the
-// run first writes into it. Building a machine costs the Table's page
-// index, and resetting one costs the pages its run wrote.
+// which keeps the entries the run wrote in a small hash overlay and
+// reads every other entry from the shared slice. Building a machine
+// costs no table memory, a run allocates for the entries it writes, and
+// resetting one empties the overlay and keeps it for the next run. An
+// overlay never grows past half the bytes of a dense copy: a run that
+// writes that much switches its table to one private copy of the base.
 package placement
 
 import (

@@ -1,78 +1,165 @@
 package placement
 
-// pageBits sets a Table page to 1<<pageBits entries, 1 KB. A run's
-// writes land on random sectors, so the bytes it copies grow with the
-// page size while the page index shrinks: at 256 entries a table of a
-// million entries indexes its pages in 32 KB, and the DSE screening and
-// the long sweeps allocated 5% and 12% less than at 1024 entries.
-const pageBits = 8
+import (
+	"fmt"
+	"math/bits"
+)
 
-const pageMask = 1<<pageBits - 1
+// hashMul is the Fibonacci hashing multiplier, 2^32/φ: the top bits of
+// i*hashMul spread strided and consecutive indices alike over the slots.
+const hashMul = 0x9E3779B9
 
-type page [1 << pageBits]uint32
+// minSlots is the overlay's size on its first write, 512 bytes.
+const minSlots = 64
 
-// Table is a copy-on-write view of a shared base slice, such as a
-// memoized permutation, split into fixed pages. An entry of a page the
-// table never wrote reads the base; the first write into a page copies
-// that page from the base into a private one. Reset drops the written
-// pages, so the table reads the base again, and keeps them to back the
-// table's next writes: a machine that is reset and runs again allocates
-// no new pages for the entries its earlier run already wrote.
+// noSlots is the overlay of a table with no written entry, and of a
+// dense one: one empty slot, which every probe stops at. Set grows the
+// overlay before it would write here, so it is never written.
+var noSlots [1]uint64
+
+// Table is a view of a shared base slice, such as a memoized
+// permutation, that records the run's writes as an overlay: an entry the
+// table never wrote reads the base, and a written one reads its slot in
+// a small open-addressed table. A slot holds the value in its high half
+// and the index plus one in its low half, 0 marking it empty; probing
+// is linear from a Fibonacci hash of the index, and the overlay grows
+// by doubling so that it is never more than half full.
+//
+// The overlay is bounded by the size of a dense copy. When doubling it
+// would take it past half the bytes of the base, the table copies the
+// base once into a private slice, applies the overlay to it, and from
+// then on writes that slice. Reset makes every entry read the base
+// again and keeps the table's memory, the emptied overlay and the
+// private slice, to back the next run's writes: a machine that is reset
+// and runs again allocates nothing for writes its earlier run made.
 //
 // The base is never written, so tables over one base may be used from
 // different goroutines; one table belongs to one goroutine at a time.
 type Table struct {
-	base  []uint32
-	pages []*page  // nil: the page reads base
-	dirty []uint32 // indices of the pages written since the last Reset
-	spare []*page  // pages Reset detached, reused before allocating
+	slots []uint64 // the overlay: value<<32 | index+1, or 0
+	mask  uint32   // len(slots)-1
+	shift uint32   // 32 - log2(len(slots)): the hash keeps the top bits
+	base  []uint32 // what an entry with no slot reads: shared, or dense
+	used  int      // occupied slots
+
+	shared []uint32 // the base the table was built over
+	dense  []uint32 // private copy of shared; base while the table is dense
+	parked []uint64 // the overlay's slots while the table is dense
 }
 
 // NewTable returns a table whose entry i reads base[i] until it is set.
 // The caller must not modify base while the table is in use.
 func NewTable(base []uint32) Table {
-	return Table{base: base, pages: make([]*page, (len(base)+pageMask)>>pageBits)}
+	t := Table{base: base, shared: base}
+	t.setSlots(noSlots[:])
+	return t
 }
 
-// Get returns entry i, which must be below the base's length.
+// Get returns entry i, which must be below the base's length; an index
+// past it panics on the base's bounds. Get spells out find's probe,
+// since a call would stop it from inlining into the designs' access
+// paths, and tests for an empty slot first: index 2^32-1 would
+// otherwise match one as key 0.
 func (t *Table) Get(i uint32) uint32 {
-	if p := t.pages[i>>pageBits]; p != nil {
-		return p[i&pageMask]
+	for h := i * hashMul >> t.shift; ; h = (h + 1) & t.mask {
+		s := t.slots[h]
+		if s == 0 {
+			return t.base[i]
+		}
+		if uint32(s) == i+1 {
+			return uint32(s >> 32)
+		}
 	}
-	return t.base[i]
 }
 
-// Set writes entry i, which must be below the base's length,
-// materializing its page on the first write since construction or the
-// last Reset.
+// Set writes entry i, which must be below the base's length.
 func (t *Table) Set(i, v uint32) {
-	p := t.pages[i>>pageBits]
-	if p == nil {
-		p = t.materialize(i >> pageBits)
+	if i >= uint32(len(t.shared)) {
+		panic(fmt.Sprintf("placement: Set(%d) on a table of %d entries", i, len(t.shared)))
 	}
-	p[i&pageMask] = v
+	if t.parked != nil {
+		t.base[i] = v
+		return
+	}
+	h := t.find(i)
+	if t.slots[h] == 0 {
+		if 2*(t.used+1) > len(t.slots) {
+			if !t.grow() {
+				t.base[i] = v
+				return
+			}
+			h = t.find(i)
+		}
+		t.used++
+	}
+	t.slots[h] = uint64(v)<<32 | uint64(i+1)
 }
 
-// materialize gives page pi a private copy of its base entries.
-func (t *Table) materialize(pi uint32) *page {
-	var p *page
-	if n := len(t.spare); n > 0 {
-		p, t.spare = t.spare[n-1], t.spare[:n-1]
-	} else {
-		p = new(page)
+// find returns the slot that holds entry i, or the empty slot where it
+// would go.
+func (t *Table) find(i uint32) uint32 {
+	h := i * hashMul >> t.shift
+	for s := t.slots[h]; s != 0 && uint32(s) != i+1; s = t.slots[h] {
+		h = (h + 1) & t.mask
 	}
-	copy(p[:], t.base[pi<<pageBits:])
-	t.pages[pi] = p
-	t.dirty = append(t.dirty, pi)
-	return p
+	return h
 }
 
-// Reset makes every entry read the base again, in time proportional to
-// the pages written since the last Reset.
+// grow doubles the overlay, or, if the doubled overlay would take more
+// than half the bytes of a dense copy, makes the table dense and reports
+// false.
+func (t *Table) grow() bool {
+	n := max(2*len(t.slots), minSlots)
+	if 2*8*n > 4*len(t.shared) {
+		t.makeDense()
+		return false
+	}
+	old := t.slots
+	t.setSlots(make([]uint64, n))
+	for _, s := range old {
+		if s != 0 {
+			t.slots[t.find(uint32(s)-1)] = s
+		}
+	}
+	return true
+}
+
+// setSlots makes s, of a power-of-two length, the overlay.
+func (t *Table) setSlots(s []uint64) {
+	t.slots, t.mask, t.shift = s, uint32(len(s)-1), 32-uint32(bits.TrailingZeros(uint(len(s))))
+}
+
+// makeDense copies the base into the table's private slice, applies the
+// overlay and parks it empty, so that entries read and write the slice.
+func (t *Table) makeDense() {
+	if t.dense == nil {
+		t.dense = make([]uint32, len(t.shared))
+	}
+	copy(t.dense, t.shared)
+	for _, s := range t.slots {
+		if s != 0 {
+			t.dense[uint32(s)-1] = uint32(s >> 32)
+		}
+	}
+	t.parked = t.slots
+	if t.used > 0 {
+		clear(t.parked)
+	}
+	t.setSlots(noSlots[:])
+	t.base, t.used = t.dense, 0
+}
+
+// Reset makes every entry read the base again. It empties the overlay
+// in place and keeps it, and the private slice of a dense table, for
+// the run that follows.
 func (t *Table) Reset() {
-	for _, pi := range t.dirty {
-		t.spare = append(t.spare, t.pages[pi])
-		t.pages[pi] = nil
+	if t.parked != nil {
+		t.setSlots(t.parked)
+		t.parked, t.base = nil, t.shared
+		return
 	}
-	t.dirty = t.dirty[:0]
+	if t.used > 0 {
+		clear(t.slots)
+		t.used = 0
+	}
 }
