@@ -66,8 +66,8 @@ var coldSeeds atomic.Uint64
 
 // coldSeed returns a placement seed that no other test or benchmark in
 // this binary uses, so a build at it finds its placement absent from
-// the memo.
-func coldSeed() uint64 { return 1<<48 + coldSeeds.Add(1) }
+// the memo. Seeds step by 2: seeds 2k and 2k+1 share one placement.
+func coldSeed() uint64 { return 1<<48 + 2*coldSeeds.Add(1) }
 
 // TestColdMigrationBuildAllocatesOnePermutation pins that MemPod and
 // LGM memoize the owners of their NM slots only: a build at a seed the

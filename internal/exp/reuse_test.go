@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
-	"hybridmem/internal/cachesim"
-	"hybridmem/internal/config"
 	"hybridmem/internal/design"
 	"hybridmem/internal/sim"
 	"hybridmem/internal/trace"
+	"hybridmem/internal/workload"
 )
 
 // batch returns the runs of designs over r's workloads, candidate-major
@@ -39,151 +39,187 @@ func runBatch(t *testing.T, r *Runner, specs []RunSpec) []sim.Result {
 	return out
 }
 
+// freshly returns run's result on a runner with r's knobs whose machine
+// is built for that run alone: the run sees an empty pool, and the pool
+// is as it was afterwards.
+func freshly(t *testing.T, r *Runner, run func(*Runner) (sim.Result, error)) sim.Result {
+	t.Helper()
+	var (
+		res sim.Result
+		err error
+	)
+	onEmptyPool(func() { res, err = run(r.clone()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// fillPool empties the pool, fills it to r's bound with Baseline
+// machines of r's scale, one per seed, and returns their hosts.
+func fillPool(t *testing.T, r *Runner) map[*sim.Host]bool {
+	t.Helper()
+	resetPool()
+	for i := range r.poolBound() {
+		f := &Runner{Scale: r.Scale, InstrPerCore: 1000, Seed: 1000 + uint64(i), Parallelism: r.Parallelism}
+		if _, err := f.ResultErr(r.Workloads()[0], "Baseline", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hosts := idleHosts()
+	if len(hosts) != r.poolBound() {
+		t.Fatalf("filled pool holds %d hosts, want %d", len(hosts), r.poolBound())
+	}
+	return hosts
+}
+
+// newest returns the machine the last finished run returned to the pool.
+func newest(t *testing.T) *machine {
+	t.Helper()
+	idle := idleMachines()
+	if len(idle) == 0 {
+		t.Fatal("the pool holds no machine")
+	}
+	return idle[len(idle)-1]
+}
+
 // TestCandidateMajorBatchBuildsEachDesignOnce: with one worker, the
-// workloads of one design run back to back on one machine, reset
-// between runs instead of rebuilt — with results equal to a batch whose
-// alternating designs build every run fresh.
+// workloads of one design run on one machine, reset between runs
+// instead of rebuilt, and so do those of a batch that alternates
+// designs, whose machines the pool holds side by side. Either batch
+// builds each design once, and every result equals a fresh build's.
 func TestCandidateMajorBatchBuildsEachDesignOnce(t *testing.T) {
 	designs := []string{"HYBRID2", "MPOD"}
-	reuse, fresh := tiny(), tiny()
-	reuse.Parallelism, fresh.Parallelism = 1, 1
-	got := runBatch(t, reuse, batch(reuse, designs, false))
-	if n := reuse.builds.Load(); n != int64(len(designs)) {
-		t.Errorf("candidate-major batch of %d runs built %d machines, want %d", len(got), n, len(designs))
-	}
-	alt := batch(fresh, designs, true)
-	want := runBatch(t, fresh, alt)
-	if n := fresh.builds.Load(); n != int64(len(alt)) {
-		t.Errorf("alternating batch of %d runs built %d machines, want one per run", len(alt), n)
-	}
-	byRun := map[RunSpec]sim.Result{}
-	for i, s := range alt {
-		byRun[s] = want[i]
-	}
-	for i, s := range batch(reuse, designs, false) {
-		if got[i] != byRun[s] {
-			t.Errorf("%s/%s: reused machine's result differs from a fresh build's", s.Design, s.Workload.Name)
+	want := map[RunSpec]sim.Result{}
+	for _, alternate := range []bool{false, true} {
+		resetPool()
+		r := tiny()
+		r.Parallelism = 1
+		specs := batch(r, designs, alternate)
+		before := builds.Load()
+		got := runBatch(t, r, specs)
+		if n := builds.Load() - before; n != int64(len(designs)) {
+			t.Errorf("batch of %d runs (alternating %v) built %d machines, want %d", len(specs), alternate, n, len(designs))
+		}
+		for i, s := range specs {
+			if _, ok := want[s]; !ok {
+				want[s] = freshly(t, r, func(f *Runner) (sim.Result, error) { return f.ResultErr(s.Workload, s.Design, s.Ratio16) })
+			}
+			if got[i] != want[s] {
+				t.Errorf("%s/%s (alternating %v): reused machine's result differs from a fresh build's", s.Design, s.Workload.Name, alternate)
+			}
 		}
 	}
 }
 
-// TestLLCStaysWithTheWorker: a machine built for a new design inherits
-// the LLC of the idle machine it replaces when both are for one system,
-// so a serial runner that changes design on every run, synthetic runs
-// and trace replays alike, builds one LLC per system. A ratio change and
-// a fidelity change each make a new system. Every result equals a fresh
-// runner's.
+// TestLLCStaysWithTheWorker: once the pool is full, a run that builds a
+// machine takes over the oldest idle machine's slot and keeps its host
+// when both LLCs have one size, whatever else their systems differ in.
+// So a serial runner that changes design on every run, and NM ratio,
+// instruction budget and seed between steps, synthetic runs and trace
+// replays alike, runs on the hosts the pool already held; a run at
+// another scale, whose LLC is smaller, builds its own. Every result
+// equals a fresh build's.
 func TestLLCStaysWithTheWorker(t *testing.T) {
 	r := tiny()
 	r.Parallelism = 1
-	llcs := map[config.System]map[*cachesim.Cache]bool{}
-	noteLLC := func() {
-		m := r.idle[len(r.idle)-1]
-		if llcs[m.sys] == nil {
-			llcs[m.sys] = map[*cachesim.Cache]bool{}
-		}
-		llcs[m.sys][m.host.LLC] = true
-	}
+	hosts := fillPool(t, r)
 	for _, step := range []struct {
-		ratio16 int
-		instr   uint64
-	}{{1, 20_000}, {2, 20_000}, {2, 10_000}} {
-		r.InstrPerCore = step.instr
-		fresh := func() *Runner {
-			f := tiny()
-			f.InstrPerCore = step.instr
-			return f
+		ratio16     int
+		instr, seed uint64
+	}{{1, 20_000, 1}, {2, 20_000, 1}, {2, 10_000, 2}} {
+		r.InstrPerCore, r.Seed = step.instr, step.seed
+		check := func(what string, got, want sim.Result) {
+			t.Helper()
+			what = fmt.Sprintf("%s at ratio %d, %d instr, seed %d", what, step.ratio16, step.instr, step.seed)
+			if !hosts[newest(t).host] {
+				t.Errorf("%s: built a host while the pool held one with an LLC of its size", what)
+			}
+			if got != want {
+				t.Errorf("%s: result on a handed-down LLC differs from a fresh build's", what)
+			}
 		}
 		for _, wl := range r.Workloads() {
 			for _, d := range []string{"HYBRID2", "DFC", "MPOD", "TAGLESS"} {
-				got, err := r.ResultErr(wl, d, step.ratio16)
+				run := func(rr *Runner) (sim.Result, error) { return rr.ResultErr(wl, d, step.ratio16) }
+				got, err := run(r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				noteLLC()
-				want, err := fresh().ResultErr(wl, d, step.ratio16)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Errorf("%s/%s at ratio %d, %d instr: result on a handed-down LLC differs from a fresh runner's",
-						d, wl.Name, step.ratio16, step.instr)
-				}
+				check(d+"/"+wl.Name, got, freshly(t, r, run))
 			}
 			sys := r.system(step.ratio16)
-			replay := func(rr *Runner) sim.Result {
-				res, err := rr.RunTrace(wl.Name, writeSyntheticTrace(t, wl, sys, trace.FormatBinary, false), "DFC-256", step.ratio16, sim.MLPFor(wl))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
+			replay := func(rr *Runner) (sim.Result, error) {
+				return rr.RunTrace(wl.Name, writeSyntheticTrace(t, wl, sys, trace.FormatBinary, false), "DFC-256", step.ratio16, sim.MLPFor(wl))
 			}
-			got := replay(r)
-			noteLLC()
-			if want := replay(fresh()); got != want {
-				t.Errorf("%s trace replay at ratio %d, %d instr: result on a handed-down LLC differs from a fresh runner's",
-					wl.Name, step.ratio16, step.instr)
+			got, err := replay(r)
+			if err != nil {
+				t.Fatal(err)
 			}
+			check(wl.Name+" trace replay", got, freshly(t, r, replay))
 		}
 	}
-	if len(llcs) != 3 {
-		t.Fatalf("runs covered %d systems, want 3", len(llcs))
+	if n := len(idleMachines()); n != r.poolBound() {
+		t.Errorf("pool holds %d machines, want its bound %d", n, r.poolBound())
 	}
-	for sys, set := range llcs {
-		if len(set) != 1 {
-			t.Errorf("system with %d NM bytes and %d instr/core: one worker built %d LLCs, want 1",
-				sys.NMBytes, sys.InstrPerCore, len(set))
-		}
+	r.Scale *= 2
+	run := func(rr *Runner) (sim.Result, error) { return rr.ResultErr(rr.Workloads()[0], "DFC", 1) }
+	got, err := run(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hosts[newest(t).host] {
+		t.Error("a run at another scale took over a host whose LLC has another size")
+	}
+	if got != freshly(t, r, run) {
+		t.Errorf("DFC at scale %d: result differs from a fresh build's", r.Scale)
 	}
 }
 
 // TestCoreStateStaysWithTheWorker: the cores' slots ride with the host
-// a serial runner hands from machine to machine, so runs that change
-// design, workload and memory-level parallelism on one system — trace
-// replays at 8, 1, MaxMLP and 3 overlapped misses between synthetic runs
-// — all run on one host, and every result equals a fresh runner's.
+// from machine to machine, so runs that change design, workload and
+// memory-level parallelism on one system — trace replays at 8, 1,
+// MaxMLP and 3 overlapped misses between synthetic runs — run on hosts
+// earlier runs left in the pool, and every result equals a fresh
+// build's.
 func TestCoreStateStaysWithTheWorker(t *testing.T) {
 	r := tiny()
 	r.Parallelism = 1
+	hosts := fillPool(t, r)
 	sys := r.system(1)
-	hosts := map[*sim.Host]bool{}
 	check := func(what string, got, want sim.Result) {
 		t.Helper()
-		hosts[r.idle[len(r.idle)-1].host] = true
+		if !hosts[newest(t).host] {
+			t.Errorf("%s: ran on a new host", what)
+		}
 		if got != want {
-			t.Errorf("%s: result on a handed-down host differs from a fresh runner's", what)
+			t.Errorf("%s: result on a handed-down host differs from a fresh build's", what)
 		}
 	}
 	wls := r.Workloads()
 	for i, mlp := range []int{8, 1, MaxMLP, 3} {
 		wl := wls[i%len(wls)]
 		d := []string{"HYBRID2", "MPOD", "DFC", "LGM"}[i]
-		got, err := r.ResultErr(wl, d, 1)
+		run := func(rr *Runner) (sim.Result, error) { return rr.ResultErr(wl, d, 1) }
+		got, err := run(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := tiny().ResultErr(wl, d, 1)
-		if err != nil {
+		check(d+"/"+wl.Name, got, freshly(t, r, run))
+		replay := func(rr *Runner) (sim.Result, error) {
+			return rr.RunTrace(wl.Name, writeSyntheticTrace(t, wl, sys, trace.FormatBinary, false), d, 1, mlp)
+		}
+		if got, err = replay(r); err != nil {
 			t.Fatal(err)
 		}
-		check(d+"/"+wl.Name, got, want)
-		replay := func(rr *Runner) sim.Result {
-			res, err := rr.RunTrace(wl.Name, writeSyntheticTrace(t, wl, sys, trace.FormatBinary, false), d, 1, mlp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}
-		check(fmt.Sprintf("%s/%s replay at mlp %d", d, wl.Name, mlp), replay(r), replay(tiny()))
-	}
-	if len(hosts) != 1 {
-		t.Errorf("one worker on one system ran on %d hosts, want 1", len(hosts))
+		check(fmt.Sprintf("%s/%s replay at mlp %d", d, wl.Name, mlp), got, freshly(t, r, replay))
 	}
 }
 
-// TestFailedRunDropsMachine: a run that errors or panics never hands its
-// machine to the next run.
+// TestFailedRunDropsMachine: a run that errors or panics never returns
+// its machine to the pool.
 func TestFailedRunDropsMachine(t *testing.T) {
+	resetPool()
 	r := tiny()
 	spec, err := design.Parse("HYBRID2")
 	if err != nil {
@@ -196,31 +232,106 @@ func TestFailedRunDropsMachine(t *testing.T) {
 		if _, err := r.execute("wl", "HYBRID2", spec, 1, 0, fail); err == nil {
 			t.Fatal("failed run reported no error")
 		}
-		if len(r.idle) != 0 {
-			t.Fatalf("failed run left %d idle machine(s)", len(r.idle))
+		if n := len(idleMachines()); n != 0 {
+			t.Fatalf("failed run left %d idle machine(s)", n)
 		}
 	}
 	if _, err := r.ResultErr(r.Workloads()[0], "HYBRID2", 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.idle) != 1 {
-		t.Fatalf("successful run left %d idle machine(s), want 1", len(r.idle))
+	if n := len(idleMachines()); n != 1 {
+		t.Fatalf("successful run left %d idle machine(s), want 1", n)
+	}
+}
+
+// TestFailedBuildKeepsItsHost: a design point whose build fails takes
+// no host, so on a full pool it drops no idle machine. A batch that
+// alternates a feasible candidate with an infeasible one builds the
+// feasible machine once, on the host of the oldest idle machine, and
+// leaves the pool with the hosts it held.
+func TestFailedBuildKeepsItsHost(t *testing.T) {
+	const feasible, infeasible = "DFC", "H2DSE-1024-4-256" // the cache slice is all of NM at ratio 1
+	r := tiny()
+	r.Parallelism = 1
+	hosts := fillPool(t, r)
+	kept := idleMachines()[1:]
+	before := builds.Load()
+	_, errs := r.ResultsParallelEach(context.Background(), batch(r, []string{feasible, infeasible}, true))
+	for i, err := range errs {
+		if (err != nil) != (i%2 == 1) {
+			t.Fatalf("run %d: error %v, want one for each %s run only", i, err, infeasible)
+		}
+	}
+	if n := builds.Load() - before; n != 1 {
+		t.Errorf("batch built %d machines, want 1", n)
+	}
+	idle := idleMachines()
+	if len(idle) != r.poolBound() || !reflect.DeepEqual(idleHosts(), hosts) {
+		t.Errorf("pool holds %d machines over %d of its hosts, want %d machines over the %d it held",
+			len(idle), len(idleHosts()), r.poolBound(), len(hosts))
+	}
+	if !slices.Equal(idle[:len(kept)], kept) || idle[len(idle)-1].spec.Name != feasible {
+		t.Error("batch dropped another machine than the oldest, or left no machine of its feasible design")
 	}
 }
 
 // TestEveryDesignReusesItsMachine: SILC-FM, Banshee and Footprint, once
-// rebuilt for every run, now run a workload sweep on one machine too.
+// rebuilt for every run, run a workload sweep on one machine too.
 func TestEveryDesignReusesItsMachine(t *testing.T) {
 	for _, d := range []string{"SILC-FM", "BANSHEE", "FOOTPRINT"} {
+		resetPool()
 		r := tiny()
 		r.Parallelism = 1
+		before := builds.Load()
 		for _, wl := range r.Workloads() {
 			if _, err := r.ResultErr(wl, d, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if n := r.builds.Load(); n != 1 {
+		if n := builds.Load() - before; n != 1 {
 			t.Errorf("%s: %d runs built %d machines, want 1", d, len(r.Workloads()), n)
+		}
+	}
+}
+
+// TestRunnersWithDifferentSeedsShareThePool: two runners at different
+// seeds that interleave designs on one pool each find their own
+// machines again — each (design, seed) builds once — and get the
+// results of fresh builds.
+func TestRunnersWithDifferentSeedsShareThePool(t *testing.T) {
+	resetPool()
+	designs := []string{"HYBRID2", "MPOD", "LGM"}
+	var runners []*Runner
+	for _, seed := range []uint64{1, 2} {
+		r := tiny()
+		r.InstrPerCore, r.Seed, r.Parallelism = 20_000, seed, 1
+		runners = append(runners, r)
+	}
+	type run struct {
+		r   *Runner
+		wl  workload.Spec
+		d   string
+		res sim.Result
+	}
+	var runs []run
+	before := builds.Load()
+	for _, wl := range runners[0].Workloads() {
+		for _, d := range designs {
+			for _, r := range runners {
+				res, err := r.ResultErr(wl, d, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs = append(runs, run{r, wl, d, res})
+			}
+		}
+	}
+	if n, want := builds.Load()-before, int64(len(designs)*len(runners)); n != want {
+		t.Errorf("two runners built %d machines, want %d (one per design and seed)", n, want)
+	}
+	for _, x := range runs {
+		if x.res != freshly(t, x.r, func(f *Runner) (sim.Result, error) { return f.ResultErr(x.wl, x.d, 1) }) {
+			t.Errorf("%s/%s at seed %d: result on a pooled machine differs from a fresh build's", x.d, x.wl.Name, x.r.Seed)
 		}
 	}
 }
@@ -237,14 +348,15 @@ func TestInvalidScaleIsARunError(t *testing.T) {
 
 // TestCloneCopiesKnobsSharesNoState: a clone copies every exported
 // field and starts with none of the original's unexported state — its
-// own memo, singleflight group and idle machines.
+// own memo and singleflight group. Machines are no runner's state: both
+// take them from the pool.
 func TestCloneCopiesKnobsSharesNoState(t *testing.T) {
 	r := tiny()
 	if _, err := r.ResultErr(r.Workloads()[0], "Baseline", 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.idle) == 0 || r.memo == nil {
-		t.Fatal("original runner holds no memo or idle machine to check against")
+	if r.memo == nil {
+		t.Fatal("original runner holds no memo to check against")
 	}
 	v := reflect.ValueOf(r).Elem()
 	for i := 0; i < v.NumField(); i++ {
@@ -292,31 +404,49 @@ func TestCloneCopiesKnobsSharesNoState(t *testing.T) {
 	}
 }
 
-// TestMissTakesOverIdleSlot: a run that finds no idle machine for its
-// design drops the oldest idle one while it builds its own, so idle plus
-// in-use machines never outnumber the workers.
+// TestMissTakesOverIdleSlot: on a full pool, a run that finds no idle
+// machine for its design drops the oldest idle one and keeps its host
+// while it simulates, so once it returns its machine the pool holds its
+// bound again.
 func TestMissTakesOverIdleSlot(t *testing.T) {
 	r := tiny()
 	r.Parallelism = 1
+	fillPool(t, r)
+	oldest := idleMachines()[0]
 	wl := r.Workloads()[0]
-	if _, err := r.ResultErr(wl, "HYBRID2", 1); err != nil {
-		t.Fatal(err)
-	}
 	spec, err := design.Parse("MPOD")
 	if err != nil {
 		t.Fatal(err)
 	}
 	idle := -1
 	if _, err := r.execute(wl.Name, "MPOD", spec, 1, 0, func(m *machine) (sim.Result, error) {
-		idle = len(r.idle)
+		idle = len(idleMachines())
+		if m.host != oldest.host || slices.Contains(idleMachines(), oldest) {
+			t.Error("the run built a host instead of taking over the oldest idle machine's")
+		}
 		return workloadRun(wl)(m)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if idle != 0 {
-		t.Errorf("%d idle machine(s) kept while a run built a new one with one worker", idle)
+	if idle != r.poolBound()-1 {
+		t.Errorf("%d idle machine(s) kept while a run built a new one, want %d", idle, r.poolBound()-1)
 	}
-	if len(r.idle) != 1 || r.idle[0].spec.Info.Name != "MPOD" {
-		t.Errorf("idle machines after the run: %d, want the MPOD run's", len(r.idle))
+	if n := len(idleMachines()); n != r.poolBound() || newest(t).spec.Name != "MPOD" {
+		t.Errorf("idle machines after the run: %d, want %d with the MPOD run's newest", n, r.poolBound())
+	}
+}
+
+// TestPoolBoundCoversTheEvaluation: the pool keeps a machine for every
+// design of the evaluation plus one, or one per worker when there are
+// more workers.
+func TestPoolBoundCoversTheEvaluation(t *testing.T) {
+	r := tiny()
+	r.Parallelism = 1
+	if got, want := r.poolBound(), len(withBaseline(MainDesigns))+1; got != want {
+		t.Errorf("serial runner's pool bound %d, want %d", got, want)
+	}
+	r.Parallelism = 3 * poolFloor
+	if got := r.poolBound(); got != r.Parallelism {
+		t.Errorf("pool bound of %d workers is %d", r.Parallelism, got)
 	}
 }

@@ -4,9 +4,11 @@
 // (workload, design, NM-ratio) runs so figures built from the same sweep
 // (12, 13, 15-18) reuse results, and evaluates independent runs across a
 // worker pool (see ResultsParallel and Sweep) so regenerating the
-// evaluation scales with the machine's cores. Consecutive runs of one
-// design on a worker share one machine, reset between runs instead of
-// rebuilt (see execute).
+// evaluation scales with the machine's cores. The machines runs simulate
+// on outlive the runner that built them: a process-wide pool keeps the
+// machines of finished runs, and a later run of the same design and
+// system, from any runner, resets one instead of rebuilding it (see
+// execute).
 //
 // Designs are resolved through the self-registering catalog in
 // internal/design: the engine imports no internal/baselines package and
@@ -95,14 +97,6 @@ type Runner struct {
 	mu     sync.Mutex
 	memo   *store.LRU[memoVal]
 	flight *store.Flight[memoVal]
-
-	// idle holds the machines of finished runs for the next run of the
-	// same design and system to reset instead of rebuilding, oldest
-	// first: at most one per worker (see execute).
-	idleMu sync.Mutex
-	idle   []*machine
-	// builds counts the machines execute built rather than reused.
-	builds atomic.Int64
 }
 
 // memoVal is one settled run: its result or its error, memoized
@@ -150,11 +144,12 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// clone returns a runner with the same knobs but its own memo cache and
-// idle machines — used by studies that vary a knob (seed, prefetcher)
-// per sub-sweep. The persistent store and the simulation counter are
-// shared: store keys cover every knob, so sub-sweeps reuse and
-// contribute entries safely.
+// clone returns a runner with the same knobs but its own memo cache —
+// used by studies that vary a knob (seed, prefetcher) per sub-sweep. The
+// persistent store and the simulation counter are shared: store keys
+// cover every knob, so sub-sweeps reuse and contribute entries safely.
+// Machines are never the runner's own: every runner takes them from
+// the process-wide pool.
 func (r *Runner) clone() *Runner {
 	return &Runner{
 		Scale:        r.Scale,
@@ -336,10 +331,10 @@ func (r *Runner) result(wl workload.Spec, designName string, ratio16, run int) (
 // machine is the system one run simulates on: spec's design built over
 // its devices for sys, either fresh or a previous run's machine reset to
 // its built state, and the host (LLC and cores) in front of them. The
-// host depends on sys alone, so a machine built for another design
-// inherits the host of the idle machine it replaces when both are for
-// the same system (see takeIdle). smp is the run's sampler, nil when
-// telemetry is off.
+// host depends only on the LLC's geometry, so a machine built for
+// another design or system inherits the host of the idle machine it
+// replaces when both LLCs have one size (see takeHost). smp is the
+// run's sampler, nil when telemetry is off.
 type machine struct {
 	spec   design.Spec
 	ms     memtypes.Resetter
@@ -364,41 +359,83 @@ func (m *machine) reset() {
 	m.host.Reset()
 }
 
-// takeIdle hands out the idle machine that builds spec for sys, if there
-// is one. A run that finds none takes over the slot of the oldest idle
-// machine instead, dropping it, so the runner's machines — idle plus in
-// use — never outnumber its workers; when the dropped machine is for
-// sys, its host is returned for the new machine to keep.
-func (r *Runner) takeIdle(spec design.Spec, sys config.System) (*machine, *sim.Host) {
-	r.idleMu.Lock()
-	defer r.idleMu.Unlock()
-	for i, m := range r.idle {
-		if m.matches(spec, sys) {
-			r.idle = slices.Delete(r.idle, i, i+1)
-			return m, nil
-		}
-	}
-	if len(r.idle) == 0 {
-		return nil, nil
-	}
-	old := r.idle[0]
-	r.idle = slices.Delete(r.idle, 0, 1)
-	if old.sys != sys {
-		return nil, nil
-	}
-	return nil, old.host
+// poolFloor is the least count of idle machines the pool keeps: one for
+// each design of the paper's evaluation (the baseline and the main
+// designs), so that a sweep over all of them, repeated, resets every
+// machine instead of building it, plus one, so that a run of some other
+// design or system between two such sweeps evicts nothing they come back
+// to.
+var poolFloor = len(MainDesigns) + 2
+
+// pool holds the machines of finished runs, oldest first, for every
+// runner in the process: a run of the same design and system resets one
+// instead of building its own (see execute). A machine taken from it is
+// its run's alone until putIdle returns it.
+var pool struct {
+	sync.Mutex
+	idle []*machine
 }
 
-// putIdle keeps the machine of a successful run for reuse, dropping the
-// oldest idle machine beyond one per worker.
-func (r *Runner) putIdle(m *machine) {
-	m.smp = nil // the sampler belongs to the finished run
-	r.idleMu.Lock()
-	defer r.idleMu.Unlock()
-	if len(r.idle) >= r.workers() {
-		r.idle = slices.Delete(r.idle, 0, 1)
+// builds counts the machines execute built rather than reused.
+var builds atomic.Int64
+
+// MachineBuilds reports how many machines the process's runs have built
+// rather than taken from the pool and reset.
+func MachineBuilds() int64 { return builds.Load() }
+
+// poolBound is the count of idle machines the pool keeps for r: the
+// floor, or one per worker when r has more, so that every worker of a
+// parallel sweep finds its machine again.
+func (r *Runner) poolBound() int {
+	return max(poolFloor, r.workers())
+}
+
+// takeIdle hands out the idle machine that builds spec for sys, if
+// there is one.
+func takeIdle(spec design.Spec, sys config.System) *machine {
+	pool.Lock()
+	defer pool.Unlock()
+	for i, m := range pool.idle {
+		if m.matches(spec, sys) {
+			pool.idle = slices.Delete(pool.idle, i, i+1)
+			return m
+		}
 	}
-	r.idle = append(r.idle, m)
+	return nil
+}
+
+// takeHost returns the host for a machine just built for sys. While the
+// pool holds fewer than bound machines the new machine gets a new host.
+// Otherwise the new machine takes over the slot of the oldest idle
+// machine, which is dropped, and keeps its host when both LLCs have one
+// size: the pool's machines then never outnumber bound once the run
+// returns its own, and a change of seed, instruction budget or NM ratio
+// costs no new LLC.
+func takeHost(sys config.System, bound int) *sim.Host {
+	pool.Lock()
+	var old *machine
+	if len(pool.idle) >= bound {
+		old = pool.idle[0]
+		pool.idle = slices.Delete(pool.idle, 0, 1)
+	}
+	pool.Unlock()
+	if old == nil || old.sys.LLCBytes != sys.LLCBytes {
+		return sim.NewHost(sys)
+	}
+	old.host.Reset()
+	return old.host
+}
+
+// putIdle returns the machine of a successful run to the pool, dropping
+// the oldest idle machines beyond bound.
+func putIdle(m *machine, bound int) {
+	m.smp = nil // the sampler belongs to the finished run
+	pool.Lock()
+	defer pool.Unlock()
+	if n := len(pool.idle) - bound + 1; n > 0 {
+		pool.idle = slices.Delete(pool.idle, 0, n)
+	}
+	pool.idle = append(pool.idle, m)
 }
 
 // workloadRun simulates a synthetic workload on a machine.
@@ -410,16 +447,17 @@ func workloadRun(wl workload.Spec) func(*machine) (sim.Result, error) {
 
 // execute runs simulate on a machine of spec's design at ratio16: the
 // one machine-and-simulate path behind every run method. The machine is
-// the previous run's when that run built the same design for the same
-// system — reset instead of rebuilt, with identical results — and
-// freshly built otherwise. A candidate-major batch (one design's
-// workloads back to back) thus builds each design once per worker. With
-// Telemetry set a sampler rides along and the settled series goes to
-// OnSeries, tagged with run. A panic from the simulation settles as this
-// run's error instead of killing a worker goroutine or poisoning the
-// memo with a zero result, and the machine of a failed run is dropped;
-// construction-time panics are already errors from Spec.Build. The run
-// carries pprof labels design, workload and phase (build or reset, then
+// an idle one from the pool when an earlier run, of any runner, built
+// the same design for the same system — reset instead of rebuilt, with
+// identical results — and freshly built otherwise. A sweep that comes
+// back to a design thus builds it once. With Telemetry set a sampler
+// rides along and the settled series goes to OnSeries, tagged with run.
+// A panic from the simulation settles as this run's error instead of
+// killing a worker goroutine or poisoning the memo with a zero result,
+// and the machine of a failed run is dropped; construction-time panics
+// are already errors from Spec.Build. A failed build takes no host, so
+// an infeasible design point drops no idle machine. The run carries
+// pprof labels design, workload and phase (build or reset, then
 // simulate), so CPU profiles attribute its samples.
 func (r *Runner) execute(name, designName string, spec design.Spec, ratio16, run int, simulate func(*machine) (sim.Result, error)) (res sim.Result, err error) {
 	defer func() {
@@ -432,23 +470,21 @@ func (r *Runner) execute(name, designName string, spec design.Spec, ratio16, run
 		return pprof.Labels("design", designName, "workload", name, "phase", phase)
 	}
 	ctx := context.Background()
-	m, host := r.takeIdle(spec, sys)
+	bound := r.poolBound()
+	m := takeIdle(spec, sys)
 	if m != nil {
 		pprof.Do(ctx, labels("reset"), func(context.Context) { m.reset() })
 	} else {
-		m = &machine{spec: spec, sys: sys, host: host}
+		m = &machine{spec: spec, sys: sys}
 		pprof.Do(ctx, labels("build"), func(context.Context) {
-			if m.host != nil {
-				m.host.Reset()
-			} else {
-				m.host = sim.NewHost(sys)
+			if m.ms, m.nm, m.fm, err = spec.Build(sys); err == nil {
+				m.host = takeHost(sys, bound)
 			}
-			m.ms, m.nm, m.fm, err = spec.Build(sys)
 		})
 		if err != nil {
 			return sim.Result{}, err
 		}
-		r.builds.Add(1)
+		builds.Add(1)
 	}
 	if r.Telemetry != nil {
 		m.smp = r.Telemetry.sampler(run)
@@ -461,7 +497,7 @@ func (r *Runner) execute(name, designName string, spec design.Spec, ratio16, run
 	if m.smp != nil && r.Telemetry.OnSeries != nil {
 		r.Telemetry.OnSeries(run, m.smp.Series())
 	}
-	r.putIdle(m)
+	putIdle(m, bound)
 	return res, nil
 }
 

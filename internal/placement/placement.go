@@ -4,7 +4,7 @@
 // baselines — spreads its logical sectors over the physical slots
 // through Perm and reads its remap tables through it.
 //
-// The permutation is a pure function of (seed, length), yet a
+// The permutation is a pure function of (seed|1, length), yet a
 // Fisher-Yates shuffle over hundreds of thousands of sectors — a random
 // memory access and a division per sector — costs more than a short
 // run's whole simulation. Perm memoizes permutations under a byte
@@ -82,8 +82,14 @@ var observe func(seed uint64, n int)
 // slice is shared between callers and must not be modified.
 func Perm(seed uint64, n int) []uint32 {
 	checkLen(n)
+	seed = shuffleSeed(seed)
 	return memo(key{seed: seed, n: n}, func() []uint32 { return shuffle(seed, n) })
 }
+
+// shuffleSeed is the part of seed the shuffle reads: it starts its
+// generator from seed|1, so seeds 2k and 2k+1 give one permutation, and
+// the memo keys and evicts them as one seed.
+func shuffleSeed(seed uint64) uint64 { return seed | 1 }
 
 // Inverse returns the inverse of Perm(seed, n) over the physical slots
 // below k (0 <= k <= n): inv[phys] is the logical sector at physical
@@ -95,6 +101,7 @@ func Inverse(seed uint64, n, k int) []uint32 {
 	if k < 0 || k > n {
 		panic(fmt.Sprintf("placement: inverse prefix %d outside [0, %d]", k, n))
 	}
+	seed = shuffleSeed(seed)
 	return memo(key{seed, n, k, true}, func() []uint32 {
 		// One pass with no data-dependent branch: a slot at or past k
 		// lands in the sentinel entry inv[k], which the returned slice
@@ -201,7 +208,7 @@ func shuffle(seed uint64, n int) []uint32 {
 	for i := range perm {
 		perm[i] = uint32(i)
 	}
-	rng := seed | 1
+	rng := shuffleSeed(seed)
 	for i := n - 1; i > 0; i-- {
 		rng ^= rng >> 12
 		rng ^= rng << 25

@@ -145,6 +145,25 @@ func TestConcurrentMissesShuffleOnce(t *testing.T) {
 	}
 }
 
+// TestSeedPairsShareOnePlacement: the shuffle reads seed|1, so Perm
+// of seeds 2k and 2k+1 is one permutation, shuffled once and memoized as
+// one slice, and so is Inverse.
+func TestSeedPairsShareOnePlacement(t *testing.T) {
+	const n = 4096
+	stop := CountShuffles()
+	even, odd := Perm(6, n), Perm(7, n)
+	invEven, invOdd := Inverse(6, n, n/4), Inverse(7, n, n/4)
+	if shuffled, _ := stop(); shuffled != n {
+		t.Errorf("Perm and Inverse of seeds 6 and 7 shuffled %d entries, want one shuffle of %d", shuffled, n)
+	}
+	if &even[0] != &odd[0] || &invEven[0] != &invOdd[0] {
+		t.Error("seeds 6 and 7 were memoized as two placements")
+	}
+	if !equal(odd, shuffle(7, n)) {
+		t.Error("the shared placement differs from seed 7's shuffle")
+	}
+}
+
 // TestBadArgumentsPanic: a prefix outside [0, n] or a length outside
 // [0, 2^32) panics with a placement: message instead of returning a
 // table whose slots silently claim sector 0 or dying in makeslice.
@@ -210,11 +229,12 @@ func TestMemoKeepsAPrefixOfASeedsLoop(t *testing.T) {
 
 // TestMemoEvictsAnotherSeedFirst: a key evicts the entries of other
 // seeds, least recently used first, before any entry of its own seed,
-// even one used longer ago.
+// even one used longer ago. Keys hold the seed the shuffle reads, so
+// both seeds are odd.
 func TestMemoEvictsAnotherSeedFirst(t *testing.T) {
 	n := budgetBytes / 4 * 2 / 7 // three fit the budget
 	resetMemo()
-	own := []key{{seed: 2, n: n}, {seed: 2, n: n - 1}, {seed: 2, n: n - 2}}
+	own := []key{{seed: 3, n: n}, {seed: 3, n: n - 1}, {seed: 3, n: n - 2}}
 	other := []key{{seed: 1, n: n}, {seed: 1, n: n - 1}}
 	for _, k := range []key{own[0], other[0], other[1]} {
 		Perm(k.seed, k.n)
@@ -232,7 +252,7 @@ func TestMemoEvictsAnotherSeedFirst(t *testing.T) {
 		{own[0], other[1], own[1]},
 		{own[0], own[1], own[2]},
 	} {
-		Perm(2, own[i+1].n)
+		Perm(3, own[i+1].n)
 		if got := resident(); !slices.Equal(got, want) {
 			t.Fatalf("after %+v the memo holds %+v, want %+v", own[i+1], got, want)
 		}
