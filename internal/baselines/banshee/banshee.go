@@ -66,7 +66,7 @@ func New(cfg Config, nm, fm *memsys.Device) *Banshee {
 
 // Reset implements memtypes.Resetter: it invalidates every cached page
 // and forgets the candidates' sampled frequencies.
-func (b *Banshee) Reset() {
+func (b *Banshee) Reset(uint64) {
 	clear(b.entries)
 	clear(b.candFreq)
 	b.tick = 0

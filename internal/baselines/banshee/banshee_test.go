@@ -141,7 +141,7 @@ func TestResetRestoresBuiltState(t *testing.T) {
 	if b.stats.Migrations == 0 || b.stats.Evictions == 0 || len(b.candFreq) == 0 {
 		t.Fatalf("traffic filled %d pages, evicted %d, tracked %d candidates", b.stats.Migrations, b.stats.Evictions, len(b.candFreq))
 	}
-	b.Reset()
+	b.Reset(0)
 	b.nm.Reset()
 	b.fm.Reset()
 	if !reflect.DeepEqual(*b, *newSmall()) {

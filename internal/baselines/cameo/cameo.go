@@ -62,9 +62,11 @@ func New(cfg Config, nm, fm *memsys.Device) *CAMEO {
 }
 
 // Reset implements memtypes.Resetter: it restores the groups the run
-// swapped and empties the remap cache.
-func (c *CAMEO) Reset() {
-	c.g.Reset()
+// swapped, takes seed's permutation of the lines and empties the remap
+// cache.
+func (c *CAMEO) Reset(seed uint64) {
+	c.cfg.Seed = seed
+	c.g.Reset(seed)
 	c.rc.Reset()
 	c.stats = memtypes.MemStats{}
 }

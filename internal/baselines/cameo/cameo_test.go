@@ -120,32 +120,36 @@ func TestResetRestoresBuiltState(t *testing.T) {
 	c := newSmall(6)
 	rng := rand.New(rand.NewSource(6))
 	space := uint64(c.g.Units()) * 64
-	var now memtypes.Tick
-	for i := 0; i < 20000; i++ {
-		now += 50
-		c.Access(now, memtypes.Addr(rng.Uint64()%space), rng.Intn(4) == 0)
-	}
-	if c.stats.Migrations == 0 {
-		t.Fatal("no swaps to undo")
-	}
-	c.Reset()
-	c.nm.Reset()
-	c.fm.Reset()
-	fresh := newSmall(6)
-	for l := uint32(0); l < fresh.g.Units(); l++ {
-		gotNM, got := c.g.Locate(l)
-		wantNM, want := fresh.g.Locate(l)
-		if gotNM != wantNM || got != want {
-			t.Fatalf("line %d: at (%v, %d) after Reset, (%v, %d) when built", l, gotNM, got, wantNM, want)
+	// A reset to the build's own seed first, then to another: each must
+	// leave that seed's build.
+	for _, seed := range []uint64{6, 9} {
+		var now memtypes.Tick
+		for i := 0; i < 20000; i++ {
+			now += 50
+			c.Access(now, memtypes.Addr(rng.Uint64()%space), rng.Intn(4) == 0)
 		}
-	}
-	if !c.CheckInvariants() {
-		t.Fatal("group invariants violated after Reset")
-	}
-	got, want := *c, *fresh
-	// The layout is compared above and by migcommon's Groups tests.
-	got.g, want.g = migcommon.Groups{}, migcommon.Groups{}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("reset state differs from a fresh build")
+		if c.stats.Migrations == 0 {
+			t.Fatalf("seed %d: no swaps to undo", seed)
+		}
+		c.Reset(seed)
+		c.nm.Reset()
+		c.fm.Reset()
+		fresh := newSmall(seed)
+		for l := uint32(0); l < fresh.g.Units(); l++ {
+			gotNM, got := c.g.Locate(l)
+			wantNM, want := fresh.g.Locate(l)
+			if gotNM != wantNM || got != want {
+				t.Fatalf("seed %d: line %d: at (%v, %d) after Reset, (%v, %d) when built", seed, l, gotNM, got, wantNM, want)
+			}
+		}
+		if !c.CheckInvariants() {
+			t.Fatalf("seed %d: group invariants violated after Reset", seed)
+		}
+		got, want := *c, *fresh
+		// The layout is compared above and by migcommon's Groups tests.
+		got.g, want.g = migcommon.Groups{}, migcommon.Groups{}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: reset state differs from a fresh build", seed)
+		}
 	}
 }

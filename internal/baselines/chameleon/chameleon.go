@@ -102,9 +102,11 @@ type Chameleon struct {
 
 // Reset implements memtypes.Resetter: it restores the groups the run
 // swapped, clears the counters of the groups the run counted in and the
-// installed cache-mode segments, and zeroes the run's state.
-func (c *Chameleon) Reset() {
-	c.g.Reset()
+// installed cache-mode segments, takes seed's permutation of the
+// segments, and zeroes the run's state.
+func (c *Chameleon) Reset(seed uint64) {
+	c.cfg.Seed = seed
+	c.g.Reset(seed)
 	for _, g := range c.countedGrps {
 		c.cand[g], c.ctr[g] = 255, 0
 	}

@@ -227,43 +227,47 @@ func TestLocationsStayBijectiveUnderSwaps(t *testing.T) {
 func TestResetRestoresBuiltState(t *testing.T) {
 	c := newSmall(5)
 	rng := rand.New(rand.NewSource(5))
-	var now memtypes.Tick
-	for i := 0; i < 200000; i++ {
-		now += memtypes.Tick(rng.Intn(40))
-		addr := memtypes.Addr(rng.Intn(32)) << 11 // a hot set smaller than the cache slice
-		if i%4 == 0 {
-			addr = memtypes.Addr(rng.Int63n(8 << 20))
+	// A reset to the build's own seed first, then to another: each must
+	// leave that seed's build.
+	for _, seed := range []uint64{5, 9} {
+		var now memtypes.Tick
+		for i := 0; i < 200000; i++ {
+			now += memtypes.Tick(rng.Intn(40))
+			addr := memtypes.Addr(rng.Intn(32)) << 11 // a hot set smaller than the cache slice
+			if i%4 == 0 {
+				addr = memtypes.Addr(rng.Int63n(8 << 20))
+			}
+			c.Access(now, addr&^63, rng.Intn(4) == 0)
 		}
-		c.Access(now, addr&^63, rng.Intn(4) == 0)
-	}
-	c.Finish(now)
-	if c.stats.Migrations == 0 || len(c.cache.where) == 0 {
-		t.Fatalf("traffic swapped %d, installed %d", c.stats.Migrations, len(c.cache.where))
-	}
-	counted := map[uint32]bool{}
-	for _, g := range c.countedGrps {
-		if counted[g] {
-			t.Fatalf("group %d listed twice for Reset", g)
+		c.Finish(now)
+		if c.stats.Migrations == 0 || len(c.cache.where) == 0 {
+			t.Fatalf("seed %d: traffic swapped %d, installed %d", seed, c.stats.Migrations, len(c.cache.where))
 		}
-		counted[g] = true
-	}
-	c.Reset()
-	c.nm.Reset()
-	c.fm.Reset()
-	if len(c.countedGrps) != 0 || !c.CheckInvariants() {
-		t.Fatal("undo state not empty or groups inconsistent after Reset")
-	}
-	fresh := newSmall(5)
-	for l := uint32(0); l < fresh.g.Units(); l++ {
-		if locate(c, l) != locate(fresh, l) {
-			t.Fatalf("sector %d: at %+v after Reset, %+v when built", l, locate(c, l), locate(fresh, l))
+		counted := map[uint32]bool{}
+		for _, g := range c.countedGrps {
+			if counted[g] {
+				t.Fatalf("seed %d: group %d listed twice for Reset", seed, g)
+			}
+			counted[g] = true
 		}
-	}
-	got, want := *c, *fresh
-	got.countedGrps = nil
-	// The layout is compared above and by migcommon's Groups tests.
-	got.g, want.g = migcommon.Groups{}, migcommon.Groups{}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("reset state differs from a fresh build")
+		c.Reset(seed)
+		c.nm.Reset()
+		c.fm.Reset()
+		if len(c.countedGrps) != 0 || !c.CheckInvariants() {
+			t.Fatalf("seed %d: undo state not empty or groups inconsistent after Reset", seed)
+		}
+		fresh := newSmall(seed)
+		for l := uint32(0); l < fresh.g.Units(); l++ {
+			if locate(c, l) != locate(fresh, l) {
+				t.Fatalf("seed %d: sector %d: at %+v after Reset, %+v when built", seed, l, locate(c, l), locate(fresh, l))
+			}
+		}
+		got, want := *c, *fresh
+		got.countedGrps = nil
+		// The layout is compared above and by migcommon's Groups tests.
+		got.g, want.g = migcommon.Groups{}, migcommon.Groups{}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: reset state differs from a fresh build", seed)
+		}
 	}
 }

@@ -302,7 +302,7 @@ func diffGeometry(t *testing.T, cfg Config) {
 			got.Finish(now)
 			want.Finish(now)
 			sameAll(fmt.Sprintf("cycle %d %s: Finish", cycle, name))
-			got.Reset()
+			got.Reset(0)
 			want.Reset()
 			for _, d := range []*memsys.Device{nm, fm, rnm, rfm} {
 				d.Reset()

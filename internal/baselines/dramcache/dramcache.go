@@ -182,7 +182,7 @@ func (c *Cache) allocPage(pi int) *page {
 // Reset implements memtypes.Resetter: only the pages allocated since the
 // last Reset ever held a line, so zeroing and unmapping them empties the
 // cache. They are kept to back the next run's pages.
-func (c *Cache) Reset() {
+func (c *Cache) Reset(uint64) {
 	for _, pi := range c.active {
 		p := c.pages[pi]
 		*p = page{}

@@ -179,7 +179,7 @@ func TestResetRestoresBuiltState(t *testing.T) {
 		if c.stats.Evictions == 0 {
 			t.Fatalf("%s: no evictions", cfg.Name)
 		}
-		c.Reset()
+		c.Reset(0)
 		c.nm.Reset()
 		c.fm.Reset()
 		if len(c.active) != 0 || len(c.spare) == 0 {

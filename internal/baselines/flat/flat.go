@@ -34,7 +34,7 @@ func (f *FMOnly) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memty
 func (f *FMOnly) Finish(memtypes.Tick) {}
 
 // Reset implements memtypes.Resetter.
-func (f *FMOnly) Reset() { f.stats = memtypes.MemStats{} }
+func (f *FMOnly) Reset(uint64) { f.stats = memtypes.MemStats{} }
 
 // Stats implements MemorySystem.
 func (f *FMOnly) Stats() *memtypes.MemStats { return memsys.WithTraffic(&f.stats, nil, f.fm) }
@@ -63,7 +63,7 @@ func (f *NMOnly) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memty
 func (f *NMOnly) Finish(memtypes.Tick) {}
 
 // Reset implements memtypes.Resetter.
-func (f *NMOnly) Reset() { f.stats = memtypes.MemStats{} }
+func (f *NMOnly) Reset(uint64) { f.stats = memtypes.MemStats{} }
 
 // Stats implements MemorySystem.
 func (f *NMOnly) Stats() *memtypes.MemStats { return memsys.WithTraffic(&f.stats, f.nm, nil) }

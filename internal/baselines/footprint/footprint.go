@@ -70,7 +70,7 @@ func New(cfg Config, nm, fm *memsys.Device) *Cache {
 
 // Reset implements memtypes.Resetter: it invalidates every page and
 // forgets the footprint history.
-func (c *Cache) Reset() {
+func (c *Cache) Reset(uint64) {
 	c.tags.Reset()
 	clear(c.entries)
 	clear(c.history)

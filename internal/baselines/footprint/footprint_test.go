@@ -146,7 +146,7 @@ func TestResetRestoresBuiltState(t *testing.T) {
 	if c.stats.Evictions == 0 || len(c.history) == 0 {
 		t.Fatalf("traffic evicted %d pages, recorded %d footprints", c.stats.Evictions, len(c.history))
 	}
-	c.Reset()
+	c.Reset(0)
 	c.nm.Reset()
 	c.fm.Reset()
 	if !reflect.DeepEqual(*c, *newSmall()) {

@@ -89,8 +89,9 @@ func New(cfg Config, nm, fm *memsys.Device) *LGM {
 }
 
 // Reset implements memtypes.Resetter.
-func (l *LGM) Reset() {
-	l.space.Reset()
+func (l *LGM) Reset(seed uint64) {
+	l.cfg.Seed = seed
+	l.space.Reset(seed)
 	l.rc.Reset()
 	l.stats = memtypes.MemStats{}
 	clear(l.touched)

@@ -81,8 +81,9 @@ func New(cfg Config, nm, fm *memsys.Device) *MemPod {
 }
 
 // Reset implements memtypes.Resetter.
-func (m *MemPod) Reset() {
-	m.space.Reset()
+func (m *MemPod) Reset(seed uint64) {
+	m.cfg.Seed = seed
+	m.space.Reset(seed)
 	m.rc.Reset()
 	m.stats = memtypes.MemStats{}
 	m.mea, m.live = m.mea[:0], m.live[:0]

@@ -111,38 +111,42 @@ func TestRemapCacheMissesChargeNMMeta(t *testing.T) {
 func TestResetRestoresBuiltState(t *testing.T) {
 	x := newSmall(3)
 	rng := rand.New(rand.NewSource(3))
-	var now memtypes.Tick
-	for i := 0; i < 200000; i++ {
-		now += memtypes.Tick(rng.Intn(20))
-		addr := memtypes.Addr(rng.Intn(256)) << 11 // a hot set of sectors
-		if i%4 == 0 {
-			addr = memtypes.Addr(rng.Int63n(8 << 20))
+	// A reset to the build's own seed first, then to another: each must
+	// leave that seed's build.
+	for _, seed := range []uint64{3, 5} {
+		var now memtypes.Tick
+		for i := 0; i < 200000; i++ {
+			now += memtypes.Tick(rng.Intn(20))
+			addr := memtypes.Addr(rng.Intn(256)) << 11 // a hot set of sectors
+			if i%4 == 0 {
+				addr = memtypes.Addr(rng.Int63n(8 << 20))
+			}
+			x.Access(now, addr&^63, rng.Intn(4) == 0)
 		}
-		x.Access(now, addr&^63, rng.Intn(4) == 0)
-	}
-	x.Finish(now)
-	if x.stats.Migrations == 0 {
-		t.Fatal("no swaps to undo")
-	}
-	x.Reset()
-	fresh := newSmall(3)
-	for l := uint32(0); l < fresh.space.Sectors(); l++ {
-		if x.space.Lookup(l) != fresh.space.Lookup(l) {
-			t.Fatalf("sector %d: placement %+v after Reset, %+v when built", l, x.space.Lookup(l), fresh.space.Lookup(l))
+		x.Finish(now)
+		if x.stats.Migrations == 0 {
+			t.Fatalf("seed %d: no swaps to undo", seed)
 		}
-	}
-	if !x.space.CheckInvariants() {
-		t.Fatal("NM owners do not match the restored placement")
-	}
-	if len(x.live) != 0 {
-		t.Fatalf("Reset kept %d interval scratch entries", len(x.live))
-	}
-	got, want := *x, *fresh
-	got.space, want.space = nil, nil
-	got.mea, want.mea = nil, nil
-	got.live, want.live = nil, nil
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("reset state differs from a fresh build:\n got %+v\nwant %+v", got, want)
+		x.Reset(seed)
+		fresh := newSmall(seed)
+		for l := uint32(0); l < fresh.space.Sectors(); l++ {
+			if x.space.Lookup(l) != fresh.space.Lookup(l) {
+				t.Fatalf("seed %d: sector %d: placement %+v after Reset, %+v when built", seed, l, x.space.Lookup(l), fresh.space.Lookup(l))
+			}
+		}
+		if !x.space.CheckInvariants() {
+			t.Fatalf("seed %d: NM owners do not match the restored placement", seed)
+		}
+		if len(x.live) != 0 {
+			t.Fatalf("seed %d: Reset kept %d interval scratch entries", seed, len(x.live))
+		}
+		got, want := *x, *fresh
+		got.space, want.space = nil, nil
+		got.mea, want.mea = nil, nil
+		got.live, want.live = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: reset state differs from a fresh build:\n got %+v\nwant %+v", seed, got, want)
+		}
 	}
 }
 

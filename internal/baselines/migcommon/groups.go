@@ -51,9 +51,8 @@ func NewGroups(nmUnits, fmUnits uint32, seed uint64) Groups {
 		slots:    make([]uint8, uint64(nmUnits)*uint64(k+1)),
 		occupant: make([]uint8, nmUnits),
 		listed:   make([]uint64, (nmUnits+63)/64),
-		permMul:  uint32(seed)*8 + 5,
-		permAdd:  uint32(seed>>16) | 1,
 	}
+	s.seedPerm(seed)
 	for l := nmUnits; l < uint32(len(s.slots)); l++ {
 		s.slots[l] = uint8(l / nmUnits)
 	}
@@ -62,6 +61,11 @@ func NewGroups(nmUnits, fmUnits uint32, seed uint64) Groups {
 		s.permPow2 <<= 1
 	}
 	return s
+}
+
+// seedPerm picks the affine permutation Logical applies for seed.
+func (s *Groups) seedPerm(seed uint64) {
+	s.permMul, s.permAdd = uint32(seed)*8+5, uint32(seed>>16)|1
 }
 
 // Units returns the size of the logical space.
@@ -127,9 +131,11 @@ func (s *Groups) Swap(g, j uint32) (fmUnit uint32) {
 	return g*s.K + uint32(v-1)
 }
 
-// Reset restores the initial layout of every group swapped since
-// construction or the last Reset: member j in slot j, member 0 in NM.
-func (s *Groups) Reset() {
+// Reset restores the layout NewGroups builds at seed: every group
+// swapped since construction or the last Reset gets member j in slot j
+// and member 0 in NM again, and Logical applies seed's permutation.
+func (s *Groups) Reset(seed uint64) {
+	s.seedPerm(seed)
 	for _, g := range s.moved {
 		for j := uint32(0); j <= s.K; j++ {
 			s.slots[j*s.Count+g] = uint8(j)

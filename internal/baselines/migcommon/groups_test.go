@@ -77,11 +77,11 @@ func TestGroupsRandomSwapsKeepLayout(t *testing.T) {
 				t.Fatalf("group %d listed for Reset but never swapped", g)
 			}
 		}
-		s.Reset()
+		s.Reset(seed + 1<<20) // another seed's layout and permutation
 		if len(s.moved) != 0 {
 			t.Fatal("groups still listed after Reset")
 		}
-		got, want := s, NewGroups(nm, fm, seed)
+		got, want := s, NewGroups(nm, fm, seed+1<<20)
 		got.moved = nil
 		return reflect.DeepEqual(got, want)
 	}
@@ -101,7 +101,7 @@ func TestGroupsListEachSwappedGroupOnce(t *testing.T) {
 	if len(s.moved) != 1 || s.moved[0] != 5 {
 		t.Fatalf("listed %v after 10,000 swaps of group 5, want [5]", s.moved)
 	}
-	s.Reset()
+	s.Reset(1)
 	if len(s.moved) != 0 || !s.CheckInvariants() || s.Occupant(5) != 0 {
 		t.Fatal("Reset left group 5 listed or out of its initial layout")
 	}

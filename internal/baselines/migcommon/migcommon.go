@@ -69,8 +69,8 @@ func NewSpace(sectorBytes int, nmBytes, fmBytes uint64, nm, fm *memsys.Device, s
 		SectorBytes:    sectorBytes,
 		NMSectors:      nmSec,
 		FMSectors:      fmSec,
-		remap:          placement.NewTable(placement.Perm(seed, int(total))),
-		owner:          placement.NewTable(placement.Inverse(seed, int(total), int(nmSec))),
+		remap:          placement.PermTable(seed, int(total)),
+		owner:          placement.InverseTable(seed, int(total), int(nmSec)),
 		nm:             nm,
 		fm:             fm,
 		stats:          stats,
@@ -79,12 +79,14 @@ func NewSpace(sectorBytes int, nmBytes, fmBytes uint64, nm, fm *memsys.Device, s
 	return s
 }
 
-// Reset restores the initial placement by emptying the tables' overlays
-// of the entries the run's swaps wrote. The counters belong to the
-// design, which resets them itself.
-func (s *Space) Reset() {
-	s.remap.Reset()
-	s.owner.Reset()
+// Reset restores the initial placement NewSpace builds at seed: it
+// empties the tables' overlays of the entries the run's swaps wrote and
+// points them at seed's placement, which costs a table lookup in the
+// placement memo when the seed changes and nothing when it does not.
+// The counters belong to the design, which resets them itself.
+func (s *Space) Reset(seed uint64) {
+	s.remap.Reset(seed)
+	s.owner.Reset(seed)
 }
 
 // Sectors returns the number of logical sectors in the flat space.

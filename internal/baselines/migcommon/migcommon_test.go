@@ -250,7 +250,7 @@ func TestSpaceResetRestoresPlacement(t *testing.T) {
 			swaps = append(swaps, swap{a, nmSlot})
 		}
 	}
-	s.Reset()
+	s.Reset(4)
 	fresh, _ := newSpace(4)
 	for i := range s.Sectors() {
 		if s.remap.Get(i) != fresh.remap.Get(i) {
@@ -266,7 +266,7 @@ func TestSpaceResetRestoresPlacement(t *testing.T) {
 		for i, w := range swaps {
 			s.Swap(memtypes.Tick(i), w.a, w.nmSlot, 0)
 		}
-		s.Reset()
+		s.Reset(4)
 	}); allocs != 0 {
 		t.Errorf("second run of the same swaps allocated %v times", allocs)
 	}

@@ -15,7 +15,7 @@ func init() {
 		Order:   3,
 		NeedsNM: true,
 		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.Resetter, error) {
-			return New(Default(sys.NMBytes, sys.FMBytes, design.RemapEntries(sys), sys.Seed), nm, fm), nil
+			return New(Default(sys.NMBytes, sys.FMBytes, design.RemapEntries(sys)), nm, fm), nil
 		},
 	})
 }

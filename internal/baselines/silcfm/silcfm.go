@@ -30,11 +30,10 @@ type Config struct {
 	NMBytes, FMBytes  uint64
 	ClaimEpisodes     int // reuse episodes before a segment claims a way
 	RemapCacheEntries int
-	Seed              uint64
 }
 
 // Default returns the standard SILC-FM configuration.
-func Default(nmBytes, fmBytes uint64, remapEntries int, seed uint64) Config {
+func Default(nmBytes, fmBytes uint64, remapEntries int) Config {
 	return Config{
 		SectorBytes:       config.SectorBytes,
 		Assoc:             4,
@@ -42,7 +41,6 @@ func Default(nmBytes, fmBytes uint64, remapEntries int, seed uint64) Config {
 		FMBytes:           fmBytes,
 		ClaimEpisodes:     4,
 		RemapCacheEntries: remapEntries,
-		Seed:              seed,
 	}
 }
 
@@ -93,7 +91,7 @@ func New(cfg Config, nm, fm *memsys.Device) *SILCFM {
 
 // Reset implements memtypes.Resetter: it unclaims every way, forgets the
 // reuse episodes and empties the remap cache.
-func (s *SILCFM) Reset() {
+func (s *SILCFM) Reset(uint64) {
 	s.owners.Reset()
 	clear(s.ways)
 	clear(s.episodes)

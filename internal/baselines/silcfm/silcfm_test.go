@@ -9,13 +9,13 @@ import (
 	"hybridmem/internal/memtypes"
 )
 
-func newSmall(seed uint64) *SILCFM {
-	return New(Default(1<<20, 8<<20, 512, seed),
+func newSmall() *SILCFM {
+	return New(Default(1<<20, 8<<20, 512),
 		memsys.New(memsys.HBM2Config()), memsys.New(memsys.DDR4Config()))
 }
 
 func TestReusedSegmentClaimsWay(t *testing.T) {
-	s := newSmall(1)
+	s := newSmall()
 	addr := memtypes.Addr(10 * 2048)
 	var now memtypes.Tick
 	// Revisit the segment (with other segments in between) until it
@@ -37,7 +37,7 @@ func TestReusedSegmentClaimsWay(t *testing.T) {
 }
 
 func TestOnePassStreamNeverClaims(t *testing.T) {
-	s := newSmall(2)
+	s := newSmall()
 	var now memtypes.Tick
 	for a := memtypes.Addr(0); a < 1<<20; a += 64 {
 		now += 50
@@ -49,7 +49,7 @@ func TestOnePassStreamNeverClaims(t *testing.T) {
 }
 
 func TestSubBlockInterleaving(t *testing.T) {
-	s := newSmall(3)
+	s := newSmall()
 	base := memtypes.Addr(10 * 2048)
 	var now memtypes.Tick
 	for i := 0; i < s.cfg.ClaimEpisodes+1; i++ {
@@ -77,7 +77,7 @@ func TestSubBlockInterleaving(t *testing.T) {
 }
 
 func TestDirtyWritebackOnWayEviction(t *testing.T) {
-	s := newSmall(4)
+	s := newSmall()
 	// Claim a way with writes, then displace it with other claimants of
 	// the same set (stride = sets*2048 keeps the set fixed).
 	stride := memtypes.Addr(s.sets) * 2048
@@ -106,7 +106,7 @@ func TestDirtyWritebackOnWayEviction(t *testing.T) {
 }
 
 func TestInvariantsUnderTraffic(t *testing.T) {
-	s := newSmall(5)
+	s := newSmall()
 	rng := rand.New(rand.NewSource(11))
 	var now memtypes.Tick
 	for i := 0; i < 40000; i++ {
@@ -126,7 +126,7 @@ func TestInvariantsUnderTraffic(t *testing.T) {
 // dirty ones, Reset (with the devices reset) leaves exactly a fresh
 // build's state.
 func TestResetRestoresBuiltState(t *testing.T) {
-	s := newSmall(4)
+	s := newSmall()
 	rng := rand.New(rand.NewSource(4))
 	var now memtypes.Tick
 	for i := 0; i < 100000; i++ {
@@ -141,10 +141,10 @@ func TestResetRestoresBuiltState(t *testing.T) {
 	if s.stats.Migrations == 0 || s.stats.Evictions == 0 || len(s.episodes) == 0 {
 		t.Fatalf("traffic claimed %d ways, evicted %d, counted %d segments", s.stats.Migrations, s.stats.Evictions, len(s.episodes))
 	}
-	s.Reset()
+	s.Reset(9) // SILC-FM reads no seed: any seed restores the build
 	s.nm.Reset()
 	s.fm.Reset()
-	if !reflect.DeepEqual(*s, *newSmall(4)) {
+	if !reflect.DeepEqual(*s, *newSmall()) {
 		t.Error("reset state differs from a fresh build")
 	}
 }

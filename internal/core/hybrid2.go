@@ -285,7 +285,7 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 	// remap from the shared permutation. CacheOnly: the flat NM region
 	// is unused and everything lives in FM at its home.
 	if cfg.Mode != CacheOnly {
-		h.remap = placement.NewTable(placement.Perm(cfg.Seed, int(h.Sectors())))
+		h.remap = placement.PermTable(cfg.Seed, int(h.Sectors()))
 	}
 	h.placeNM()
 	return h
@@ -303,7 +303,7 @@ func (h *Hybrid2) placeNM() {
 			owners[i] = invalidLogical
 		}
 	} else {
-		copy(owners, placement.Inverse(h.cfg.Seed, int(h.Sectors()), int(h.flatSectors)))
+		placement.CopyInverse(owners, h.cfg.Seed, int(h.Sectors()))
 	}
 	clear(h.slotState[cacheSlots:])
 	h.freeNM = h.freeNM[:0]
@@ -315,12 +315,15 @@ func (h *Hybrid2) placeNM() {
 }
 
 // Reset implements memtypes.Resetter: it empties the remap table of the
-// entries the run wrote, restores the NM pool's owners and states, and
-// clears the XTA and the run's counters. Its cost is the remap overlay,
-// sized to the entries written, plus the NM pool, never the whole flat
-// space.
-func (h *Hybrid2) Reset() {
-	h.remap.Reset()
+// entries the run wrote and points it at seed's placement, restores the
+// NM pool's owners and states, and clears the XTA and the run's
+// counters. Its cost is the remap overlay, sized to the entries
+// written, plus the NM pool, never the whole flat space; a seed whose
+// placement the memo does not hold adds one shuffle, into a buffer the
+// memo recycles.
+func (h *Hybrid2) Reset(seed uint64) {
+	h.cfg.Seed = seed
+	h.remap.Reset(seed)
 	h.placeNM()
 	h.xta.Reset()
 	clear(h.entries)

@@ -428,45 +428,48 @@ func TestPathStatsHotReuseMostly1a(t *testing.T) {
 
 // TestResetRestoresBuiltState drives every mode (with and without a
 // free-hinted suffix of 1024 sectors) through evictions, migrations and
-// NM allocations, then requires Reset to leave exactly the state of a
-// fresh build: every sector's location, every NM slot's owner and
-// state, and every other field, devices included.
+// NM allocations, then requires Reset, to the build's own seed and then,
+// after more traffic, to another, to leave exactly the state of a fresh
+// build at that seed: every sector's location, every NM slot's owner
+// and state, and every other field, devices included.
 func TestResetRestoresBuiltState(t *testing.T) {
 	for _, mode := range []Mode{Normal, CacheOnly, MigrateAll, MigrateNone, NoRemapOverhead} {
 		for _, free := range []bool{false, true} {
-			build := func() *Hybrid2 {
+			build := func(seed uint64) *Hybrid2 {
 				cfg := smallConfig()
-				cfg.Mode = mode
+				cfg.Mode, cfg.Seed = mode, seed
 				if free {
 					cfg.FreeSectors = 1024
 				}
 				return New(cfg, memsys.New(memsys.HBM2Config()), memsys.New(memsys.DDR4Config()))
 			}
-			h := build()
-			now := drive(h, int64(mode))
-			h.Finish(now)
-			if h.stats.Migrations+h.stats.Evictions == 0 {
-				t.Fatalf("%v free=%v: traffic moved nothing to restore", mode, free)
-			}
-			h.Reset()
-			h.nm.Reset()
-			h.fm.Reset()
-			want := build()
-			for l := range want.Sectors() {
-				if got, w := h.lookup(l), want.lookup(l); got != w {
-					t.Fatalf("%v free=%v: sector %d at %#x after Reset, %#x when built", mode, free, l, got, w)
+			h := build(smallConfig().Seed)
+			for _, seed := range []uint64{smallConfig().Seed, 9} {
+				now := drive(h, int64(mode)+int64(seed))
+				h.Finish(now)
+				if h.stats.Migrations+h.stats.Evictions == 0 {
+					t.Fatalf("%v free=%v seed %d: traffic moved nothing to restore", mode, free, seed)
 				}
-			}
-			for s := range want.poolSectors {
-				if h.invRemap[s] != want.invRemap[s] || h.slotState[s] != want.slotState[s] {
-					t.Fatalf("%v free=%v: NM slot %d (owner %d, state %d) after Reset, (%d, %d) when built",
-						mode, free, s, h.invRemap[s], h.slotState[s], want.invRemap[s], want.slotState[s])
+				h.Reset(seed)
+				h.nm.Reset()
+				h.fm.Reset()
+				want := build(seed)
+				for l := range want.Sectors() {
+					if got, w := h.lookup(l), want.lookup(l); got != w {
+						t.Fatalf("%v free=%v seed %d: sector %d at %#x after Reset, %#x when built", mode, free, seed, l, got, w)
+					}
 				}
-			}
-			got := *h
-			got.remap, got.invRemap, got.slotState = want.remap, want.invRemap, want.slotState
-			if !reflect.DeepEqual(got, *want) {
-				t.Errorf("%v free=%v: reset state differs from a fresh build", mode, free)
+				for s := range want.poolSectors {
+					if h.invRemap[s] != want.invRemap[s] || h.slotState[s] != want.slotState[s] {
+						t.Fatalf("%v free=%v seed %d: NM slot %d (owner %d, state %d) after Reset, (%d, %d) when built",
+							mode, free, seed, s, h.invRemap[s], h.slotState[s], want.invRemap[s], want.slotState[s])
+					}
+				}
+				got := *h
+				got.remap, got.invRemap, got.slotState = want.remap, want.invRemap, want.slotState
+				if !reflect.DeepEqual(got, *want) {
+					t.Errorf("%v free=%v seed %d: reset state differs from a fresh build", mode, free, seed)
+				}
 			}
 		}
 	}
@@ -521,7 +524,7 @@ func TestResetReusesPages(t *testing.T) {
 		if h.stats.Migrations == 0 {
 			t.Fatal("traffic migrated nothing")
 		}
-		h.Reset()
+		h.Reset(h.cfg.Seed)
 		h.nm.Reset()
 		h.fm.Reset()
 	}); allocs != 0 {

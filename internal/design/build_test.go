@@ -99,6 +99,41 @@ func TestColdMigrationBuildAllocatesOnePermutation(t *testing.T) {
 	}
 }
 
+// TestReseedRecyclesPlacements pins that a machine reset to a seed the
+// memo has not seen shuffles its placement into memory the memo
+// recycled: once re-seeding has filled the memo and it evicts the
+// placements of earlier seeds, which no table reads any more, re-seeding
+// a MemPod machine through 8 new seeds allocates under a tenth of a
+// permutation (4 bytes per sector) per seed.
+func TestReseedRecyclesPlacements(t *testing.T) {
+	spec, err := design.Parse("MPOD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := buildSys
+	sys.Seed = coldSeed()
+	ms, _, _, err := spec.Build(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 12 { // 12 placements of 2.4 MB overflow the 16 MB memo
+		ms.Reset(coldSeed())
+	}
+	const seeds = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range seeds {
+		ms.Reset(coldSeed())
+	}
+	runtime.ReadMemStats(&after)
+	perm := 4 * float64(ms.(interface{ Space() *migcommon.Space }).Space().Sectors())
+	got := float64(after.TotalAlloc-before.TotalAlloc) / seeds / perm
+	t.Logf("re-seeding MPOD: %.4f of a permutation per seed", got)
+	if got >= 0.1 {
+		t.Errorf("re-seeding MPOD allocated %.3f of a permutation per seed, want under 0.1", got)
+	}
+}
+
 // BenchmarkBuild measures constructing designs of very different
 // construction cost over fresh devices: with the placement memo warm,
 // the Hybrid2 design-space corners, the migration baselines and a DRAM

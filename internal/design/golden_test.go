@@ -126,7 +126,7 @@ func legacyBuild(name string, sys config.System) (memtypes.MemorySystem, *memsys
 	case name == "POM":
 		return chameleon.New(chameleon.PoM(sys.NMBytes, sys.FMBytes, remapEntries, sys.Seed), nm, fm), nm, fm, nil
 	case name == "SILC-FM":
-		return silcfm.New(silcfm.Default(sys.NMBytes, sys.FMBytes, remapEntries, sys.Seed), nm, fm), nm, fm, nil
+		return silcfm.New(silcfm.Default(sys.NMBytes, sys.FMBytes, remapEntries), nm, fm), nm, fm, nil
 	case name == "BANSHEE":
 		return banshee.New(banshee.Default(sys.NMBytes), nm, fm), nm, fm, nil
 	case name == "TAGLESS":

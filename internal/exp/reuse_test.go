@@ -55,14 +55,25 @@ func freshly(t *testing.T, r *Runner, run func(*Runner) (sim.Result, error)) sim
 	return res
 }
 
-// fillPool empties the pool, fills it to r's bound with Baseline
-// machines of r's scale, one per seed, and returns their hosts.
+// fillPool empties the pool, fills it to r's bound with machines of r's
+// scale that no test runs otherwise, IDEAL-128, IDEAL-256 and ALLOY at each
+// NM ratio, and returns their hosts. Machines differ by design or
+// geometry: a seed does not tell one from another.
 func fillPool(t *testing.T, r *Runner) map[*sim.Host]bool {
 	t.Helper()
 	resetPool()
-	for i := range r.poolBound() {
-		f := &Runner{Scale: r.Scale, InstrPerCore: 1000, Seed: 1000 + uint64(i), Parallelism: r.Parallelism}
-		if _, err := f.ResultErr(r.Workloads()[0], "Baseline", 1); err != nil {
+	var fill []RunSpec
+	for _, d := range []string{"IDEAL-128", "IDEAL-256", "ALLOY"} {
+		for _, ratio16 := range []int{1, 2, 4} {
+			fill = append(fill, RunSpec{Workload: r.Workloads()[0], Design: d, Ratio16: ratio16})
+		}
+	}
+	if len(fill) < r.poolBound() {
+		t.Fatalf("%d filler machines for a pool of %d", len(fill), r.poolBound())
+	}
+	for _, s := range fill[:r.poolBound()] {
+		f := &Runner{Scale: r.Scale, InstrPerCore: 1000, Seed: 1, Parallelism: r.Parallelism}
+		if _, err := f.ResultErr(s.Workload, s.Design, s.Ratio16); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,11 +126,13 @@ func TestCandidateMajorBatchBuildsEachDesignOnce(t *testing.T) {
 // TestLLCStaysWithTheWorker: once the pool is full, a run that builds a
 // machine takes over the oldest idle machine's slot and keeps its host
 // when both LLCs have one size, whatever else their systems differ in.
-// So a serial runner that changes design on every run, and NM ratio,
-// instruction budget and seed between steps, synthetic runs and trace
-// replays alike, runs on the hosts the pool already held; a run at
-// another scale, whose LLC is smaller, builds its own. Every result
-// equals a fresh build's.
+// So a serial runner that changes design on every run and NM ratio
+// between steps, synthetic runs and trace replays alike, runs on the
+// hosts the pool already held, and a step that changes only the
+// instruction budget and the seed builds nothing: it resets the
+// previous step's machines to its seed. A run at another scale, whose
+// LLC is smaller, builds its own host. Every result equals a fresh
+// build's.
 func TestLLCStaysWithTheWorker(t *testing.T) {
 	r := tiny()
 	r.Parallelism = 1
@@ -127,36 +140,37 @@ func TestLLCStaysWithTheWorker(t *testing.T) {
 	for _, step := range []struct {
 		ratio16     int
 		instr, seed uint64
-	}{{1, 20_000, 1}, {2, 20_000, 1}, {2, 10_000, 2}} {
+		reuse       bool
+	}{{1, 20_000, 1, false}, {2, 20_000, 1, false}, {2, 10_000, 2, true}} {
 		r.InstrPerCore, r.Seed = step.instr, step.seed
-		check := func(what string, got, want sim.Result) {
+		var built int64
+		check := func(what string, run func(*Runner) (sim.Result, error)) {
 			t.Helper()
 			what = fmt.Sprintf("%s at ratio %d, %d instr, seed %d", what, step.ratio16, step.instr, step.seed)
+			before := builds.Load()
+			got, err := run(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			built += builds.Load() - before
 			if !hosts[newest(t).host] {
 				t.Errorf("%s: built a host while the pool held one with an LLC of its size", what)
 			}
-			if got != want {
+			if got != freshly(t, r, run) {
 				t.Errorf("%s: result on a handed-down LLC differs from a fresh build's", what)
 			}
 		}
 		for _, wl := range r.Workloads() {
 			for _, d := range []string{"HYBRID2", "DFC", "MPOD", "TAGLESS"} {
-				run := func(rr *Runner) (sim.Result, error) { return rr.ResultErr(wl, d, step.ratio16) }
-				got, err := run(r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(d+"/"+wl.Name, got, freshly(t, r, run))
+				check(d+"/"+wl.Name, func(rr *Runner) (sim.Result, error) { return rr.ResultErr(wl, d, step.ratio16) })
 			}
 			sys := r.system(step.ratio16)
-			replay := func(rr *Runner) (sim.Result, error) {
+			check(wl.Name+" trace replay", func(rr *Runner) (sim.Result, error) {
 				return rr.RunTrace(wl.Name, writeSyntheticTrace(t, wl, sys, trace.FormatBinary, false), "DFC-256", step.ratio16, sim.MLPFor(wl))
-			}
-			got, err := replay(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(wl.Name+" trace replay", got, freshly(t, r, replay))
+			})
+		}
+		if step.reuse && built != 0 {
+			t.Errorf("a change of seed and instruction budget alone built %d machines, want none", built)
 		}
 	}
 	if n := len(idleMachines()); n != r.poolBound() {
@@ -295,9 +309,9 @@ func TestEveryDesignReusesItsMachine(t *testing.T) {
 }
 
 // TestRunnersWithDifferentSeedsShareThePool: two runners at different
-// seeds that interleave designs on one pool each find their own
-// machines again — each (design, seed) builds once — and get the
-// results of fresh builds.
+// seeds that interleave designs on one pool share one machine per
+// design, which each run resets to its own seed, and get the results of
+// fresh builds.
 func TestRunnersWithDifferentSeedsShareThePool(t *testing.T) {
 	resetPool()
 	designs := []string{"HYBRID2", "MPOD", "LGM"}
@@ -326,8 +340,8 @@ func TestRunnersWithDifferentSeedsShareThePool(t *testing.T) {
 			}
 		}
 	}
-	if n, want := builds.Load()-before, int64(len(designs)*len(runners)); n != want {
-		t.Errorf("two runners built %d machines, want %d (one per design and seed)", n, want)
+	if n, want := builds.Load()-before, int64(len(designs)); n != want {
+		t.Errorf("two runners built %d machines, want %d (one per design)", n, want)
 	}
 	for _, x := range runs {
 		if x.res != freshly(t, x.r, func(f *Runner) (sim.Result, error) { return f.ResultErr(x.wl, x.d, 1) }) {

@@ -330,11 +330,12 @@ func (r *Runner) result(wl workload.Spec, designName string, ratio16, run int) (
 
 // machine is the system one run simulates on: spec's design built over
 // its devices for sys, either fresh or a previous run's machine reset to
-// its built state, and the host (LLC and cores) in front of them. The
-// host depends only on the LLC's geometry, so a machine built for
-// another design or system inherits the host of the idle machine it
-// replaces when both LLCs have one size (see takeHost). smp is the
-// run's sampler, nil when telemetry is off.
+// the state a build for sys returns, and the host (LLC and cores) in
+// front of them. The host depends only on the LLC's geometry, so a
+// machine built for another design or system inherits the host of the
+// idle machine it replaces when both LLCs have one size (see takeHost).
+// sys is the system of the machine's latest run. smp is the run's
+// sampler, nil when telemetry is off.
 type machine struct {
 	spec   design.Spec
 	ms     memtypes.Resetter
@@ -344,19 +345,31 @@ type machine struct {
 	smp    *telemetry.Sampler
 }
 
-// matches reports whether m is what spec.Build(sys) would return.
+// matches reports whether m, reset for sys, is what spec.Build(sys)
+// would return: it has spec's design and sys's geometry. The seed and
+// the instruction budget are not part of a machine: no design's build
+// reads the budget, and Reset takes the seed.
 func (m *machine) matches(spec design.Spec, sys config.System) bool {
-	return m.sys == sys && m.spec.Info == spec.Info && slices.Equal(m.spec.Values, spec.Values)
+	return geometry(m.sys) == geometry(sys) && m.spec.Info == spec.Info && slices.Equal(m.spec.Values, spec.Values)
 }
 
-// reset returns m's design, devices and host to their built state.
-func (m *machine) reset() {
-	m.ms.Reset()
+// geometry is sys without what a reset sets: its seed and its
+// instruction budget.
+func geometry(sys config.System) config.System {
+	sys.Seed, sys.InstrPerCore = 0, 0
+	return sys
+}
+
+// reset returns m's design, devices and host to the state a build for
+// sys returns, and makes sys the system of m's next run.
+func (m *machine) reset(sys config.System) {
+	m.ms.Reset(sys.Seed)
 	if m.nm != nil {
 		m.nm.Reset()
 	}
 	m.fm.Reset()
 	m.host.Reset()
+	m.sys = sys
 }
 
 // poolFloor is the least count of idle machines the pool keeps: one for
@@ -368,9 +381,9 @@ func (m *machine) reset() {
 var poolFloor = len(MainDesigns) + 2
 
 // pool holds the machines of finished runs, oldest first, for every
-// runner in the process: a run of the same design and system resets one
-// instead of building its own (see execute). A machine taken from it is
-// its run's alone until putIdle returns it.
+// runner in the process: a run of the same design and geometry resets
+// one, to its own seed, instead of building its own (see execute). A
+// machine taken from it is its run's alone until putIdle returns it.
 var pool struct {
 	sync.Mutex
 	idle []*machine
@@ -390,8 +403,8 @@ func (r *Runner) poolBound() int {
 	return max(poolFloor, r.workers())
 }
 
-// takeIdle hands out the idle machine that builds spec for sys, if
-// there is one.
+// takeIdle hands out the oldest idle machine that a reset makes what
+// spec builds for sys, if there is one.
 func takeIdle(spec design.Spec, sys config.System) *machine {
 	pool.Lock()
 	defer pool.Unlock()
@@ -409,8 +422,7 @@ func takeIdle(spec design.Spec, sys config.System) *machine {
 // Otherwise the new machine takes over the slot of the oldest idle
 // machine, which is dropped, and keeps its host when both LLCs have one
 // size: the pool's machines then never outnumber bound once the run
-// returns its own, and a change of seed, instruction budget or NM ratio
-// costs no new LLC.
+// returns its own, and a change of design or NM ratio costs no new LLC.
 func takeHost(sys config.System, bound int) *sim.Host {
 	pool.Lock()
 	var old *machine
@@ -448,10 +460,11 @@ func workloadRun(wl workload.Spec) func(*machine) (sim.Result, error) {
 // execute runs simulate on a machine of spec's design at ratio16: the
 // one machine-and-simulate path behind every run method. The machine is
 // an idle one from the pool when an earlier run, of any runner, built
-// the same design for the same system — reset instead of rebuilt, with
-// identical results — and freshly built otherwise. A sweep that comes
-// back to a design thus builds it once. With Telemetry set a sampler
-// rides along and the settled series goes to OnSeries, tagged with run.
+// the same design for a system of the same geometry — reset to the
+// run's seed instead of rebuilt, with identical results — and freshly
+// built otherwise. A sweep that comes back to a design thus builds it
+// once. With Telemetry set a sampler rides along and the settled series
+// goes to OnSeries, tagged with run.
 // A panic from the simulation settles as this run's error instead of
 // killing a worker goroutine or poisoning the memo with a zero result,
 // and the machine of a failed run is dropped; construction-time panics
@@ -473,7 +486,7 @@ func (r *Runner) execute(name, designName string, spec design.Spec, ratio16, run
 	bound := r.poolBound()
 	m := takeIdle(spec, sys)
 	if m != nil {
-		pprof.Do(ctx, labels("reset"), func(context.Context) { m.reset() })
+		pprof.Do(ctx, labels("reset"), func(context.Context) { m.reset(sys) })
 	} else {
 		m = &machine{spec: spec, sys: sys}
 		pprof.Do(ctx, labels("build"), func(context.Context) {

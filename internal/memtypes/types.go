@@ -75,17 +75,21 @@ type MemorySystem interface {
 }
 
 // Resetter is a MemorySystem that can be reused: every registered
-// design builds one. Reset returns the instance to exactly the state its
-// registered Build function returned, so the next run on it is
-// indistinguishable from a run on a fresh build. It undoes only what
-// Access, Finish and Stats changed, at a cost proportional to that
-// state and to the design's near-memory and on-chip structures, never
-// to the whole capacity modelled or to the length of the run. The
-// devices a design runs on are reset separately (memsys.Device.Reset)
-// by whoever owns them.
+// design builds one. Reset(seed) returns the instance to exactly the
+// state its registered Build function returns for the same system with
+// Seed set to seed, so the next run on it is indistinguishable from a
+// run on a fresh build at that seed. A design's geometry comes from the
+// rest of the system; the seed picks only its initial page placement,
+// which a flat design re-points at seed's placement and every other
+// design ignores. Reset undoes only what Access, Finish and Stats
+// changed, at a cost proportional to that state and to the design's
+// near-memory and on-chip structures, never to the whole capacity
+// modelled or to the length of the run; a seed whose placement is not
+// memoized adds one shuffle of it. The devices a design runs on are
+// reset separately (memsys.Device.Reset) by whoever owns them.
 type Resetter interface {
 	MemorySystem
-	Reset()
+	Reset(seed uint64)
 }
 
 // Class says why a device transfer moved its bytes.

@@ -21,7 +21,7 @@ func TestPermIsSeededPermutation(t *testing.T) {
 			}
 			seen[v] = true
 		}
-		fresh := shuffle(9, n)
+		fresh := shuffled(9, n)
 		for i := range p {
 			if p[i] != fresh[i] || Perm(9, n)[i] != fresh[i] {
 				t.Fatalf("n=%d: memoized permutation differs from the shuffle at %d", n, i)
@@ -70,7 +70,8 @@ func TestInversePrefix(t *testing.T) {
 }
 
 // TestPermBudget: the memoized permutations never exceed the byte
-// budget, and one larger than the budget is returned but not kept.
+// budget, counted over the buffers they hold, and one larger than the
+// budget is returned but not kept.
 func TestPermBudget(t *testing.T) {
 	n := budgetBytes / 4 / 3
 	for seed := uint64(0); seed < 8; seed++ {
@@ -81,7 +82,7 @@ func TestPermBudget(t *testing.T) {
 	defer mu.Unlock()
 	total := 0
 	for _, e := range lru {
-		total += 4 * len(e.v)
+		total += 4 * cap(e.buf)
 	}
 	if total != bytes || bytes > budgetBytes {
 		t.Errorf("memoized %d bytes (counted %d) over a %d-byte budget", total, bytes, budgetBytes)
@@ -97,7 +98,7 @@ func TestPermConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			seed := uint64(100 + g%3)
-			p, want := Perm(seed, 5000), shuffle(seed, 5000)
+			p, want := Perm(seed, 5000), shuffled(seed, 5000)
 			for i := range p {
 				if p[i] != want[i] {
 					t.Errorf("goroutine %d: permutation differs at %d", g, i)
@@ -114,7 +115,7 @@ func TestPermConcurrent(t *testing.T) {
 // (run with -race).
 func TestConcurrentMissesShuffleOnce(t *testing.T) {
 	const callers, n = 8, 1 << 16
-	want := shuffle(42, n)
+	want := shuffled(42, n)
 	var started sync.WaitGroup
 	started.Add(callers)
 	stop := CountShuffles()
@@ -159,7 +160,7 @@ func TestSeedPairsShareOnePlacement(t *testing.T) {
 	if &even[0] != &odd[0] || &invEven[0] != &invOdd[0] {
 		t.Error("seeds 6 and 7 were memoized as two placements")
 	}
-	if !equal(odd, shuffle(7, n)) {
+	if !equal(odd, shuffled(7, n)) {
 		t.Error("the shared placement differs from seed 7's shuffle")
 	}
 }
@@ -260,9 +261,9 @@ func TestMemoEvictsAnotherSeedFirst(t *testing.T) {
 }
 
 // TestEvictedEntriesAreReleased: no slot of the memo's backing array
-// past its length still holds an evicted permutation, which would keep
-// it reachable. Dropping the front entry by reslicing did, and held
-// serve-mixed's peak RSS about 27 MB higher.
+// past its length still holds an evicted entry, which would keep its
+// permutation reachable. Dropping the front entry by reslicing did, and
+// held serve-mixed's peak RSS about 27 MB higher.
 func TestEvictedEntriesAreReleased(t *testing.T) {
 	n := budgetBytes / 4 / 5
 	resetMemo()
@@ -273,8 +274,8 @@ func TestEvictedEntriesAreReleased(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	for i, e := range lru[len(lru):cap(lru)] {
-		if e.v != nil {
-			t.Errorf("slot %d past the memo's %d entries holds a permutation of seed %d", len(lru)+i, len(lru), e.key.seed)
+		if e != nil {
+			t.Errorf("slot %d past the memo's %d entries holds the permutation of seed %d", len(lru)+i, len(lru), e.key.seed)
 		}
 	}
 }

@@ -17,8 +17,8 @@ const minSlots = 64
 // overlay before it would write here, so it is never written.
 var noSlots [1]uint64
 
-// Table is a view of a shared base slice, such as a memoized
-// permutation, that records the run's writes as an overlay: an entry the
+// Table is a view of a shared base slice, a memoized permutation or
+// inverse, that records the run's writes as an overlay: an entry the
 // table never wrote reads the base, and a written one reads its slot in
 // a small open-addressed table. A slot holds the value in its high half
 // and the index plus one in its low half, 0 marking it empty; probing
@@ -29,12 +29,16 @@ var noSlots [1]uint64
 // would take it past half the bytes of the base, the table copies the
 // base once into a private slice, applies the overlay to it, and from
 // then on writes that slice. Reset makes every entry read the base
-// again and keeps the table's memory, the emptied overlay and the
-// private slice, to back the next run's writes: a machine that is reset
-// and runs again allocates nothing for writes its earlier run made.
+// again, that of another seed's placement if asked, and keeps the
+// table's memory, the emptied overlay and the private slice, to back
+// the next run's writes: a machine that is reset and runs again
+// allocates nothing for writes its earlier run made.
 //
-// The base is never written, so tables over one base may be used from
-// different goroutines; one table belongs to one goroutine at a time.
+// The table holds a reference to its memoized base, so the memo never
+// recycles the base while the table reads it. The base is never
+// written, so tables over one base may be used from different
+// goroutines; one table belongs to one goroutine at a time, and a copy
+// of a table shares its reference: only one of them may be reset.
 type Table struct {
 	slots []uint64 // the overlay: value<<32 | index+1, or 0
 	mask  uint32   // len(slots)-1
@@ -42,15 +46,31 @@ type Table struct {
 	base  []uint32 // what an entry with no slot reads: shared, or dense
 	used  int      // occupied slots
 
-	shared []uint32 // the base the table was built over
+	shared []uint32 // the memoized base: src's value
 	dense  []uint32 // private copy of shared; base while the table is dense
 	parked []uint64 // the overlay's slots while the table is dense
+	src    *entry   // the memo entry the table holds a reference to
 }
 
-// NewTable returns a table whose entry i reads base[i] until it is set.
-// The caller must not modify base while the table is in use.
-func NewTable(base []uint32) Table {
-	t := Table{base: base, shared: base}
+// PermTable returns a table over the seeded permutation of [0, n):
+// entry logical reads the physical slot the placement gives logical
+// sector logical until it is set. n must lie in [0, 2^32).
+func PermTable(seed uint64, n int) Table {
+	return newTable(perm(seed, n))
+}
+
+// InverseTable returns a table over the inverse of PermTable(seed, n)'s
+// placement restricted to the physical slots below k (0 <= k <= n):
+// entry phys reads the logical sector the placement puts at slot phys
+// until it is set.
+func InverseTable(seed uint64, n, k int) Table {
+	return newTable(inverse(seed, n, k))
+}
+
+// newTable returns a table over e's value, taking over the reference
+// the caller holds.
+func newTable(e *entry) Table {
+	t := Table{base: e.v, shared: e.v, src: e}
 	t.setSlots(noSlots[:])
 	return t
 }
@@ -149,17 +169,31 @@ func (t *Table) makeDense() {
 	t.base, t.used = t.dense, 0
 }
 
-// Reset makes every entry read the base again. It empties the overlay
-// in place and keeps it, and the private slice of a dense table, for
-// the run that follows.
-func (t *Table) Reset() {
+// Reset makes every entry read the base again: the placement of the
+// same shape at seed, which is the table's own unless seed's placement
+// differs. It empties the overlay in place and keeps it, and the
+// private slice of a dense table, which the next switch to dense
+// refills from the new base, for the run that follows. A table reset
+// to another placement releases its old one, which the memo may then
+// recycle, before it takes the new one: its reads stop at the call.
+// The zero Table, which reads nothing, stays empty.
+func (t *Table) Reset(seed uint64) {
+	if t.src != nil && t.src.key.seed != shuffleSeed(seed) {
+		k := t.src.key
+		release(t.src)
+		if k.inverse {
+			t.src = inverse(seed, k.n, k.k)
+		} else {
+			t.src = perm(seed, k.n)
+		}
+		t.shared = t.src.v
+	}
 	if t.parked != nil {
 		t.setSlots(t.parked)
-		t.parked, t.base = nil, t.shared
-		return
-	}
-	if t.used > 0 {
+		t.parked = nil
+	} else if t.used > 0 {
 		clear(t.slots)
 		t.used = 0
 	}
+	t.base = t.shared
 }

@@ -30,7 +30,7 @@ func overlayLimit(n int) int {
 func TestTableMatchesDenseModel(t *testing.T) {
 	for _, n := range []int{1, 17, 300, 4096, 70000} {
 		base := Perm(uint64(n), n)
-		tab := NewTable(base)
+		tab := PermTable(uint64(n), n)
 		model := append([]uint32(nil), base...)
 		rng := rand.New(rand.NewSource(int64(n)))
 
@@ -100,7 +100,7 @@ func TestTableMatchesDenseModel(t *testing.T) {
 					t.Fatalf("n=%d phase %d: Get(%d) = %d, want %d", n, phase, i, tab.Get(i), model[i])
 				}
 			}
-			tab.Reset()
+			tab.Reset(uint64(n))
 			copy(model, base)
 			written = written[:0]
 			for i := range uint32(n) {
@@ -109,7 +109,7 @@ func TestTableMatchesDenseModel(t *testing.T) {
 				}
 			}
 		}
-		if base2 := Perm(uint64(n), n); &base2[0] != &base[0] || !equal(base2, shuffle(uint64(n), n)) {
+		if base2 := Perm(uint64(n), n); &base2[0] != &base[0] || !equal(base2, shuffled(uint64(n), n)) {
 			t.Fatalf("n=%d: the table wrote its base", n)
 		}
 	}
@@ -140,7 +140,7 @@ func TestTableResetReusesMemory(t *testing.T) {
 		dense  bool
 	}{{"overlay", 500, false}, {"dense", n / 2, true}} {
 		t.Run(c.name, func(t *testing.T) {
-			tab := NewTable(base)
+			tab := PermTable(3, n)
 			write := func() {
 				for i := uint32(0); i < c.writes; i++ {
 					tab.Set(i*2, 1)
@@ -150,8 +150,8 @@ func TestTableResetReusesMemory(t *testing.T) {
 			if dense := tab.parked != nil; dense != c.dense {
 				t.Fatalf("%d writes left the table dense=%v", c.writes, dense)
 			}
-			tab.Reset()
-			if allocs := testing.AllocsPerRun(10, func() { write(); tab.Reset() }); allocs != 0 {
+			tab.Reset(3)
+			if allocs := testing.AllocsPerRun(10, func() { write(); tab.Reset(3) }); allocs != 0 {
 				t.Errorf("rewriting after Reset allocated %v times", allocs)
 			}
 			tab.Set(3, 9)
@@ -174,7 +174,7 @@ func TestTableResetReusesMemory(t *testing.T) {
 // A paged copy-on-write table took about 320 B per write.
 func TestTableAllocatesPerWrite(t *testing.T) {
 	const n, writes = 557056, 6710
-	base := Perm(5, n)
+	Perm(5, n) // memoizes the base
 	rng := rand.New(rand.NewSource(5))
 	idx := make([]uint32, 0, writes)
 	seen := map[uint32]bool{}
@@ -186,14 +186,14 @@ func TestTableAllocatesPerWrite(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	tab := NewTable(base)
+	tab := PermTable(5, n)
 	for _, i := range idx {
 		tab.Set(i, i)
 	}
 	runtime.ReadMemStats(&after)
 	perWrite := float64(after.TotalAlloc-before.TotalAlloc) / writes
 	if perWrite >= 48 {
-		t.Errorf("NewTable and %d writes allocated %.1f B per write, want under 48", writes, perWrite)
+		t.Errorf("PermTable and %d writes allocated %.1f B per write, want under 48", writes, perWrite)
 	}
 	t.Logf("%.1f B per write", perWrite)
 	for _, i := range idx {
@@ -222,7 +222,7 @@ func TestTableIndexOutsideBasePanics(t *testing.T) {
 		f()
 	}
 	for _, writes := range []uint32{0, 10, 300} {
-		tab := NewTable(Perm(1, 300))
+		tab := PermTable(1, 300)
 		for i := range writes {
 			tab.Set(i, 7)
 		}
@@ -241,7 +241,7 @@ func TestTableIndexOutsideBasePanics(t *testing.T) {
 // 65,536 that fill the largest overlay.
 func BenchmarkTableGet(b *testing.B) {
 	const n = 557056
-	base := Perm(9, n)
+	Perm(9, n) // memoizes the base
 	rng := rand.New(rand.NewSource(9))
 	reads := make([]uint32, 1<<16)
 	for i := range reads {
@@ -249,7 +249,7 @@ func BenchmarkTableGet(b *testing.B) {
 	}
 	for _, writes := range []int{0, 6710, 65536} {
 		b.Run(fmt.Sprintf("writes=%d", writes), func(b *testing.B) {
-			tab := NewTable(base)
+			tab := PermTable(9, n)
 			for range writes {
 				tab.Set(uint32(rng.Intn(n)), 1)
 			}

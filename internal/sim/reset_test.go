@@ -1,8 +1,9 @@
 package sim_test
 
-// Reset equivalence: a machine reset after a run must simulate the next
-// run exactly like a fresh build — same Result, same telemetry series —
-// for every registered design.
+// Reset equivalence: a machine reset after a run, to the same seed or
+// another, must simulate the next run exactly like a fresh build at that
+// seed — same Result, same telemetry series — for every registered
+// design.
 
 import (
 	"reflect"
@@ -44,34 +45,39 @@ func sampledRun(wl workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Devic
 	return sim.RunOn(sim.NewHost(sys), wl, ms, nm, fm, sys, smp), smp.Series()
 }
 
+// TestResetMatchesFreshBuild runs every design on one machine built at
+// seed 7 and reset to seeds 7, 9, 2^40+3 and 7 again, with the
+// instruction budget and the workload changing too, and compares every
+// run on the reset machine with a fresh build at that run's seed.
 func TestResetMatchesFreshBuild(t *testing.T) {
 	sys := config.Scaled(config.DefaultScale, 2)
-	sys.InstrPerCore = 20_000
-	sys.Seed = 7
-	var wls []workload.Spec
-	for _, n := range []string{"lbm", "mcf", "omnetpp"} {
-		wl, _ := workload.ByName(n)
-		wls = append(wls, wl)
-	}
+	steps := []struct {
+		wl    string
+		seed  uint64
+		instr uint64
+	}{{"lbm", 7, 20_000}, {"mcf", 7, 15_000}, {"omnetpp", 9, 20_000}, {"lbm", 1<<40 + 3, 15_000}, {"mcf", 7, 20_000}}
 	for _, name := range resetNames() {
 		spec, err := design.Parse(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sys.Seed = steps[0].seed
 		ms, nm, fm, err := spec.Build(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, wl := range wls {
+		for i, step := range steps {
+			wl, _ := workload.ByName(step.wl)
+			sys.Seed, sys.InstrPerCore = step.seed, step.instr
 			if i > 0 {
-				ms.Reset()
+				ms.Reset(sys.Seed)
 				if nm != nil {
 					nm.Reset()
 				}
 				fm.Reset()
 			}
 			if !invariantsHold(ms) {
-				t.Fatalf("%s: invariants broken before run %d (%s)", name, i, wl.Name)
+				t.Fatalf("%s: invariants broken before run %d (%s at seed %d)", name, i, wl.Name, sys.Seed)
 			}
 			got, gotSer := sampledRun(wl, ms, nm, fm, sys)
 			fms, fnm, ffm, err := spec.Build(sys)
@@ -80,10 +86,10 @@ func TestResetMatchesFreshBuild(t *testing.T) {
 			}
 			want, wantSer := sampledRun(wl, fms, fnm, ffm, sys)
 			if got != want {
-				t.Errorf("%s: run %d (%s) on a reset machine:\n got %+v\nwant %+v", name, i, wl.Name, got, want)
+				t.Errorf("%s: run %d (%s at seed %d) on a reset machine:\n got %+v\nwant %+v", name, i, wl.Name, sys.Seed, got, want)
 			}
 			if !reflect.DeepEqual(gotSer, wantSer) {
-				t.Errorf("%s: run %d (%s): series on a reset machine differs from a fresh build's", name, i, wl.Name)
+				t.Errorf("%s: run %d (%s at seed %d): series on a reset machine differs from a fresh build's", name, i, wl.Name, sys.Seed)
 			}
 		}
 	}

@@ -4,33 +4,73 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
+	"hybridmem/internal/config"
+	"hybridmem/internal/design"
 	"hybridmem/internal/exp"
+	"hybridmem/internal/sim"
+	"hybridmem/internal/workload"
 )
 
-// poolSeeds hands out seeds that no other run in this binary uses, so a
-// test's first run of a design finds no machine of its system in the
-// process's pool of idle machines, however often the test runs.
-var poolSeeds atomic.Uint64
-
-func unusedSeed() uint64 { return 1<<40 + poolSeeds.Add(1) }
-
 // TestRunReusesMachineAcrossCalls: each Run call makes its own runner,
-// yet four calls of one design over four workloads build one machine:
-// the later calls reset the machine the first one left in the pool.
+// yet once a first call of a design has left its machine in the pool,
+// three more calls over other workloads, each at another seed, build no
+// machine: they reset that one to their seeds.
 func TestRunReusesMachineAcrossCalls(t *testing.T) {
 	cfg := quickCfg()
-	cfg.Seed = unusedSeed()
+	if _, err := Run("HYBRID2", "lbm", cfg); err != nil {
+		t.Fatal(err)
+	}
 	before := exp.MachineBuilds()
-	for _, wl := range []string{"lbm", "mcf", "xz", "gcc"} {
+	for i, wl := range []string{"mcf", "xz", "gcc"} {
+		cfg.Seed = uint64(1<<40 + 2*i)
 		if _, err := Run("HYBRID2", wl, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := exp.MachineBuilds() - before; n != 1 {
-		t.Errorf("four Run calls of one design built %d machines, want 1", n)
+	if n := exp.MachineBuilds() - before; n != 0 {
+		t.Errorf("three later Run calls of one design built %d machines, want none", n)
+	}
+}
+
+// freshRun returns the result of design on workloadName at cfg from a
+// machine built for that run alone, outside the pool.
+func freshRun(t *testing.T, designName, workloadName string, cfg Config) Result {
+	t.Helper()
+	wl, ok := workload.ByName(workloadName)
+	if !ok {
+		t.Fatalf("unknown workload %q", workloadName)
+	}
+	sys := config.Scaled(cfg.Scale, cfg.NMRatio16)
+	sys.InstrPerCore, sys.Seed = cfg.InstrPerCore, cfg.Seed
+	ms, nm, fm, err := design.Build(designName, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fromSim(sim.Run(wl, ms, nm, fm, sys))
+}
+
+// TestSeedsInterleaveOnPooledMachines: one process runs the baseline and
+// the six main designs at seeds 1, 2 and 3, switching seed on every
+// design's every run, so that each run resets a pooled machine placed
+// for another seed; every result equals a fresh build's at its seed.
+func TestSeedsInterleaveOnPooledMachines(t *testing.T) {
+	cfg := quickCfg()
+	cfg.InstrPerCore = 20_000
+	for _, wl := range []string{"mcf", "lbm"} {
+		for _, seed := range []uint64{1, 2, 3} {
+			cfg.Seed = seed
+			for _, d := range Designs() {
+				got, err := Run(d, wl, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != freshRun(t, d, wl, cfg) {
+					t.Errorf("%s/%s at seed %d: result on a pooled machine differs from a fresh build's", d, wl, cfg.Seed)
+				}
+			}
+		}
 	}
 }
 
