@@ -31,6 +31,8 @@ func FuzzRequestBodies(f *testing.F) {
 		`{"config":{"scale":-1,"nm_ratio16":3}}`,
 		`{"desing":"HYBRID2"}`,
 		`[]`, `null`, ``, `{`,
+		// One epoch past the series ring's cap.
+		`{"designs":["HYBRID2"],"workloads":["lbm"],"series":{"max_epochs":65537}}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,23 +42,22 @@ type job struct {
 	sweep   *sweepRequest
 	explore *exploreRequest
 
+	// A job record holds state, never a result: a settled job's
+	// documents live only in the result store, under its ID (and
+	// seriesKey of its ID for a sampled sweep).
 	mu       sync.Mutex
 	state    string
 	errMsg   string
-	result   []byte
 	progress json.RawMessage          // latest progress report
 	subs     map[chan []byte]struct{} // SSE subscribers, framed events
 	created  time.Time
 	started  time.Time
 	finished time.Time
 
-	// Telemetry state, present only on sweeps submitted with series
-	// options. Entries fill in as runs settle, so a mid-sweep series
-	// fetch sees a partial document; seriesRaw is the settled document,
-	// rendered once when the sweep completes (or loaded from the store).
-	seriesMu      sync.Mutex
+	// A running sampled sweep's series slots, one per run, filled in as
+	// runs settle so a mid-sweep series fetch sees a partial document.
+	// finish clears them.
 	seriesEntries []api.SweepSeriesEntry
-	seriesRaw     []byte
 }
 
 func newJob(id, kind string) *job {
@@ -81,6 +80,13 @@ type jobStatus struct {
 	Created  time.Time       `json:"created"`
 	Started  *time.Time      `json:"started,omitempty"`
 	Finished *time.Time      `json:"finished,omitempty"`
+}
+
+// status reports the job's state and, for a failed job, its error.
+func (j *job) status() (state, errMsg string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state, j.errMsg
 }
 
 func (j *job) snapshot() jobStatus {
@@ -182,56 +188,34 @@ func (j *job) publishEvent(event string, data json.RawMessage) {
 // sweep, in SweepSpecsByName order. Until a run settles its slot holds
 // an empty (but well-formed) series.
 func (j *job) initSeries(entries []api.SweepSeriesEntry) {
-	j.seriesMu.Lock()
-	defer j.seriesMu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.seriesEntries = entries
 }
 
 // setSeries attaches one settled run's series to its slot.
 func (j *job) setSeries(i int, s api.Series) {
-	j.seriesMu.Lock()
-	defer j.seriesMu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if i >= 0 && i < len(j.seriesEntries) {
 		j.seriesEntries[i].Series = s
 	}
 }
 
-// renderSeriesLocked encodes the series slots; j.seriesMu must be held.
-func (j *job) renderSeriesLocked(partial bool) ([]byte, error) {
-	return api.Encode(api.SweepSeries{
+// seriesDoc returns the series document of a running sampled sweep's
+// slots; ok is false before the sweep samples and once it has settled.
+// The slots are copied under the lock and encoded outside it, so live
+// epoch events never wait on an encoding.
+func (j *job) seriesDoc(partial bool) (doc api.SweepSeries, ok bool) {
+	j.mu.Lock()
+	entries := slices.Clone(j.seriesEntries)
+	j.mu.Unlock()
+	return api.SweepSeries{
 		Schema:       api.SchemaVersion,
 		SeriesSchema: api.SeriesSchemaVersion,
 		Partial:      partial,
-		Entries:      j.seriesEntries,
-	})
-}
-
-// settleSeries renders and retains the settled series document.
-func (j *job) settleSeries() ([]byte, error) {
-	j.seriesMu.Lock()
-	defer j.seriesMu.Unlock()
-	data, err := j.renderSeriesLocked(false)
-	if err != nil {
-		return nil, err
-	}
-	j.seriesRaw = data
-	return data, nil
-}
-
-// seriesDoc returns the job's series document: the settled bytes once
-// the sweep has completed, or a partial rendering of the runs settled
-// so far. ok is false when the job carries no telemetry.
-func (j *job) seriesDoc() (data []byte, partial bool, ok bool) {
-	j.seriesMu.Lock()
-	defer j.seriesMu.Unlock()
-	if j.seriesRaw != nil {
-		return j.seriesRaw, false, true
-	}
-	if j.seriesEntries == nil {
-		return nil, false, false
-	}
-	data, err := j.renderSeriesLocked(true)
-	return data, true, err == nil
+		Entries:      entries,
+	}, entries != nil
 }
 
 // start transitions the job to running.
@@ -243,17 +227,17 @@ func (j *job) start() {
 }
 
 // finish settles the job, broadcasts the terminal event and closes every
-// subscriber.
-func (j *job) finish(result []byte, err error) {
+// subscriber. A done job's documents are already in the store.
+func (j *job) finish(err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.finished = time.Now()
+	j.seriesEntries = nil
 	if err != nil {
 		j.state = jobFailed
 		j.errMsg = err.Error()
 	} else {
 		j.state = jobDone
-		j.result = result
 	}
 	frame := j.terminalFrameLocked()
 	for ch := range j.subs {
@@ -291,20 +275,19 @@ func (j *job) terminalFrameLocked() []byte {
 // once more than retain of them accumulate, so a long-lived server does
 // not grow memory (or state-directory contents) with every sweep it has
 // ever served. A retired job's result usually survives in the result
-// cache — resubmitting it creates a job that settles instantly.
+// store — resubmitting it creates a job that settles instantly.
 type jobManager struct {
-	s            *Server
-	mu           sync.Mutex
-	byID         map[string]*job
-	queue        chan *job
-	settled      []string // settled job IDs, oldest first
-	settledBytes int64    // total result bytes retained by settled jobs
-	retain       int
-	closed       bool
-	wg           sync.WaitGroup
-	running      atomic.Int64
-	ctx          context.Context
-	cancel       context.CancelFunc
+	s       *Server
+	mu      sync.Mutex
+	byID    map[string]*job
+	queue   chan *job
+	settled []string // settled job IDs, oldest first
+	retain  int
+	closed  bool
+	wg      sync.WaitGroup
+	running atomic.Int64
+	ctx     context.Context
+	cancel  context.CancelFunc
 }
 
 func newJobManager(s *Server, depth, workers, retain int) *jobManager {
@@ -332,20 +315,24 @@ func (m *jobManager) lookup(id string) (*job, bool) {
 
 // submit enqueues a job, deduplicating on its content-addressed ID: a
 // resubmission of identical work returns the existing job — queued,
-// running or done — without queuing anything new. A failed job is the
-// exception: resubmitting it replaces the failure and retries, so a
-// transient error is not sticky for the life of the process.
+// running or done — without queuing anything new. A stale job is the
+// exception: resubmitting it replaces the record and runs the work
+// again, so a transient error is not sticky for the life of the
+// process, and a document the store evicted is recomputed (the ID is
+// the work's fingerprint, so the bytes are the same).
 func (m *jobManager) submit(j *job) (*job, error) {
 	m.mu.Lock()
-	replacingFailed := false
-	if exist, ok := m.byID[j.ID]; ok {
-		exist.mu.Lock()
-		replacingFailed = exist.state == jobFailed
-		exist.mu.Unlock()
-		if !replacingFailed {
-			m.mu.Unlock()
-			return exist, nil
-		}
+	exist := m.byID[j.ID]
+	m.mu.Unlock()
+	// stale may read the store's files, so it runs with no lock held;
+	// the record must still be the one judged once the lock is retaken.
+	if exist != nil && !m.s.stale(exist) {
+		return exist, nil
+	}
+	m.mu.Lock()
+	if m.byID[j.ID] != exist {
+		m.mu.Unlock()
+		return m.submit(j)
 	}
 	if m.closed || m.s.draining.Load() {
 		m.mu.Unlock()
@@ -353,11 +340,11 @@ func (m *jobManager) submit(j *job) (*job, error) {
 	}
 	select {
 	case m.queue <- j:
-		// Only a successfully queued replacement displaces a failed
+		// Only a successfully queued replacement displaces a stale
 		// job's record — a rejected resubmission must not erase the
 		// failure the client may still be inspecting.
-		if replacingFailed {
-			m.dropSettledLocked(j.ID)
+		if exist != nil {
+			m.settled = slices.DeleteFunc(m.settled, func(id string) bool { return id == j.ID })
 		}
 		m.byID[j.ID] = j
 		m.mu.Unlock()
@@ -380,12 +367,9 @@ func (m *jobManager) adopt(j *job) {
 
 // retire folds a settled job into the bounded history, evicting the
 // oldest settled jobs — index entry and persisted state both — beyond
-// the count or byte bound. The newest job always survives its own
-// retirement, so a just-settled result stays fetchable at least once.
+// retain. The newest job always survives its own retirement (retain is
+// at least 1), so a just-settled result stays fetchable at least once.
 func (m *jobManager) retire(j *job) {
-	j.mu.Lock()
-	size := int64(len(j.result))
-	j.mu.Unlock()
 	var evicted []string
 	m.mu.Lock()
 	// A failed job can be displaced by a retry between finish() and this
@@ -396,37 +380,15 @@ func (m *jobManager) retire(j *job) {
 		return
 	}
 	m.settled = append(m.settled, j.ID)
-	m.settledBytes += size
-	for (len(m.settled) > m.retain || m.settledBytes > jobHistoryBytes) && len(m.settled) > 1 {
+	for len(m.settled) > m.retain {
 		old := m.settled[0]
 		m.settled = m.settled[1:]
-		if oj, ok := m.byID[old]; ok {
-			oj.mu.Lock()
-			m.settledBytes -= int64(len(oj.result))
-			oj.mu.Unlock()
-			delete(m.byID, old)
-		}
+		delete(m.byID, old)
 		evicted = append(evicted, old)
 	}
 	m.mu.Unlock()
 	for _, id := range evicted {
 		m.s.removeJobState(id)
-	}
-}
-
-// dropSettledLocked removes an ID from the settled history, releasing
-// its byte accounting; m.mu held and the ID still indexed in byID.
-func (m *jobManager) dropSettledLocked(id string) {
-	for i, s := range m.settled {
-		if s == id {
-			m.settled = append(m.settled[:i], m.settled[i+1:]...)
-			if oj, ok := m.byID[id]; ok {
-				oj.mu.Lock()
-				m.settledBytes -= int64(len(oj.result))
-				oj.mu.Unlock()
-			}
-			return
-		}
 	}
 }
 
@@ -492,21 +454,28 @@ func (s *Server) removeJobState(id string) {
 	}
 }
 
-// loadSeries attaches a sampled sweep's settled series document from
-// the store, reporting false when the job needs one the store lacks.
-// Jobs without telemetry need none.
-func (s *Server) loadSeries(j *job) bool {
+// seriesStored reports whether the store holds a valid settled series
+// document for j, when j is a sampled sweep and needs one.
+func (s *Server) seriesStored(j *job) bool {
 	if j.sweep == nil || j.sweep.Series == nil {
 		return true
 	}
 	doc, ok := s.store.Peek(seriesKey(j.ID))
-	if !ok || !json.Valid(doc) {
-		return false
+	return ok && json.Valid(doc)
+}
+
+// stale reports whether a job's record no longer stands for its work:
+// the job failed, or it is done and the store no longer holds its
+// documents (a memory-only or bounded store can evict them).
+func (s *Server) stale(j *job) bool {
+	switch state, _ := j.status(); state {
+	case jobFailed:
+		return true
+	case jobDone:
+		_, ok := s.store.Peek(j.ID)
+		return !ok || !s.seriesStored(j)
 	}
-	j.seriesMu.Lock()
-	j.seriesRaw = doc
-	j.seriesMu.Unlock()
-	return true
+	return false
 }
 
 // persistJobSpec records a submitted job's request in the state
@@ -572,9 +541,8 @@ func (s *Server) recoverJobs() error {
 		// Adopt a stored result only if it parses (entries are
 		// checksummed, but trust nothing that settles a job); anything
 		// else falls through to a re-run.
-		if result, ok := s.store.Peek(id); ok && json.Valid(result) && s.loadSeries(j) {
+		if result, ok := s.store.Peek(id); ok && json.Valid(result) && s.seriesStored(j) {
 			j.state = jobDone
-			j.result = result
 			j.finished = time.Now()
 			s.jobs.adopt(j)
 			continue

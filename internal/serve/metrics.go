@@ -100,9 +100,9 @@ func newMetrics(s *Server) *metrics {
 			func() float64 { return float64(s.store.Stats().DiskEvictions) })
 		r.CounterFunc("hybridmem_store_corrupt_discarded_total", "Disk entries discarded for checksum or decode failures.",
 			func() float64 { return float64(s.store.Stats().DiskCorrupt) })
-		r.GaugeFunc("hybridmem_store_disk_entries", "Entries resident in the disk tier.",
+		r.GaugeFunc("hybridmem_store_disk_entries", "Files in the disk tier: those a bounded tier tracks, or for an unbounded one the directory at open plus files this process created, less corrupt ones it discarded.",
 			func() float64 { return float64(s.store.Stats().DiskEntries) })
-		r.GaugeFunc("hybridmem_store_disk_bytes", "Bytes resident in the disk tier.",
+		r.GaugeFunc("hybridmem_store_disk_bytes", "Bytes of the files hybridmem_store_disk_entries counts.",
 			func() float64 { return float64(s.store.Stats().DiskBytes) })
 		r.GaugeFunc("hybridmem_store_disk_capacity_bytes", "Configured byte bound of the disk tier; 0 means unbounded.",
 			func() float64 { return float64(s.opts.StoreMaxBytes) })
@@ -122,27 +122,17 @@ func newMetrics(s *Server) *metrics {
 	m.inflightSims = r.Gauge("hybridmem_inflight_sims",
 		"Simulations currently executing on behalf of requests and jobs.")
 
-	r.GaugeFunc("hybridmem_jobs_queue_depth", "Jobs queued but not yet running.",
-		func() float64 {
+	jobsGauge := func(name, help string, read func(m *jobManager) int) {
+		r.GaugeFunc(name, help, func() float64 {
 			if s.jobs == nil {
 				return 0
 			}
-			return float64(len(s.jobs.queue))
+			return float64(read(s.jobs))
 		})
-	r.GaugeFunc("hybridmem_jobs_queue_capacity", "Configured bound of the job queue.",
-		func() float64 {
-			if s.jobs == nil {
-				return 0
-			}
-			return float64(cap(s.jobs.queue))
-		})
-	r.GaugeFunc("hybridmem_jobs_running", "Jobs currently executing on the worker pool.",
-		func() float64 {
-			if s.jobs == nil {
-				return 0
-			}
-			return float64(s.jobs.running.Load())
-		})
+	}
+	jobsGauge("hybridmem_jobs_queue_depth", "Jobs queued but not yet running.", func(m *jobManager) int { return len(m.queue) })
+	jobsGauge("hybridmem_jobs_queue_capacity", "Configured bound of the job queue.", func(m *jobManager) int { return cap(m.queue) })
+	jobsGauge("hybridmem_jobs_running", "Jobs currently executing on the worker pool.", func(m *jobManager) int { return int(m.running.Load()) })
 	jobs := r.CounterVec("hybridmem_jobs_total", "Settled jobs by outcome.", "state")
 	m.jobsDone = jobs.With("done")
 	m.jobsFailed = jobs.With("failed")

@@ -48,6 +48,13 @@
 //	GET  /v1/jobs/{id}/series  a sampled sweep's telemetry time-series
 //	                           document (partial while the sweep runs)
 //
+// The result endpoint answers 200 once the job is done, 409 while it is
+// queued or running, 500 if it failed, 404 for an unknown or retired
+// job, and 410 if a memory-only (or byte-bounded) store has evicted the
+// document (resubmitting recomputes the same bytes). The series endpoint
+// answers alike, but 200 with a partial document while a sampled sweep
+// runs and 404 for a job without series options.
+//
 // Sweeps and explorations run asynchronously through a bounded job
 // queue and worker pool: POST returns a job ID, progress streams over
 // SSE (wired to exp's sweep progress hook and dse's batch events), and
@@ -60,7 +67,8 @@
 //
 // The result store is the only copy of every result: run documents,
 // job result documents (keyed by job ID) and sampled sweeps' settled
-// series documents all live there. With Options.StateDir set, submitted
+// series documents all live there, and a job record holds only the
+// job's state. With Options.StateDir set, submitted
 // job requests persist to that directory, explorations checkpoint there
 // through the internal/dse checkpoint path after every batch, and the
 // store gets a disk tier under it unless one is configured explicitly.
@@ -112,9 +120,9 @@ const (
 	// ask for, so one request cannot pin the CPUs indefinitely (the
 	// paper's runs use 1M).
 	maxInstrPerCore = 64 << 20
-	// jobHistoryBytes bounds the result bytes the settled jobs of the
-	// job index retain; see Options.JobHistory.
-	jobHistoryBytes = 256 << 20
+	// maxSeriesEpochs caps a request's epoch ring (max_epochs): the
+	// sampler preallocates the whole ring, about 200 B per epoch.
+	maxSeriesEpochs = 1 << 16
 )
 
 // Options configures a Server. The zero value of every field has a
@@ -150,11 +158,8 @@ type Options struct {
 	Workers     int
 	Parallelism int
 	// JobHistory bounds the settled jobs that stay addressable (status
-	// and result endpoints) by count, and jobHistoryBytes by total
-	// retained result bytes — the job index shadows result documents, so
-	// it needs a byte bound just like the cache. Beyond either bound the
-	// oldest settled jobs are retired, index and persisted state both.
-	// <= 0 means 4096 jobs.
+	// and result endpoints). Beyond it the oldest settled jobs are
+	// retired, index and persisted state both. <= 0 means 4096 jobs.
 	JobHistory int
 	// StateDir enables persistence: job specs and exploration
 	// checkpoints are written there, while finished results and series
@@ -611,16 +616,15 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	defer sp.End()
 	ctx = obs.ContextWithSpan(ctx, sp)
 	s.opts.Log.Info("serve: job started", "job", j.ID, "kind", j.Kind)
-	var data []byte
 	var err error
 	lookupStart := time.Now()
-	cached, _, ok := s.store.Get(j.ID)
-	ok = ok && s.loadSeries(j)
+	_, _, ok := s.store.Get(j.ID)
+	ok = ok && s.seriesStored(j)
 	s.metrics.phaseLookup.ObserveDuration(time.Since(lookupStart))
 	if ok {
 		sp.Event("result_cached")
-		data = cached
 	} else {
+		var data []byte
 		s.metrics.inflightSims.Add(1)
 		switch j.Kind {
 		case "sweep":
@@ -632,13 +636,13 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		}
 		s.metrics.inflightSims.Add(-1)
 		if err == nil {
-			s.store.Put(j.ID, data)
+			err = s.storeDoc(j.ID, data)
 		}
 	}
 	if err == nil && j.Kind == "explore" && s.opts.StateDir != "" {
 		os.Remove(s.statePath("ckpt", j.ID)) // resumed no more; the result is final
 	}
-	j.finish(data, err)
+	j.finish(err)
 	if err != nil {
 		s.metrics.jobsFailed.Inc()
 		s.opts.Log.Warn("serve: job failed", "job", j.ID, "kind", j.Kind, "err", err)
@@ -680,13 +684,26 @@ func (s *Server) execSweep(ctx context.Context, j *job) ([]byte, error) {
 	if tel != nil {
 		// Stored before the result document, so a stored result implies
 		// a stored series for recovery and cache hits.
-		seriesDoc, err := j.settleSeries()
+		doc, _ := j.seriesDoc(false)
+		data, err := api.Encode(doc)
 		if err != nil {
 			return nil, err
 		}
-		s.store.Put(seriesKey(j.ID), seriesDoc)
+		if err := s.storeDoc(seriesKey(j.ID), data); err != nil {
+			return nil, err
+		}
 	}
 	return api.Encode(api.NewSweep(res))
+}
+
+// storeDoc writes a job's document to the result store, its only copy.
+// A document no tier can hold fails the job: done, it would answer 410
+// at once, and each resubmission would rerun the job to the same end.
+func (s *Server) storeDoc(key string, data []byte) error {
+	if !s.store.Put(key, data) {
+		return fmt.Errorf("document of %d bytes exceeds the result store's bounds; raise the memory tier's or the disk tier's byte bound", len(data))
+	}
+	return nil
 }
 
 // epochEvent is the wire form of one live per-epoch SSE frame: the
@@ -899,7 +916,16 @@ func parseSeriesQuery(r *http.Request) (*seriesOptions, error) {
 		}
 		opts.MaxEpochs = n
 	}
-	return opts, nil
+	return opts, opts.check()
+}
+
+// check rejects an epoch ring past maxSeriesEpochs before any sampler
+// preallocates it.
+func (o *seriesOptions) check() error {
+	if o != nil && o.MaxEpochs > maxSeriesEpochs {
+		return fmt.Errorf("max_epochs %d exceeds this server's limit of %d", o.MaxEpochs, maxSeriesEpochs)
+	}
+	return nil
 }
 
 // handleRun serves one simulation synchronously: cache first, then the
@@ -1002,9 +1028,7 @@ func (s *Server) submitJob(w http.ResponseWriter, j *job) {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	j.mu.Lock()
-	state := j.state
-	j.mu.Unlock()
+	state, _ := j.status()
 	writeJSON(w, http.StatusAccepted, submitResponse{JobID: j.ID, State: state})
 }
 
@@ -1015,6 +1039,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Designs) == 0 || len(req.Workloads) == 0 {
 		writeError(w, http.StatusBadRequest, "designs and workloads are required (a sweep over nothing is almost never what you meant)")
+		return
+	}
+	if err := req.Series.check(); err != nil {
+		writeError(w, http.StatusBadRequest, "series: %v", err)
 		return
 	}
 	req.Config = normalizeConfig(req.Config, 1_000_000)
@@ -1182,35 +1210,49 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	j.mu.Lock()
-	state, errMsg, result := j.state, j.errMsg, j.result
-	j.mu.Unlock()
-	switch state {
-	case jobDone:
-		writeDoc(w, result)
-	case jobFailed:
-		writeError(w, http.StatusInternalServerError, "job failed: %s", errMsg)
-	default:
-		writeError(w, http.StatusConflict, "job is %s; result not ready", state)
-	}
+	s.writeSettled(w, j, j.ID)
 }
 
 // handleJobSeries serves a telemetry sweep's time-series document.
 // Mid-sweep it returns what has settled so far, marked "partial": true;
-// after completion it returns the settled document (also recovered from
-// the result store across restarts). Jobs submitted without series
+// once the sweep is done it returns the settled document from the
+// result store (so also across restarts). Jobs submitted without series
 // options have no series to serve and answer 404.
 func (s *Server) handleJobSeries(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobFromPath(w, r)
 	if !ok {
 		return
 	}
-	data, _, ok := j.seriesDoc()
-	if !ok {
+	if j.sweep == nil || j.sweep.Series == nil {
 		writeError(w, http.StatusNotFound, "job %q has no telemetry series (submit the sweep with \"series\" options)", j.ID)
 		return
 	}
-	writeDoc(w, data)
+	if doc, running := j.seriesDoc(true); running {
+		writeJSON(w, http.StatusOK, doc)
+		return
+	}
+	s.writeSettled(w, j, seriesKey(j.ID))
+}
+
+// writeSettled answers with a job's document stored under key: the
+// bytes once the job is done, or 410 if the store has evicted them
+// since (resubmitting recomputes them), 500 for a failed job and 409
+// for one that has not settled.
+func (s *Server) writeSettled(w http.ResponseWriter, j *job, key string) {
+	// Peek, not Get: a job fetch is not a cache lookup and must not
+	// move the hit ratio.
+	switch state, errMsg := j.status(); state {
+	case jobDone:
+		if data, ok := s.store.Peek(key); ok {
+			writeDoc(w, data)
+			return
+		}
+		writeError(w, http.StatusGone, "job %s is done but the result store has evicted its document; resubmit the job to recompute it", j.ID)
+	case jobFailed:
+		writeError(w, http.StatusInternalServerError, "job failed: %s", errMsg)
+	default:
+		writeError(w, http.StatusConflict, "job is %s; result not ready", state)
+	}
 }
 
 // handleJobEvents streams a job's progress as server-sent events:

@@ -497,6 +497,11 @@ func TestRequestValidation(t *testing.T) {
 		{"explore no budget", "/v1/explore", exploreRequest{Families: []string{"H2DSE"}}},
 		{"explore bad family", "/v1/explore", exploreRequest{Families: []string{"NOSUCH"}, Budget: 4}},
 		{"instr over limit", "/v1/run", runRequest{Design: "HYBRID2", Workload: "lbm", Config: api.Config{Scale: 16, NMRatio16: 1, InstrPerCore: 1 << 40}}},
+		// One epoch past the cap: a ring the sampler would preallocate
+		// (about 13 MB), refused before any sampler exists.
+		{"run max_epochs over limit", "/v1/run?series=1&max_epochs=" + strconv.Itoa(maxSeriesEpochs+1), quickRun()},
+		{"sweep max_epochs over limit", "/v1/sweep", sweepRequest{Designs: []string{"HYBRID2"}, Workloads: []string{"lbm"},
+			Series: &seriesOptions{MaxEpochs: maxSeriesEpochs + 1}}},
 	}
 	for _, tc := range cases {
 		if w := postJSON(t, h, tc.path, tc.body); w.Code != http.StatusBadRequest {

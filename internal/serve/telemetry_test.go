@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -10,7 +11,10 @@ import (
 	"testing"
 
 	"hybridmem/internal/api"
+	"hybridmem/internal/exp"
 	"hybridmem/internal/obs"
+	"hybridmem/internal/sim"
+	"hybridmem/internal/telemetry"
 )
 
 // TestRunSeriesEndpoint drives the sync telemetry path: ?series=1
@@ -184,37 +188,63 @@ func TestSweepSeriesJobEndToEnd(t *testing.T) {
 	}
 }
 
-// TestJobSeriesDocLifecycle pins the mid-sweep contract at the unit
-// level: a job with series slots renders a partial document until
-// settled, then the settled bytes, and a job without telemetry has none.
+// TestJobSeriesDocLifecycle pins the series endpoint's contract over a
+// sampled sweep's life: while the sweep runs it renders the runs
+// settled so far, marked partial; once settled the job record keeps no
+// series and the endpoint serves the store's settled document.
 func TestJobSeriesDocLifecycle(t *testing.T) {
-	j := newJob("x", "sweep")
-	if _, _, ok := j.seriesDoc(); ok {
-		t.Fatal("job without telemetry claims a series document")
+	s := newTestServer(t, Options{})
+	halfway, release := make(chan struct{}), make(chan struct{})
+	s.runSweep = func(ctx context.Context, specs []exp.RunSpec, _ api.Config, tel *exp.TelemetryOptions, _ func(int, int)) ([]sim.Result, error) {
+		tel.OnSeries(1, &telemetry.Series{WindowInstr: 4096, EpochsTotal: 2})
+		close(halfway)
+		select {
+		case <-release:
+		case <-ctx.Done(): // a failed test's drain
+			return nil, ctx.Err()
+		}
+		res := make([]sim.Result, len(specs))
+		for i, sp := range specs {
+			res[i] = sim.Result{Design: sp.Design, Workload: sp.Workload.Name, Cycles: 1}
+		}
+		return res, nil
 	}
-	j.initSeries([]api.SweepSeriesEntry{
-		{Design: "Baseline", Workload: "lbm", Series: api.FromSeries(nil)},
-		{Design: "HYBRID2", Workload: "lbm", Series: api.FromSeries(nil)},
+	w := postJSON(t, s.Handler(), "/v1/sweep", sweepRequest{
+		Designs:   []string{"Baseline", "HYBRID2"},
+		Workloads: []string{"lbm"},
+		Series:    &seriesOptions{WindowInstr: 4096},
 	})
-	data, partial, ok := j.seriesDoc()
-	if !ok || !partial {
-		t.Fatalf("mid-sweep doc: ok=%v partial=%v, want true/true", ok, partial)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", w.Code, w.Body)
 	}
-	if !strings.Contains(string(data), `"partial": true`) {
-		t.Fatalf("mid-sweep doc not marked partial:\n%s", data)
+	var sub submitResponse
+	json.Unmarshal(w.Body.Bytes(), &sub)
+	<-halfway
+
+	mid := get(s.Handler(), "/v1/jobs/"+sub.JobID+"/series")
+	var doc api.SweepSeries
+	if err := json.Unmarshal(mid.Body.Bytes(), &doc); mid.Code != http.StatusOK || err != nil {
+		t.Fatalf("mid-sweep series: %d %s (%v)", mid.Code, mid.Body, err)
 	}
-	j.setSeries(1, api.Series{WindowInstr: 4096, EpochsTotal: 2,
-		Epochs: []api.Epoch{}, Phases: []api.SeriesPhase{}})
-	settled, err := j.settleSeries()
-	if err != nil {
-		t.Fatal(err)
+	if !doc.Partial || len(doc.Entries) != 2 || doc.Entries[1].Series.EpochsTotal != 2 || doc.Entries[0].Series.EpochsTotal != 0 {
+		t.Fatalf("mid-sweep doc is not the partial document of run 1 settled:\n%s", mid.Body)
 	}
-	if strings.Contains(string(settled), `"partial"`) {
-		t.Fatalf("settled doc carries the partial flag:\n%s", settled)
+
+	close(release)
+	if st := waitJob(t, s.Handler(), sub.JobID); st.State != jobDone {
+		t.Fatalf("sweep failed: %+v", st)
 	}
-	data, partial, ok = j.seriesDoc()
-	if !ok || partial || !bytes.Equal(data, settled) {
-		t.Fatal("seriesDoc after settle does not return the settled bytes")
+	j, _ := s.jobs.lookup(sub.JobID)
+	if _, running := j.seriesDoc(false); running {
+		t.Fatal("a settled job still holds its series slots")
+	}
+	settled := get(s.Handler(), "/v1/jobs/"+sub.JobID+"/series")
+	stored, ok := s.store.Peek(seriesKey(sub.JobID))
+	if settled.Code != http.StatusOK || !ok || !bytes.Equal(settled.Body.Bytes(), stored) {
+		t.Fatalf("settled series is not the store's document: %d %s", settled.Code, settled.Body)
+	}
+	if strings.Contains(settled.Body.String(), `"partial"`) {
+		t.Fatalf("settled doc carries the partial flag:\n%s", settled.Body)
 	}
 }
 

@@ -9,16 +9,16 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"hybridmem/internal/atomicfile"
 )
 
 // diskTier is the on-disk content-addressed tier: one file per key,
 // written atomically and durably, verified by a checksum envelope on
-// every read, and garbage-collected least-recently-used under a byte
-// bound. Files are named <key>.json so the payloads (all wire or
-// record JSON) stay directly inspectable.
+// every read, and, under a byte bound, garbage-collected least-recently
+// used. Files are named <key>.json so the payloads (all wire or record
+// JSON) stay directly inspectable.
 //
 // The envelope is a single header line
 //
@@ -31,27 +31,27 @@ import (
 //
 // Concurrent writers — goroutines of one process or several processes
 // sharing the directory — are safe: every write is a whole-file rename,
-// so readers only ever observe complete envelopes. The index is a GC
-// accounting structure, not a source of truth; a read that misses the
-// index still tries the file, so entries written by other processes are
-// served (and adopted into the index) normally.
+// so readers only ever observe complete envelopes. The directory is the
+// only source of truth; a read always tries the file, so entries
+// written by other processes are served normally.
+//
+// Per-entry state exists only where the byte bound needs it. A bounded
+// tier orders its files in lru, a store.LRU costing each file its size,
+// whose eviction hook deletes the file: eviction is O(1), and a file
+// another process wrote joins the order when first read. An unbounded
+// tier keeps two counters instead, entries and bytes: the directory
+// scan at open, plus each file this process creates, less each corrupt
+// file it discards. They do not see files other processes add or
+// remove, nor tell apart two same-key writes that overlap.
 type diskTier struct {
-	dir      string
-	maxBytes int64
+	dir string
+	lru *LRU[int64] // nil when unbounded
 
-	mu        sync.Mutex
-	index     map[string]*diskEntry
-	seq       uint64 // logical recency clock; higher = more recently used
-	bytes     int64
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	corrupt   uint64
-}
-
-type diskEntry struct {
-	size int64 // whole-file size, envelope included
-	seq  uint64
+	entries atomic.Int64 // unbounded tier only
+	bytes   atomic.Int64 // unbounded tier only
+	hits    atomic.Uint64
+	misses  atomic.Uint64
+	corrupt atomic.Uint64
 }
 
 const (
@@ -63,13 +63,15 @@ func openDiskTier(dir string, maxBytes int64) (*diskTier, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	d := &diskTier{dir: dir, maxBytes: maxBytes, index: make(map[string]*diskEntry)}
+	d := &diskTier{dir: dir}
+	if maxBytes > 0 {
+		d.lru = NewLRU[int64](0, maxBytes, func(size int64) int64 { return size })
+		d.lru.OnEvict = func(key string, _ int64) { os.Remove(d.path(key)) }
+	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	// Adopt existing entries oldest-first so the recency clock reflects
-	// write order across restarts; validation is deferred to first read.
 	type found struct {
 		key   string
 		size  int64
@@ -91,13 +93,25 @@ func openDiskTier(dir string, maxBytes int64) (*diskTier, error) {
 		}
 		fs = append(fs, found{key: key, size: info.Size(), mtime: info.ModTime().UnixNano()})
 	}
+	if d.lru == nil {
+		d.entries.Store(int64(len(fs)))
+		for _, f := range fs {
+			d.bytes.Add(f.size)
+		}
+		return d, nil
+	}
+	// Adopt existing files oldest-first so recency reflects write order
+	// across restarts, collecting down to the bound as they join;
+	// validation is deferred to first read. A file larger than the whole
+	// bound can never be retained.
 	sort.Slice(fs, func(i, j int) bool { return fs[i].mtime < fs[j].mtime })
 	for _, f := range fs {
-		d.seq++
-		d.index[f.key] = &diskEntry{size: f.size, seq: d.seq}
-		d.bytes += f.size
+		if f.size > maxBytes {
+			os.Remove(d.path(f.key))
+			continue
+		}
+		d.lru.Put(f.key, f.size)
 	}
-	d.gcLocked("")
 	return d, nil
 }
 
@@ -110,126 +124,77 @@ func (d *diskTier) get(key string, count bool) ([]byte, bool) {
 	if d == nil {
 		return nil, false
 	}
-	raw, err := os.ReadFile(d.path(key))
-	if err != nil {
-		d.mu.Lock()
-		if count {
-			d.misses++
+	path := d.path(key)
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		if payload, ok := decodeEnvelope(raw); ok {
+			if d.lru != nil {
+				d.lru.Put(key, int64(len(raw))) // a file another process wrote joins the order here
+			}
+			if count {
+				d.hits.Add(1)
+			}
+			return payload, true
 		}
-		// The file is gone (GC by a sibling process, or never written):
-		// drop any stale index entry so accounting tracks reality.
-		if e, ok := d.index[key]; ok {
-			d.bytes -= e.size
-			delete(d.index, key)
-		}
-		d.mu.Unlock()
-		return nil, false
-	}
-	payload, ok := decodeEnvelope(raw)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !ok {
 		// Truncated or bit-flipped: discard so the caller re-simulates,
 		// and so the next reader doesn't pay the failed verify again.
-		d.corrupt++
-		if count {
-			d.misses++
+		d.corrupt.Add(1)
+		if os.Remove(path) == nil && d.lru == nil {
+			d.entries.Add(-1)
+			d.bytes.Add(-int64(len(raw)))
 		}
-		os.Remove(d.path(key))
-		if e, ok := d.index[key]; ok {
-			d.bytes -= e.size
-			delete(d.index, key)
-		}
-		return nil, false
 	}
-	d.seq++
-	if e, ok := d.index[key]; ok {
-		e.seq = d.seq
-	} else {
-		// Written by another process sharing the directory: adopt it.
-		d.index[key] = &diskEntry{size: int64(len(raw)), seq: d.seq}
-		d.bytes += int64(len(raw))
+	// The file is gone (collected by a sibling process, or never
+	// written) or was corrupt: it leaves the recency order.
+	if d.lru != nil {
+		d.lru.Remove(key)
 	}
 	if count {
-		d.hits++
+		d.misses.Add(1)
 	}
-	return payload, true
+	return nil, false
 }
 
-func (d *diskTier) put(key string, data []byte) {
+// put writes an entry's file and reports whether it did.
+func (d *diskTier) put(key string, data []byte) bool {
 	if d == nil {
-		return
+		return false
 	}
 	raw := encodeEnvelope(data)
-	if d.maxBytes > 0 && int64(len(raw)) > d.maxBytes {
-		return // can never be retained alongside anything else
+	size, path := int64(len(raw)), d.path(key)
+	if d.lru != nil {
+		// A file past the whole bound could never be kept beside another.
+		if size > d.lru.maxBytes || atomicfile.Write(path, raw) != nil {
+			return false
+		}
+		return d.lru.Put(key, size) // evicts (and deletes) older files past the bound
 	}
-	if err := atomicfile.Write(d.path(key), raw); err != nil {
-		return // disk full or unwritable: degrade to memory-only
+	// Only the unbounded counters need to know whether the file existed.
+	old, statErr := os.Lstat(path)
+	if atomicfile.Write(path, raw) != nil {
+		return false // disk full or unwritable: degrade to memory-only
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.seq++
-	if e, ok := d.index[key]; ok {
-		d.bytes += int64(len(raw)) - e.size
-		e.size = int64(len(raw))
-		e.seq = d.seq
+	if statErr != nil {
+		d.entries.Add(1)
+		d.bytes.Add(size)
 	} else {
-		d.index[key] = &diskEntry{size: int64(len(raw)), seq: d.seq}
-		d.bytes += int64(len(raw))
+		d.bytes.Add(size - old.Size())
 	}
-	d.gcLocked(key)
+	return true
 }
 
-// gcLocked deletes least-recently-used entries until the byte bound
-// holds, never evicting keep (the entry just written). Called with d.mu
-// held.
-func (d *diskTier) gcLocked(keep string) {
-	if d.maxBytes <= 0 {
+// fill copies the tier's counters into st.
+func (d *diskTier) fill(st *Stats) {
+	st.DiskHits = d.hits.Load()
+	st.DiskMisses = d.misses.Load()
+	st.DiskCorrupt = d.corrupt.Load()
+	if d.lru == nil {
+		st.DiskEntries = int(d.entries.Load())
+		st.DiskBytes = d.bytes.Load()
 		return
 	}
-	for d.bytes > d.maxBytes {
-		victim := ""
-		var vseq uint64
-		var ve *diskEntry
-		for k, e := range d.index {
-			if k == keep {
-				continue
-			}
-			if victim == "" || e.seq < vseq {
-				victim, vseq, ve = k, e.seq, e
-			}
-		}
-		if victim == "" {
-			return
-		}
-		os.Remove(d.path(victim))
-		d.bytes -= ve.size
-		delete(d.index, victim)
-		d.evictions++
-	}
-}
-
-type diskStats struct {
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	corrupt   uint64
-	entries   int
-	bytes     int64
-}
-
-func (d *diskTier) stats() diskStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return diskStats{
-		hits:      d.hits,
-		misses:    d.misses,
-		evictions: d.evictions,
-		corrupt:   d.corrupt,
-		entries:   len(d.index),
-		bytes:     d.bytes,
-	}
+	l := d.lru.Stats()
+	st.DiskEvictions, st.DiskEntries, st.DiskBytes = l.Evictions, l.Entries, l.Bytes
 }
 
 // envelopeHeader is the one canonical header line for payload.

@@ -7,10 +7,16 @@ import (
 
 // LRU is a generic LRU cache bounded by entry count and, when a size
 // function is provided, by total payload bytes, with hit/miss/eviction
-// counters. It is the memory tier of a Store (V = []byte) and the typed
-// memo of the experiment runner (V = the memoized run outcome). All
-// methods are safe for concurrent use.
+// counters. It is the memory tier of a Store (V = []byte), the recency
+// order of a bounded disk tier (V = a file's size) and the typed memo
+// of the experiment runner (V = the memoized run outcome). All methods
+// are safe for concurrent use.
 type LRU[V any] struct {
+	// OnEvict, when set before the first Put, is called with each entry
+	// the bounds evict, least recently used first, with the cache's lock
+	// held: it must not call back into the cache.
+	OnEvict func(key string, v V)
+
 	mu         sync.Mutex
 	maxEntries int
 	maxBytes   int64
@@ -77,32 +83,55 @@ func (c *LRU[V]) Peek(key string) (V, bool) {
 }
 
 // Put stores a value under a key, evicting least-recently used entries
-// until both bounds hold. A value larger than the byte bound on its own
-// is not cached at all — admitting it would flush the entire cache for
-// a payload that can never be retained alongside anything else.
-func (c *LRU[V]) Put(key string, v V) {
+// until both bounds hold, and reports whether the cache kept the value.
+// A value larger than the byte bound on its own is not cached at all
+// (an older value under its key is dropped) — admitting it would flush
+// the entire cache for a payload that can never be retained alongside
+// anything else.
+func (c *LRU[V]) Put(key string, v V) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	el, ok := c.items[key]
+	if c.maxBytes > 0 && c.sizeOf(v) > c.maxBytes {
+		if ok {
+			c.removeLocked(el)
+		}
+		return false
+	}
+	if ok {
 		e := el.Value.(*lruEntry[V])
 		c.bytes += c.sizeOf(v) - c.sizeOf(e.val)
 		e.val = v
 		c.ll.MoveToFront(el)
 	} else {
-		if c.maxBytes > 0 && c.sizeOf(v) > c.maxBytes {
-			return
-		}
 		c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: v})
 		c.bytes += c.sizeOf(v)
 	}
 	for c.overfull() && c.ll.Len() > 0 {
-		el := c.ll.Back()
-		e := el.Value.(*lruEntry[V])
-		c.ll.Remove(el)
-		delete(c.items, e.key)
-		c.bytes -= c.sizeOf(e.val)
+		e := c.removeLocked(c.ll.Back())
 		c.evictions++
+		if c.OnEvict != nil {
+			c.OnEvict(e.key, e.val)
+		}
 	}
+	return true
+}
+
+// Remove drops a key, releasing its bytes. It is not an eviction: the
+// counters and OnEvict do not see it.
+func (c *LRU[V]) Remove(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.removeLocked(el)
+	}
+}
+
+func (c *LRU[V]) removeLocked(el *list.Element) *lruEntry[V] {
+	e := c.ll.Remove(el).(*lruEntry[V])
+	delete(c.items, e.key)
+	c.bytes -= c.sizeOf(e.val)
+	return e
 }
 
 func (c *LRU[V]) overfull() bool {

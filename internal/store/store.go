@@ -10,8 +10,10 @@
 // content-addressed tier. Disk entries are written atomically and
 // durably via internal/atomicfile, carry a checksum envelope so
 // truncated or bit-flipped entries are detected, discarded and
-// re-simulated — never served — and are garbage-collected
-// least-recently-used under a configurable byte bound.
+// re-simulated — never served. Under a configurable byte bound the disk
+// tier is garbage-collected least-recently-used through the same LRU
+// type the memory tier is; unbounded, it keeps no per-entry state, only
+// entry and byte counters (see Stats).
 //
 // Invalidation rule: any change to simulation semantics or to the
 // layout of a persisted record must bump api.EngineVersion (wire-format
@@ -68,7 +70,8 @@ type Store struct {
 }
 
 // Open creates a store, scanning an existing disk directory into the
-// GC index. Entries left by previous processes (or written concurrently
+// disk tier's counters, or into its recency order when the tier is
+// bounded. Entries left by previous processes (or written concurrently
 // by other processes sharing the directory) are served as disk hits;
 // corrupt ones are discarded on first read.
 func Open(o Options) (*Store, error) {
@@ -123,13 +126,15 @@ func (s *Store) Peek(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// Put stores an entry in both tiers.
-func (s *Store) Put(key string, data []byte) {
+// Put stores an entry in both tiers and reports whether either kept
+// it: false means the entry exceeds every tier's byte bound (or the
+// disk write failed on a store whose memory tier refused it).
+func (s *Store) Put(key string, data []byte) bool {
 	if s == nil {
-		return
+		return false
 	}
-	s.mem.Put(key, data)
-	s.disk.put(key, data)
+	kept := s.mem.Put(key, data)
+	return s.disk.put(key, data) || kept
 }
 
 // GetDisk reads a key from the disk tier only, bypassing the memory
@@ -167,8 +172,12 @@ type Stats struct {
 	DiskMisses    uint64
 	DiskEvictions uint64 // entries deleted by the byte-bound GC
 	DiskCorrupt   uint64 // entries discarded as truncated or bit-flipped
-	DiskEntries   int
-	DiskBytes     int64
+	// DiskEntries and DiskBytes are the files the disk tier holds. A
+	// bounded tier tracks each file it has written or read; an unbounded
+	// one counts the directory at Open plus the files this process
+	// created, less the corrupt ones it discarded.
+	DiskEntries int
+	DiskBytes   int64
 }
 
 // Stats snapshots the store's counters.
@@ -185,13 +194,7 @@ func (s *Store) Stats() Stats {
 		MemBytes:     m.Bytes,
 	}
 	if s.disk != nil {
-		d := s.disk.stats()
-		st.DiskHits = d.hits
-		st.DiskMisses = d.misses
-		st.DiskEvictions = d.evictions
-		st.DiskCorrupt = d.corrupt
-		st.DiskEntries = d.entries
-		st.DiskBytes = d.bytes
+		s.disk.fill(&st)
 	}
 	return st
 }

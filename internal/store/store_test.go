@@ -62,9 +62,60 @@ func TestLRUByteBoundAndOversized(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatal("no evictions recorded despite overflow")
 	}
-	c.Put("huge", make([]byte, 200))
+	if c.Put("huge", make([]byte, 200)) {
+		t.Fatal("Put of an entry larger than the byte bound reported it kept")
+	}
 	if _, ok := c.Peek("huge"); ok {
 		t.Fatal("entry larger than the byte bound was cached")
+	}
+	// An oversized value drops the older value under its key instead of
+	// flushing the cache.
+	if !c.Put("k9", make([]byte, 30)) {
+		t.Fatal("Put of an entry within the bounds reported it not kept")
+	}
+	before := c.Stats().Entries
+	if c.Put("k9", make([]byte, 200)) {
+		t.Fatal("oversized update reported it kept")
+	}
+	if _, ok := c.Peek("k9"); ok {
+		t.Fatal("oversized update left the older value in place")
+	}
+	if st := c.Stats(); st.Entries != before-1 || st.Bytes != int64(30*(before-1)) {
+		t.Fatalf("oversized update: %d entries, %d bytes; want %d, %d", st.Entries, st.Bytes, before-1, 30*(before-1))
+	}
+}
+
+// TestStorePutReportsRetention: Put reports false only when no tier
+// keeps the entry — a memory tier too small for it is covered by a disk
+// tier that holds it.
+func TestStorePutReportsRetention(t *testing.T) {
+	doc := make([]byte, 200)
+	mem, err := Open(Options{MemBytes: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mem.Put("k", doc) {
+		t.Fatal("memory-only store below the entry's size reported it kept")
+	}
+	if !mem.Put("small", doc[:50]) {
+		t.Fatal("memory-only store refused an entry within its bound")
+	}
+	disk, err := Open(Options{MemBytes: 100, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !disk.Put("k", doc) {
+		t.Fatal("unbounded disk tier reported the entry not kept")
+	}
+	if data, ok := disk.Peek("k"); !ok || len(data) != len(doc) {
+		t.Fatalf("Peek after Put: %d bytes, %v", len(data), ok)
+	}
+	bounded, err := Open(Options{MemBytes: 100, Dir: t.TempDir(), MaxBytes: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bounded.Put("k", doc) {
+		t.Fatal("entry past both tiers' bounds reported kept")
 	}
 }
 
@@ -79,6 +130,47 @@ func TestLRUEntryBoundEvictsOldest(t *testing.T) {
 	}
 	if _, ok := c.Peek("a"); !ok {
 		t.Fatal("recently-used entry was evicted")
+	}
+}
+
+// TestLRUEvictionHookAndRemove pins the two hooks a bounded disk tier
+// builds on: OnEvict fires once per evicted key, least recently used
+// first, and Remove releases a key's bytes without counting an
+// eviction or firing the hook.
+func TestLRUEvictionHookAndRemove(t *testing.T) {
+	c := NewLRU[int64](0, 100, func(n int64) int64 { return n })
+	var evicted []string
+	c.OnEvict = func(key string, size int64) {
+		if size != 30 {
+			t.Errorf("OnEvict(%q) got size %d, want 30", key, size)
+		}
+		evicted = append(evicted, key)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		c.Put(k, 30)
+	}
+	c.Get("a") // order, oldest first: b, c, a
+	c.Put("d", 30)
+	c.Put("e", 30)
+	if got := strings.Join(evicted, ","); got != "b,c" {
+		t.Fatalf("evicted %q, want b,c in LRU order", got)
+	}
+	c.Remove("a")
+	c.Remove("absent")
+	st := c.Stats()
+	if st.Entries != 2 || st.Bytes != 60 || st.Evictions != 2 {
+		t.Fatalf("after Remove: %+v, want 2 entries, 60 bytes, 2 evictions", st)
+	}
+	if _, ok := c.Peek("a"); ok {
+		t.Fatal("removed key still present")
+	}
+	if len(evicted) != 2 {
+		t.Fatalf("Remove fired OnEvict: %v", evicted)
+	}
+	// The released bytes make room: two more entries fit without evicting.
+	c.Put("f", 30)
+	if st := c.Stats(); st.Evictions != 2 || st.Bytes != 90 {
+		t.Fatalf("after refill: %+v, want 90 bytes and no new eviction", st)
 	}
 }
 
@@ -164,7 +256,9 @@ func TestStoreTieringAndPromotion(t *testing.T) {
 
 func TestStoreNilReceiver(t *testing.T) {
 	var s *Store
-	s.Put("k", []byte("v"))
+	if s.Put("k", []byte("v")) {
+		t.Fatal("nil store kept an entry")
+	}
 	s.PutDisk("k", []byte("v"))
 	if _, _, ok := s.Get("k"); ok {
 		t.Fatal("nil store reported a hit")
@@ -241,6 +335,59 @@ func TestDiskGCSurvivesRestart(t *testing.T) {
 	}
 	if _, ok := s2.GetDisk("key11"); !ok {
 		t.Fatal("newest entry was GC'd at reopen")
+	}
+}
+
+// TestDiskCountersWithoutBound pins an unbounded tier's counters: the
+// directory scan at Open, plus each file a put creates (an overwrite
+// changes only the bytes), less each corrupt file a read discards.
+func TestDiskCountersWithoutBound(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.PutDisk("a", []byte("first"))
+	s.PutDisk("b", []byte("second"))
+	size := func(key string) int64 {
+		info, err := os.Stat(filepath.Join(dir, key+diskExt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	want := size("a") + size("b")
+	if st := s.Stats(); st.DiskEntries != 2 || st.DiskBytes != want {
+		t.Fatalf("after two puts: %d entries, %d bytes; want 2, %d", st.DiskEntries, st.DiskBytes, want)
+	}
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.DiskEntries != 2 || st.DiskBytes != want {
+		t.Fatalf("scan at open: %d entries, %d bytes; want 2, %d", st.DiskEntries, st.DiskBytes, want)
+	}
+	s2.PutDisk("a", []byte("a longer first payload"))
+	want += size("a") - int64(len(encodeEnvelope([]byte("first"))))
+	if st := s2.Stats(); st.DiskEntries != 2 || st.DiskBytes != want {
+		t.Fatalf("after overwrite: %d entries, %d bytes; want 2, %d", st.DiskEntries, st.DiskBytes, want)
+	}
+	// A bit flip keeps the file's size, so the discard subtracts what
+	// the scan counted.
+	bad := filepath.Join(dir, "b"+diskExt)
+	raw, err := os.ReadFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0x40
+	if err := os.WriteFile(bad, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s2.GetDisk("b"); ok {
+		t.Fatal("corrupt entry served")
+	}
+	if st := s2.Stats(); st.DiskEntries != 1 || st.DiskBytes != size("a") {
+		t.Fatalf("after discard: %d entries, %d bytes; want 1, %d", st.DiskEntries, st.DiskBytes, size("a"))
 	}
 }
 
